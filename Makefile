@@ -10,7 +10,7 @@ GO ?= go
 # regression tolerance even on a contended single-CPU host.
 REPS ?= 10
 
-.PHONY: all build test vet race verify explain-smoke bench bench-mem bench-parallel bench-snapshot bench-memlayout bench-por bench-dist bench-replay bench-check scrape-smoke clean
+.PHONY: all build test vet race verify explain-smoke bench bench-mem bench-parallel bench-snapshot bench-memlayout bench-por bench-dist bench-check scrape-smoke clean
 
 all: verify
 
@@ -76,13 +76,6 @@ bench-por:
 bench-dist:
 	$(GO) run ./cmd/jaaru-perf -dist BENCH_dist.json -reps $(REPS)
 
-# Regenerate the choice-point snapshot stack report (BENCH_replay.json):
-# full replay vs the failure-point engine alone vs the default stack, per
-# update-heavy workload. Exits nonzero on any result mismatch or if the
-# gated RECIPE rows fall below 2x wall clock / 5x replayed-step reduction.
-bench-replay:
-	$(GO) run ./cmd/jaaru-perf -replay BENCH_replay.json -reps $(REPS)
-
 # Regenerate the paged-memory-layout report (BENCH_memlayout.json). Pass
 # BASELINE=<old.json> to compute allocation/speedup deltas against a run
 # from a previous revision.
@@ -104,9 +97,8 @@ bench-check:
 	$(BENCHDIR)/jaaru-perf -snapshots $(BENCHDIR)/BENCH_snapshot.json -reps $(REPS)
 	$(BENCHDIR)/jaaru-perf -por $(BENCHDIR)/BENCH_por.json -reps $(REPS)
 	$(BENCHDIR)/jaaru-perf -dist $(BENCHDIR)/BENCH_dist.json -reps $(REPS)
-	$(BENCHDIR)/jaaru-perf -replay $(BENCHDIR)/BENCH_replay.json -reps $(REPS)
 	$(BENCHDIR)/jaaru-perf -memlayout $(BENCHDIR)/BENCH_memlayout.json -reps $(REPS)
-	for m in parallel snapshot por dist replay memlayout; do \
+	for m in parallel snapshot por dist memlayout; do \
 		$(BENCHDIR)/jaaru-perf -check $(BENCHDIR)/BENCH_$$m.json \
 			-baseline BENCH_$$m.json -tolerance $(TOLERANCE) || exit 1; \
 	done

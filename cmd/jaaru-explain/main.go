@@ -69,7 +69,6 @@ func main() {
 	opts := core.Options{
 		MaxFailures: *failures,
 		FlagMultiRF: true,
-		MaxSteps:    100_000,
 		Workers:     *workers,
 	}
 	res := core.New(prog, opts).Run()

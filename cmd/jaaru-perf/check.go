@@ -14,11 +14,11 @@ type checkReport struct {
 	Benchmarks []map[string]any `json:"benchmarks"`
 }
 
-// wallClockKeys are the per-mode wall-clock fields of the six BENCH reports
-// (-parallel, -snapshots, -por, -dist, -replay, -memlayout in that order);
-// a row is compared on every key it carries.
+// wallClockKeys are the per-mode wall-clock fields of the five BENCH reports
+// (-parallel, -snapshots, -por, -dist, -memlayout in that order); a row is
+// compared on every key it carries.
 var wallClockKeys = []string{
-	"parallel_ns", "on_ns", "total_time_ns", "dist_ns", "stack_ns", "wall_ns",
+	"parallel_ns", "on_ns", "total_time_ns", "dist_ns", "wall_ns",
 }
 
 // compareReports diffs a freshly generated report against the committed

@@ -13,12 +13,13 @@
 // the measurements — including each workload's machine-readable metrics
 // block — are written as JSON (BENCH_parallel.json) for CI tracking.
 //
-// With -snapshots, it instead benchmarks the pre-failure snapshot engine:
-// every Figure 14 workload (plus a scaled commit-store program) is explored
-// with the engine disabled and enabled, the two runs are cross-checked for
-// bit-identical results (Result fields and the canonical observability
-// counters), and the measurements — total and pre-failure time, restore
-// counts, hit ratio — are written as JSON (BENCH_snapshot.json).
+// With -snapshots, it instead benchmarks the snapshot stack against the
+// full-replay reference (Options.Snapshots = -1): every Figure 14 workload
+// (plus a scaled commit-store program) is explored both ways, the two runs
+// are cross-checked for bit-identical results (Result fields and the
+// canonical observability counters), and the measurements — total and
+// pre-failure time, restore counts, hit ratio — are written as JSON
+// (BENCH_snapshot.json).
 //
 // With -memlayout, it instead measures the serial exploration cost of every
 // Figure 14 workload (plus the scaled commit-store program): wall clock,
@@ -45,15 +46,6 @@
 // results, and the measurements plus the coordinator's RPC, lease, and requeue
 // counts are written as JSON (BENCH_dist.json).
 //
-// With -replay, it instead benchmarks the choice-point snapshot stack: the
-// update-heavy RECIPE workloads (plus two crash-consistent PMDK structures)
-// are explored under full replay (no snapshots), the failure-point engine
-// alone (-choice-snapshots=false), and the default stack. All three runs are
-// cross-checked for bit-identical results, wall-clock speedups and the
-// deterministic replayed-choice-step reduction (obs.ReplaySteps) are gated
-// at 2x/5x on the RECIPE update rows, and the measurements are written as
-// JSON (BENCH_replay.json).
-//
 // Every BENCH mode embeds the machine-readable observability metrics block of
 // an instrumented run in each row, so CI can track any counter over time, and
 // -check is the comparator those reports feed: it diffs a freshly generated
@@ -72,7 +64,6 @@
 //	jaaru-perf -memlayout BENCH_memlayout.json [-baseline OLD.json] [-reps R] [-scale N]
 //	jaaru-perf -por BENCH_por.json [-reps R] [-scale N]
 //	jaaru-perf -dist BENCH_dist.json [-workers N] [-reps R] [-scale N]
-//	jaaru-perf -replay BENCH_replay.json [-reps R] [-scale N]
 //	jaaru-perf -check FRESH.json -baseline COMMITTED.json [-tolerance F]
 package main
 
@@ -295,7 +286,7 @@ func runSnapshotBench(path string, reps, scale int) {
 			"repeated pre-failure (and recovery-prefix) guest execution, so the " +
 			"bound is the workload's pre_failure_off_ns share",
 	}
-	fmt.Printf("Snapshot engine: exploration time with -snapshots=false vs default (best of %d)\n", reps)
+	fmt.Printf("Snapshot engine: exploration time under full replay (Snapshots=-1) vs default (best of %d)\n", reps)
 	fmt.Printf("%-12s  %7s  %10s  %10s  %9s  %8s  %6s\n",
 		"Benchmark", "#JExec.", "Off", "On", "Reduction", "Restores", "Match")
 	fmt.Println("---------------------------------------------------------------------------")
@@ -504,7 +495,6 @@ func main() {
 	memlayout := flag.String("memlayout", "", "benchmark allocation cost per workload and write the JSON report to this file")
 	por := flag.String("por", "", "benchmark the partial-order reduction layer and write the JSON report to this file")
 	dst := flag.String("dist", "", "benchmark distributed exploration over an in-process fabric and write the JSON report to this file")
-	replay := flag.String("replay", "", "benchmark the choice-point snapshot stack against full replay and write the JSON report to this file")
 	check := flag.String("check", "", "compare this freshly generated BENCH report against -baseline and fail on match=false, lost rows, or wall-clock regressions")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional wall-clock regression for -check")
 	baseline := flag.String("baseline", "", "prior report to diff and cross-check against (-memlayout) or the committed report to compare with (-check)")
@@ -537,10 +527,6 @@ func main() {
 	}
 	if *dst != "" {
 		runDistBench(*dst, *workers, *reps, *scale)
-		return
-	}
-	if *replay != "" {
-		runReplayBench(*replay, *reps, *scale)
 		return
 	}
 

@@ -51,8 +51,6 @@ func main() {
 	trace := flag.Bool("trace", false, "attach operation traces to bug reports")
 	witness := flag.Bool("witness", false, "replay the first bug and print its annotated forensics witness (see also jaaru-explain)")
 	workers := flag.Int("workers", 1, "parallel exploration workers (-1 = GOMAXPROCS); results are identical to -workers 1")
-	snapshots := flag.Bool("snapshots", true, "amortize pre-failure execution via the snapshot engine; results are identical either way")
-	choiceSnapshots := flag.Bool("choice-snapshots", true, "amortize post-failure replay via the choice-point snapshot stack; results are identical either way")
 	por := flag.Bool("por", true, "prune equivalent scenarios via partial-order reduction; results are identical either way")
 	metrics := flag.Bool("metrics", false, "collect and print the observability counter block")
 	traceOut := flag.String("trace-out", "", "write the JSONL event trace to this file (implies -metrics)")
@@ -90,14 +88,7 @@ func main() {
 		FlagPerfIssues:  *perf,
 		RandomScheduler: *random,
 		Seed:            *seed,
-		MaxSteps:        100_000,
 		Workers:         *workers,
-	}
-	if !*snapshots {
-		opts.Snapshots = -1
-	}
-	if !*choiceSnapshots {
-		opts.ChoiceSnapshots = -1
 	}
 	if !*por {
 		opts.POR = -1

@@ -1,0 +1,42 @@
+package main
+
+import (
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestStepBudgetIsLibraryDefault drives the built binary: the CLI must not
+// narrow core.Options.MaxSteps below the library default. With a 100 000-step
+// override, cceh-update at n=2048 — a straight-line pre-failure run of more
+// than 100 000 operations — was reported as an infinite loop; a real one
+// (RECIPE bug #1, the missing segment flush in the CCEH constructor) must
+// still be caught.
+func TestStepBudgetIsLibraryDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the jaaru binary (~3 s)")
+	}
+	bin := filepath.Join(t.TempDir(), "jaaru")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	out, err := exec.Command(bin, "-n", "2048", "cceh-update").CombinedOutput()
+	if err != nil {
+		t.Fatalf("jaaru -n 2048 cceh-update: %v\n%s", err, out)
+	}
+	if s := string(out); !strings.Contains(s, "no bugs found") || strings.Contains(s, "truncated") {
+		t.Errorf("jaaru -n 2048 cceh-update did not end complete and clean:\n%s", s)
+	}
+
+	out, err = exec.Command(bin, "-n", "1", "-buggy", "cceh").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("jaaru -n 1 -buggy cceh: err = %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "infinite loop: step budget of 1048576 exceeded") {
+		t.Errorf("seeded infinite loop not reported against the library step budget:\n%s", out)
+	}
+}

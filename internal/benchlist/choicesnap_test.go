@@ -10,10 +10,10 @@ import (
 	"jaaru/internal/recipe"
 )
 
-// assertChoiceSnapEquivalent is the bit-identity gate for the choice-point
-// snapshot stack: the exploration-level Result fields, the canonical
-// observability counters, and the canonical bug order (type, message, count,
-// choice vector, in sequence) must all match the replay reference exactly.
+// assertChoiceSnapEquivalent is the bit-identity gate for the snapshot
+// stack: the exploration-level Result fields, the canonical observability
+// counters, and the canonical bug order (type, message, count, choice vector,
+// in sequence) must all match the replay oracle exactly.
 func assertChoiceSnapEquivalent(t *testing.T, label string, ref, got *core.Result) {
 	t.Helper()
 	if got.Scenarios != ref.Scenarios {
@@ -96,9 +96,9 @@ func choiceSnapCases() []struct {
 }
 
 // TestChoiceSnapshotEquivalenceWorkloads sweeps the RECIPE/PMDK/example
-// workloads across {choice snapshots on, off} x {POR on, off} x
-// {1, 4 workers}: every configuration with the stack enabled must produce a
-// bit-identical exploration to the replay reference of the same
+// workloads across {POR on, off} x {1, 4 workers}: every configuration of
+// the snapshot stack must produce a bit-identical exploration to the replay
+// oracle (Snapshots: -1, every scenario re-run from scratch) of the same
 // (POR, workers=1) cell.
 func TestChoiceSnapshotEquivalenceWorkloads(t *testing.T) {
 	for _, tc := range choiceSnapCases() {
@@ -108,12 +108,11 @@ func TestChoiceSnapshotEquivalenceWorkloads(t *testing.T) {
 			base.Observe = true
 
 			refOpts := base
-			refOpts.ChoiceSnapshots = -1
+			refOpts.Snapshots = -1
 			ref := core.New(tc.build(), refOpts).Run()
 
 			for _, workers := range []int{1, 4} {
 				onOpts := base
-				onOpts.ChoiceSnapshots = 1
 				onOpts.Workers = workers
 				label := fmt.Sprintf("%s por=%d workers=%d", tc.name, por, workers)
 				got := core.New(tc.build(), onOpts).Run()
@@ -123,18 +122,17 @@ func TestChoiceSnapshotEquivalenceWorkloads(t *testing.T) {
 	}
 }
 
-// TestChoiceSnapshotEquivalenceLitmus runs the litmus suite with the stack
-// off and on: the observation sets (the litmus contract itself) and the
-// exploration results must be identical.
+// TestChoiceSnapshotEquivalenceLitmus runs the litmus suite under the replay
+// oracle (off) and the snapshot stack (on): the observation sets (the litmus
+// contract itself) and the exploration results must be identical.
 func TestChoiceSnapshotEquivalenceLitmus(t *testing.T) {
 	for _, tst := range litmus.Tests() {
 		off := tst
-		off.Opts.ChoiceSnapshots = -1
+		off.Opts.Snapshots = -1
 		off.Opts.Observe = true
 		obsOff, resOff := litmus.Run(off)
 
 		on := tst
-		on.Opts.ChoiceSnapshots = 1
 		on.Opts.Observe = true
 		obsOn, resOn := litmus.Run(on)
 

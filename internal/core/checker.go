@@ -101,38 +101,36 @@ type Checker struct {
 
 	// pmpool recycles scenario storage (executions, pages, arenas) across
 	// the millions of resetScenario calls a run performs; thScratch is the
-	// reused thread snapshot quiesce takes under the scheduler lock.
+	// reused thread snapshot threadList takes under the scheduler lock.
 	pmpool    *pmem.Pool
 	thScratch []*thread
 
-	// Snapshot engine state (snapshot.go). snaps is the stack of captured
-	// pre-failure states, nested by choice prefix; snapActive latches
-	// per-scenario eligibility; snapBase/snapBaseSteps are the scenario
-	// baseline the capture deltas are measured against; scenPerf/scenMulti
-	// accumulate the current scenario's perf-issue and multi-rf
-	// manifestations so snapshots can re-apply them on restore.
+	// Snapshot stack state (snapshot.go). snaps is the stack of captured
+	// states along the current depth-first path and snapPrefix the one
+	// choice vector they were captured under (entry i owns
+	// snapPrefix[:snaps[i].depth], and len(snapPrefix) is the top entry's
+	// depth); snapFree pools retired entries so the warmed capture/restore
+	// cycle allocates nothing; snapActive latches per-scenario eligibility;
+	// snapBase/snapBaseSteps are the scenario baseline the capture deltas
+	// are measured against; scenPerf/scenMulti accumulate the current
+	// scenario's perf-issue and multi-rf manifestations so entries can
+	// re-apply them on restore. segLogs holds one value log per post-failure
+	// execution depth (index ID-1), recording everything a fast-forward
+	// replay must feed back to the guest; segLog caches &segLogs[Top().ID-1]
+	// while a post-failure segment is in flight (nil otherwise) so the
+	// per-byte noteSegEvent hot path is a single pointer check; ffwd is the
+	// in-flight fast-forward replay, if any.
 	snaps         []*snapEntry
+	snapPrefix    []choicePoint
+	snapFree      []*snapEntry
 	snapActive    bool
 	snapBase      obs.CounterVec
 	snapBaseSteps int64
 	scenPerf      map[string]*PerfIssue
 	scenMulti     map[string]*MultiRF
-
-	// Choice-point snapshot stack state (snapshot.go). snapFree pools
-	// retired snapEntry values so the warmed capture/restore cycle allocates
-	// nothing; chsnapActive latches per-scenario eligibility of the
-	// choice-point stack; segLogs holds one value log per post-failure
-	// execution depth (index ID-1), recording everything a fast-forward
-	// replay must feed back to the guest; ffwd is the in-flight fast-forward
-	// replay, if any.
-	// segLog caches &segLogs[Top().ID-1] while a post-failure segment is in
-	// flight (nil otherwise) so the per-byte noteSegEvent hot path is a single
-	// pointer check.
-	snapFree     []*snapEntry
-	chsnapActive bool
-	segLogs      [][]segEvent
-	segLog       *[]segEvent
-	ffwd         ffwdState
+	segLogs       [][]segEvent
+	segLog        *[]segEvent
+	ffwd          ffwdState
 
 	// Partial-order-reduction state (por.go). porSeenSet is the fingerprint
 	// seen-set, shared across workers; porOpen the stack of subtree records
@@ -413,7 +411,7 @@ func (c *Checker) resetScenario() {
 func (c *Checker) pushExecution() {
 	c.stack.Push()
 	clear(c.lastStore)
-	if c.chsnapActive {
+	if c.snapActive {
 		// A fresh value log for the new recovery segment (backing storage
 		// reused across scenarios).
 		id := c.stack.Top().ID
@@ -442,31 +440,18 @@ func (c *Checker) runScenario() {
 	defer func() { c.porNoteDepth(len(c.chooser.points)) }()
 	c.beginSnapScenario()
 
-	var crashed, resumedMid bool
+	var crashed bool
 	if s := c.usableSnapshot(); s != nil {
-		// The recorded choice prefix crashes at (or completes to) a captured
-		// state: restore it instead of re-executing the guest from scratch.
-		if s.kind == choiceSnap {
-			// Resume mid-recovery-segment at the captured choice point via
-			// fast-forward replay (snapshot.go).
-			resumedMid = true
-			crashed = c.restoreChoiceSnap(s)
-			if c.ffwd.active {
-				// The segment ended before the replay reached its capture
-				// point: the guest diverged from the recorded value log.
-				c.ffwd = ffwdState{}
-				panic(engineError{
-					"choice-snapshot fast-forward never reached its capture point"})
-			}
-		} else {
-			crashed = c.restoreSnapshot(s)
-		}
+		// The recorded choice prefix crashes at, completes to, or passes
+		// through a captured state: restore it instead of re-executing the
+		// guest from scratch.
+		crashed = c.restoreSnap(s)
 	} else {
 		c.resetScenario()
 		// A full run always starts over on a fresh Stack, so any cached
 		// snapshots reference dead state and must go; eligible runs
 		// re-capture from scratch on the journaled fresh stack.
-		c.dropSnaps()
+		c.truncateSnaps(0)
 		if c.snapActive {
 			c.stack.EnableJournal()
 		}
@@ -482,15 +467,12 @@ func (c *Checker) runScenario() {
 		}
 	}
 	if !crashed {
-		// A resumed recovery segment that ran to completion (or ended with a
-		// bug) finishes the scenario: the end-of-run failure point below
-		// belongs to the pre-failure execution only.
-		if resumedMid {
-			c.bugEndedSegment = false
-			return
-		}
-		// Segment ended due to a bug, or there is nothing to recover.
-		if c.opts.MaxFailures < 0 || c.prog.Recover == nil || c.bugEndedSegment {
+		// Segment ended due to a bug, there is nothing to recover, or the
+		// segment was a recovery a restored snapshot resumed mid-way — it ran
+		// to completion, and the end-of-run failure point below belongs to
+		// the pre-failure execution only.
+		if c.opts.MaxFailures < 0 || c.prog.Recover == nil || c.bugEndedSegment ||
+			c.stack.Top().ID > 0 {
 			c.bugEndedSegment = false
 			return
 		}
@@ -618,13 +600,18 @@ func (c *Checker) joinAll(main *thread) {
 // program runs to completion. Failure points encountered during the drain
 // remain eligible.
 func (c *Checker) quiesce() {
-	c.sched.mu.Lock()
-	threads := append(c.thScratch[:0], c.sched.threads...)
-	c.sched.mu.Unlock()
-	c.thScratch = threads
-	for _, t := range threads {
+	for _, t := range c.threadList() {
 		t.ts.Mfence(c)
 	}
+}
+
+// threadList returns the current guest threads in scheduler order, copied
+// into thScratch under the scheduler lock (Spawn appends under it).
+func (c *Checker) threadList() []*thread {
+	c.sched.mu.Lock()
+	c.thScratch = append(c.thScratch[:0], c.sched.threads...)
+	c.sched.mu.Unlock()
+	return c.thScratch
 }
 
 // ---- tso.Storage implementation ------------------------------------------
@@ -752,7 +739,7 @@ func (c *Checker) resolveByte(t *thread, a pmem.Addr, first bool) byte {
 		// counters exactly once. Choices at non-leading bytes go uncaptured
 		// (a restore targeting them resumes from the nearest shallower entry
 		// and replays forward), keeping captures on operation boundaries.
-		c.captureChoiceSnap()
+		c.captureSnap(choiceSnap)
 	}
 	if c.col != nil {
 		c.col.Inc(obs.LoadRefinements)

@@ -118,7 +118,7 @@ func (c *Context) Alloc(size, align uint64) Addr {
 		// Fast-forward replay: the allocator was truncated to the capture
 		// high-water mark, which already covers this allocation — feed the
 		// recorded address instead of re-advancing (snapshot.go).
-		a := c.ck.ffwdAlloc()
+		a := c.ck.ffwdNext(evAlloc).addr
 		c.yield()
 		return a
 	}
@@ -149,7 +149,7 @@ func (c *Context) PoolLimit() Addr {
 	if c.ck.ffwd.active {
 		// Fast-forward replay: the live allocator already reflects the whole
 		// prefix, so the momentary value the guest observed is fed back.
-		return c.ck.ffwdLimit()
+		return c.ck.ffwdNext(evLimit).addr
 	}
 	a := c.ck.alloc.HighWater()
 	c.ck.noteSegEvent(evLimit, a)

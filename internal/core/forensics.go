@@ -308,9 +308,10 @@ func (r *witnessRecorder) witness(b *BugReport, reproduced bool) *forensics.Witn
 // armed, and returns the structured witness: annotated operation trace,
 // per-cache-line persistence timelines, and per-load read-from resolutions.
 //
-// The replay always re-executes the guest from scratch (snapshots are
-// forced off — a restored snapshot would skip the pre-failure operations the
-// witness needs to show) and records the complete operation list itself, so
+// The replay always re-executes the guest from scratch (replaySegment keeps
+// the snapshot stack out — a restored snapshot would skip the pre-failure
+// operations the witness needs to show, and the recorder must observe every
+// operation) and records the complete operation list itself, so
 // the opts trace ring is not consulted. A guest whose choice shape changed
 // since the exploration (nondeterminism outside the simulated pool) yields a
 // witness with Reproduced == false carrying whatever replay was observed.
@@ -319,7 +320,6 @@ func BuildWitness(prog Program, opts Options, b *BugReport) *forensics.Witness {
 	o.TraceLen = -1 // the recorder captures the full trace itself
 	o.MaxScenarios = 1
 	o.FlagMultiRF = true
-	o.Snapshots = -1
 	c := New(prog, o)
 	c.replaySegment = true
 	c.wrec = newWitnessRecorder(c)

@@ -83,7 +83,6 @@ func minimizeTrial(prog Program, opts Options, prefix []choicePoint, key string)
 	o := opts.withDefaults()
 	o.TraceLen = -1 // no trace needed, only the bug key
 	o.MaxScenarios = 1
-	o.Snapshots = -1
 	c := New(prog, o)
 	c.replaySegment = true
 	c.chooser.seed(prefix)

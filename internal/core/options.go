@@ -119,34 +119,23 @@ type Options struct {
 	// serial order would.
 	Workers int
 
-	// Snapshots controls the pre-failure snapshot engine (snapshot.go):
-	// the checker captures the scenario state at each eligible failure
-	// point during a full run, and a later scenario whose choice prefix
-	// crashes at a captured point restores the snapshot instead of
-	// re-executing the guest from scratch — the deterministic-replay
-	// equivalent of the paper's fork()-based restart strategy. On by
-	// default (0 is normalized to 1); a negative value disables the engine
-	// (normalized to the sentinel -1: every scenario re-runs the guest).
-	// Results are bit-identical either way, including the canonical
-	// observability counters; the engine is automatically bypassed for the
-	// configurations it cannot replay exactly (RandomScheduler,
+	// Snapshots switches between the snapshot stack (snapshot.go) and the
+	// full-replay reference. By default (0 is normalized to 1) the checker
+	// captures the scenario state at three kinds of site — each eligible
+	// failure point, the end of the pre-failure execution, and each
+	// post-failure read-from choice point along the current depth-first
+	// path — and a later scenario whose choice prefix passes through a
+	// captured state restores it instead of re-executing the guest from
+	// scratch: the deterministic-replay equivalent of the paper's
+	// fork()-based restart strategy. A negative value (normalized to the
+	// sentinel -1) selects the reference instead: every scenario re-runs
+	// the guest from the start and replays its whole choice prefix. That is
+	// the oracle the equivalence suites compare the stack against — results
+	// are bit-identical either way, including the canonical observability
+	// counters — not a tuning knob. The stack is automatically bypassed for
+	// the configurations it cannot replay exactly (RandomScheduler,
 	// EvictRandom, instrumented or replayed runs).
 	Snapshots int
-
-	// ChoiceSnapshots controls the choice-point snapshot stack
-	// (snapshot.go): in addition to the per-failure-point snapshots above,
-	// the checker captures an incremental snapshot at each post-failure
-	// read-from choice point along the current DFS path, so advancing to
-	// the next sibling of a deep choice restores O(state touched since
-	// that choice) instead of replaying the whole post-failure prefix. On
-	// by default (0 is normalized to 1); a negative value disables the
-	// stack (normalized to the sentinel -1: sibling scenarios replay their
-	// prefix through the chooser as before). Results are bit-identical
-	// either way, including the canonical observability counters; the
-	// split between replayed and restored choices is reported through the
-	// non-canonical choices_restored metric. The stack rides on the same
-	// eligibility gates as Snapshots and is inert when Snapshots < 0.
-	ChoiceSnapshots int
 
 	// POR controls the persistency-aware partial-order-reduction layer
 	// (por.go): single-valued read-from elision collapses choice points
@@ -245,12 +234,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Snapshots < 0 {
 		o.Snapshots = -1
-	}
-	if o.ChoiceSnapshots == 0 {
-		o.ChoiceSnapshots = 1
-	}
-	if o.ChoiceSnapshots < 0 {
-		o.ChoiceSnapshots = -1
 	}
 	if o.POR == 0 {
 		o.POR = 1

@@ -26,10 +26,6 @@ func TestWithDefaultsIdempotent(t *testing.T) {
 		{Snapshots: -1},
 		{Snapshots: -2},
 		{Snapshots: 1},
-		{ChoiceSnapshots: -1},
-		{ChoiceSnapshots: -2},
-		{ChoiceSnapshots: 1},
-		{Snapshots: -1, ChoiceSnapshots: 1},
 	}
 	for _, o := range cases {
 		once := o.withDefaults()
@@ -50,12 +46,6 @@ func TestWithDefaultsIdempotent(t *testing.T) {
 	}
 	if n := (Options{Snapshots: -5}).withDefaults().Snapshots; n != -1 {
 		t.Errorf("disabled Snapshots normalized to %d, want the sentinel -1", n)
-	}
-	if n := (Options{}).withDefaults().ChoiceSnapshots; n != 1 {
-		t.Errorf("default ChoiceSnapshots normalized to %d, want 1 (enabled)", n)
-	}
-	if n := (Options{ChoiceSnapshots: -5}).withDefaults().ChoiceSnapshots; n != -1 {
-		t.Errorf("disabled ChoiceSnapshots normalized to %d, want the sentinel -1", n)
 	}
 	if n := (Options{LeaseTTLMs: -9}).withDefaults().LeaseTTLMs; n != -1 {
 		t.Errorf("disabled LeaseTTLMs normalized to %d, want the sentinel -1", n)

@@ -359,7 +359,7 @@ func (c *Checker) runScenarioGuarded(prefix []choicePoint) (ok bool) {
 		// run, and void any open subtree records — their statistics are
 		// unreliable.
 		c.ffwd = ffwdState{}
-		c.dropSnaps()
+		c.truncateSnaps(0)
 		c.porAbandon()
 		c.recordEngineBug(e, prefix)
 	}()

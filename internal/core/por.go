@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -225,10 +226,15 @@ type porRecord struct {
 	bugs         map[string]*porBug
 }
 
-// porClearPrefixDependent zeroes the counters the delta machinery accounts
-// for outside the vec: per-scenario bookkeeping, analytic choice counters,
-// wall-clock timings, and the snapshot/POR engines' own bookkeeping.
-func porClearPrefixDependent(v *obs.CounterVec) {
+// clearPrefixDependent zeroes the counters that a recorded delta — a snapshot
+// entry's skipped prefix (snapshot.go) or a published subtree (porDelta) —
+// must not replay through its vec, because whoever re-applies the delta
+// accounts for them itself: per-scenario bookkeeping (Scenarios is counted
+// per scenario regardless; Steps travels as a scalar beside the vec), the
+// analytic choice counters (ChoicesReplayed is the skipped-prefix length,
+// which differs from what the recording run counted as fresh), wall-clock
+// phase timings, and the snapshot stack's and the POR layer's own counters.
+func clearPrefixDependent(v *obs.CounterVec) {
 	v.Clear(obs.Scenarios, obs.Steps,
 		obs.PreFailureNs, obs.PostFailureNs, obs.ReplayNs,
 		obs.ChoicesReplayed, obs.ChoicesFresh,
@@ -305,7 +311,7 @@ func (c *Checker) porNoteFailPoint() {
 	}
 	if c.col != nil {
 		m.vec = c.col.Counters().Diff(c.porScenBase)
-		porClearPrefixDependent(&m.vec)
+		clearPrefixDependent(&m.vec)
 	}
 	c.chooser.aux[c.chooser.cursor-1] = m
 }
@@ -338,13 +344,11 @@ func (c *Checker) porPruneSweep() {
 		if d == nil {
 			continue
 		}
+		// A clamp rewrites the subtree below point i out of the schedule.
+		// The snapshot stack needs no maintenance for it: an entry is only
+		// ever restored under a vector it prefixes (usableSnapshot), and no
+		// vector takes the excised branch once advance cannot flip into it.
 		ch.limit[i] = 1
-		// A clamp rewrites the subtree below point i out of the schedule;
-		// any choice snapshot captured under the excised branch must not
-		// survive to satisfy a later restore (see chsnapExciseBelow — with
-		// the clamp landing on the un-flipped branch the excision is a
-		// defensive no-op, but the invariant is cheap to enforce).
-		c.chsnapExciseBelow(i)
 		if c.porFPHook != nil {
 			c.porFPHook(m.fp, true)
 		}
@@ -361,7 +365,7 @@ func (c *Checker) porSync() {
 	for i := len(c.porOpen) - 1; i >= 0; i-- {
 		r := c.porOpen[i]
 		pts := c.chooser.points
-		if r.rootDepth <= len(pts) && prefixEqual(r.prefix, pts[:r.rootDepth]) {
+		if r.rootDepth <= len(pts) && slices.Equal(r.prefix, pts[:r.rootDepth]) {
 			break
 		}
 		c.porClose(r, true)
@@ -467,7 +471,7 @@ func (c *Checker) porOpenRecord(fp uint64) {
 		r.openReplayed = r.openVec[obs.ChoicesReplayed]
 		r.openFresh = r.openVec[obs.ChoicesFresh]
 		r.prefixVec = r.openVec.Diff(c.porScenBase)
-		porClearPrefixDependent(&r.prefixVec)
+		clearPrefixDependent(&r.prefixVec)
 	}
 	if len(c.perfIssues) > 0 {
 		r.basePerf = make(map[string]int, len(c.perfIssues))
@@ -544,7 +548,7 @@ func (c *Checker) porClose(r *porRecord, currentCounted bool) {
 		d.replayed = cur[obs.ChoicesReplayed] - r.openReplayed - k1*int64(r.rootDepth)
 		d.fresh = cur[obs.ChoicesFresh] - r.openFresh
 		vec := cur.Diff(r.openVec)
-		porClearPrefixDependent(&vec)
+		clearPrefixDependent(&vec)
 		for k := range vec {
 			vec[k] -= k1 * r.prefixVec[k]
 		}
@@ -600,7 +604,7 @@ func (c *Checker) porApplyHit(d *porDelta) {
 	var hitPrefix obs.CounterVec
 	if c.col != nil {
 		hitPrefix = c.col.Counters().Diff(c.porScenBase)
-		porClearPrefixDependent(&hitPrefix)
+		clearPrefixDependent(&hitPrefix)
 	}
 	c.porApply(d, int64(d.scenarios-1), c.chooser.cursor, hitPrefixSteps, hitPrefix, false)
 }

@@ -15,16 +15,15 @@ package core
 func Replay(prog Program, opts Options, b *BugReport) []TraceOp {
 	// Tracing is forced on regardless of opts.TraceLen — producing the
 	// trace is the point of a replay, even when the exploration ran with
-	// tracing disabled. Snapshots are forced off so the scenario re-executes
-	// the guest from scratch and the returned trace covers the pre-failure
-	// operations too. Everything else keeps the original exploration's
-	// semantics: withDefaults is idempotent, so New's second normalization
-	// cannot flip disabled features (a negative MaxFailures, say) back to
-	// their defaults.
+	// tracing disabled. replaySegment keeps the snapshot stack out
+	// (snapEligible), so the scenario re-executes the guest from scratch and
+	// the returned trace covers the pre-failure operations too. Everything
+	// else keeps the original exploration's semantics: withDefaults is
+	// idempotent, so New's second normalization cannot flip disabled
+	// features (a negative MaxFailures, say) back to their defaults.
 	o := opts.withDefaults()
 	o.TraceLen = witnessTraceLen
 	o.MaxScenarios = 1
-	o.Snapshots = -1
 	c := New(prog, o)
 	c.replaySegment = true
 	c.chooser.seed(b.replay)

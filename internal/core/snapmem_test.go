@@ -1,0 +1,45 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"jaaru/internal/core"
+	"jaaru/internal/recipe"
+)
+
+// TestSnapshotMemoryLinear is the linear-memory gate for the snapshot stack.
+// CCEH-update's choice depth, and with it the number of stack entries, grows
+// linearly with the round count; an entry that carries its own copy of the
+// choice prefix makes the stack's memory — and the bytes allocated to build
+// it — quadratic (4x per doubling). With one prefix shared by the whole
+// stack, doubling the workload must at most roughly double both.
+func TestSnapshotMemoryLinear(t *testing.T) {
+	const rounds, maxGrowth = 512, 2.5
+	run := func(rounds int) (prefixCap int, allocated uint64) {
+		prog := recipe.CCEHUpdateWorkload(3, rounds)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ck := core.New(prog, core.Options{})
+		res := ck.Run()
+		runtime.ReadMemStats(&after)
+		if res.Buggy() || !res.Complete {
+			t.Fatalf("rounds=%d: unexpected result: complete=%v bugs=%v", rounds, res.Complete, res.Bugs)
+		}
+		return ck.SnapPrefixCap(), after.TotalAlloc - before.TotalAlloc
+	}
+	p1, a1 := run(rounds)
+	p2, a2 := run(2 * rounds)
+	t.Logf("rounds %d -> %d: retained prefix %d -> %d decisions, allocated %d -> %d bytes",
+		rounds, 2*rounds, p1, p2, a1, a2)
+	if p1 == 0 {
+		t.Fatal("the snapshot stack retained no prefix: the gate measures nothing")
+	}
+	if g := float64(p2) / float64(p1); g > maxGrowth {
+		t.Errorf("retained prefix storage grew %.2fx for a 2x workload, want <= %.1fx", g, maxGrowth)
+	}
+	if g := float64(a2) / float64(a1); g > maxGrowth {
+		t.Errorf("bytes allocated grew %.2fx for a 2x workload, want <= %.1fx", g, maxGrowth)
+	}
+}

@@ -11,64 +11,48 @@ import (
 	"jaaru/internal/tso"
 )
 
-// Pre-failure snapshot engine — the deterministic-replay equivalent of the
-// paper's fork()-based restart strategy (§4, "Evaluating executions").
+// Snapshot stack — the deterministic-replay equivalent of the paper's
+// fork()-based restart strategy (§4, "Evaluating executions").
 //
-// The paper's Jaaru forks the checked process at every failure point, so
-// the expensive pre-failure execution runs once and each failure scenario
-// resumes from a cheap process snapshot. Our replay-based engine instead
-// re-ran the guest Run function for every scenario; for CCEH that made the
-// byte-identical pre-failure prefix ~half of total wall time. This file
-// closes the gap:
+// The paper's Jaaru forks the checked process at every failure point, so the
+// expensive execution prefix runs once and each failure scenario resumes from
+// a cheap copy-on-write process snapshot. A replay-based engine would instead
+// re-run the guest for every scenario: the byte-identical pre-failure prefix,
+// and then the whole post-failure recovery prefix of every sibling read-from
+// choice. This file is the one mechanism that removes both:
 //
-//   - During any full scenario run, captureSnap records the checker state
-//     at each eligible failure point (and at the mandatory end-of-run
-//     failure): the global sequence counter, fpCount, the allocator
-//     high-water mark, the trace ring, and a pmem.Mark into the journaled
-//     execution stack (store queues shared by reference + recorded length;
-//     intervals via the undo journal — refinement mutates them in place,
-//     so restoring needs undo, not sharing).
-//   - A scenario whose recorded choice prefix crashes at a captured point
-//     (fail@k taken, or the end-of-run failure) restores the snapshot and
-//     jumps straight into the recovery loop of runScenario, never invoking
-//     c.prog.Run again. The same machinery applies at recovery-segment
-//     failure points, so multi-failure scenarios amortize their recovery
-//     prefixes too.
-//   - Snapshots are kept as a stack keyed by the choice prefix they were
-//     captured under, paralleling the chooser's depth-first backtracking:
-//     usableSnapshot drops entries whose prefix the current scenario no
-//     longer replays, and restoring an entry invalidates (prunes) every
+//   - captureSnap records the checker state at three sites: immediately
+//     before the fail/continue choice of each eligible failure point (fpSnap,
+//     in the pre-failure execution and in recovery segments alike), before
+//     the mandatory end-of-run failure (endSnap), and before each
+//     post-failure multi-candidate read-from choice (choiceSnap). An entry
+//     holds the global sequence counter, fpCount, the allocator high-water
+//     mark, the trace ring, and a pmem.Mark into the journaled execution
+//     stack (store queues shared by reference + recorded length; intervals
+//     via the undo journal — refinement mutates them in place, so restoring
+//     needs undo, not sharing). A capture costs what the scenario touched,
+//     not what the pool holds.
+//   - Entries form a stack along the chooser's current depth-first path.
+//     Entry i was captured under the decisions Checker.snapPrefix[:depth_i]:
+//     one shared vector, so the prefixes are nested by construction and the
+//     stack's memory is linear in its depth. usableSnapshot truncates the
+//     stack to the prefix the current scenario still replays and returns the
+//     deepest entry it can resume from; restoring an entry prunes every
 //     deeper one, since the rewind reclaims their journaled state.
-//   - Each parallel worker owns a private snapshot cache over its private
-//     stack. A claimed branch prefix that extends the prefix of a surviving
-//     snapshot reuses it; otherwise the first scenario of the claim is a
-//     full run that recaptures from scratch.
+//   - restoreSnap rewinds to the entry and the scenario continues from there
+//     without invoking c.prog.Run again: an fpSnap resumes as if its failure
+//     decision selected "fail", an endSnap at the completed pre-failure
+//     execution, and a choiceSnap mid-recovery-segment (below).
+//   - Each parallel worker owns a private stack over its private pmem stack.
+//     A claimed branch prefix that extends the prefix of a surviving entry
+//     reuses it; otherwise the first scenario of the claim is a full run that
+//     recaptures from scratch.
 //
-// Exactness: results with the engine on must be bit-identical to the
-// full-replay path, including the canonical observability counters. The
-// guest-visible state (queues, intervals, allocator, seq, trace) is restored
-// exactly; the exploration-level counters a skipped prefix would have
-// accumulated (steps, load-path counters, executions, per-scenario
-// perf-issue and multi-rf manifestations) are captured as deltas against the
-// scenario baseline and re-applied on restore. Counters whose value differs
-// between a replayed and a fresh traversal of the same prefix
-// (ChoicesReplayed) are computed analytically; phase timings are wall-clock
-// and excluded from the canonical comparison anyway.
-
-// Choice-point snapshot stack (Options.ChoiceSnapshots). The engine above
-// amortizes the *pre-failure* prefix, but a sibling scenario still replayed
-// the whole post-failure recovery prefix through the chooser — on CCEH that
-// left choices_replayed ≈ 41× choices_fresh. The choiceSnap kind below closes
-// the other half of the paper's fork() design: a snapshot is captured at
-// every post-failure read-from choice point along the current DFS path, so
-// advancing to the next sibling pops to the deepest shared prefix and
-// restores O(state touched since that choice).
-//
-// A guest Go function cannot resume mid-call the way a forked process can,
-// so a choiceSnap restore is a two-part move:
+// Resuming mid-segment. A guest Go function cannot resume mid-call the way a
+// forked process can, so a choiceSnap restore is a two-part move:
 //
 //   - The simulator state (pmem stack, seq, allocator, trace ring, TSO
-//     buffers, scheduler scalars) is rewound exactly, as for fpSnap.
+//     buffers, scheduler scalars) is rewound exactly, as for the other kinds.
 //   - The in-flight recovery segment is re-entered from its start in
 //     *fast-forward* mode (ffwdState): every operation skips its effects and
 //     its step accounting, loads are fed from a per-execution value log
@@ -79,12 +63,19 @@ import (
 //     per-thread TSO snapshots and segment scalars are installed and the
 //     flipped sibling decision is consumed as an ordinary replayed choose().
 //
-// The fast-forward pass touches no counters and no simulator state, so the
-// bit-identical accounting argument of the header comment carries over: the
-// restore applies the captured deltas analytically and the live suffix
-// accounts for itself. Any divergence between the log and the replayed
-// operation stream panics with engineError — the same nondeterminism
-// backstop the chooser itself provides.
+// Exactness: results with the stack on must be bit-identical to the
+// full-replay reference (Options.Snapshots < 0), including the canonical
+// observability counters. The guest-visible state is restored exactly; the
+// exploration-level counters a skipped prefix would have accumulated (steps,
+// load-path counters, executions, per-scenario perf-issue and multi-rf
+// manifestations) are captured as deltas against the scenario baseline and
+// re-applied on restore. Counters whose value differs between a replayed and
+// a fresh traversal of the same prefix (ChoicesReplayed) are computed
+// analytically; phase timings are wall-clock and excluded from the canonical
+// comparison anyway. The fast-forward pass touches no counters and no
+// simulator state, so the live suffix accounts for itself. Any divergence
+// between the value log and the replayed operation stream panics with
+// engineError — the same nondeterminism backstop the chooser itself provides.
 
 // snapKind distinguishes the three capture sites.
 type snapKind uint8
@@ -144,10 +135,10 @@ type ffwdState struct {
 // snapEntry is one captured scenario state.
 type snapEntry struct {
 	kind snapKind
-	// depth is the chooser cursor at capture; prefix is a copy of
-	// points[:depth] — the decisions that deterministically lead here.
-	depth  int
-	prefix []choicePoint
+	// depth is the chooser cursor at capture. The decisions that
+	// deterministically lead here are Checker.snapPrefix[:depth] — owned by
+	// the stack as a whole, not copied per entry.
+	depth int
 
 	// Guest-visible state.
 	mark    pmem.Mark
@@ -165,9 +156,10 @@ type snapEntry struct {
 	perf       map[string]*PerfIssue
 	multi      map[string]*MultiRF
 
-	// choiceSnap-only fields: the mid-segment scalars and per-thread TSO
-	// state the fast-forward arrival installs, plus the coordinates of the
-	// capture within the segment's value log.
+	// choiceSnap-only fields (stale pool leftovers otherwise, never read):
+	// the mid-segment scalars and per-thread TSO state the fast-forward
+	// arrival installs, plus the coordinates of the capture within the
+	// segment's value log.
 	segSteps  int            // c.steps at capture (ops of the in-flight segment)
 	segDirty  bool           // c.dirty at capture
 	execID    int            // stack index of the in-flight execution
@@ -179,11 +171,12 @@ type snapEntry struct {
 	lsV []pmem.Seq
 }
 
-// snapEligible reports whether the snapshot engine can run for this checker
+// snapEligible reports whether the snapshot stack can run for this checker
 // at all. RandomScheduler and EvictRandom draw from an rng that is re-seeded
 // per scenario and advanced by every operation — a skipped prefix would
 // leave it in the wrong state — and instrumented (Yat), observed, or
-// replayed runs must see every guest operation.
+// replayed runs (Replay, FormatWitness, BuildWitness, Minimize) must see
+// every guest operation from the start of the pre-failure execution.
 func (c *Checker) snapEligible() bool {
 	return c.opts.Snapshots > 0 &&
 		c.opts.MaxFailures > 0 &&
@@ -199,13 +192,8 @@ func (c *Checker) snapEligible() bool {
 // the capture deltas are measured against. Called at the top of runScenario,
 // before any restore re-applies prefix contributions.
 func (c *Checker) beginSnapScenario() {
-	c.segLog = nil // re-armed by pushExecution / restoreChoiceSnap
+	c.segLog = nil // re-armed by pushExecution / restoreSnap
 	c.snapActive = c.snapEligible()
-	// The choice-point stack rides on the same eligibility gates (it shares
-	// the journaled pmem stack and the delta accounting) plus its own flag;
-	// the witness recorder must observe every operation, so it disables the
-	// fast-forward path outright.
-	c.chsnapActive = c.snapActive && c.opts.ChoiceSnapshots > 0 && c.wrec == nil
 	if !c.snapActive {
 		return
 	}
@@ -220,19 +208,29 @@ func (c *Checker) beginSnapScenario() {
 	}
 }
 
-// dropSnaps releases every snapshot (a fresh full run re-captures from
-// scratch, and an engine panic leaves the journaled stack untrustworthy).
-func (c *Checker) dropSnaps() {
-	for i := range c.snaps {
-		c.putSnapEntry(c.snaps[i])
+// truncateSnaps cuts the stack down to its n shallowest entries, and the
+// shared prefix with it. Pruned entries return to the free list with their
+// backing slices, so a warmed capture/restore cycle — the steady state of
+// sibling exploration — allocates nothing; the maps are released (they are
+// allocated only under FlagPerfIssues/FlagMultiRF, off the alloc-gated hot
+// path). truncateSnaps(0) releases everything: a fresh full run re-captures
+// from scratch, and an engine panic leaves the journaled stack untrustworthy.
+func (c *Checker) truncateSnaps(n int) {
+	for i := n; i < len(c.snaps); i++ {
+		s := c.snaps[i]
+		s.perf, s.multi = nil, nil
+		c.snapFree = append(c.snapFree, s)
 		c.snaps[i] = nil
 	}
-	c.snaps = c.snaps[:0]
+	c.snaps = c.snaps[:n]
+	depth := 0
+	if n > 0 {
+		depth = c.snaps[n-1].depth
+	}
+	c.snapPrefix = c.snapPrefix[:depth]
 }
 
 // getSnapEntry draws a snapshot entry from the free list (or allocates one).
-// Pooled entries keep their backing slices, so a warmed capture/restore
-// cycle — the steady state of sibling exploration — allocates nothing.
 func (c *Checker) getSnapEntry() *snapEntry {
 	if n := len(c.snapFree); n > 0 {
 		s := c.snapFree[n-1]
@@ -243,44 +241,37 @@ func (c *Checker) getSnapEntry() *snapEntry {
 	return &snapEntry{}
 }
 
-// putSnapEntry returns a pruned or dropped entry to the free list. Slices
-// are retained for reuse; the maps are released (they are allocated only
-// under FlagPerfIssues/FlagMultiRF, off the alloc-gated hot path).
-func (c *Checker) putSnapEntry(s *snapEntry) {
-	s.perf, s.multi = nil, nil
-	c.snapFree = append(c.snapFree, s)
-}
-
 // usableSnapshot returns the deepest snapshot the current scenario can
-// resume from, pruning entries captured under prefixes the chooser has
-// backtracked away from. Snapshot prefixes are nested (each extends the one
-// below), so stale entries are always the deepest and are dropped as they
-// are found; a valid entry is usable if it is an endSnap (recovery re-runs
-// from the completed pre-failure state) or an fpSnap whose failure decision
-// the scenario records as taken. Deeper valid-but-unusable entries (e.g. a
-// recovery failure point this scenario does not crash at) stay cached; they
-// are pruned by restoreSnapshot only if a shallower entry is restored,
-// because the rewind reclaims their journaled state.
+// resume from, first truncating the stack to the entries whose prefix the
+// scenario still replays: an entry is live exactly when its depth does not
+// exceed the common prefix of snapPrefix and the chooser's vector. A live
+// entry is usable if it is an endSnap (recovery re-runs from the completed
+// pre-failure state), an fpSnap whose failure decision the scenario records
+// as taken, or a choiceSnap the vector extends. Deeper live-but-unusable
+// entries (e.g. a recovery failure point this scenario does not crash at)
+// stay cached unless a shallower entry is returned, because its rewind
+// reclaims their journaled state.
 func (c *Checker) usableSnapshot() *snapEntry {
 	if !c.snapActive {
 		return nil
 	}
 	pts := c.chooser.points
-	// Entries at depth <= chooser.stable still prefix-match by construction
+	// The first chooser.stable decisions are unchanged since the last scan
 	// (advance only flips the deepest surviving index; see chooser.stable),
-	// so only deeper entries need the O(depth) comparison — and those are
-	// exactly the ones the flip invalidated, which fail fast.
-	stable := c.chooser.stable
+	// so the comparison starts there — at the flip, which fails at once.
+	limit := min(len(c.snapPrefix), len(pts))
+	common := min(c.chooser.stable, limit)
+	for common < limit && c.snapPrefix[common] == pts[common] {
+		common++
+	}
 	c.chooser.stable = math.MaxInt
-	for i := len(c.snaps) - 1; i >= 0; i-- {
+	live := len(c.snaps)
+	for live > 0 && c.snaps[live-1].depth > common {
+		live--
+	}
+	c.truncateSnaps(live)
+	for i := live - 1; i >= 0; i-- {
 		s := c.snaps[i]
-		if s.depth > stable &&
-			(s.depth > len(pts) || !prefixEqual(s.prefix, pts[:s.depth])) {
-			c.putSnapEntry(s)
-			c.snaps[i] = nil
-			c.snaps = c.snaps[:i]
-			continue
-		}
 		var usable bool
 		switch s.kind {
 		case endSnap:
@@ -299,52 +290,26 @@ func (c *Checker) usableSnapshot() *snapEntry {
 			usable = s.depth < len(pts)
 		}
 		if usable {
-			for j := i + 1; j < len(c.snaps); j++ {
-				c.putSnapEntry(c.snaps[j])
-				c.snaps[j] = nil
-			}
-			c.snaps = c.snaps[:i+1]
+			c.truncateSnaps(i + 1)
 			return s
 		}
 	}
 	return nil
 }
 
-// chsnapExciseBelow drops every snapshot whose prefix takes, at point i, a
-// branch porPruneSweep just excised from the schedule (ch.limit[i] clamped
-// to 1). Snapshot prefixes are nested and captured along the live path —
-// which stays on the clamped point's un-flipped branch — so this is a
-// defensive no-op in practice, but the invariant that no surviving entry
-// hangs off unreachable work is cheap to enforce and load-bearing for the
-// restore path's correctness argument.
-func (c *Checker) chsnapExciseBelow(i int) {
-	for j := len(c.snaps) - 1; j >= 0; j-- {
-		s := c.snaps[j]
-		if s.depth <= i || s.prefix[i] == c.chooser.points[i] {
-			// Nested prefixes: once one entry covering point i matches the
-			// live decision, every shallower one does too.
-			return
-		}
-		c.putSnapEntry(s)
-		c.snaps[j] = nil
-		c.snaps = c.snaps[:j]
-	}
-}
-
-func prefixEqual(a, b []choicePoint) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// captureSnap records the current scenario state if the engine is active
-// and no snapshot exists at this depth yet (a restored prefix re-passes the
-// shallower capture sites with the condition already satisfied).
+// captureSnap pushes the current scenario state if the stack is active and
+// holds no entry at this depth yet (a restored prefix re-passes the shallower
+// capture sites with the condition already satisfied). The choiceSnap site
+// calls after candidate enumeration (and the POR elision check) but before
+// any load-path accounting, so the arrival byte's own counters are charged
+// exactly once — live, by the resuming scenario.
 func (c *Checker) captureSnap(kind snapKind) {
 	if !c.snapActive {
+		return
+	}
+	if kind == choiceSnap && c.stack.Top().ID == 0 {
+		// Pre-failure loads replay from fpSnap/endSnap entries; only
+		// post-failure choices are worth an entry of their own.
 		return
 	}
 	depth := c.chooser.cursor
@@ -354,7 +319,9 @@ func (c *Checker) captureSnap(kind snapKind) {
 	s := c.getSnapEntry()
 	s.kind = kind
 	s.depth = depth
-	s.prefix = append(s.prefix[:0], c.chooser.points[:depth]...)
+	// snapPrefix already holds the decisions up to the entry below (its
+	// length is that entry's depth); this one adds the decisions since.
+	c.snapPrefix = append(c.snapPrefix, c.chooser.points[len(c.snapPrefix):depth]...)
 	s.mark = c.stack.Mark()
 	s.seq = c.seq
 	s.fpCount = c.fpCount
@@ -365,26 +332,35 @@ func (c *Checker) captureSnap(kind snapKind) {
 	if c.trace != nil {
 		s.trace = c.trace.snapshotInto(s.trace)
 	}
+	if kind == choiceSnap {
+		s.segSteps = c.steps
+		s.segDirty = c.dirty
+		s.execID = c.stack.Top().ID
+		s.logTarget = len(c.segLogs[s.execID-1])
+		// Per-thread TSO buffering state in scheduler order. The capturing
+		// thread holds the turn, so parked threads' states are quiescent.
+		// Growth extends into spare capacity without `append` over live
+		// elements, which would zero their pooled backing slices.
+		threads := c.threadList()
+		for cap(s.tso) < len(threads) {
+			s.tso = append(s.tso[:cap(s.tso)], tso.Snapshot{})
+		}
+		s.tso = s.tso[:len(threads)]
+		for i, t := range threads {
+			t.ts.CaptureInto(&s.tso[i])
+		}
+		s.lsK, s.lsV = s.lsK[:0], s.lsV[:0]
+		if c.opts.FlagPerfIssues {
+			for a, seq := range c.lastStore {
+				s.lsK = append(s.lsK, a)
+				s.lsV = append(s.lsV, seq)
+			}
+		}
+	}
+	s.vec = obs.CounterVec{}
 	if c.col != nil {
-		vec := c.col.Counters().Diff(c.snapBase)
-		// Excluded from the replayed delta: per-scenario bookkeeping the
-		// restore path accounts for itself (Scenarios is counted per
-		// scenario regardless; Steps covers the in-flight segment via
-		// stepsDelta; ChoicesReplayed is the skipped-prefix length, which
-		// differs from what the capture run recorded as fresh), wall-clock
-		// phase timings, and the engine's own counters — both the failure-
-		// point engine's and the choice-point stack's.
-		vec.Clear(obs.Scenarios, obs.Steps,
-			obs.PreFailureNs, obs.PostFailureNs, obs.ReplayNs,
-			obs.ChoicesReplayed, obs.ChoicesFresh,
-			obs.SnapshotCaptures, obs.SnapshotRestores, obs.SnapshotRestoreNs,
-			obs.ScenariosPruned, obs.FingerprintHits, obs.FingerprintMisses,
-			obs.ChoicesRestored, obs.ChoiceSnapCaptures, obs.ChoiceRestores,
-			obs.ChoiceRestoreNs, obs.ReplayStepsSaved, obs.RefinementsSkipped,
-			obs.ReplaySteps)
-		s.vec = vec
-	} else {
-		s.vec = obs.CounterVec{}
+		s.vec = c.col.Counters().Diff(c.snapBase)
+		clearPrefixDependent(&s.vec)
 	}
 	if len(c.scenPerf) > 0 {
 		s.perf = make(map[string]*PerfIssue, len(c.scenPerf))
@@ -401,24 +377,29 @@ func (c *Checker) captureSnap(kind snapKind) {
 		}
 	}
 	c.snaps = append(c.snaps, s)
-	c.col.Inc(obs.SnapshotCaptures)
+	if kind == choiceSnap {
+		c.col.Inc(obs.ChoiceSnapCaptures)
+	} else {
+		c.col.Inc(obs.SnapshotCaptures)
+	}
 	c.col.NotePeak(obs.PeakSnapshotBytes, c.stack.RetainedBytes())
 }
 
-// restoreSnapshot rewinds the checker to a captured state and re-applies the
-// exploration-level deltas the skipped prefix would have accumulated. It
-// reports whether the scenario resumes crashed (fpSnap: the failure decision
-// at s.depth is taken) or at the completed pre-failure execution (endSnap).
-func (c *Checker) restoreSnapshot(s *snapEntry) (crashed bool) {
+// restoreSnap rewinds the checker to a captured state, re-applies the
+// exploration-level deltas the skipped prefix would have accumulated and —
+// for an entry captured mid-segment (choiceSnap) — re-enters the in-flight
+// recovery segment in fast-forward mode (see the header comment). It reports
+// whether the scenario resumes crashed: an fpSnap takes the failure decision
+// at s.depth, an endSnap stands at the completed pre-failure execution, and
+// a choiceSnap reports whether its resumed segment crashed at a further
+// failure point, exactly as a live runSegment call would.
+func (c *Checker) restoreSnap(s *snapEntry) (crashed bool) {
 	var t0 time.Time
 	if c.col != nil {
 		t0 = time.Now()
 	}
+	mid := s.kind == choiceSnap
 	c.stack.Rewind(s.mark)
-	// The rewound execution's guest segment is never resumed (fpSnap restores
-	// re-inject the failure at the fail point; endSnap restores re-run nothing)
-	// so no value-log events can arrive before pushExecution re-arms this.
-	c.segLog = nil
 	c.seq = s.seq
 	c.fpCount = s.fpCount
 	c.preDone = s.preDone
@@ -426,9 +407,13 @@ func (c *Checker) restoreSnapshot(s *snapEntry) (crashed bool) {
 	if c.trace != nil {
 		c.trace.restore(s.trace)
 	}
+	// An fpSnap's skipped prefix consumed the fail decision too. A choiceSnap
+	// arrival consumes points[s.depth] as an ordinary replayed choose() —
+	// validating kind and arity against the recorded vector — so its cursor
+	// stays on the choice point itself.
 	cursor := s.depth
 	if s.kind == fpSnap {
-		cursor++ // the skipped prefix consumed the fail decision too
+		cursor++
 	}
 	c.chooser.cursor = cursor
 	c.totalSteps += s.stepsDelta
@@ -444,163 +429,43 @@ func (c *Checker) restoreSnapshot(s *snapEntry) (crashed bool) {
 		c.scenMulti[k] = &live
 	}
 	if c.col != nil {
+		steps := s.stepsDelta
+		if mid {
+			// stepsDelta counts the whole skipped prefix including the
+			// captured segment's first segSteps ops; those re-run in
+			// fast-forward and are re-added by the segment-end accounting,
+			// so the restore contributes the difference.
+			steps -= int64(s.segSteps)
+		}
 		c.col.AddCounters(s.vec)
-		c.col.Add(obs.Steps, s.stepsDelta)
+		c.col.Add(obs.Steps, steps)
 		c.col.Add(obs.ChoicesReplayed, int64(cursor))
 		// Satisfied by restore, not by re-execution: reported separately as
 		// choices_restored (and folded back for the canonical comparison).
 		c.col.Add(obs.ChoicesRestored, int64(cursor))
-		c.col.Inc(obs.SnapshotRestores)
+		restores, restoreNs, timer := obs.SnapshotRestores, obs.SnapshotRestoreNs, obs.TimerSnapshotRestore
+		if mid {
+			restores, restoreNs, timer = obs.ChoiceRestores, obs.ChoiceRestoreNs, obs.TimerChoiceRestore
+			c.col.Add(obs.ReplayStepsSaved, steps)
+		}
+		c.col.Inc(restores)
 		ns := time.Since(t0).Nanoseconds()
-		c.col.Add(obs.SnapshotRestoreNs, ns)
-		c.col.Observe(obs.TimerSnapshotRestore, ns)
+		c.col.Add(restoreNs, ns)
+		c.col.Observe(timer, ns)
 	}
-	return s.kind == fpSnap
-}
-
-// captureChoiceSnap records the in-flight recovery-segment state immediately
-// before a post-failure multi-candidate read-from choice is consumed. Called
-// from resolveByte after candidate enumeration (and the POR elision check)
-// but before any load-path accounting, so the arrival byte's own counters are
-// charged exactly once — live, by the resuming scenario.
-func (c *Checker) captureChoiceSnap() {
-	if !c.chsnapActive || c.stack.Top().ID == 0 {
-		// Pre-failure loads replay from fpSnap/endSnap entries; the stack
-		// only amortizes post-failure choices.
-		return
-	}
-	depth := c.chooser.cursor
-	if n := len(c.snaps); n > 0 && depth <= c.snaps[n-1].depth {
-		return
-	}
-	s := c.getSnapEntry()
-	s.kind = choiceSnap
-	s.depth = depth
-	s.prefix = append(s.prefix[:0], c.chooser.points[:depth]...)
-	s.mark = c.stack.Mark()
-	s.seq = c.seq
-	s.fpCount = c.fpCount
-	s.preDone = c.preDone
-	s.high = c.alloc.HighWater()
-	s.stepsDelta = c.totalSteps - c.snapBaseSteps
-	s.segSteps = c.steps
-	s.segDirty = c.dirty
-	s.execID = c.stack.Top().ID
-	s.logTarget = len(c.segLogs[s.execID-1])
-	s.trace = s.trace[:0]
-	if c.trace != nil {
-		s.trace = c.trace.snapshotInto(s.trace)
-	}
-	// Per-thread TSO buffering state in scheduler order. The capturing
-	// thread holds the turn, so parked threads' states are quiescent; the
-	// scheduler lock pins the thread list (Spawn appends under it). Growth
-	// extends into spare capacity without `append` over live elements, which
-	// would zero their pooled backing slices.
-	c.sched.mu.Lock()
-	threads := append(c.thScratch[:0], c.sched.threads...)
-	c.sched.mu.Unlock()
-	c.thScratch = threads
-	for cap(s.tso) < len(threads) {
-		s.tso = append(s.tso[:cap(s.tso)], tso.Snapshot{})
-	}
-	s.tso = s.tso[:len(threads)]
-	for i, t := range threads {
-		t.ts.CaptureInto(&s.tso[i])
-	}
-	s.lsK, s.lsV = s.lsK[:0], s.lsV[:0]
-	if c.opts.FlagPerfIssues {
-		for a, seq := range c.lastStore {
-			s.lsK = append(s.lsK, a)
-			s.lsV = append(s.lsV, seq)
-		}
-	}
-	if c.col != nil {
-		vec := c.col.Counters().Diff(c.snapBase)
-		vec.Clear(obs.Scenarios, obs.Steps,
-			obs.PreFailureNs, obs.PostFailureNs, obs.ReplayNs,
-			obs.ChoicesReplayed, obs.ChoicesFresh,
-			obs.SnapshotCaptures, obs.SnapshotRestores, obs.SnapshotRestoreNs,
-			obs.ScenariosPruned, obs.FingerprintHits, obs.FingerprintMisses,
-			obs.ChoicesRestored, obs.ChoiceSnapCaptures, obs.ChoiceRestores,
-			obs.ChoiceRestoreNs, obs.ReplayStepsSaved, obs.RefinementsSkipped,
-			obs.ReplaySteps)
-		s.vec = vec
-	} else {
-		s.vec = obs.CounterVec{}
-	}
-	s.perf, s.multi = nil, nil
-	if len(c.scenPerf) > 0 {
-		s.perf = make(map[string]*PerfIssue, len(c.scenPerf))
-		for k, p := range c.scenPerf {
-			cp := *p
-			s.perf[k] = &cp
-		}
-	}
-	if len(c.scenMulti) > 0 {
-		s.multi = make(map[string]*MultiRF, len(c.scenMulti))
-		for k, m := range c.scenMulti {
-			cm := *m
-			s.multi[k] = &cm
-		}
-	}
-	c.snaps = append(c.snaps, s)
-	c.col.Inc(obs.ChoiceSnapCaptures)
-	c.col.NotePeak(obs.PeakSnapshotBytes, c.stack.RetainedBytes())
-}
-
-// restoreChoiceSnap rewinds the checker to a captured choice point and
-// re-enters the in-flight recovery segment in fast-forward mode (see the
-// header comment). It reports whether the resumed segment crashed at a
-// further failure point, exactly as a live runSegment call would.
-func (c *Checker) restoreChoiceSnap(s *snapEntry) (crashed bool) {
-	var t0 time.Time
-	if c.col != nil {
-		t0 = time.Now()
-	}
-	c.stack.Rewind(s.mark)
-	c.seq = s.seq
-	c.fpCount = s.fpCount
-	c.preDone = s.preDone
-	c.alloc.Truncate(s.high)
-	if c.trace != nil {
-		c.trace.restore(s.trace)
+	if !mid {
+		// The rewound execution's guest segment is never resumed (an fpSnap
+		// re-injects the failure at the fail point; an endSnap re-runs
+		// nothing) so no value-log events can arrive before pushExecution
+		// re-arms this.
+		c.segLog = nil
+		return s.kind == fpSnap
 	}
 	if c.opts.FlagPerfIssues {
 		clear(c.lastStore)
 		for i, a := range s.lsK {
 			c.lastStore[a] = s.lsV[i]
 		}
-	}
-	// The arrival consumes points[s.depth] as an ordinary replayed choose()
-	// — validating kind and arity against the recorded vector — so the
-	// cursor is set to the choice point itself, not past it.
-	c.chooser.cursor = s.depth
-	c.totalSteps += s.stepsDelta
-	c.execsPost += s.mark.Depth - 1
-	c.bugEndedSegment = false
-	for k, p := range s.perf {
-		c.applyPerfDelta(k, p)
-	}
-	for k, m := range s.multi {
-		cm := *m
-		c.stats.mergeMultiRF(k, &cm)
-		live := cm
-		c.scenMulti[k] = &live
-	}
-	if c.col != nil {
-		c.col.AddCounters(s.vec)
-		// stepsDelta counts the whole skipped prefix including the captured
-		// segment's first segSteps ops; those segSteps re-run in fast-forward
-		// and are re-added by the segment-end accounting, so the restore
-		// contributes the difference.
-		c.col.Add(obs.Steps, s.stepsDelta-int64(s.segSteps))
-		c.col.Add(obs.ChoicesReplayed, int64(s.depth))
-		c.col.Add(obs.ChoicesRestored, int64(s.depth))
-		c.col.Inc(obs.ChoiceRestores)
-		c.col.Add(obs.ReplayStepsSaved, s.stepsDelta-int64(s.segSteps))
-		ns := time.Since(t0).Nanoseconds()
-		c.col.Add(obs.ChoiceRestoreNs, ns)
-		c.col.Observe(obs.TimerChoiceRestore, ns)
 	}
 	// Truncate the segment's value log to the capture point: the resumed
 	// live suffix appends its own events from here, and any deeper captures
@@ -613,7 +478,14 @@ func (c *Checker) restoreChoiceSnap(s *snapEntry) (crashed bool) {
 		target: s.logTarget,
 		snap:   s,
 	}
-	return c.runSegment(c.prog.Recover)
+	crashed = c.runSegment(c.prog.Recover)
+	if c.ffwd.active {
+		// The segment ended before the replay reached its capture point: the
+		// guest diverged from the recorded value log.
+		c.ffwd = ffwdState{}
+		panic(engineError{"choice-snapshot fast-forward never reached its capture point"})
+	}
+	return crashed
 }
 
 // ffwdArrive switches the fast-forward replay to live execution: the
@@ -624,10 +496,7 @@ func (c *Checker) ffwdArrive() {
 	s := c.ffwd.snap
 	c.steps = s.segSteps
 	c.dirty = s.segDirty
-	c.sched.mu.Lock()
-	threads := append(c.thScratch[:0], c.sched.threads...)
-	c.sched.mu.Unlock()
-	c.thScratch = threads
+	threads := c.threadList()
 	if len(threads) != len(s.tso) {
 		panic(engineError{fmt.Sprintf(
 			"choice-snapshot fast-forward diverged: %d threads at arrival, captured %d",
@@ -644,8 +513,7 @@ func (c *Checker) ffwdArrive() {
 // installed and the operation — whose first byte hosts the captured choice —
 // was resolved live, re-logging itself into the truncated value log.
 func (c *Checker) ffwdLoad(t *thread, a pmem.Addr, size int) (v uint64, live bool) {
-	f := &c.ffwd
-	if f.cursor >= f.target {
+	if c.ffwd.cursor >= c.ffwd.target {
 		c.ffwdArrive()
 		for i := 0; i < size; i++ {
 			v |= uint64(c.loadByte(t, a+pmem.Addr(i), i == 0)) << (8 * uint(i))
@@ -653,60 +521,36 @@ func (c *Checker) ffwdLoad(t *thread, a pmem.Addr, size int) (v uint64, live boo
 		c.noteSegLoad(a, size, v)
 		return v, true
 	}
-	ev := f.log[f.cursor]
-	if ev.kind != evLoad || ev.addr != a || int(ev.size) != size {
+	ev := c.ffwdNext(evLoad)
+	if ev.addr != a || int(ev.size) != size {
 		panic(engineError{fmt.Sprintf(
-			"choice-snapshot fast-forward diverged: log[%d] = {kind %d, addr %#x, size %d}, replay loads %#x/%d",
-			f.cursor, ev.kind, ev.addr, ev.size, a, size)})
+			"choice-snapshot fast-forward diverged: log[%d] loads %#x/%d, replay loads %#x/%d",
+			c.ffwd.cursor-1, ev.addr, ev.size, a, size)})
 	}
-	f.cursor++
 	return ev.val, false
 }
 
-// ffwdAlloc feeds one Alloc result during fast-forward. The allocator was
-// truncated to the capture high-water mark, which already covers every
-// pre-arrival allocation, so the replayed Alloc must not re-advance it.
-func (c *Checker) ffwdAlloc() pmem.Addr {
+// ffwdNext consumes the next pre-arrival value-log event, which must be of
+// the kind the replayed operation records. The capture site is always a load
+// byte, so running out of log inside an Alloc or PoolLimit is a divergence
+// just as a kind mismatch is.
+func (c *Checker) ffwdNext(kind segEventKind) segEvent {
 	f := &c.ffwd
-	if f.cursor >= f.target {
-		// The capture site is always a load byte; running out of log inside
-		// any other operation means the replay diverged.
-		panic(engineError{"choice-snapshot fast-forward diverged: log exhausted at Alloc"})
-	}
-	ev := f.log[f.cursor]
-	if ev.kind != evAlloc {
+	if f.cursor >= f.target || f.log[f.cursor].kind != kind {
 		panic(engineError{fmt.Sprintf(
-			"choice-snapshot fast-forward diverged: log[%d] kind %d, replay allocates",
-			f.cursor, ev.kind)})
+			"choice-snapshot fast-forward diverged at log[%d] of %d: replay presents event kind %d",
+			f.cursor, f.target, kind)})
 	}
 	f.cursor++
-	return ev.addr
-}
-
-// ffwdLimit feeds one PoolLimit result during fast-forward (the live
-// allocator already reflects the whole prefix, so the momentary high-water
-// value the guest observed must be fed from the log).
-func (c *Checker) ffwdLimit() pmem.Addr {
-	f := &c.ffwd
-	if f.cursor >= f.target {
-		panic(engineError{"choice-snapshot fast-forward diverged: log exhausted at PoolLimit"})
-	}
-	ev := f.log[f.cursor]
-	if ev.kind != evLimit {
-		panic(engineError{fmt.Sprintf(
-			"choice-snapshot fast-forward diverged: log[%d] kind %d, replay reads pool limit",
-			f.cursor, ev.kind)})
-	}
-	f.cursor++
-	return ev.addr
+	return f.log[f.cursor-1]
 }
 
 // noteSegEvent appends one value-log event for the in-flight post-failure
-// segment. segLog is non-nil exactly when the choice-point stack is live for
-// this scenario and execution is past the first failure (pre-failure segments
+// segment. segLog is non-nil exactly when the snapshot stack is live for this
+// scenario and execution is past the first failure (pre-failure segments
 // never host a choiceSnap); the boundary sites — beginSnapScenario,
-// pushExecution, restoreSnapshot, restoreChoiceSnap — maintain it, keeping
-// this per-byte hot path to a single pointer check.
+// pushExecution, restoreSnap — maintain it, keeping this per-byte hot path to
+// a single pointer check.
 func (c *Checker) noteSegEvent(kind segEventKind, a pmem.Addr) {
 	if c.segLog == nil {
 		return

@@ -90,73 +90,99 @@ func TestSnapshotRunUsesRestores(t *testing.T) {
 	}
 }
 
-// TestSnapshotStalePrefixPruned drives usableSnapshot directly: an entry
-// whose recorded prefix the chooser has backtracked away from must be
-// dropped, and a matching fail-decision entry selected.
-func TestSnapshotStalePrefixPruned(t *testing.T) {
-	c := New(snapProgram(&obsSet{}), Options{})
-	c.snapActive = true
-	c.stack = pmem.NewStack()
-	c.stack.EnableJournal()
-	mk := func(depth int, prefix ...int) *snapEntry {
-		pts := make([]choicePoint, len(prefix))
-		for i, v := range prefix {
-			pts[i] = choicePoint{kind: chooseFail, n: 2, idx: v}
-		}
-		return &snapEntry{kind: fpSnap, depth: depth, prefix: pts,
-			mark: c.stack.Mark()}
+// failPts builds a choice vector of binary failure decisions with the given
+// options selected.
+func failPts(idx ...int) []choicePoint {
+	pts := make([]choicePoint, len(idx))
+	for i, v := range idx {
+		pts[i] = choicePoint{kind: chooseFail, n: 2, idx: v}
 	}
-	c.snaps = []*snapEntry{mk(0), mk(1, 0)}
-
-	// Current scenario: fail at the first point — the depth-1 entry (whose
-	// prefix says the first point continued) is stale, the depth-0 usable.
-	c.chooser.points = []choicePoint{{kind: chooseFail, n: 2, idx: 1}}
-	s := c.usableSnapshot()
-	if s == nil || s.depth != 0 {
-		t.Fatalf("usableSnapshot = %+v, want the depth-0 entry", s)
-	}
-	if len(c.snaps) != 1 {
-		t.Errorf("stale entry not pruned: %d entries remain", len(c.snaps))
-	}
-
-	// A scenario whose prefix matches no fail decision restores nothing.
-	c.snaps = []*snapEntry{mk(0)}
-	c.chooser.points = []choicePoint{{kind: chooseFail, n: 2, idx: 0}}
-	if s := c.usableSnapshot(); s != nil {
-		t.Errorf("usableSnapshot = %+v for a continue decision, want nil", s)
-	}
+	return pts
 }
 
-// TestSnapshotCaptureDepthGuard: re-passing a capture site at or below the
-// top entry's depth (a restored prefix) must not duplicate the entry.
-func TestSnapshotCaptureDepthGuard(t *testing.T) {
-	c := New(snapProgram(&obsSet{}), Options{Observe: true})
+// snapTestChecker returns a checker with the snapshot stack armed over a
+// fresh journaled pmem stack, ready for captureSnap / usableSnapshot to be
+// driven by hand.
+func snapTestChecker(t *testing.T, opts Options) *Checker {
+	t.Helper()
+	c := New(snapProgram(&obsSet{}), opts)
 	c.stack = pmem.NewStack()
 	c.stack.EnableJournal()
 	c.beginSnapScenario()
 	if !c.snapActive {
 		t.Fatal("engine inactive")
 	}
-	c.chooser.points = []choicePoint{
-		{kind: chooseFail, n: 2, idx: 0},
-		{kind: chooseFail, n: 2, idx: 0},
-		{kind: chooseFail, n: 2, idx: 0},
+	return c
+}
+
+// captureAlong replays a capture pass over the chooser's current vector: one
+// entry of the given kind at each listed cursor, shallowest first.
+func captureAlong(c *Checker, kind snapKind, cursors ...int) {
+	for _, cur := range cursors {
+		c.chooser.cursor = cur
+		c.captureSnap(kind)
 	}
-	c.chooser.cursor = 2
-	c.captureSnap(fpSnap)
-	c.captureSnap(fpSnap) // same cursor: must dedup
+}
+
+// TestSnapshotStalePrefixPruned drives usableSnapshot directly: entries
+// captured under decisions the chooser has backtracked away from must be
+// dropped — together with their share of the common prefix — and a matching
+// fail-decision entry selected.
+func TestSnapshotStalePrefixPruned(t *testing.T) {
+	c := snapTestChecker(t, Options{})
+	// Capture pass: both failure points continued; one entry before each.
+	c.chooser.points = failPts(0, 0)
+	captureAlong(c, fpSnap, 0, 1)
+	if len(c.snaps) != 2 || len(c.snapPrefix) != 1 {
+		t.Fatalf("capture pass left %d entries over a %d-point prefix, want 2 over 1",
+			len(c.snaps), len(c.snapPrefix))
+	}
+
+	// Backtrack: the second point is exhausted and popped, the first flips to
+	// fail. The depth-1 entry (captured under "first point continued") is
+	// stale, the depth-0 entry usable.
+	c.chooser.points = failPts(1)
+	c.chooser.stable = 0
+	s := c.usableSnapshot()
+	if s == nil || s.depth != 0 {
+		t.Fatalf("usableSnapshot = %+v, want the depth-0 entry", s)
+	}
+	if len(c.snaps) != 1 || len(c.snapPrefix) != 0 {
+		t.Errorf("stale entry not pruned: %d entries over a %d-point prefix remain",
+			len(c.snaps), len(c.snapPrefix))
+	}
+
+	// A scenario whose prefix takes no captured fail decision restores
+	// nothing, but keeps the still-valid entry cached.
+	c.chooser.points = failPts(0)
+	c.chooser.stable = 0
+	if s := c.usableSnapshot(); s != nil {
+		t.Errorf("usableSnapshot = %+v for a continue decision, want nil", s)
+	}
+	if len(c.snaps) != 1 {
+		t.Errorf("valid-but-unusable entry dropped: %d entries remain", len(c.snaps))
+	}
+}
+
+// TestSnapshotCaptureDepthGuard: re-passing a capture site at or below the
+// top entry's depth (a restored prefix) must not duplicate the entry.
+func TestSnapshotCaptureDepthGuard(t *testing.T) {
+	c := snapTestChecker(t, Options{Observe: true})
+	c.chooser.points = failPts(0, 0, 0)
+	captureAlong(c, fpSnap, 2, 2) // same cursor twice: must dedup
 	if len(c.snaps) != 1 {
 		t.Fatalf("duplicate capture: %d entries", len(c.snaps))
 	}
-	c.chooser.cursor = 1
-	c.captureSnap(fpSnap) // shallower: a replayed prefix site
+	captureAlong(c, fpSnap, 1) // shallower: a replayed prefix site
 	if len(c.snaps) != 1 {
 		t.Fatalf("shallow re-capture accepted: %d entries", len(c.snaps))
 	}
-	c.chooser.cursor = 3
-	c.captureSnap(endSnap)
+	captureAlong(c, endSnap, 3)
 	if len(c.snaps) != 2 {
 		t.Fatalf("deeper capture rejected: %d entries", len(c.snaps))
+	}
+	if len(c.snapPrefix) != 3 {
+		t.Errorf("shared prefix holds %d decisions, want the top entry's depth 3", len(c.snapPrefix))
 	}
 	if got := c.col.Counters()[obs.SnapshotCaptures]; got != 2 {
 		t.Errorf("SnapshotCaptures = %d, want 2", got)
@@ -164,37 +190,35 @@ func TestSnapshotCaptureDepthGuard(t *testing.T) {
 }
 
 // TestChoiceSnapshotPushPopAllocs is the hot-path allocation gate: once the
-// entry pool and the chooser's slices are warm, a full choice-snapshot
-// push (captureChoiceSnap) plus the stale-prefix pop back into the pool
-// (usableSnapshot) must not allocate.
+// entry pool, the shared prefix and the chooser's slices are warm, a full
+// choice-snapshot push (captureSnap) plus the stale-prefix pop back into the
+// pool (usableSnapshot) must not allocate.
 func TestChoiceSnapshotPushPopAllocs(t *testing.T) {
-	c := New(snapProgram(&obsSet{}), Options{})
-	c.stack = pmem.NewStack()
-	c.stack.EnableJournal()
+	c := snapTestChecker(t, Options{})
 	c.stack.Push() // post-failure execution: Top().ID == 1
-	c.snapActive = true
-	c.chsnapActive = true
 	c.segLogs = append(c.segLogs[:0], nil)
 	pts := []choicePoint{
 		{kind: chooseFail, n: 2, idx: 1},
 		{kind: chooseReadFrom, n: 3, idx: 0},
+		{kind: chooseReadFrom, n: 2, idx: 0},
 	}
 	cycle := func() {
 		c.chooser.points = append(c.chooser.points[:0], pts...)
-		c.chooser.cursor = 2
-		c.captureChoiceSnap()
-		if len(c.snaps) != 1 {
-			t.Fatalf("capture did not push: %d entries", len(c.snaps))
+		captureAlong(c, choiceSnap, 2)
+		if len(c.snaps) != 1 || len(c.snapPrefix) != 2 {
+			t.Fatalf("capture pushed %d entries over a %d-point prefix, want 1 over 2",
+				len(c.snaps), len(c.snapPrefix))
 		}
-		// Backtrack away from the captured prefix: the deepest recorded
-		// decision flips, the entry goes stale, and the scan pools it.
+		// Backtrack away from the captured prefix: point 2 is exhausted and
+		// popped, point 1 flips, the entry goes stale, and the scan pools it.
+		c.chooser.points = c.chooser.points[:2]
 		c.chooser.points[1].idx = 1
 		c.chooser.stable = 1
 		if s := c.usableSnapshot(); s != nil {
 			t.Fatalf("stale entry survived as %+v", s)
 		}
-		if len(c.snaps) != 0 {
-			t.Fatalf("pop left %d entries", len(c.snaps))
+		if len(c.snaps) != 0 || len(c.snapPrefix) != 0 {
+			t.Fatalf("pop left %d entries over a %d-point prefix", len(c.snaps), len(c.snapPrefix))
 		}
 	}
 	cycle() // warm the pool and every reused slice
@@ -203,37 +227,56 @@ func TestChoiceSnapshotPushPopAllocs(t *testing.T) {
 	}
 }
 
-// TestChoiceSnapExciseBelow: when porPruneSweep clamps point i, every stack
-// entry whose prefix took the now-excised branch at i must be dropped, while
-// entries on the surviving branch (or too shallow to cover i) stay cached.
+// TestChoiceSnapExciseBelow: when porPruneSweep clamps a failure decision,
+// the subtree under its fail branch leaves the schedule. The stack needs no
+// excision of its own — entries are captured along the live path, which
+// stays on the clamped point's continue branch, and advance can no longer
+// flip into the excised one — so the next validation must keep the entries
+// the live vector still extends, drop the one hanging off the flipped
+// sibling, and never hand out an entry under the excised branch.
 func TestChoiceSnapExciseBelow(t *testing.T) {
-	c := New(snapProgram(&obsSet{}), Options{})
-	c.stack = pmem.NewStack()
-	c.stack.EnableJournal()
-	mk := func(depth int, idxAt1 int) *snapEntry {
-		pts := []choicePoint{
-			{kind: chooseFail, n: 2, idx: 1},
-			{kind: chooseFail, n: 2, idx: idxAt1},
-			{kind: chooseReadFrom, n: 2, idx: 0},
-		}
-		return &snapEntry{kind: choiceSnap, depth: depth, prefix: pts[:depth],
-			mark: c.stack.Mark()}
-	}
-	c.chooser.points = []choicePoint{
+	c := snapTestChecker(t, Options{MaxFailures: 2})
+	c.stack.Push()
+	c.segLogs = append(c.segLogs[:0], nil)
+	ch := c.chooser
+	// Live path: crash at point 0, a recovery failure point left on continue
+	// (point 1), then two read-from choices.
+	ch.points = []choicePoint{
 		{kind: chooseFail, n: 2, idx: 1},
-		{kind: chooseFail, n: 2, idx: 0}, // live path: point 1 not taken
+		{kind: chooseFail, n: 2, idx: 0},
+		{kind: chooseReadFrom, n: 2, idx: 0},
 		{kind: chooseReadFrom, n: 2, idx: 0},
 	}
-	// Shallow entry (does not cover point 1), covered entry on the live
-	// branch, and a deeper entry whose prefix took the excised branch.
-	c.snaps = []*snapEntry{mk(1, 0), mk(2, 0), mk(3, 1)}
-	c.chsnapExciseBelow(1)
-	if len(c.snaps) != 2 {
-		t.Fatalf("excision kept %d entries, want 2", len(c.snaps))
+	ch.limit = []int{2, 2, 2, 1} // point 3's sibling already explored
+	ch.aux = make([]*failMemo, 4)
+	captureAlong(c, fpSnap, 1)
+	captureAlong(c, choiceSnap, 2, 3)
+	if len(c.snaps) != 3 {
+		t.Fatalf("capture pass left %d entries, want 3", len(c.snaps))
 	}
-	for _, s := range c.snaps {
-		if s.depth > 1 && s.prefix[1].idx != 0 {
-			t.Errorf("entry at depth %d still hangs off the excised branch", s.depth)
-		}
+
+	ch.limit[1] = 1 // the clamp porPruneSweep applies
+	if !ch.advance() {
+		t.Fatal("advance found no sibling")
+	}
+	if ch.points[1].idx != 0 || ch.points[2].idx != 1 || len(ch.points) != 3 {
+		t.Fatalf("advance moved to %+v, want point 2 flipped under the un-excised branch", ch.points)
+	}
+	s := c.usableSnapshot()
+	if s == nil || s.kind != choiceSnap || s.depth != 2 {
+		t.Fatalf("usableSnapshot = %+v, want the depth-2 choice entry", s)
+	}
+	if len(c.snaps) != 2 || len(c.snapPrefix) != 2 {
+		t.Fatalf("validation kept %d entries over a %d-point prefix, want 2 over 2",
+			len(c.snaps), len(c.snapPrefix))
+	}
+	if c.snapPrefix[1].idx != 0 {
+		t.Errorf("surviving prefix takes the excised branch: %+v", c.snapPrefix)
+	}
+
+	// Exhausting point 2 pops through the clamped point instead of flipping
+	// it: the subtree is done and nothing resumes under fail@1.
+	if ch.advance() {
+		t.Fatalf("advance flipped into the excised branch: %+v", ch.points)
 	}
 }

@@ -25,16 +25,15 @@ func FormatWitness(prog Program, opts Options, b *BugReport) string {
 	// candidate-store annotations even if the exploration ran without.
 	// Tracing is widened — but only if the caller did not disable it
 	// outright (TraceLen < 0 stays disabled; Replay is the API that forces
-	// a trace into existence). Snapshots are forced off: a witness replay
-	// must re-execute the guest from scratch so the trace covers the
-	// pre-failure operations, not resume from a restored snapshot.
+	// a trace into existence). replaySegment keeps the snapshot stack out
+	// (snapEligible): a witness replay must re-execute the guest from
+	// scratch so the trace covers the pre-failure operations.
 	o := opts.withDefaults()
 	if o.TraceLen > 0 {
 		o.TraceLen = witnessTraceLen
 	}
 	o.MaxScenarios = 1
 	o.FlagMultiRF = true
-	o.Snapshots = -1
 	c := New(prog, o)
 	c.replaySegment = true
 	c.chooser.seed(b.replay)

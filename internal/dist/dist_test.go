@@ -355,23 +355,21 @@ func TestDistributedWorkerKilledMidLease(t *testing.T) {
 	}
 }
 
-// TestChoiceSnapshotEquivalenceKilledWorker crosses the choice-point
-// snapshot stack with distribution and fault injection: the serial reference
-// runs with the stack disabled (pure replay semantics), the fleet runs with
-// it enabled, the root-lease worker is killed mid-lease so its residual is
-// requeued after TTL expiry — and the merged result must still be
-// bit-identical, canonical metrics included.
+// TestChoiceSnapshotEquivalenceKilledWorker crosses the snapshot stack with
+// distribution and fault injection: the serial reference is the replay
+// oracle (Snapshots: -1), the fleet runs with the stack enabled, the
+// root-lease worker is killed mid-lease so its residual is requeued after
+// TTL expiry — and the merged result must still be bit-identical, canonical
+// metrics included.
 func TestChoiceSnapshotEquivalenceKilledWorker(t *testing.T) {
 	for _, bench := range []string{"tree", "bugs"} {
 		t.Run(bench, func(t *testing.T) {
 			refOpts := distOpts()
-			refOpts.ChoiceSnapshots = -1
+			refOpts.Snapshots = -1
 			serial := serialReference(t, bench, refOpts)
 
-			onOpts := distOpts()
-			onOpts.ChoiceSnapshots = 1
 			h := newHarness(t)
-			id := h.submit(bench, onOpts)
+			id := h.submit(bench, distOpts())
 
 			w3 := h.worker("w3", 1)
 			h.fabric.KillAfter("w3", 4)

@@ -106,7 +106,7 @@ const (
 	RefinementsSkipped
 	// ReplaySteps counts guest steps physically executed while the chooser
 	// was still replaying a recorded decision prefix (cursor behind the
-	// vector) — the cost the snapshot engines exist to avoid. Fast-forwarded
+	// vector) — the cost the snapshot stack exists to avoid. Fast-forwarded
 	// operations skip step accounting entirely, so a restored prefix
 	// contributes nothing here. Engine-dependent; zeroed by Canonical.
 	ReplaySteps
@@ -200,7 +200,7 @@ const (
 	TimerPostFailure
 	TimerReplay
 	// TimerSnapshotRestore / TimerChoiceRestore are per-restore latencies of
-	// the failure-point snapshot engine and the choice-point snapshot stack.
+	// the snapshot stack's failure-point/end-of-run and choice-point entries.
 	TimerSnapshotRestore
 	TimerChoiceRestore
 	// TimerFingerprint is the per-call latency of the POR crash-state
@@ -748,7 +748,7 @@ type Metrics struct {
 	// Choice stack. ChoicesReplayed here is the *live* replay count;
 	// ChoicesRestored is the decisions satisfied by snapshot restores
 	// (failure-point or choice-point). Their sum is partition-independent;
-	// the split depends on the snapshot engines and is re-folded by
+	// the split depends on the snapshot stack and is re-folded by
 	// Canonical.
 	ChoicesReplayed int64 `json:"choices_replayed"`
 	ChoicesRestored int64 `json:"choices_restored,omitempty"`
@@ -761,16 +761,17 @@ type Metrics struct {
 	MaxSBOccupancy int64 `json:"max_sb_occupancy"`
 	MaxFBOccupancy int64 `json:"max_fb_occupancy"`
 
-	// Snapshot engine (depends on Options.Snapshots and on how scenarios
-	// were partitioned; zeroed by Canonical).
+	// Snapshot stack, failure-point and end-of-run entries (depends on
+	// Options.Snapshots and on how scenarios were partitioned; zeroed by
+	// Canonical).
 	SnapshotCaptures  int64 `json:"snapshot_captures,omitempty"`
 	SnapshotRestores  int64 `json:"snapshot_restores,omitempty"`
 	SnapshotRestoreNs int64 `json:"snapshot_restore_ns,omitempty"`
 	MaxSnapshotBytes  int64 `json:"max_snapshot_bytes,omitempty"`
 
-	// Choice-point snapshot stack (depends on Options.ChoiceSnapshots and
-	// on partitioning; zeroed by Canonical). RefinementsSkipped is likewise
-	// non-canonical: restores change which loads execute live.
+	// Snapshot stack, choice-point entries (same dependencies; zeroed by
+	// Canonical). RefinementsSkipped is likewise non-canonical: restores
+	// change which loads execute live.
 	ChoiceSnapCaptures int64 `json:"choice_snap_captures,omitempty"`
 	ChoiceRestores     int64 `json:"choice_restores,omitempty"`
 	ChoiceRestoreNs    int64 `json:"choice_restore_ns,omitempty"`
@@ -778,10 +779,8 @@ type Metrics struct {
 	RefinementsSkipped int64 `json:"refinements_skipped,omitempty"`
 	// ReplaySteps is the physical cost of replay: guest steps executed while
 	// the chooser was still consuming a recorded prefix. The full-replay
-	// engine re-runs every prefix, the failure-point engine re-runs recovery
-	// prefixes, the choice-point stack fast-forwards them (ffwd operations
-	// skip step accounting), so this is the counter BENCH_replay.json's
-	// step-reduction column is built from.
+	// reference re-runs every prefix; the snapshot stack restores or
+	// fast-forwards them (ffwd operations skip step accounting).
 	ReplaySteps int64 `json:"replay_steps,omitempty"`
 
 	// Partial-order reduction. RFElisions is a deterministic property of

@@ -4,6 +4,7 @@ package jaaru_test
 // must be reachable through the jaaru package alone.
 
 import (
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -164,4 +165,19 @@ func TestPublicAPINewCheckerAndReplay(t *testing.T) {
 		t.Fatal("empty replay trace")
 	}
 	var _ jaaru.TraceOp = trace[0]
+}
+
+// TestBenchmarkModuleCompiles vets the nested benchmark module against the
+// working tree. benchmark/ imports core.Options, pmem.Stack and the -metrics
+// row labels, but as a module of its own it is invisible to the root's
+// `go build ./... && go test ./...`, so an API change that breaks the only
+// benchmark would otherwise go unnoticed until the driver runs it.
+func TestBenchmarkModuleCompiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the benchmark module and its tests (~3 s)")
+	}
+	out, err := exec.Command("go", "-C", "benchmark", "vet", "./...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go -C benchmark vet ./...: %v\n%s", err, out)
+	}
 }
