@@ -31,7 +31,10 @@ test:
 # internal/netsim fabric) runs its whole equivalence suite under -race too:
 # healthy fleets, a worker killed mid-lease with TTL expiry and requeue,
 # duplicate commit delivery, transient outages, and graceful drain must all
-# merge bit-identical to serial.
+# merge bit-identical to serial. The load-path dispatch equivalence
+# (TestLoadDispatchEquivalence: serial vs replay oracle vs Workers=4 over
+# every resolveLoad branch) lives in internal/core and so runs in the first
+# pass.
 race:
 	$(GO) test -race ./internal/core/ ./internal/tso/
 	$(GO) test -race ./internal/dist/ ./internal/netsim/
@@ -39,8 +42,9 @@ race:
 	$(GO) test -race -run 'TestChoiceSnapshotEquivalence' ./internal/benchlist/
 
 # Allocation-regression gates: the testing.AllocsPerRun pins that keep the
-# paged-layout hot path (guest ops, scenario reset, journal mark/rewind)
-# at zero heap allocations once warmed.
+# paged-layout hot path (guest ops including the post-failure Load64 answered
+# from the pinned summary, scenario reset, journal mark/rewind, AppendWord,
+# pin + Stack.Load) at zero heap allocations once warmed.
 bench-mem:
 	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations' -count=1 ./internal/core/
 	$(GO) test -run TestStackOpsAllocFree -count=1 ./internal/pmem/

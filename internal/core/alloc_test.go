@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"jaaru/internal/pmem"
+)
 
 // Allocation-regression gates for the paged memory layout: the simulator's
 // per-operation hot path and the per-scenario reset must stay allocation-free
@@ -16,10 +20,11 @@ func allocGateChecker() (*Checker, *Context) {
 	return c, &Context{ck: c, th: main}
 }
 
-// TestSteadyStateOpAllocations pins Store64 / Load64 / Clflush at zero heap
+// TestSteadyStateOpAllocations pins Store64 / Load64 / Clflush, and the
+// post-failure Load64 answered from the pinned summary, at zero heap
 // allocations per operation on a warmed scenario.
 func TestSteadyStateOpAllocations(t *testing.T) {
-	_, ctx := allocGateChecker()
+	c, ctx := allocGateChecker()
 	a := ctx.Root()
 	b := a.Add(64)
 	// Warm: grow the store-queue arena, page table, and TSO buffers to
@@ -39,6 +44,20 @@ func TestSteadyStateOpAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { ctx.Clflush(b, 8) }); n != 0 {
 		t.Errorf("Clflush allocates %.3f times per op, want 0", n)
+	}
+
+	// After a failure, two reads pin the word; from the third on Load64 is
+	// answered from the pinned summary.
+	c.pushExecution()
+	ctx.th = c.sched.reset(c.opts.SBCapacity, nil)
+	for i := 0; i < 2; i++ {
+		_ = ctx.Load64(b)
+	}
+	if _, src := c.stack.Load(b, 8); src != pmem.LoadPinned {
+		t.Fatalf("warmed post-failure Load64 source = %d, want LoadPinned", src)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = ctx.Load64(b) }); n != 0 {
+		t.Errorf("pinned Load64 allocates %.3f times per op, want 0", n)
 	}
 }
 

@@ -95,7 +95,7 @@ type Checker struct {
 	// "segment ended by a recorded bug" across the runSegment boundary.
 	bugEndedSegment bool
 
-	// rfScratch is reused across loadByte calls to avoid allocating a
+	// rfScratch is reused across resolveByte calls to avoid allocating a
 	// candidate slice per pre-failure load byte.
 	rfScratch []pmem.Candidate
 
@@ -626,9 +626,7 @@ func (c *Checker) CurSeq() pmem.Seq { return c.seq }
 // queues at sequence s.
 func (c *Checker) ApplyStore(addr pmem.Addr, size int, val uint64, s pmem.Seq) {
 	e := c.stack.Top()
-	for i := 0; i < size; i++ {
-		e.Append(addr+pmem.Addr(i), byte(val>>(8*uint(i))), s)
-	}
+	e.AppendWord(addr, size, val, s)
 	e.EvictedStores += size
 	c.dirty = true
 	if c.opts.FlagPerfIssues {
@@ -697,17 +695,54 @@ func (c *Checker) BeforeFlushEffect(kind tso.EntryKind, addr pmem.Addr, loc stri
 
 // ---- Load path (Figures 9 & 10) ------------------------------------------
 
-// loadByte resolves one byte of a load. first marks the operation's leading
-// byte: the choice-point snapshot stack captures only there, so the value log
-// (snapshot.go) stays whole-operation and a fast-forward arrival always lands
-// on an operation boundary.
-func (c *Checker) loadByte(t *thread, a pmem.Addr, first bool) byte {
-	return c.resolveByte(t, a, first)
+// resolveLoad resolves one whole load (or RMW read) and records it in the
+// segment's value log. The decision is per operation: when no buffered store
+// overlaps the access, pmem.Stack.Load answers it whole if every byte has a
+// store in the current execution, or if none has and the pinned summary covers
+// it — a byte there has exactly one candidate, so no choice, no capture and
+// no interval can move, and the byte path's counters are added in bulk.
+// Everything else (mixed, cross-line, unpinned, multi-candidate, or a
+// forensics recorder / observer wanting per-byte callbacks) takes resolveByte,
+// the single place choices, POR elision, captureSnap(choiceSnap) and Figure-10
+// refinement happen. TimerRefinement (wall-clock, non-canonical) times that
+// path once per operation; a summary copy costs less than reading the clock.
+func (c *Checker) resolveLoad(t *thread, a pmem.Addr, size int) uint64 {
+	v, src := uint64(0), pmem.LoadDeclined
+	if c.wrec == nil && len(c.observers) == 0 && !t.ts.Overlaps(a, size) {
+		v, src = c.stack.Load(a, size)
+	}
+	switch src {
+	case pmem.LoadCached:
+		c.col.Add(obs.LoadCacheHits, int64(size))
+	case pmem.LoadPinned:
+		if c.col != nil {
+			c.col.Add(obs.LoadRefinements, int64(size))
+			c.col.Add(obs.RFCandidates, int64(size))
+			c.col.Add(obs.RefinementsSkipped, int64(size))
+			c.col.NotePeak(obs.PeakRFCandidates, 1)
+		}
+	default:
+		var t0 time.Time
+		if c.col != nil {
+			t0 = time.Now()
+		}
+		for i := 0; i < size; i++ {
+			v |= uint64(c.resolveByte(t, a+pmem.Addr(i), i == 0)) << (8 * uint(i))
+		}
+		if c.col != nil {
+			c.col.Observe(obs.TimerRefinement, time.Since(t0).Nanoseconds())
+		}
+	}
+	c.noteSegLoad(a, size, v)
+	return v
 }
 
 // resolveByte resolves one byte of a load: store-buffer bypass, then the
 // current execution's cache, then the lazily enumerated pre-failure
-// candidates with constraint refinement.
+// candidates with constraint refinement. first marks the operation's leading
+// byte: the choice-point snapshot stack captures only there, so the value log
+// (snapshot.go) stays whole-operation and a fast-forward arrival always lands
+// on an operation boundary.
 func (c *Checker) resolveByte(t *thread, a pmem.Addr, first bool) byte {
 	if v, ok := t.ts.Lookup(a); ok {
 		c.col.Inc(obs.LoadSBHits)
@@ -716,15 +751,6 @@ func (c *Checker) resolveByte(t *thread, a pmem.Addr, first bool) byte {
 	if bs, ok := c.stack.Top().Newest(a); ok {
 		c.col.Inc(obs.LoadCacheHits)
 		return bs.Val
-	}
-	if c.col != nil {
-		// Per-byte refinement latency: candidate enumeration through value
-		// selection (all exit paths, including elision). Wall-clock, so it
-		// feeds only the non-canonical TimerRefinement histogram.
-		t0 := time.Now()
-		defer func() {
-			c.col.Observe(obs.TimerRefinement, time.Since(t0).Nanoseconds())
-		}()
 	}
 	c.rfScratch = c.stack.ReadPreFailureInto(a, c.rfScratch[:0])
 	cands := c.rfScratch

@@ -224,11 +224,7 @@ func (c *Context) load(a Addr, size int) uint64 {
 	}
 	c.op()
 	c.checkRange(a, uint64(size), "load")
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(ck.loadByte(c.th, a+Addr(i), i == 0)) << (8 * uint(i))
-	}
-	ck.noteSegLoad(a, size, v)
+	v := ck.resolveLoad(c.th, a, size)
 	ck.traceOp(c.th.id, "load", a, size, v)
 	c.yield()
 	return v
@@ -369,11 +365,7 @@ func (c *Context) rmw(a Addr, size int, fn func(old uint64) (uint64, bool)) uint
 	c.op()
 	c.checkRange(a, uint64(size), "rmw")
 	c.th.ts.Mfence(c.ck)
-	var old uint64
-	for i := 0; i < size; i++ {
-		old |= uint64(c.ck.loadByte(c.th, a+Addr(i), i == 0)) << (8 * uint(i))
-	}
-	c.ck.noteSegLoad(a, size, old)
+	old := ck.resolveLoad(c.th, a, size)
 	if nv, write := fn(old); write {
 		c.ck.traceOp(c.th.id, "rmw", a, size, nv)
 		c.th.ts.Push(c.ck, tso.Entry{Kind: tso.Store, Addr: a, Size: size, Val: nv, Op: c.ck.wrecOp()})

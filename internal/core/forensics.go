@@ -48,7 +48,7 @@ type witnessRecorder struct {
 	// the decision.
 	decOps map[int]int
 
-	// openLoad is the resolution currently being assembled in loadByte, so
+	// openLoad is the resolution currently being assembled in resolveByte, so
 	// the interval tracer can attach refinement steps to it.
 	openLoad *forensics.LoadResolution
 }

@@ -13,7 +13,7 @@ import (
 // Options.POR). Two complementary mechanisms shrink the explored scenario set
 // without changing the reachable-behaviour set or the bug set:
 //
-//   - Single-valued read-from elision (porElides, wired into loadByte): when
+//   - Single-valued read-from elision (porElides, wired into resolveByte): when
 //     a post-failure load byte's candidate set holds more than one store but
 //     every candidate carries the same value, the sibling read-from branches
 //     commute — no subsequent load can observe which store was chosen — so

@@ -515,11 +515,7 @@ func (c *Checker) ffwdArrive() {
 func (c *Checker) ffwdLoad(t *thread, a pmem.Addr, size int) (v uint64, live bool) {
 	if c.ffwd.cursor >= c.ffwd.target {
 		c.ffwdArrive()
-		for i := 0; i < size; i++ {
-			v |= uint64(c.loadByte(t, a+pmem.Addr(i), i == 0)) << (8 * uint(i))
-		}
-		c.noteSegLoad(a, size, v)
-		return v, true
+		return c.resolveLoad(t, a, size), true
 	}
 	ev := c.ffwdNext(evLoad)
 	if ev.addr != a || int(ev.size) != size {

@@ -206,8 +206,10 @@ const (
 	// TimerFingerprint is the per-call latency of the POR crash-state
 	// fingerprint walk.
 	TimerFingerprint
-	// TimerRefinement is the per-load-byte latency of the constraint
-	// refinement path (candidate choice plus the Figure-10 interval walk).
+	// TimerRefinement is the per-operation latency of loads that take the
+	// byte path (candidate enumeration, choice, the Figure-10 interval
+	// walk). Loads answered whole from the current execution's cache or the
+	// pinned summary are not timed: they cost less than reading the clock.
 	TimerRefinement
 	// TimerLeaseClaim / TimerLeaseCommit are distributed-worker RPC
 	// round-trip latencies against the coordinator.

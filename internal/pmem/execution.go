@@ -23,10 +23,13 @@ type Execution struct {
 
 	// pages maps page id (addr >> pageShift) to its dense headers; lastID /
 	// lastPage are a one-entry cache that short-circuits the lookup for the
-	// common run of accesses within one page.
+	// common run of accesses within one page, and missID (page id + 1, 0 =
+	// none) remembers the last id the map did not hold: post-failure loads
+	// probe the top execution first and almost always miss there.
 	pages    map[Addr]*page
 	lastID   Addr
 	lastPage *page
+	missID   Addr
 
 	// arena holds every store appended during this execution, in append
 	// (= sequence) order. Page headers chain into it with 1-based indices.
@@ -57,9 +60,14 @@ func (e *Execution) pageFor(a Addr) *page {
 	if e.lastPage != nil && e.lastID == id {
 		return e.lastPage
 	}
+	if e.missID == id+1 {
+		return nil
+	}
 	pg := e.pages[id]
 	if pg != nil {
 		e.lastID, e.lastPage = id, pg
+	} else {
+		e.missID = id + 1
 	}
 	return pg
 }
@@ -75,6 +83,7 @@ func (e *Execution) ensurePage(a Addr) *page {
 	if !ok {
 		pg = e.pool.getPage()
 		e.pages[id] = pg
+		e.missID = 0
 	}
 	e.lastID, e.lastPage = id, pg
 	return pg
@@ -107,8 +116,18 @@ func (e *Execution) ensureLine(a Addr) *lineRec {
 // Sequence numbers must be appended in increasing order.
 func (e *Execution) Append(a Addr, v byte, s Seq) {
 	pg := e.ensurePage(a)
-	sl := &pg.slots[a&pageMask]
 	lr := &pg.lines[lineIndex(a)]
+	e.link(pg, lr, a, v, s)
+	lr.fpOK = false
+	// Sequence numbers only grow, so a fresh store is always past the line's
+	// lower writeback bound.
+	lr.dirty++
+}
+
+// link appends one store's arena node and chains it into its byte and line
+// headers.
+func (e *Execution) link(pg *page, lr *lineRec, a Addr, v byte, s Seq) {
+	sl := &pg.slots[a&pageMask]
 	idx := int32(len(e.arena) + 1)
 	e.arena = append(e.arena, node{seq: s, addr: a, prev: sl.tail, linePrev: lr.tail, val: v})
 	sl.tail = idx
@@ -116,10 +135,26 @@ func (e *Execution) Append(a Addr, v byte, s Seq) {
 		sl.head = idx
 	}
 	lr.tail = idx
+}
+
+// AppendWord records a size-byte little-endian store of val at a, all bytes
+// sharing sequence s ("mixed size accesses", §4). It leaves exactly the arena
+// nodes and chains of one Append per byte in address order, but resolves the
+// page and line record once when the store stays inside one cache line.
+func (e *Execution) AppendWord(a Addr, size int, val uint64, s Seq) {
+	if a.LineOffset()+uint64(size) > CacheLineSize {
+		for i := 0; i < size; i++ {
+			e.Append(a+Addr(i), byte(val>>(8*uint(i))), s)
+		}
+		return
+	}
+	pg := e.ensurePage(a)
+	lr := &pg.lines[lineIndex(a)]
+	for i := 0; i < size; i++ {
+		e.link(pg, lr, a+Addr(i), byte(val>>(8*uint(i))), s)
+	}
 	lr.fpOK = false
-	// Sequence numbers only grow, so a fresh store is always past the line's
-	// lower writeback bound.
-	lr.dirty++
+	lr.dirty += int32(size)
 }
 
 // truncateArena pops appends beyond the first n, newest-first, unlinking each

@@ -66,6 +66,15 @@ type slot struct {
 // (valid once known — the line was flushed or refined), the newest store to
 // the line, and the incrementally maintained count of stores past the
 // interval's lower bound (see recountDirty).
+//
+// pinEpoch/pinMask/pinVal are the pinned summary Stack.Load answers whole
+// loads from. It is kept on the execution *below the top* and describes the
+// scenario's pre-failure state as the top execution sees it: while pinEpoch
+// equals the stack's refEpoch, every byte whose pinMask bit is set has exactly
+// one read-from candidate, of value pinVal[offset], and a DoRead of it is a
+// memoized no-op. It is deliberately not part of the line's semantic state:
+// it never sets known, touches fpOK or dirty, and pooled pages come back
+// zeroed (epoch 0 never matches a live epoch).
 type lineRec struct {
 	iv    Interval
 	known bool
@@ -76,6 +85,10 @@ type lineRec struct {
 	dirty int32 // stores to the line with seq > iv.Begin
 	tail  int32 // newest store to the line (1-based arena index, 0 = none)
 	fp    uint64
+
+	pinEpoch uint64
+	pinMask  uint64
+	pinVal   [CacheLineSize]byte
 }
 
 // page holds the dense headers for pageSize consecutive bytes.
@@ -153,6 +166,7 @@ func (p *Pool) putExec(e *Execution) {
 	e.arena = e.arena[:0]
 	e.EvictedStores = 0
 	e.lastPage = nil
+	e.missID = 0
 	p.execs = append(p.execs, e)
 }
 

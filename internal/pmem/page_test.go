@@ -185,7 +185,22 @@ func checkSame(t *testing.T, step int, s *Stack, m *modelStack) {
 	if s.Depth() != len(m.execs) {
 		fail("depth = %d, want %d", s.Depth(), len(m.execs))
 	}
-	addrs := modelAddrs()
+	// Word stores reach bytes beyond the fixed set, so every address the model
+	// holds a queue for is compared too.
+	set := map[Addr]bool{}
+	for _, a := range modelAddrs() {
+		set[a] = true
+	}
+	for _, me := range m.execs {
+		for a := range me.queues {
+			set[a] = true
+		}
+	}
+	addrs := make([]Addr, 0, len(set))
+	for a := range set {
+		addrs = append(addrs, a)
+	}
+	sortAddrs(addrs)
 	for id := 0; id < s.Depth(); id++ {
 		e, me := s.At(id), m.execs[id]
 		lines := map[Addr]bool{}
@@ -285,68 +300,151 @@ func sameAddrs(a, b []Addr) bool {
 	return true
 }
 
+// byteLoad is the per-byte load path the checker falls back to, applied to
+// both the stack and the model: the top execution's newest store, else the
+// first pre-failure candidate with its DoRead refinement.
+func byteLoad(s *Stack, m *modelStack, a Addr) (val byte, cached bool, cands int, skipped bool) {
+	if bs, ok := s.Top().Newest(a); ok {
+		return bs.Val, true, 0, false
+	}
+	cs := s.ReadPreFailure(a)
+	skipped = s.DoRead(a, cs[0])
+	if m != nil {
+		m.doRead(a, cs[0])
+	}
+	return cs[0].Val, false, len(cs), skipped
+}
+
 // TestPagedMatchesMapModel fuzzes the paged arena layout against the
-// reference map model: random appends, flushes, failures, refining reads,
-// and journal mark/rewind cycles, with every observable compared after each
-// operation. The real stack is recycled through one shared pool across
-// seeds, so pooled-state reuse is cross-checked continuously.
+// reference map model: random byte and word appends, flushes, failures,
+// refining reads, whole-operation loads, journal mark/rewind cycles and
+// mid-sequence recycles, with every observable compared after each operation.
+// The real stack is recycled through one shared pool across seeds, so
+// pooled-state reuse is cross-checked continuously.
+//
+// A twin stack receives the same mutations but resolves every load byte by
+// byte. Whenever Stack.Load answers a whole load on the primary, the twin's
+// byte path must yield exactly those bytes — all from the top execution for
+// LoadCached; one candidate each and a memoized (skipped) DoRead for
+// LoadPinned — and when it declines, the primary takes the byte path too, so
+// the two stay in lockstep and both must keep matching the model.
 func TestPagedMatchesMapModel(t *testing.T) {
-	pool := NewPool()
-	var s *Stack
+	pool, twinPool := NewPool(), NewPool()
+	var s, tw *Stack
+	fast := map[LoadSource]int{}
 	for seed := int64(0); seed < 25; seed++ {
-		s = pool.Recycle(s)
-		s.EnableJournal()
-		m := &modelStack{execs: []*modelExec{newModelExec(0)}}
 		rng := rand.New(rand.NewSource(seed))
 		addrs := modelAddrs()
-		seq := Seq(0)
-		nextSeq := func() Seq { seq++; return seq }
+		sizes := []int{1, 2, 4, 8}
+		var m *modelStack
+		var seq Seq
 		type savedMark struct {
-			mark  Mark
-			model *modelStack
-			seq   Seq
+			mark, twin Mark
+			model      *modelStack
+			seq        Seq
 		}
 		var marks []savedMark
+		recycle := func() {
+			s, tw = pool.Recycle(s), twinPool.Recycle(tw)
+			s.EnableJournal()
+			tw.EnableJournal()
+			m = &modelStack{execs: []*modelExec{newModelExec(0)}}
+			seq, marks = 0, nil
+		}
+		recycle()
+		nextSeq := func() Seq { seq++; return seq }
 
-		for step := 0; step < 160; step++ {
+		for step := 0; step < 200; step++ {
 			a := addrs[rng.Intn(len(addrs))]
 			switch op := rng.Intn(100); {
-			case op < 40: // store
+			case op < 20: // byte store
 				v, sq := byte(rng.Intn(256)), nextSeq()
-				s.Top().Append(a, v, sq)
-				s.Top().EvictedStores++
+				for _, st := range []*Stack{s, tw} {
+					st.Top().Append(a, v, sq)
+					st.Top().EvictedStores++
+				}
 				m.top().queues[a] = append(m.top().queues[a], ByteStore{Val: v, Seq: sq})
-			case op < 55: // flush
+			case op < 35: // word store (offset 63 crosses into the next line)
+				size, val, sq := sizes[rng.Intn(len(sizes))], rng.Uint64(), nextSeq()
+				for _, st := range []*Stack{s, tw} {
+					st.Top().AppendWord(a, size, val, sq)
+					st.Top().EvictedStores += size
+				}
+				for i := 0; i < size; i++ {
+					b := a + Addr(i)
+					m.top().queues[b] = append(m.top().queues[b], ByteStore{Val: byte(val >> (8 * uint(i))), Seq: sq})
+				}
+			case op < 47: // flush
 				at := nextSeq()
 				s.FlushLine(a, at)
+				tw.FlushLine(a, at)
 				m.top().raiseBegin(a, at)
-			case op < 75: // post-failure load: pick the same candidate in both
+			case op < 57: // post-failure byte load: pick the same candidate in all three
 				if s.Depth() < 2 {
 					continue
 				}
 				cands := s.ReadPreFailure(a)
 				c := cands[rng.Intn(len(cands))]
-				s.DoRead(a, c)
+				if got, want := s.DoRead(a, c), tw.DoRead(a, c); got != want {
+					t.Fatalf("seed %d step %d: DoRead skipped = %v, twin %v", seed, step, got, want)
+				}
 				m.doRead(a, c)
-			case op < 85: // failure
+			case op < 80: // whole-operation load, re-read up to three times
+				size := sizes[rng.Intn(len(sizes))]
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					v, src := s.Load(a, size)
+					fast[src]++
+					for i := 0; i < size; i++ {
+						b := a + Addr(i)
+						val, cached, cands, skipped := byteLoad(tw, m, b)
+						switch src {
+						case LoadDeclined:
+							byteLoad(s, nil, b)
+							continue
+						case LoadCached:
+							if !cached {
+								t.Fatalf("seed %d step %d: Load(%v,%d) cached, twin byte %d is not", seed, step, a, size, i)
+							}
+						case LoadPinned:
+							if cached || cands != 1 || !skipped {
+								t.Fatalf("seed %d step %d: Load(%v,%d) pinned, twin byte %d: cached=%v candidates=%d skipped=%v",
+									seed, step, a, size, i, cached, cands, skipped)
+							}
+						}
+						if got := byte(v >> (8 * uint(i))); got != val {
+							t.Fatalf("seed %d step %d: Load(%v,%d) byte %d = %#x, byte path %#x", seed, step, a, size, i, got, val)
+						}
+					}
+				}
+			case op < 88: // failure
 				if s.Depth() >= 4 {
 					continue
 				}
 				s.Push()
+				tw.Push()
 				m.execs = append(m.execs, newModelExec(len(m.execs)))
 			case op < 93: // snapshot mark
-				marks = append(marks, savedMark{mark: s.Mark(), model: m.clone(), seq: seq})
-			default: // rewind to a random outstanding mark
+				marks = append(marks, savedMark{mark: s.Mark(), twin: tw.Mark(), model: m.clone(), seq: seq})
+			case op < 99: // rewind to a random outstanding mark
 				if len(marks) == 0 {
 					continue
 				}
 				i := rng.Intn(len(marks))
 				s.Rewind(marks[i].mark)
+				tw.Rewind(marks[i].twin)
 				m = marks[i].model.clone()
 				seq = marks[i].seq
 				marks = marks[:i+1]
+			default: // scenario reset through the pools
+				recycle()
 			}
 			checkSame(t, step, s, m)
+			checkSame(t, step, tw, m)
+		}
+	}
+	for _, src := range []LoadSource{LoadDeclined, LoadCached, LoadPinned} {
+		if fast[src] < 50 {
+			t.Errorf("Stack.Load answered with source %d only %d times: the fuzz no longer exercises it", src, fast[src])
 		}
 	}
 }
@@ -426,8 +524,9 @@ func TestPoolRecycleIndistinguishable(t *testing.T) {
 // ---- Allocation gates ------------------------------------------------------
 
 // TestStackOpsAllocFree is the pmem-level allocation-regression gate: on a
-// warmed, pooled stack, the full hot-path cycle — mark, append, flush,
-// refine, rewind — performs zero heap allocations.
+// warmed, pooled stack, the full hot-path cycle — mark, byte and word append,
+// flush, refine, pin, whole-operation load, rewind — performs zero heap
+// allocations.
 func TestStackOpsAllocFree(t *testing.T) {
 	pool := NewPool()
 	s := pool.NewStack()
@@ -439,12 +538,24 @@ func TestStackOpsAllocFree(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			seq++
 			s.Top().Append(Addr(0x40*i)%0x280, byte(i), seq)
+			seq++
+			s.Top().AppendWord(Addr(0x40*i)%0x280+8, 8, uint64(i), seq)
 		}
 		seq++
 		s.FlushLine(0x80, seq)
 		s.Push()
 		scratch = s.ReadPreFailureInto(0x80, scratch[:0])
 		s.DoRead(0x80, scratch[len(scratch)-1])
+		// Two byte-path reads pin the word; the third is a summary copy.
+		for n := 0; n < 2; n++ {
+			for a := Addr(0x88); a < 0x90; a++ {
+				scratch = s.ReadPreFailureInto(a, scratch[:0])
+				s.DoRead(a, scratch[0])
+			}
+		}
+		if _, src := s.Load(0x88, 8); src != LoadPinned {
+			t.Fatalf("warmed Load(0x88, 8) source = %d, want LoadPinned", src)
+		}
 		s.Rewind(m)
 	}
 	// Warm: grow the arena, page table, journal and candidate scratch to

@@ -166,8 +166,24 @@ func (s *Stack) DoRead(a Addr, c Candidate) (skipped bool) {
 	if memoExec < 0 {
 		memoExec = 0
 	}
-	sl := &s.execs[memoExec].ensurePage(a).slots[a&pageMask]
+	pg := s.execs[memoExec].ensurePage(a)
+	sl := &pg.slots[a&pageMask]
 	if sl.refEpoch == s.refEpoch && sl.refSeq == c.Seq {
+		// Second read of the byte in this epoch: publish it to the pinned
+		// summary so whole loads stop coming here (see Load). Not done on the
+		// first read — recoveries that flush bump the epoch per FlushLine and
+		// would pay for summaries they never get to use.
+		if top.ID > 0 {
+			if memoExec != top.ID-1 {
+				pg = s.execs[top.ID-1].ensurePage(a)
+			}
+			lr := &pg.lines[lineIndex(a)]
+			if lr.pinEpoch != s.refEpoch {
+				lr.pinEpoch, lr.pinMask = s.refEpoch, 0
+			}
+			lr.pinMask |= 1 << a.LineOffset()
+			lr.pinVal[a.LineOffset()] = c.Val
+		}
 		return true
 	}
 	s.updateRanges(top.ID-1, a, c)
@@ -175,6 +191,69 @@ func (s *Stack) DoRead(a Addr, c Candidate) (skipped bool) {
 	// bumped it, and repeating the walk now would be ineffective.
 	sl.refSeq, sl.refEpoch = c.Seq, s.refEpoch
 	return false
+}
+
+// LoadSource says how Load answered a whole load.
+type LoadSource uint8
+
+const (
+	// LoadDeclined: not decidable per operation; resolve it byte by byte.
+	LoadDeclined LoadSource = iota
+	// LoadCached: every byte has a store in the top execution.
+	LoadCached
+	// LoadPinned: no byte has a store in the top execution and every byte is
+	// in the pinned summary — one candidate each, refinement a memoized no-op.
+	LoadPinned
+)
+
+// Load resolves a load of the size (<= 8) bytes at a per operation where the
+// per-byte path (Top().Newest, else ReadPreFailureInto + DoRead) could only
+// ever reproduce a known answer, and declines everything else: accesses that
+// cross a line, mix top-execution and pre-failure bytes, or read a byte that
+// is unpinned. The pinned summary is sound because after DoRead chose
+// ⟨a, σ⟩ the refined intervals admit exactly that one candidate for byte a
+// (the chosen execution's line has σ <= Begin and End <= the next store to a;
+// every execution above it has End <= its first store to a) until an interval
+// moves, an execution is pushed, or a rewind happens — and each of those
+// bumps refEpoch. Stores appended to the top execution do not, which is why
+// the top execution's slots are consulted first on every call.
+func (s *Stack) Load(a Addr, size int) (v uint64, src LoadSource) {
+	off := a.LineOffset()
+	if off+uint64(size) > CacheLineSize {
+		return 0, LoadDeclined
+	}
+	top := s.Top()
+	if pg := top.pageFor(a); pg != nil && pg.lines[lineIndex(a)].tail != 0 {
+		hits := 0
+		for i := 0; i < size; i++ {
+			if t := pg.slots[int(a&pageMask)+i].tail; t != 0 {
+				v |= uint64(top.arena[t-1].val) << (8 * uint(i))
+				hits++
+			}
+		}
+		if hits == size {
+			return v, LoadCached
+		}
+		if hits != 0 {
+			return 0, LoadDeclined
+		}
+	}
+	if top.ID == 0 {
+		return 0, LoadDeclined
+	}
+	pg := s.execs[top.ID-1].pageFor(a)
+	if pg == nil {
+		return 0, LoadDeclined
+	}
+	lr := &pg.lines[lineIndex(a)]
+	mask := (uint64(1)<<uint(size) - 1) << off
+	if lr.pinEpoch != s.refEpoch || lr.pinMask&mask != mask {
+		return 0, LoadDeclined
+	}
+	for i := 0; i < size; i++ {
+		v |= uint64(lr.pinVal[off+uint64(i)]) << (8 * uint(i))
+	}
+	return v, LoadPinned
 }
 
 // updateRanges walks the executions from execID down to the chosen one

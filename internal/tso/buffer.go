@@ -268,6 +268,17 @@ func (t *ThreadState) Lookup(a pmem.Addr) (byte, bool) {
 	return 0, false
 }
 
+// Overlaps reports whether any buffered store writes a byte of [a, a+size):
+// the per-operation form of Lookup, one scan for the whole access.
+func (t *ThreadState) Overlaps(a pmem.Addr, size int) bool {
+	for i := len(t.sb) - 1; i >= t.sbHead; i-- {
+		if e := &t.sb[i]; e.Kind == Store && a < e.Addr+pmem.Addr(e.Size) && e.Addr < a+pmem.Addr(size) {
+			return true
+		}
+	}
+	return false
+}
+
 // EvictOldest removes the oldest store-buffer entry and applies its effect
 // (Figure 8, the four Evict_SB cases). It reports the evicted entry.
 func (t *ThreadState) EvictOldest(st Storage) Entry {

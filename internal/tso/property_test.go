@@ -171,3 +171,45 @@ func TestPropertyBypassNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Overlaps is exactly "some byte of the access would bypass": it agrees with
+// a Lookup per byte for every width and alignment, over mixed-size stores,
+// interleaved flushes and fences, and partial eviction.
+func TestPropertyOverlapsMatchesLookup(t *testing.T) {
+	f := func(seed int64, nOps uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		st := newFake()
+		ts := NewThreadState(0)
+		sizes := []int{1, 2, 4, 8}
+		for i := 0; i < int(nOps%30)+1; i++ {
+			switch rng.Intn(4) {
+			case 0:
+				ts.Push(st, Entry{Kind: CLFlushOpt, Addr: 0x1000})
+			case 1:
+				if ts.SBLen() > 0 {
+					ts.EvictOldest(st)
+				}
+			default:
+				ts.Push(st, Entry{Kind: Store, Addr: pmem.Addr(0x1000 + rng.Intn(32)),
+					Size: sizes[rng.Intn(len(sizes))], Val: rng.Uint64()})
+			}
+			for a := pmem.Addr(0x0ff8); a < 0x1030; a++ {
+				for _, size := range sizes {
+					want := false
+					for j := 0; j < size; j++ {
+						if _, ok := ts.Lookup(a.Add(uint64(j))); ok {
+							want = true
+						}
+					}
+					if ts.Overlaps(a, size) != want {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
