@@ -44,9 +44,11 @@ race:
 # Allocation-regression gates: the testing.AllocsPerRun pins that keep the
 # paged-layout hot path (guest ops including the post-failure Load64 answered
 # from the pinned summary, scenario reset, journal mark/rewind, AppendWord,
-# pin + Stack.Load) at zero heap allocations once warmed.
+# pin + Stack.Load) at zero heap allocations once warmed, and the
+# bytes-per-capture bound on the snapshot stack (a capture is a journal mark
+# and a few scalars; an entry that copies per-scenario state fails it).
 bench-mem:
-	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations' -count=1 ./internal/core/
+	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations|TestSnapshotBytesPerCapture' -count=1 ./internal/core/
 	$(GO) test -run TestStackOpsAllocFree -count=1 ./internal/pmem/
 
 verify: vet build test race bench-mem

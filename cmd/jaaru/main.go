@@ -48,7 +48,7 @@ func main() {
 	perf := flag.Bool("perfissues", false, "flag redundant flushes and fences")
 	random := flag.Bool("random", false, "use the seeded random thread scheduler")
 	seed := flag.Int64("seed", 0, "seed for -random and the EvictRandom policy")
-	trace := flag.Bool("trace", false, "attach operation traces to bug reports")
+	trace := flag.Bool("trace", false, "replay each bug and print its last 128 operations")
 	witness := flag.Bool("witness", false, "replay the first bug and print its annotated forensics witness (see also jaaru-explain)")
 	workers := flag.Int("workers", 1, "parallel exploration workers (-1 = GOMAXPROCS); results are identical to -workers 1")
 	por := flag.Bool("por", true, "prune equivalent scenarios via partial-order reduction; results are identical either way")
@@ -92,9 +92,6 @@ func main() {
 	}
 	if !*por {
 		opts.POR = -1
-	}
-	if *trace {
-		opts.TraceLen = 128
 	}
 	opts.Observe = *metrics || *progress > 0 || *listen != ""
 
@@ -176,7 +173,7 @@ func main() {
 		for _, b := range res.Bugs {
 			fmt.Printf("  %v\n    choices: %s\n", b, b.Choices)
 			if *trace {
-				for _, op := range b.Trace {
+				for _, op := range b.Trace(128) {
 					fmt.Printf("      %v\n", op)
 				}
 			}

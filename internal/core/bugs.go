@@ -64,15 +64,14 @@ type BugReport struct {
 	Scenario int
 	// Count is the number of scenarios exhibiting this (type, message).
 	Count int
-	// Trace holds the last operations before the manifestation, if
-	// tracing is enabled.
-	Trace []TraceOp
 	// Choices describes the nondeterministic decisions of the scenario
 	// (failure points taken and read-from selections), sufficient to
 	// replay the buggy execution.
 	Choices string
 
-	// replay is the recorded choice vector used by Checker.Replay.
+	// replay is the recorded choice vector Replay, Trace, Witness and
+	// Minimize re-run. It is unexported, so a report decoded from JSON (the
+	// job API) has Choices but no vector: see replayable.
 	replay []choicePoint
 
 	// prog/opts identify the exploration that produced this report; stamped
@@ -88,6 +87,28 @@ func (b *BugReport) String() string {
 }
 
 func (b *BugReport) key() string { return fmt.Sprintf("%d|%s", b.Type, b.Message) }
+
+// replayable reports whether the report still carries the choice vector its
+// Choices describe. False for a report that lost it in serialization —
+// replaying the empty vector would silently run scenario 0 instead.
+func (b *BugReport) replayable() bool { return b.Choices == "" || len(b.replay) > 0 }
+
+// Trace replays this bug's scenario and returns its last n operations before
+// the manifestation, oldest first. Exploration records no traces, so every
+// call costs one scenario execution (a whole MaxSteps budget for an
+// infinite-loop bug) and nothing is cached. It returns nil for a report that
+// did not come out of a Result, for engine-error reports, and when the guest
+// no longer presents the recorded choice points.
+func (b *BugReport) Trace(n int) []TraceOp {
+	if b.prog == nil || b.opts == nil || b.Type == BugEngine || n <= 0 || !b.replayable() {
+		return nil
+	}
+	c := newReplayChecker(*b.prog, *b.opts, b.replay, n)
+	if !c.replayScenario() {
+		return nil
+	}
+	return c.trace.snapshot()
+}
 
 // Witness replays this bug's scenario with the forensics hooks armed and
 // returns the structured witness (see BuildWitness). It errors only when the

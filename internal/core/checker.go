@@ -63,7 +63,6 @@ type Checker struct {
 	alloc     *pmalloc.Allocator
 	sched     *scheduler
 	rng       *rand.Rand
-	trace     *traceRing
 	lastStore map[pmem.Addr]pmem.Seq // newest store per line, current execution
 	fpCount   int                    // eligible failure points seen in the current pre-failure execution
 	dirty     bool                   // stores evicted since the last considered failure point
@@ -83,9 +82,13 @@ type Checker struct {
 	reg      *obs.Registry
 	col      *obs.Collector
 	workerID int
-	// replaySegment marks segments run on behalf of Replay/FormatWitness,
-	// so their time is accounted as replay overhead, not exploration.
+	// replaySegment marks the one-scenario checkers newReplayChecker builds
+	// (Replay, BugReport.Trace, witnesses, minimization trials): their time is
+	// accounted as replay overhead, not exploration, and the snapshot stack
+	// stays out. trace is the operation ring of such a checker; exploration
+	// checkers never have one — traces come from replay only.
 	replaySegment bool
+	trace         *traceRing
 
 	// wrec is the forensics witness recorder (nil outside BuildWitness
 	// replays); every hot-path hook guards on it with a single nil check.
@@ -167,9 +170,6 @@ func New(prog Program, opts Options) *Checker {
 	c.initStats()
 	if o.POR > 0 {
 		c.porSeenSet = newPorSeen()
-	}
-	if o.TraceLen > 0 {
-		c.trace = newTraceRing(o.TraceLen)
 	}
 	if o.Observe || o.EventTrace != nil {
 		reg := obs.NewRegistry(o.EventTrace)
@@ -399,9 +399,6 @@ func (c *Checker) resetScenario() {
 	c.fpCount = 0
 	c.preDone = false
 	clear(c.lastStore)
-	if c.trace != nil {
-		c.trace.reset()
-	}
 	if c.wrec != nil {
 		c.stack.SetIntervalTracer(c.wrec.intervalEvent)
 	}
@@ -882,22 +879,16 @@ func (c *Checker) recordBug(f guestFault) {
 	if existing, ok := c.bugIndex[b.key()]; ok {
 		// Canonical representative, the same rule the parallel merge
 		// uses: of all manifestations sharing a key, the one with the
-		// smallest (Choices, Execution) supplies the reported scenario,
-		// replay vector, and trace.
+		// smallest (Choices, Execution) supplies the reported scenario and
+		// replay vector.
 		if b.Choices < existing.Choices ||
 			(b.Choices == existing.Choices && b.Execution < existing.Execution) {
-			if c.trace != nil {
-				b.Trace = c.trace.snapshot()
-			}
 			b.Count = existing.Count + 1
 			*existing = *b
 		} else {
 			existing.Count++
 		}
 		return
-	}
-	if c.trace != nil {
-		b.Trace = c.trace.snapshot()
 	}
 	c.bugIndex[b.key()] = b
 	c.bugs = append(c.bugs, b)

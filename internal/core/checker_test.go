@@ -717,12 +717,19 @@ func TestTraceInBugReport(t *testing.T) {
 			c.Bug("report me")
 		},
 	}
-	res := New(prog, Options{TraceLen: 16}).Run()
+	res := New(prog, Options{}).Run()
 	if !res.Buggy() {
 		t.Fatal("no bug")
 	}
-	if len(res.Bugs[0].Trace) == 0 {
-		t.Error("bug report has no trace")
+	trace := res.Bugs[0].Trace(16)
+	if len(trace) == 0 {
+		t.Fatal("bug report has no trace")
+	}
+	if first := trace[0]; first.Kind != "store" || first.Addr != PoolBase {
+		t.Errorf("trace starts at %v, want the pre-failure store", first)
+	}
+	if got := res.Bugs[0].Trace(1); len(got) != 1 || got[0] != trace[len(trace)-1] {
+		t.Errorf("Trace(1) = %v, want the last operation of %v", got, trace)
 	}
 	if res.Bugs[0].Choices == "" && res.Bugs[0].Scenario > 0 {
 		t.Error("bug report has no choice description")

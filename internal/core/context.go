@@ -213,8 +213,9 @@ func (c *Context) load(a Addr, size int) uint64 {
 		// the cursor reaches it, ffwdLoad installs the arrival state and
 		// resolves that operation live, and the trace entry plus the whole
 		// suffix of the segment execute normally. A load fed pre-arrival
-		// skips its step/trace accounting — both are covered by the restored
-		// deltas — but still takes its scheduler turn.
+		// skips its step accounting — covered by the restored deltas — and
+		// its trace entry, which nobody reads: only replay checkers trace, and
+		// they never restore. It still takes its scheduler turn.
 		v, live := ck.ffwdLoad(c.th, a, size)
 		if live {
 			ck.traceOp(c.th.id, "load", a, size, v)

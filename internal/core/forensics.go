@@ -308,38 +308,22 @@ func (r *witnessRecorder) witness(b *BugReport, reproduced bool) *forensics.Witn
 // armed, and returns the structured witness: annotated operation trace,
 // per-cache-line persistence timelines, and per-load read-from resolutions.
 //
-// The replay always re-executes the guest from scratch (replaySegment keeps
-// the snapshot stack out — a restored snapshot would skip the pre-failure
-// operations the witness needs to show, and the recorder must observe every
-// operation) and records the complete operation list itself, so
-// the opts trace ring is not consulted. A guest whose choice shape changed
-// since the exploration (nondeterminism outside the simulated pool) yields a
-// witness with Reproduced == false carrying whatever replay was observed.
+// The replay always re-executes the guest from scratch (newReplayChecker) —
+// a restored snapshot would skip the pre-failure operations the witness needs
+// to show, and the recorder must observe every operation — and the recorder
+// keeps the complete operation list itself, so the checker carries no trace
+// ring. A guest whose choice shape changed since the exploration
+// (nondeterminism outside the simulated pool) yields a witness with
+// Reproduced == false carrying whatever replay was observed; a report whose
+// choice vector was lost (BugReport.replayable) is not replayed at all.
 func BuildWitness(prog Program, opts Options, b *BugReport) *forensics.Witness {
-	o := opts.withDefaults()
-	o.TraceLen = -1 // the recorder captures the full trace itself
-	o.MaxScenarios = 1
-	o.FlagMultiRF = true
-	c := New(prog, o)
-	c.replaySegment = true
+	opts.FlagMultiRF = true
+	c := newReplayChecker(prog, opts, b.replay, 0)
 	c.wrec = newWitnessRecorder(c)
 	c.sched.probe = c.wrec.probe()
-	c.chooser.seed(b.replay)
-	c.scenarios = 1
-	func() {
-		defer func() {
-			switch r := recover().(type) {
-			case nil:
-			case engineError:
-				// Nondeterministic replay: the witness reports Reproduced
-				// false with the partial data gathered so far.
-				_ = r
-			default:
-				panic(r)
-			}
-		}()
-		c.runScenario()
-	}()
+	if b.replayable() {
+		c.replayScenario()
+	}
 	_, reproduced := c.bugIndex[b.key()]
 	w := c.wrec.witness(b, reproduced)
 	if c.reg != nil {

@@ -33,19 +33,19 @@ func deepBugProgram() Program {
 
 func TestBuildWitnessReproducesAndAnnotates(t *testing.T) {
 	prog := buggyReplayProgram()
-	res := New(prog, Options{TraceLen: -1}).Run()
+	res := New(prog, Options{}).Run()
 	if !res.Buggy() {
 		t.Fatal("no bug")
 	}
-	w := BuildWitness(prog, Options{TraceLen: -1}, res.Bugs[0])
+	w := BuildWitness(prog, Options{}, res.Bugs[0])
 	if !w.Reproduced {
 		t.Fatal("witness replay did not reproduce the bug")
 	}
 	if w.Program != "replay-me" || w.Bug.Message != res.Bugs[0].Message {
 		t.Errorf("witness header mismatch: %+v", w.Bug)
 	}
-	// TraceLen: -1 disabled the ring, but the recorder captures the full
-	// trace regardless — including the pre-failure commit store.
+	// The witness replay carries no ring: the recorder captures the full
+	// trace itself — including the pre-failure commit store.
 	foundCommit, cacheTransition := false, false
 	for _, op := range w.Ops {
 		if op.Kind == "store" && op.Addr == uint64(PoolBase) && op.Exec == 0 {
@@ -223,28 +223,5 @@ func TestWitnessWithSnapshotsOnRegression(t *testing.T) {
 	}
 	if preFailure == 0 {
 		t.Error("structured witness has no pre-failure operations")
-	}
-}
-
-// FormatWitness respects an explicitly disabled trace: the sentinel is not
-// overridden back to the forced witness length (Replay still forces it —
-// producing a trace is Replay's contract).
-func TestFormatWitnessRespectsDisabledTrace(t *testing.T) {
-	prog := buggyReplayProgram()
-	res := New(prog, Options{TraceLen: -1}).Run()
-	if !res.Buggy() {
-		t.Fatal("no bug")
-	}
-	text := FormatWitness(prog, Options{TraceLen: -1}, res.Bugs[0])
-	if strings.Contains(text, "operation trace") {
-		t.Errorf("disabled trace still rendered:\n%s", text)
-	}
-	// The rest of the witness (decisions, manifestation) survives.
-	if !strings.Contains(text, "witness for:") || !strings.Contains(text, "manifestation:") {
-		t.Errorf("witness header lost:\n%s", text)
-	}
-	// Replay, by contrast, forces the trace into existence.
-	if trace := Replay(prog, Options{TraceLen: -1}, res.Bugs[0]); len(trace) == 0 {
-		t.Error("Replay with disabled trace returned nothing")
 	}
 }

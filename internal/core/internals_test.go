@@ -139,10 +139,6 @@ func TestTraceRing(t *testing.T) {
 	if len(got) != 3 || got[0].Kind != "b" || got[2].Kind != "d" {
 		t.Fatalf("wrapped ring = %v", got)
 	}
-	r.reset()
-	if got := r.snapshot(); len(got) != 0 {
-		t.Fatalf("reset ring = %v", got)
-	}
 }
 
 func TestTraceOpString(t *testing.T) {

@@ -21,8 +21,13 @@ const minimizeMaxTrials = 512
 // with the minimization statistics. The returned report reproduces a bug
 // with the same (type, message) key as b and its prefix is never longer than
 // the original (ddmin only removes decisions). prog and opts must match the
-// exploration that produced b.
+// exploration that produced b. A report whose choice vector was lost
+// (BugReport.replayable) comes back unchanged, with zero trials.
 func Minimize(prog Program, opts Options, b *BugReport) (*BugReport, *forensics.Minimization) {
+	if !b.replayable() {
+		nb := *b
+		return &nb, &forensics.Minimization{OriginalChoices: b.Choices, MinimizedChoices: b.Choices}
+	}
 	key := b.key()
 	cur := append([]choicePoint(nil), b.replay...)
 	trials := 0
@@ -79,24 +84,11 @@ func Minimize(prog Program, opts Options, b *BugReport) (*BugReport, *forensics.
 // manifests a bug with the given key. A nondeterministic-replay panic —
 // the candidate's decisions no longer line up with the choice points the
 // guest presents — counts as not reproducing; any other panic propagates.
-func minimizeTrial(prog Program, opts Options, prefix []choicePoint, key string) (ok bool) {
-	o := opts.withDefaults()
-	o.TraceLen = -1 // no trace needed, only the bug key
-	o.MaxScenarios = 1
-	c := New(prog, o)
-	c.replaySegment = true
-	c.chooser.seed(prefix)
-	c.scenarios = 1
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case engineError:
-			ok = false
-		default:
-			panic(r)
-		}
-	}()
-	c.runScenario()
-	_, ok = c.bugIndex[key]
+func minimizeTrial(prog Program, opts Options, prefix []choicePoint, key string) bool {
+	c := newReplayChecker(prog, opts, prefix, 0)
+	if !c.replayScenario() {
+		return false
+	}
+	_, ok := c.bugIndex[key]
 	return ok
 }

@@ -205,13 +205,7 @@ func TestReplayPhaseAccounting(t *testing.T) {
 		t.Fatal("no bug")
 	}
 	// Replay builds its own checker; verify via a directly observed one.
-	o := Options{Observe: true}.withDefaults()
-	o.TraceLen = 1 << 16
-	o.MaxScenarios = 1
-	c := New(buggyReplayProgram(), o)
-	c.replaySegment = true
-	c.chooser.seed(res.Bugs[0].replay)
-	c.scenarios = 1
+	c := newReplayChecker(buggyReplayProgram(), Options{Observe: true}, res.Bugs[0].replay, witnessTraceLen)
 	c.runScenario()
 	m := c.reg.Snapshot()
 	if m.ReplayNs <= 0 {

@@ -91,13 +91,6 @@ type Options struct {
 	// buffer), the issue classes Pmemcheck and Agamotto report.
 	FlagPerfIssues bool
 
-	// TraceLen keeps a ring buffer of the last TraceLen operations per
-	// scenario for bug reports (default 64; negative disables tracing and
-	// is normalized to the sentinel -1). Replay and FormatWitness always
-	// force tracing on for the one scenario they re-run — producing the
-	// trace is their purpose — regardless of this setting.
-	TraceLen int
-
 	// StopAtFirstBug aborts exploration at the first bug found. Under
 	// parallel exploration the stop is cooperative: scenarios already in
 	// flight on other workers finish, so the result may carry more than
@@ -168,11 +161,6 @@ type Options struct {
 	// renew the lease).
 	HeartbeatMs int
 
-	// CoordinatorURL is the base URL of the jaaru-server coordinator a
-	// jaaru-worker process reports to. Empty (the zero value is its own
-	// sentinel) means no coordinator: exploration runs in-process.
-	CoordinatorURL string
-
 	// Observe enables the observability layer: per-worker lock-free metric
 	// shards (internal/obs) aggregated into Result.Metrics. Off by default;
 	// when off every instrumentation hook is a nil check.
@@ -219,12 +207,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SBCapacity == 0 {
 		o.SBCapacity = 64
-	}
-	if o.TraceLen == 0 {
-		o.TraceLen = 64
-	}
-	if o.TraceLen < 0 {
-		o.TraceLen = -1
 	}
 	if o.MaxBugs == 0 {
 		o.MaxBugs = 64

@@ -21,7 +21,7 @@ import (
 //     (serialized []choicePoint stacks). It starts with the root (empty)
 //     prefix.
 //   - N workers each own a private Checker — allocator, execution stack,
-//     scheduler, trace ring, chooser — and repeatedly claim a prefix,
+//     scheduler, chooser — and repeatedly claim a prefix,
 //     replay it, and run the subtree below it depth-first.
 //   - Whenever the frontier runs low, a worker donates the shallowest
 //     sibling options it has not yet visited as fresh prefixes
@@ -411,7 +411,8 @@ func (dst *stats) merge(src *stats) {
 // mergeBug unions a bug report into the aggregate: counts sum; of the
 // reports sharing a key, the canonically smallest (by choice description,
 // then execution index) becomes the representative, so the surviving
-// Choices/replay/Trace do not depend on which worker reported first.
+// Choices and replay vector (and with them the trace a replay yields) do not
+// depend on which worker reported first.
 func (dst *stats) mergeBug(b *BugReport) {
 	ex, ok := dst.bugIndex[b.key()]
 	if !ok {

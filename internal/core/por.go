@@ -169,7 +169,6 @@ type porBug struct {
 	count  int
 	rel    string // describeChoices(suffix), the canonical order key
 	suffix []choicePoint
-	trace  []TraceOp
 }
 
 // porPerfDelta / porMultiDelta carry a subtree's perf-issue and flagged-load
@@ -512,9 +511,6 @@ func (c *Checker) porNoteBug(typ BugType, msg string, exec int) {
 			pb.rel = rel
 			pb.exec = exec
 			pb.suffix = append(pb.suffix[:0], suffix...)
-			if c.trace != nil {
-				pb.trace = c.trace.snapshot()
-			}
 		}
 	}
 }
@@ -688,7 +684,6 @@ func (c *Checker) porGraftBug(pb *porBug, hitDepth int, flip bool) {
 		Scenario:  c.scenarios - 1,
 		Count:     pb.count,
 		Choices:   describeChoices(pts),
-		Trace:     pb.trace,
 		replay:    pts,
 	}
 	if existing, ok := c.bugIndex[b.key()]; ok {

@@ -5,29 +5,59 @@ package core
 // long after exploration finished. This rounds out the paper's debugging
 // support ("Jaaru prints out the load..., each of the stores, their
 // locations in the trace"): first explore cheaply, then replay the one
-// scenario that matters with maximal instrumentation.
+// scenario that matters with maximal instrumentation. Replay is the only
+// source of operation traces: exploration records none.
 
-// Replay re-executes the failure scenario that first manifested bug b for
-// prog, with tracing forced on, and returns the complete operation trace
-// of that scenario (all executions, pre-failure and recovery). The program
-// and options must match the original exploration, or the recorded choices
-// will not line up and Replay panics with a nondeterministic-replay error.
-func Replay(prog Program, opts Options, b *BugReport) []TraceOp {
-	// Tracing is forced on regardless of opts.TraceLen — producing the
-	// trace is the point of a replay, even when the exploration ran with
-	// tracing disabled. replaySegment keeps the snapshot stack out
-	// (snapEligible), so the scenario re-executes the guest from scratch and
-	// the returned trace covers the pre-failure operations too. Everything
-	// else keeps the original exploration's semantics: withDefaults is
-	// idempotent, so New's second normalization cannot flip disabled
-	// features (a negative MaxFailures, say) back to their defaults.
+// newReplayChecker returns a checker that runs exactly the one scenario the
+// recorded choice vector selects, with a trace ring of the given capacity
+// (none when ring is 0). replaySegment keeps the snapshot stack out
+// (snapEligible), so the scenario re-executes the guest from scratch and a
+// trace covers the pre-failure operations too. Everything else keeps the
+// original exploration's semantics: withDefaults is idempotent, so New's
+// second normalization cannot flip disabled features (a negative MaxFailures,
+// say) back to their defaults.
+func newReplayChecker(prog Program, opts Options, prefix []choicePoint, ring int) *Checker {
 	o := opts.withDefaults()
-	o.TraceLen = witnessTraceLen
 	o.MaxScenarios = 1
 	c := New(prog, o)
 	c.replaySegment = true
-	c.chooser.seed(b.replay)
+	if ring > 0 {
+		c.trace = newTraceRing(ring)
+	}
+	c.chooser.seed(prefix)
 	c.scenarios = 1
+	return c
+}
+
+// replayScenario runs a replay checker's scenario. It reports false when the
+// recorded decisions no longer line up with the choice points the guest
+// presents (a nondeterministic-replay engineError); any other panic
+// propagates.
+func (c *Checker) replayScenario() (ok bool) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case engineError:
+			ok = false
+		default:
+			panic(r)
+		}
+	}()
+	c.runScenario()
+	return true
+}
+
+// Replay re-executes the failure scenario that first manifested bug b for
+// prog and returns the complete operation trace of that scenario (all
+// executions, pre-failure and recovery). The program and options must match
+// the original exploration, or the recorded choices will not line up and
+// Replay panics with a nondeterministic-replay error. A report whose choice
+// vector was lost (see BugReport.replayable) yields nil.
+func Replay(prog Program, opts Options, b *BugReport) []TraceOp {
+	if !b.replayable() {
+		return nil
+	}
+	c := newReplayChecker(prog, opts, b.replay, witnessTraceLen)
 	c.runScenario()
 	return c.trace.snapshot()
 }

@@ -43,3 +43,28 @@ func TestSnapshotMemoryLinear(t *testing.T) {
 		t.Errorf("bytes allocated grew %.2fx for a 2x workload, want <= %.1fx", g, maxGrowth)
 	}
 }
+
+// TestSnapshotBytesPerCapture gates what one snapshot-stack entry costs: the
+// bytes an exploration of CCEH-update allocates, divided by the entries it
+// captures. The workload is nearly all failure points (one capture per
+// scenario, a dozen live cache lines), so the quotient is the per-entry
+// price: 2.6 KB, for a journal mark, a few scalars and the guest's own store
+// queues. The bound leaves 55 % headroom and is half of what an entry costs
+// once it copies per-scenario state — a 64-operation trace made it 8.3 KB.
+func TestSnapshotBytesPerCapture(t *testing.T) {
+	const rounds, maxBytes = 512, 4000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := core.New(recipe.CCEHUpdateWorkload(3, rounds), core.Options{Observe: true}).Run()
+	runtime.ReadMemStats(&after)
+	captures := res.Metrics.SnapshotCaptures + res.Metrics.ChoiceSnapCaptures
+	if res.Buggy() || !res.Complete || captures < rounds {
+		t.Fatalf("unexpected result: complete=%v bugs=%v captures=%d", res.Complete, res.Bugs, captures)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / uint64(captures)
+	t.Logf("%d captures, %d bytes allocated: %d bytes per capture", captures, after.TotalAlloc-before.TotalAlloc, per)
+	if per > maxBytes {
+		t.Errorf("%d bytes allocated per snapshot capture, want <= %d", per, maxBytes)
+	}
+}

@@ -27,10 +27,10 @@ import (
 //     the mandatory end-of-run failure (endSnap), and before each
 //     post-failure multi-candidate read-from choice (choiceSnap). An entry
 //     holds the global sequence counter, fpCount, the allocator high-water
-//     mark, the trace ring, and a pmem.Mark into the journaled execution
-//     stack (store queues shared by reference + recorded length; intervals
-//     via the undo journal — refinement mutates them in place, so restoring
-//     needs undo, not sharing). A capture costs what the scenario touched,
+//     mark, and a pmem.Mark into the journaled execution stack (store
+//     queues shared by reference + recorded length; intervals via the undo
+//     journal — refinement mutates them in place, so restoring needs undo,
+//     not sharing). A capture costs what the scenario touched,
 //     not what the pool holds.
 //   - Entries form a stack along the chooser's current depth-first path.
 //     Entry i was captured under the decisions Checker.snapPrefix[:depth_i]:
@@ -51,7 +51,7 @@ import (
 // Resuming mid-segment. A guest Go function cannot resume mid-call the way a
 // forked process can, so a choiceSnap restore is a two-part move:
 //
-//   - The simulator state (pmem stack, seq, allocator, trace ring, TSO
+//   - The simulator state (pmem stack, seq, allocator, TSO
 //     buffers, scheduler scalars) is rewound exactly, as for the other kinds.
 //   - The in-flight recovery segment is re-entered from its start in
 //     *fast-forward* mode (ffwdState): every operation skips its effects and
@@ -146,7 +146,6 @@ type snapEntry struct {
 	fpCount int
 	preDone bool
 	high    pmem.Addr // allocator high-water mark
-	trace   []TraceOp // nil when tracing is disabled
 
 	// Exploration-level deltas accumulated by the capture scenario up to
 	// this point (relative to its scenario baseline), re-applied when a
@@ -328,10 +327,6 @@ func (c *Checker) captureSnap(kind snapKind) {
 	s.preDone = c.preDone
 	s.high = c.alloc.HighWater()
 	s.stepsDelta = c.totalSteps - c.snapBaseSteps
-	s.trace = s.trace[:0]
-	if c.trace != nil {
-		s.trace = c.trace.snapshotInto(s.trace)
-	}
 	if kind == choiceSnap {
 		s.segSteps = c.steps
 		s.segDirty = c.dirty
@@ -404,9 +399,6 @@ func (c *Checker) restoreSnap(s *snapEntry) (crashed bool) {
 	c.fpCount = s.fpCount
 	c.preDone = s.preDone
 	c.alloc.Truncate(s.high)
-	if c.trace != nil {
-		c.trace.restore(s.trace)
-	}
 	// An fpSnap's skipped prefix consumed the fail decision too. A choiceSnap
 	// arrival consumes points[s.depth] as an ordinary replayed choose() —
 	// validating kind and arity against the recorded vector — so its cursor

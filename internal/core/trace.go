@@ -26,63 +26,41 @@ func (o TraceOp) String() string {
 	}
 }
 
-// traceRing keeps the last N operations of the current scenario.
+// traceRing keeps the last n operations of the one scenario a replay checker
+// runs. It grows by append until it holds n and wraps only then, so a replay's
+// memory follows the trace it returns, not the capacity it was allowed.
 type traceRing struct {
 	buf  []TraceOp
-	next int
-	full bool
+	n    int
+	next int // oldest entry once the ring is full; 0 before
 }
 
-func newTraceRing(n int) *traceRing { return &traceRing{buf: make([]TraceOp, n)} }
-
-func (r *traceRing) reset() { r.next = 0; r.full = false }
+func newTraceRing(n int) *traceRing { return &traceRing{n: n} }
 
 func (r *traceRing) add(op TraceOp) {
+	if len(r.buf) < r.n {
+		r.buf = append(r.buf, op)
+		return
+	}
 	r.buf[r.next] = op
 	r.next++
-	if r.next == len(r.buf) {
+	if r.next == r.n {
 		r.next = 0
-		r.full = true
 	}
 }
 
-// snapshot returns the recorded operations oldest-first.
+// snapshot returns a copy of the recorded operations, oldest-first.
 func (r *traceRing) snapshot() []TraceOp {
-	if !r.full {
-		out := make([]TraceOp, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
 	out := make([]TraceOp, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// snapshotInto is snapshot appending into a caller-provided buffer (the
-// snapshot-entry free list reuses it, so a warmed capture allocates nothing).
-func (r *traceRing) snapshotInto(out []TraceOp) []TraceOp {
-	if !r.full {
-		return append(out, r.buf[:r.next]...)
-	}
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
 }
 
-// restore rewinds the ring to hold exactly the given operations (a prior
-// snapshot of length <= len(buf)), oldest-first — used when a scenario
-// resumes from a captured snapshot instead of re-running its prefix.
-func (r *traceRing) restore(ops []TraceOp) {
-	r.reset()
-	for _, op := range ops {
-		r.add(op)
-	}
-}
-
+// traceOp records one guest operation for whoever is listening: the forensics
+// recorder's full operation list and a replay checker's ring. Exploration
+// checkers have neither, so the hot path pays two nil checks.
 func (c *Checker) traceOp(threadID int, kind string, a pmem.Addr, size int, val uint64) {
 	if c.wrec != nil {
-		// The forensics recorder keeps the full, never-truncated operation
-		// list independently of the ring buffer.
 		c.wrec.noteOp(threadID, kind, a, size, val)
 	}
 	if c.trace == nil {

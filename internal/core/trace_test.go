@@ -56,13 +56,12 @@ func TestTraceRingExactWrapBoundary(t *testing.T) {
 	}
 }
 
-// reset starts a fresh scenario: stale entries from previous fills must
-// never leak into a later, shorter snapshot — across several reset cycles
-// with different fill levels.
-func TestTraceRingSnapshotAfterResets(t *testing.T) {
-	r := newTraceRing(3)
+// Every fill level — over, under, exactly at capacity, empty — snapshots the
+// last min(fill, capacity) operations oldest-first, and the ring's storage
+// follows what it holds: a short scenario never pays for the capacity.
+func TestTraceRingFillLevels(t *testing.T) {
 	for cycle, fill := range []int{5, 2, 3, 1, 0} {
-		r.reset()
+		r := newTraceRing(3)
 		for i := 1; i <= fill; i++ {
 			r.add(traceOpN(100*cycle + i))
 		}
@@ -78,6 +77,13 @@ func TestTraceRingSnapshotAfterResets(t *testing.T) {
 				t.Fatalf("cycle %d: snapshot[%d] = %v, want %v", cycle, i, op, want)
 			}
 		}
+	}
+	r := newTraceRing(1 << 16)
+	for i := 0; i < 30; i++ {
+		r.add(traceOpN(i))
+	}
+	if cap(r.buf) >= 1<<10 {
+		t.Errorf("30 operations hold %d ring slots: the capacity was preallocated", cap(r.buf))
 	}
 }
 

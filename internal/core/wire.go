@@ -201,8 +201,8 @@ func (w WireClaim) Validate() error {
 	return err
 }
 
-// WireBug is a BugReport in wire form, including the replay vector and trace
-// so the coordinator's merged result supports Replay/Witness/Minimize.
+// WireBug is a BugReport in wire form, including the replay vector so the
+// coordinator's merged result supports Replay/Trace/Witness/Minimize.
 type WireBug struct {
 	Type      int         `json:"type"`
 	Message   string      `json:"message"`
@@ -210,7 +210,6 @@ type WireBug struct {
 	Scenario  int         `json:"scenario"`
 	Count     int         `json:"count"`
 	Choices   string      `json:"choices"`
-	Trace     []TraceOp   `json:"trace,omitempty"`
 	Replay    []WirePoint `json:"replay,omitempty"`
 }
 
@@ -398,7 +397,6 @@ func (c *Checker) exportWireStats() *WireStats {
 			Scenario:  b.Scenario,
 			Count:     b.Count,
 			Choices:   b.Choices,
-			Trace:     b.Trace,
 			Replay:    encodePoints(b.replay),
 		})
 	}
@@ -452,7 +450,6 @@ func compileStats(ws *WireStats) (*stats, error) {
 			Scenario:  wb.Scenario,
 			Count:     wb.Count,
 			Choices:   wb.Choices,
-			Trace:     wb.Trace,
 			replay:    replay,
 		})
 	}
@@ -611,7 +608,6 @@ type WirePorBug struct {
 	Count   int         `json:"count"`
 	Rel     string      `json:"rel"`
 	Suffix  []WirePoint `json:"suffix,omitempty"`
-	Trace   []TraceOp   `json:"trace,omitempty"`
 }
 
 // WirePorPerf / WirePorMulti carry a subtree's perf-issue and flagged-load
@@ -670,7 +666,6 @@ func encodePorDelta(d *porDelta) WirePorDelta {
 			Count:   b.count,
 			Rel:     b.rel,
 			Suffix:  encodePoints(b.suffix),
-			Trace:   b.trace,
 		})
 	}
 	for _, p := range d.perf {
@@ -715,7 +710,6 @@ func compilePorDelta(wd *WirePorDelta) (*porDelta, error) {
 			count:  wb.Count,
 			rel:    wb.Rel,
 			suffix: suffix,
-			trace:  wb.Trace,
 		})
 	}
 	for i := range wd.Perf {

@@ -215,17 +215,6 @@ func (e *WireEncoder) Claims(ws []WireClaim) {
 	}
 }
 
-func (e *WireEncoder) trace(ops []TraceOp) {
-	e.Uvarint(uint64(len(ops)))
-	for _, op := range ops {
-		e.Int(op.Thread)
-		e.String(op.Kind)
-		e.Uvarint(uint64(op.Addr))
-		e.Int(op.Size)
-		e.Uvarint(op.Val)
-	}
-}
-
 func (e *WireEncoder) multiRF(m *MultiRF) {
 	e.String(m.Loc)
 	e.Uvarint(uint64(m.Addr))
@@ -300,7 +289,6 @@ func (e *WireEncoder) Stats(ws *WireStats) {
 		e.Int(b.Scenario)
 		e.Int(b.Count)
 		e.String(b.Choices)
-		e.trace(b.Trace)
 		e.Points(b.Replay)
 	}
 	e.Uvarint(uint64(len(ws.MultiRF)))
@@ -346,7 +334,6 @@ func (e *WireEncoder) PorEntries(es []WirePorEntry) {
 			e.Int(b.Count)
 			e.String(b.Rel)
 			e.Points(b.Suffix)
-			e.trace(b.Trace)
 		}
 		e.Uvarint(uint64(len(d.Perf)))
 		for j := range d.Perf {
@@ -637,24 +624,6 @@ func (d *WireDecoder) Claims() []WireClaim {
 	return ws
 }
 
-func (d *WireDecoder) trace() []TraceOp {
-	n := d.length(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	ops := make([]TraceOp, n)
-	for i := range ops {
-		ops[i] = TraceOp{
-			Thread: d.Int(),
-			Kind:   d.String(),
-			Addr:   pmem.Addr(d.Uvarint()),
-			Size:   d.Int(),
-			Val:    d.Uvarint(),
-		}
-	}
-	return ops
-}
-
 func (d *WireDecoder) multiRF() MultiRF {
 	m := MultiRF{
 		Loc:        d.String(),
@@ -740,9 +709,8 @@ func (d *WireDecoder) Stats() *WireStats {
 			Scenario:  d.Int(),
 			Count:     d.Int(),
 			Choices:   d.String(),
+			Replay:    d.Points(),
 		}
-		b.Trace = d.trace()
-		b.Replay = d.Points()
 		ws.Bugs = append(ws.Bugs, b)
 	}
 	nm := d.length(1)
@@ -789,9 +757,8 @@ func (d *WireDecoder) PorEntries() []WirePorEntry {
 				Exec:    d.Int(),
 				Count:   d.Int(),
 				Rel:     d.String(),
+				Suffix:  d.Points(),
 			}
-			b.Suffix = d.Points()
-			b.Trace = d.trace()
 			dl.Bugs = append(dl.Bugs, b)
 		}
 		np := d.length(1)

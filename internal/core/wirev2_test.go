@@ -67,7 +67,7 @@ func randWireClaims(rng *rand.Rand, batch int) []WireClaim {
 }
 
 // richWireStats builds a stats snapshot exercising every field the codec
-// carries: bugs with traces and replay vectors, flagged loads, perf issues,
+// carries: bugs with replay vectors, flagged loads, perf issues,
 // and an observability shard with sparse counters and histograms.
 func richWireStats() *WireStats {
 	pts := []choicePoint{
@@ -93,11 +93,7 @@ func richWireStats() *WireStats {
 			Scenario:  4,
 			Count:     2,
 			Choices:   "fail@3",
-			Trace: []TraceOp{
-				{Thread: 0, Kind: "store", Addr: 64, Size: 8, Val: 2},
-				{Thread: 1, Kind: "load", Addr: 72, Size: 8, Val: 1},
-			},
-			Replay: encodePoints(pts),
+			Replay:    encodePoints(pts),
 		}},
 		MultiRF: []MultiRF{{
 			Loc: "probe.go:12", Addr: 128, Candidates: 3,
@@ -136,7 +132,6 @@ func richPorEntries() []WirePorEntry {
 					Type: int(BugAssertion), Message: "torn pair", Exec: 1,
 					Count: 1, Rel: "fail@2",
 					Suffix: encodePoints(suffix),
-					Trace:  []TraceOp{{Thread: 0, Kind: "store", Addr: 8, Size: 8, Val: 5}},
 				}},
 				Perf: []WirePorPerf{{
 					Count: 2,
@@ -553,7 +548,7 @@ func TestDiffWireStatsSequentialAbsorption(t *testing.T) {
 		x, y := a.Bugs[i], b.Bugs[i]
 		if x.Type != y.Type || x.Message != y.Message || x.Execution != y.Execution ||
 			x.Scenario != y.Scenario || x.Count != y.Count || x.Choices != y.Choices ||
-			!reflect.DeepEqual(x.Trace, y.Trace) || !reflect.DeepEqual(x.replay, y.replay) {
+			!reflect.DeepEqual(x.Trace(64), y.Trace(64)) || !reflect.DeepEqual(x.replay, y.replay) {
 			t.Errorf("bug %d differs:\nseq %+v\none %+v", i, *x, *y)
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// witnessTraceLen is the trace-ring capacity forced during witness replays:
+// witnessTraceLen is the trace-ring capacity of Replay and FormatWitness:
 // large enough that no bundled workload ever wraps, so the "complete
 // operation trace" promise holds.
 const witnessTraceLen = 1 << 16
@@ -21,28 +21,15 @@ const witnessTraceLen = 1 << 16
 //
 // prog and opts must match the exploration that produced b.
 func FormatWitness(prog Program, opts Options, b *BugReport) string {
+	if !b.replayable() {
+		return fmt.Sprintf("witness for: %v\ndecisions: %s (choice vector lost: cannot replay)\n", b, b.Choices)
+	}
 	// Replay with multi-rf flagging on so the witness carries the
 	// candidate-store annotations even if the exploration ran without.
-	// Tracing is widened — but only if the caller did not disable it
-	// outright (TraceLen < 0 stays disabled; Replay is the API that forces
-	// a trace into existence). replaySegment keeps the snapshot stack out
-	// (snapEligible): a witness replay must re-execute the guest from
-	// scratch so the trace covers the pre-failure operations.
-	o := opts.withDefaults()
-	if o.TraceLen > 0 {
-		o.TraceLen = witnessTraceLen
-	}
-	o.MaxScenarios = 1
-	o.FlagMultiRF = true
-	c := New(prog, o)
-	c.replaySegment = true
-	c.chooser.seed(b.replay)
-	c.scenarios = 1
+	opts.FlagMultiRF = true
+	c := newReplayChecker(prog, opts, b.replay, witnessTraceLen)
 	c.runScenario()
-	var trace []TraceOp
-	if c.trace != nil {
-		trace = c.trace.snapshot()
-	}
+	trace := c.trace.snapshot()
 
 	var w strings.Builder
 	fmt.Fprintf(&w, "witness for: %v\n", b)
@@ -59,11 +46,9 @@ func FormatWitness(prog Program, opts Options, b *BugReport) string {
 		}
 	}
 
-	if c.trace != nil {
-		fmt.Fprintf(&w, "\noperation trace (%d operations):\n", len(trace))
-		for i, op := range trace {
-			fmt.Fprintf(&w, "  %4d  %v\n", i, op)
-		}
+	fmt.Fprintf(&w, "\noperation trace (%d operations):\n", len(trace))
+	for i, op := range trace {
+		fmt.Fprintf(&w, "  %4d  %v\n", i, op)
 	}
 	if len(c.bugs) > 0 {
 		fmt.Fprintf(&w, "\nmanifestation: %s\n", c.bugs[0].Message)

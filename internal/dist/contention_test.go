@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"jaaru/internal/core"
 	"jaaru/internal/netsim"
 )
 
@@ -92,13 +93,32 @@ func (p *probeTransport) get(path string) {
 // TestCoordinatorEncodesOutsideMutex runs a complete lease conversation —
 // submit, lease grants, pipelined commits, heartbeat, status polls, metrics
 // scrape — through a writer that fails the moment any response is encoded or
-// written while c.mu is held, under both wire codecs.
+// written while c.mu is held, under both wire codecs. The coordinator's own
+// copy of the guest runs only when a finished job's bug traces are replayed
+// (workers resolve theirs separately), so it carries the same probe: a replay
+// is a whole guest execution and must not run under c.mu either — and it runs
+// once per bug however often the job is polled.
 func TestCoordinatorEncodesOutsideMutex(t *testing.T) {
 	for _, codec := range []string{CodecV1, CodecAuto} {
 		t.Run("codec="+codec, func(t *testing.T) {
 			clock := netsim.NewClock()
+			var coord *Coordinator
+			replays := 0
 			coord, err := NewCoordinator(Config{
-				Resolve:          testResolver,
+				Resolve: func(spec ProgSpec) (core.Program, error) {
+					prog, err := testResolver(spec)
+					run := prog.Run
+					prog.Run = func(c *core.Context) {
+						replays++
+						if !coord.mu.TryLock() {
+							t.Error("coordinator mutex held while a bug trace is replayed")
+						} else {
+							coord.mu.Unlock()
+						}
+						run(c)
+					}
+					return prog, err
+				},
 				Now:              clock.Now,
 				ShutdownWhenDone: true,
 			})
@@ -136,6 +156,10 @@ func TestCoordinatorEncodesOutsideMutex(t *testing.T) {
 				t.Fatal(err)
 			}
 			probe.get("/v1/jobs/" + jr.ID)
+			probe.get("/v1/jobs/" + jr.ID)
+			if bugs := len(coord.jobs[jr.ID].result.Bugs); bugs == 0 || replays != bugs {
+				t.Errorf("two polls of the finished job replayed %d traces for %d bugs", replays, bugs)
+			}
 			probe.get("/v1/status")
 			probe.get("/metrics")
 		})

@@ -90,6 +90,17 @@ type job struct {
 	porIndex map[uint64]struct{}
 
 	result *core.Result
+	// traced is result.Bugs with their traces, replayed by the first status
+	// poll that finds the job done (tracedStatus).
+	traceOnce sync.Once
+	traced    []tracedBug
+}
+
+// tracedBug is a bug report as the job API serves it: the report's exported
+// fields plus the last jobTraceLen operations of its scenario under "Trace".
+type tracedBug struct {
+	*core.BugReport
+	Trace []core.TraceOp
 }
 
 func (j *job) reg() *obs.Registry { return j.acc.Observability() }
@@ -215,7 +226,31 @@ func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{"no such job"})
 		return
 	}
+	if st.Result != nil {
+		writeJSON(w, http.StatusOK, j.tracedStatus(st))
+		return
+	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// tracedStatus is the JSON a finished job is served as: st with its bugs
+// replaced by their traced form. Exploration records no traces, so they are
+// replayed here, once per job — and never under Coordinator.mu: the replay of
+// an infinite-loop bug is a whole MaxSteps execution.
+func (j *job) tracedStatus(st JobStatus) any {
+	j.traceOnce.Do(func() {
+		for _, b := range j.result.Bugs {
+			j.traced = append(j.traced, tracedBug{b, b.Trace(jobTraceLen)})
+		}
+	})
+	type tracedResult struct {
+		*core.Result
+		Bugs []tracedBug
+	}
+	return struct {
+		JobStatus
+		Result tracedResult `json:"result"`
+	}{st, tracedResult{j.result, j.traced}}
 }
 
 // ---- lease protocol ---------------------------------------------------------

@@ -144,17 +144,41 @@ func (h *harness) submit(bench string, opts core.Options) string {
 	return resp.ID
 }
 
-func (h *harness) result(id string) *core.Result {
+// servedResult is a finished job's result as an external client reads it off
+// the job API: the Result a Go client decodes through JobStatus, plus the
+// trace each bug carries in the served JSON (Traces[i] belongs to Bugs[i]).
+type servedResult struct {
+	*core.Result
+	Traces [][]core.TraceOp
+}
+
+func (h *harness) result(id string) *servedResult {
 	h.t.Helper()
-	var st JobStatus
-	code := h.rpc("GET", "/v1/jobs/"+id, nil, &st)
+	var raw json.RawMessage
+	code := h.rpc("GET", "/v1/jobs/"+id, nil, &raw)
 	if code != http.StatusOK {
 		h.t.Fatalf("job status: HTTP %d", code)
+	}
+	var st JobStatus
+	var traced struct {
+		Result struct {
+			Bugs []struct{ Trace []core.TraceOp }
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		h.t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &traced); err != nil {
+		h.t.Fatal(err)
 	}
 	if st.State != JobDone {
 		h.t.Fatalf("job %s not done (state %q)", id, st.State)
 	}
-	return st.Result
+	res := &servedResult{Result: st.Result}
+	for _, b := range traced.Result.Bugs {
+		res.Traces = append(res.Traces, b.Trace)
+	}
+	return res
 }
 
 func (h *harness) worker(name string, commitEvery int) *Worker {
@@ -195,8 +219,9 @@ func runWorkers(ws ...*Worker) []error {
 // wall-clock Duration and the partition-local BugReport.Scenario index must
 // be identical to the serial reference (the same standard the in-process
 // parallel suite enforces; Scenario is a worker-local discovery index even
-// under Workers>1).
-func assertSameResult(t *testing.T, label string, serial, got *core.Result) {
+// under Workers>1). Bug traces are compared through the HTTP round trip: the
+// serial report's replayed trace against the one the job's JSON carried.
+func assertSameResult(t *testing.T, label string, serial *core.Result, got *servedResult) {
 	t.Helper()
 	if got.Program != serial.Program {
 		t.Errorf("%s: Program = %q, serial %q", label, got.Program, serial.Program)
@@ -225,8 +250,8 @@ func assertSameResult(t *testing.T, label string, serial, got *core.Result) {
 	if got.Complete != serial.Complete {
 		t.Errorf("%s: Complete = %v, serial %v", label, got.Complete, serial.Complete)
 	}
-	if len(got.Bugs) != len(serial.Bugs) {
-		t.Fatalf("%s: %d bugs, serial %d", label, len(got.Bugs), len(serial.Bugs))
+	if len(got.Bugs) != len(serial.Bugs) || len(got.Traces) != len(serial.Bugs) {
+		t.Fatalf("%s: %d bugs with %d traces, serial %d", label, len(got.Bugs), len(got.Traces), len(serial.Bugs))
 	}
 	for i := range serial.Bugs {
 		s, g := serial.Bugs[i], got.Bugs[i]
@@ -235,8 +260,8 @@ func assertSameResult(t *testing.T, label string, serial, got *core.Result) {
 			t.Errorf("%s: bug %d differs:\nserial: %v (count %d, choices %q)\ngot:    %v (count %d, choices %q)",
 				label, i, s, s.Count, s.Choices, g, g.Count, g.Choices)
 		}
-		if !reflect.DeepEqual(s.Trace, g.Trace) {
-			t.Errorf("%s: bug %d trace differs (%d ops vs %d)", label, i, len(s.Trace), len(g.Trace))
+		if st, gt := s.Trace(jobTraceLen), got.Traces[i]; len(st) == 0 || !reflect.DeepEqual(st, gt) {
+			t.Errorf("%s: bug %d trace differs (%d ops vs %d)", label, i, len(st), len(gt))
 		}
 	}
 	if !reflect.DeepEqual(derefMultiRF(serial.MultiRF), derefMultiRF(got.MultiRF)) {

@@ -74,12 +74,19 @@ const (
 )
 
 // JobStatus is the poll response: GET /v1/jobs/{id}. Result is set once
-// State is JobDone; bug witnesses are reachable through Result.Bugs.
+// State is JobDone. In the served JSON each bug of the result also carries a
+// "Trace" key: the last jobTraceLen operations of its scenario, replayed by
+// the coordinator. A Go client decoding into JobStatus drops it, along with
+// the unexported replay vector — such a report prints, but cannot be
+// replayed, witnessed or minimized (core.BugReport.Trace returns nil).
 type JobStatus struct {
 	ID     string       `json:"id"`
 	State  string       `json:"state"`
 	Result *core.Result `json:"result,omitempty"`
 }
+
+// jobTraceLen is the length of the bug traces in the job API's JSON.
+const jobTraceLen = 64
 
 // Lease-request outcomes.
 const (

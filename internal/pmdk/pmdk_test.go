@@ -218,7 +218,7 @@ func TestFixedVariantsExploreClean(t *testing.T) {
 			res := core.New(prog, core.Options{}).Run()
 			if res.Buggy() {
 				t.Fatalf("fixed variant buggy: %v\nchoices: %s\ntrace tail: %v",
-					res.Bugs[0], res.Bugs[0].Choices, res.Bugs[0].Trace)
+					res.Bugs[0], res.Bugs[0].Choices, res.Bugs[0].Trace(64))
 			}
 			if !res.Complete {
 				t.Fatal("exploration incomplete")

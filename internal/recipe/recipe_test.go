@@ -2,6 +2,7 @@ package recipe
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"jaaru/internal/core"
@@ -174,7 +175,7 @@ func TestRECIPEFixedVariantsExploreClean(t *testing.T) {
 			res := core.New(prog, core.Options{}).Run()
 			if res.Buggy() {
 				t.Fatalf("fixed variant buggy: %v\nchoices: %s\ntrace: %v",
-					res.Bugs[0], res.Bugs[0].Choices, res.Bugs[0].Trace)
+					res.Bugs[0], res.Bugs[0].Choices, res.Bugs[0].Trace(64))
 			}
 			if !res.Complete {
 				t.Fatal("exploration incomplete")
@@ -260,5 +261,33 @@ func TestRECIPERegistryShape(t *testing.T) {
 		if perBench[b] != n {
 			t.Errorf("%s: %d bugs, want %d", b, perBench[b], n)
 		}
+	}
+}
+
+// TestMinimizedTraceFollowsVector: ddmin moves P-BwTree's GC atomicity bug
+// from failure point 34 to 19 (36 -> 21 decisions, EXPERIMENTS.md). A report's
+// trace is replayed from its vector, so the minimized report's trace is the
+// minimized scenario's — the tail of its Replay — not the original's.
+func TestMinimizedTraceFollowsVector(t *testing.T) {
+	prog := BwTreeWorkload(6, BwTreeBugs{GCReversedLink: true})
+	opts := core.Options{MaxSteps: 20_000, StopAtFirstBug: true}
+	res := core.New(prog, opts).Run()
+	if !res.Buggy() {
+		t.Fatal("no bug")
+	}
+	b := res.Bugs[0]
+	nb, m := core.Minimize(prog, opts, b)
+	if m.OriginalLen != 36 || m.MinimizedLen != 21 || b.Choices == nb.Choices {
+		t.Fatalf("minimization %d -> %d (%q -> %q), want 36 -> 21 with the failure point moved",
+			m.OriginalLen, m.MinimizedLen, b.Choices, nb.Choices)
+	}
+	const n = 64
+	full := core.Replay(prog, opts, nb)
+	got := nb.Trace(n)
+	if len(full) < n || !reflect.DeepEqual(got, full[len(full)-n:]) {
+		t.Errorf("minimized report's trace is not the tail of its Replay (%d ops, replay %d)", len(got), len(full))
+	}
+	if reflect.DeepEqual(got, b.Trace(n)) {
+		t.Error("minimized report still carries the un-minimized scenario's trace")
 	}
 }

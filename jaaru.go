@@ -93,7 +93,9 @@ type Options = core.Options
 // points, bugs, flagged loads, and wall-clock duration.
 type Result = core.Result
 
-// BugReport is one distinct bug manifestation.
+// BugReport is one distinct bug manifestation. It records the scenario's
+// complete choice vector, which Trace(n), Witness and Minimize re-run on
+// demand; the report itself holds no operation trace.
 type BugReport = core.BugReport
 
 // BugType classifies manifestations.
@@ -138,7 +140,9 @@ func Execute(name string, fn func(*Context), opts Options) *Result {
 	return core.Execute(name, fn, opts)
 }
 
-// TraceOp is one recorded guest operation in a replayed trace.
+// TraceOp is one recorded guest operation in a replayed trace. Exploration
+// records none: Replay returns a bug's whole scenario, BugReport.Trace(n) its
+// last n operations, each by re-running the report's choice vector.
 type TraceOp = core.TraceOp
 
 // Metrics is the observability layer's merged counter snapshot, attached
@@ -157,7 +161,9 @@ type PerfIssue = core.PerfIssue
 
 // Replay re-executes the exact failure scenario that manifested bug b —
 // program and options must match the exploration that produced it — with
-// full tracing, and returns the complete operation trace.
+// full tracing, and returns the complete operation trace. b.Trace(n) is the
+// same replay keeping the last n operations, with the program and options the
+// report remembers.
 func Replay(prog Program, opts Options, b *BugReport) []TraceOp {
 	return core.Replay(prog, opts, b)
 }

@@ -165,6 +165,10 @@ func TestPublicAPINewCheckerAndReplay(t *testing.T) {
 		t.Fatal("empty replay trace")
 	}
 	var _ jaaru.TraceOp = trace[0]
+	if tail := res.Bugs[0].Trace(2); len(trace) < 2 || len(tail) != 2 ||
+		tail[0] != trace[len(trace)-2] || tail[1] != trace[len(trace)-1] {
+		t.Errorf("BugReport.Trace(2) = %v, want the last two operations of %v", tail, trace)
+	}
 }
 
 // TestBenchmarkModuleCompiles vets the nested benchmark module against the
