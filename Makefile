@@ -34,12 +34,15 @@ test:
 # merge bit-identical to serial. The load-path dispatch equivalence
 # (TestLoadDispatchEquivalence: serial vs replay oracle vs Workers=4 over
 # every resolveLoad branch) lives in internal/core and so runs in the first
-# pass.
+# pass. The benchlist pass adds the worst-case donation schedule
+# (TestRangeDonationEquivalence: every lease split after every scenario,
+# claims and POR memos handed between two runners) and the Workers=2
+# donation-cost gate.
 race:
 	$(GO) test -race ./internal/core/ ./internal/tso/
 	$(GO) test -race ./internal/dist/ ./internal/netsim/
 	$(GO) test -race -run 'TestSnapshotEquivalence|TestPOREquivalence' .
-	$(GO) test -race -run 'TestChoiceSnapshotEquivalence' ./internal/benchlist/
+	$(GO) test -race -run 'TestChoiceSnapshotEquivalence|TestRangeDonationEquivalence|TestParallelDonationCost' ./internal/benchlist/
 
 # Allocation-regression gates: the testing.AllocsPerRun pins that keep the
 # paged-layout hot path (guest ops including the post-failure Load64 answered

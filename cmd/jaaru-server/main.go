@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	jaaru-server [-addr :8080] [-lowmark N] [-shutdown-when-done]
-//	            [-lease-scenarios N] [-max-lease-batch N] [-disable-wire-v2]
+//	jaaru-server [-addr :8080] [-shutdown-when-done] [-disable-wire-v2]
 //
 // Submit work and poll results through the job API:
 //
@@ -50,20 +49,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	lowMark := flag.Int("lowmark", 0, "frontier low-water mark below which workers are asked to donate splits (0: one per starving worker)")
 	shutdownWhenDone := flag.Bool("shutdown-when-done", false, "release the worker fleet once every submitted job is done (batch mode)")
-	leaseScenarios := flag.Int("lease-scenarios", 0, "adaptive lease sizing target: scenarios a lease batch should cover before its final commit (0: 32)")
-	maxLeaseBatch := flag.Int("max-lease-batch", 0, "hard cap on claims per lease grant (0: 16)")
 	disableWireV2 := flag.Bool("disable-wire-v2", false, "answer every worker in JSON v1 (debugging/rollback; v2 frames are still accepted)")
 	flag.Parse()
 
 	coord, err := dist.NewCoordinator(dist.Config{
-		Resolve:              resolve,
-		LowMark:              *lowMark,
-		ShutdownWhenDone:     *shutdownWhenDone,
-		TargetLeaseScenarios: *leaseScenarios,
-		MaxLeaseBatch:        *maxLeaseBatch,
-		DisableWireV2:        *disableWireV2,
+		Resolve:          resolve,
+		ShutdownWhenDone: *shutdownWhenDone,
+		DisableWireV2:    *disableWireV2,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

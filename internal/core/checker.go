@@ -137,12 +137,16 @@ type Checker struct {
 
 	// Partial-order-reduction state (por.go). porSeenSet is the fingerprint
 	// seen-set, shared across workers; porOpen the stack of subtree records
-	// still being explored; porFpActive latches per-scenario fingerprint
+	// still being explored and porPrefix the one choice vector they were
+	// opened under (records nest by prefix: record i owns
+	// porPrefix[:porOpen[i].rootDepth], and len(porPrefix) is the deepest
+	// record's rootDepth); porFpActive latches per-scenario fingerprint
 	// eligibility; porScenBase/porScenBaseSteps are the scenario baseline a
 	// crash-point prefix measurement is taken against; porFPHook is a test
 	// hook observing every fingerprint consultation.
 	porSeenSet       *porSeen
 	porOpen          []*porRecord
+	porPrefix        []choicePoint
 	porFpActive      bool
 	porScenBase      obs.CounterVec
 	porScenBaseSteps int64

@@ -45,15 +45,14 @@ type choicePoint struct {
 //
 // For parallel exploration, each point carries an exploration limit (an
 // exclusive upper bound on the options this chooser will itself visit,
-// normally n): seed claims a branch prefix whose points are all frozen at
-// their recorded option, and splitOff carves unexplored sibling options off
-// as new branch prefixes for other workers, lowering the local limit so the
-// donor never revisits them.
+// normally n): seedClaim installs a claimed vector with its limits, and split
+// carves half of the unvisited sibling options off as one claim for another
+// worker, lowering the local limits so the donor never revisits them.
 type chooser struct {
 	points []choicePoint
 	limit  []int // per-point exclusive exploration bound, limit[i] <= points[i].n
 	// aux carries the POR layer's per-point memo (failMemo for failure
-	// decisions, nil otherwise), kept in lockstep with points by seed,
+	// decisions, nil otherwise), kept in lockstep with points by seedClaim,
 	// choose and advance. A point's memo describes state that is a pure
 	// function of the choice prefix leading to it, so it stays valid for as
 	// long as the point itself survives backtracking.
@@ -78,22 +77,6 @@ type chooser struct {
 
 // begin resets the replay cursor for a fresh scenario run.
 func (ch *chooser) begin() { ch.cursor = 0 }
-
-// seed installs a claimed branch prefix: the next scenario replays exactly
-// these decisions and explores fresh points beyond them. Every prefix point
-// is frozen (limit = idx+1), so advance never backtracks into territory
-// owned by the branch's publisher.
-func (ch *chooser) seed(prefix []choicePoint) {
-	ch.points = append(ch.points[:0], prefix...)
-	ch.limit = ch.limit[:0]
-	ch.aux = ch.aux[:0]
-	for _, p := range prefix {
-		ch.limit = append(ch.limit, p.idx+1)
-		ch.aux = append(ch.aux, nil)
-	}
-	ch.cursor = 0
-	ch.stable = 0
-}
 
 // choose returns the option index for the next nondeterministic point, which
 // must present the same kind and option count on replay.
@@ -121,15 +104,15 @@ func (ch *chooser) choose(kind choiceKind, n int) int {
 	return 0
 }
 
-// seedClaim installs a claimed branch with explicit per-point exploration
-// limits and optional POR memos — the general form of seed used by
-// distributed exploration. A frozen prefix is the special case
-// limits[i] == idx+1; a residual claim requeued after a lease expiry carries
-// idx < limit[i] <= n at points whose unexplored siblings the dead worker
-// still owned, and the claimant resumes exactly there: the current vector is
-// replayed as the first scenario, then advance walks the remaining siblings.
-// Memos let the claimant's porPruneSweep re-clamp failure decisions whose
-// crash state was already published without re-deriving the fingerprint.
+// seedClaim installs a claimed branch: a choice vector with per-point
+// exploration limits and optional POR memos. nil limits freeze every point at
+// its recorded option (limit = idx+1: a replayed bug vector, and the empty
+// root claim); a donated split or a residual requeued after a lease expiry
+// carries idx < limit[i] <= n at points whose unexplored siblings come with
+// it, and the claimant resumes exactly there: the vector is replayed as the
+// first scenario, then advance walks the remaining siblings. Memos let the
+// claimant's porPruneSweep re-clamp failure decisions whose crash state was
+// already published without re-deriving the fingerprint.
 func (ch *chooser) seedClaim(prefix []choicePoint, limits []int, memos []*failMemo) {
 	ch.points = append(ch.points[:0], prefix...)
 	ch.limit = ch.limit[:0]
@@ -192,28 +175,52 @@ func (ch *chooser) advance() bool {
 	return false
 }
 
-// splitOff donates work: it finds the shallowest point with options this
-// chooser has not yet visited, returns each such option as an independent
-// branch prefix, and lowers the local limit so the donated subtrees are
-// never explored here. It returns nil when the chooser holds no splittable
-// work. Shallowest-first splitting donates the largest subtrees, the
-// standard work-stealing heuristic.
-func (ch *chooser) splitOff() []branch {
-	for d := range ch.points {
-		lo, hi := ch.points[d].idx+1, ch.limit[d]
-		if lo >= hi {
-			continue
-		}
-		out := make([]branch, 0, hi-lo)
-		for idx := lo; idx < hi; idx++ {
-			pts := append([]choicePoint(nil), ch.points[:d+1]...)
-			pts[d].idx = idx
-			out = append(out, branch{points: pts})
-		}
-		ch.limit[d] = lo
-		return out
+// split donates work: the shallow half of every sibling option this chooser
+// has not yet visited, as one claim. With open[i] = limit[i] - idx[i] - 1 and
+// T their sum, it finds the smallest depth d whose prefix sum of open reaches
+// ceil(T/2) and hands out points[:d+1] with the original limits and memos of
+// [0, d]: every open option above d, plus the last options at d down to the
+// one that completes the half, where the claim's vector starts. The local
+// limits are lowered to match (idx+1 above d, the donated boundary at d), so
+// the claim and the donor partition the donor's previous open set exactly.
+// The claimant replays that vector once and advance walks the rest, as for
+// any residual (seedClaim).
+//
+// Half of everything, not the shallowest sibling: every workload here forks
+// at each failure point of one pre-failure chain, so its tree is a comb — one
+// recovery subtree per tooth — and the shallowest point with an open option
+// is a single tooth. The shallow half is also the cheap half to enter (the
+// shortest pre-failure replay) and leaves the donor's snapshot stack, which
+// serves the deep half, untouched. A POR-clamped point (limit == idx+1) has
+// no open option and is never donated. ok is false when nothing is open.
+func (ch *chooser) split() (br branch, ok bool) {
+	total := 0
+	for i, p := range ch.points {
+		total += ch.limit[i] - p.idx - 1
 	}
-	return nil
+	if total == 0 {
+		return branch{}, false
+	}
+	need, d := (total+1)/2, 0
+	for ; ; d++ {
+		open := ch.limit[d] - ch.points[d].idx - 1
+		if open >= need {
+			break
+		}
+		need -= open
+	}
+	br = branch{
+		points: append([]choicePoint(nil), ch.points[:d+1]...),
+		limits: append([]int(nil), ch.limit[:d+1]...),
+		memos:  append([]*failMemo(nil), ch.aux[:d+1]...),
+	}
+	first := ch.limit[d] - need
+	br.points[d].idx = first
+	for i := range ch.points[:d] {
+		ch.limit[i] = ch.points[i].idx + 1
+	}
+	ch.limit[d] = first
+	return br, true
 }
 
 // describe renders the decisions of the current scenario for bug reports,

@@ -17,16 +17,16 @@ import (
 // and two workers exploring disjoint prefixes never need to communicate
 // mid-scenario. The driver here exploits that:
 //
-//   - A coordinator owns a frontier of unexplored branch prefixes
-//     (serialized []choicePoint stacks). It starts with the root (empty)
-//     prefix.
+//   - A coordinator owns a frontier of unexplored claims (choice vectors
+//     with per-point exploration limits). It starts with the root (empty)
+//     claim: the whole tree.
 //   - N workers each own a private Checker — allocator, execution stack,
-//     scheduler, chooser — and repeatedly claim a prefix,
-//     replay it, and run the subtree below it depth-first.
-//   - Whenever the frontier runs low, a worker donates the shallowest
-//     sibling options it has not yet visited as fresh prefixes
-//     (work-stealing style), lowering its local exploration limit so the
-//     donated subtrees are explored exactly once, by their claimant.
+//     scheduler, chooser — and repeatedly take a claim, replay its vector,
+//     and run the options it covers depth-first.
+//   - Whenever a worker waits on a frontier that cannot feed it, a busy
+//     worker donates the shallow half of its unvisited sibling options as
+//     one claim (chooser.split), lowering its local exploration limits so
+//     the donated options are explored exactly once, by their claimant.
 //   - Global caps (MaxScenarios, MaxBugs, StopAtFirstBug) are enforced
 //     with a shared admission counter and a cooperative stop flag.
 //
@@ -39,11 +39,16 @@ import (
 // exploration therefore produces the same Result as Workers=1, which is the
 // reference semantics.
 
-// branch is one frontier item: a fully specified prefix of choices. The
-// claimant replays the prefix verbatim and owns the entire subtree beneath
-// it (minus anything it later donates back).
+// branch is one frontier item, in the form chooser.seedClaim installs: a
+// choice vector, the per-point limits of the sibling options that come with
+// it (nil: none, every point frozen) and the POR memos of its failure
+// decisions. The claimant replays the vector and owns everything the limits
+// cover (minus anything it later donates back). The memos are shared with the
+// donor's chooser and immutable.
 type branch struct {
 	points []choicePoint
+	limits []int
+	memos  []*failMemo
 }
 
 // frontier is the shared queue of unexplored branches. pending counts
@@ -54,40 +59,37 @@ type frontier struct {
 	cond    *sync.Cond
 	items   []branch
 	pending int
+	waiting int // poppers blocked in pop
 	stopped bool
-	lowMark int // queue length below which workers should donate work
 
 	// reg receives frontier traffic counters and events (nil when the
 	// exploration is not observed).
 	reg *obs.Registry
 }
 
-func newFrontier(lowMark int, reg *obs.Registry) *frontier {
-	f := &frontier{lowMark: lowMark, reg: reg}
+func newFrontier(reg *obs.Registry) *frontier {
+	f := &frontier{reg: reg}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
 
-// push publishes branches and accounts for them as pending work. Branches
-// pushed after a stop are dropped: pop would never hand them out, and
-// counting them as pending would leave the frontier unable to report the
-// tree as drained (pending can otherwise never return to zero).
-func (f *frontier) push(bs []branch) {
-	if len(bs) == 0 {
-		return
-	}
+// push publishes a branch and accounts for it as pending work. A branch
+// pushed after a stop is dropped: pop would never hand it out, and counting
+// it as pending would leave the frontier unable to report the tree as drained
+// (pending can otherwise never return to zero).
+func (f *frontier) push(br branch) {
 	f.mu.Lock()
 	if f.stopped {
 		f.mu.Unlock()
 		return
 	}
-	f.items = append(f.items, bs...)
-	f.pending += len(bs)
+	f.items = append(f.items, br)
+	f.pending++
 	depth := len(f.items)
 	f.mu.Unlock()
 	f.cond.Broadcast()
-	f.reg.NotePush(len(bs), depth)
-	f.reg.Emit("frontier_push", "n", len(bs), "depth", depth)
+	f.reg.NotePush(1, depth)
+	f.reg.Emit("frontier_push", "n", 1, "depth", depth)
 }
 
 // pop claims a branch, blocking while the queue is empty but other workers
@@ -100,10 +102,10 @@ func (f *frontier) push(bs []branch) {
 // unsplit branch either donates (push wakes the waiters) or retires the
 // claim via finish; since finish broadcasts precisely when pending hits
 // zero, the queue-empty/pending-positive wait can never outlive the last
-// claim, regardless of how lowMark compares to the tree size. The low
-// watermark only modulates donation eagerness: a 2-scenario tree under
-// Workers=8 keeps seven workers parked until the single holder donates its
-// one sibling or drains the tree (see TestParallelSmallTreeManyWorkers).
+// claim, whatever the tree size. The waiting count only solicits donations
+// (hungry): a 2-scenario tree under Workers=8 keeps seven workers parked until
+// the single holder donates its one sibling or drains the tree (see
+// TestParallelSmallTreeManyWorkers).
 func (f *frontier) pop() (branch, bool) {
 	f.mu.Lock()
 	for {
@@ -123,7 +125,9 @@ func (f *frontier) pop() (branch, bool) {
 			f.mu.Unlock()
 			return branch{}, false
 		}
+		f.waiting++
 		f.cond.Wait()
+		f.waiting--
 	}
 }
 
@@ -138,11 +142,13 @@ func (f *frontier) finish() {
 	}
 }
 
-// hungry reports whether the queue has run low and a donation would help.
+// hungry reports whether a worker is waiting and the queue cannot feed it —
+// the one condition under which a donation helps. A claim is half the donor's
+// open work, so anything more eager (a watermark) only halves the donor again.
 func (f *frontier) hungry() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return !f.stopped && len(f.items) < f.lowMark
+	return !f.stopped && len(f.items) < f.waiting
 }
 
 // stop releases every popper; in-flight claims notice via sharedCaps.
@@ -230,9 +236,9 @@ func (c *Checker) runParallel() *Result {
 	start := time.Now()
 	nw := c.opts.Workers
 	c.reg.SetWorkers(nw)
-	f := newFrontier(2*nw, c.reg)
+	f := newFrontier(c.reg)
 	caps := newSharedCaps(c.opts, f)
-	f.push([]branch{{}}) // the root prefix: the whole tree
+	f.push(branch{}) // the root claim: the whole tree
 
 	workers := make([]*Checker, nw)
 	var wg sync.WaitGroup
@@ -295,10 +301,11 @@ func (c *Checker) workerLoop(f *frontier, caps *sharedCaps) {
 	}
 }
 
-// exploreBranch replays a claimed prefix and runs its subtree depth-first,
-// donating sibling branches whenever the frontier runs low.
+// exploreBranch replays a claimed vector and runs the options its limits
+// cover depth-first, donating half of what is still open whenever the
+// frontier is hungry.
 func (c *Checker) exploreBranch(br branch, f *frontier, caps *sharedCaps) {
-	c.chooser.seed(br.points)
+	c.chooser.seedClaim(br.points, br.limits, br.memos)
 	for {
 		if !caps.admit() {
 			c.porAbandon()
@@ -322,15 +329,15 @@ func (c *Checker) exploreBranch(br branch, f *frontier, caps *sharedCaps) {
 			return
 		}
 		for f.hungry() {
-			bs := c.chooser.splitOff()
-			if len(bs) == 0 {
+			don, ok := c.chooser.split()
+			if !ok {
 				break
 			}
-			// A record rooted at or above the donated point no longer covers
-			// its whole subtree locally; its delta must not be published.
-			c.porCancelBelow(len(bs[0].points))
-			c.reg.NoteDonation(len(bs))
-			f.push(bs)
+			// A record rooted at or above the deepest donated point no longer
+			// covers its whole subtree locally; its delta must not be published.
+			c.porCancelBelow(len(don.points))
+			c.reg.NoteDonation(1)
+			f.push(don)
 		}
 		if !c.chooser.advance() {
 			c.porFlush()

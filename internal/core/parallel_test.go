@@ -1,82 +1,254 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"math/bits"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"jaaru/internal/obs"
 )
 
 func timeNowForTest() time.Time { return time.Now() }
 
 // ---- chooser splitting -------------------------------------------------------
 
-// TestSplitOffPartitionsTree drives one chooser over a fixed shape while
-// repeatedly splitting off siblings, then explores every donated branch
-// with a second chooser: together they must cover the full tree exactly
-// once.
-func TestSplitOffPartitionsTree(t *testing.T) {
-	shape := []int{2, 3, 2} // 12 leaves
-	visit := func(ch *chooser) [3]int {
-		ch.begin()
-		var leaf [3]int
-		for i, n := range shape {
-			leaf[i] = ch.choose(chooseReadFrom, n)
-		}
-		return leaf
+// open counts the sibling options a chooser has not yet visited.
+func (ch *chooser) open() int {
+	total := 0
+	for i, p := range ch.points {
+		total += ch.limit[i] - p.idx - 1
 	}
+	return total
+}
 
-	seen := make(map[[3]int]int)
-	var donated []branch
-
-	main := &chooser{}
-	main.seed(nil)
+// claimLeaves seeds a fresh chooser with br and explores it to exhaustion on
+// a synthetic tree whose level k presents shape[k] (kind and option count):
+// it returns how often each leaf — a full choice vector — was visited.
+func claimLeaves(shape []choicePoint, br branch) map[string]int {
+	ch := &chooser{}
+	ch.seedClaim(br.points, br.limits, br.memos)
+	seen := make(map[string]int)
 	for {
-		seen[visit(main)]++
-		donated = append(donated, main.splitOff()...)
-		if !main.advance() {
-			break
+		ch.begin()
+		leaf := make([]byte, len(shape))
+		for k, p := range shape {
+			leaf[k] = byte('0' + ch.choose(p.kind, p.n))
 		}
-	}
-	for len(donated) > 0 {
-		br := donated[0]
-		donated = donated[1:]
-		w := &chooser{}
-		w.seed(br.points)
-		for {
-			seen[visit(w)]++
-			donated = append(donated, w.splitOff()...)
-			if !w.advance() {
-				break
-			}
-		}
-	}
-
-	if len(seen) != 12 {
-		t.Fatalf("covered %d leaves, want 12", len(seen))
-	}
-	for leaf, n := range seen {
-		if n != 1 {
-			t.Errorf("leaf %v visited %d times", leaf, n)
+		seen[string(leaf)]++
+		if !ch.advance() {
+			return seen
 		}
 	}
 }
 
-// TestSplitOffNothingToDonate: a chooser at its last branch has no work to
-// give away.
-func TestSplitOffNothingToDonate(t *testing.T) {
-	ch := &chooser{}
-	ch.seed([]choicePoint{{kind: chooseFail, n: 2, idx: 1}})
-	if bs := ch.splitOff(); bs != nil {
-		t.Fatalf("splitOff on a frozen prefix donated %v", bs)
+// TestSplitPartitionsOpenSet is the partition property of chooser.split over
+// random chooser states — partial limits, POR-clamped fail decisions, memos,
+// points with more than two options: the donated claim and the donor's
+// lowered limits cover the donor's previous leaves exactly once between them,
+// the claim takes ceil(T/2) of the T open options, and it survives both wire
+// codecs into seedClaim unchanged.
+func TestSplitPartitionsOpenSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5917))
+	kinds := []choiceKind{chooseFail, chooseFail, chooseReadFrom, chooseEvict}
+	for iter := 0; iter < 500; iter++ {
+		// The tree: up to 14 levels, at most 4096 leaves (levels past the cap
+		// present a single option), in random order.
+		shape := make([]choicePoint, 1+rng.Intn(14))
+		leaves := 1
+		for k := range shape {
+			kind := kinds[rng.Intn(len(kinds))]
+			n := 2
+			if kind != chooseFail {
+				n = 1 + rng.Intn(5)
+			}
+			if leaves*n > 4096 {
+				kind, n = chooseReadFrom, 1
+			}
+			leaves *= n
+			shape[k] = choicePoint{kind: kind, n: n}
+		}
+		rng.Shuffle(len(shape), func(a, b int) { shape[a], shape[b] = shape[b], shape[a] })
+
+		// The donor: a random claim over the first depth <= 12 levels.
+		depth := rng.Intn(min(12, len(shape)) + 1)
+		before := branch{
+			points: append([]choicePoint(nil), shape[:depth]...),
+			limits: make([]int, depth),
+			memos:  make([]*failMemo, depth),
+		}
+		for i := range before.points {
+			p := &before.points[i]
+			p.idx = rng.Intn(p.n)
+			before.limits[i] = p.idx + 1 + rng.Intn(p.n-p.idx)
+			if p.kind == chooseFail {
+				if p.idx == 0 && rng.Intn(3) == 0 {
+					before.limits[i] = 1 // POR clamp: the sibling is accounted, never donated
+				}
+				if rng.Intn(2) == 0 {
+					before.memos[i] = &failMemo{fp: rng.Uint64(), steps: rng.Int63n(1 << 20)}
+					before.memos[i].vec[obs.Steps] = rng.Int63n(10000)
+				}
+			}
+		}
+		want := claimLeaves(shape, before)
+
+		donor := &chooser{}
+		donor.seedClaim(before.points, before.limits, before.memos)
+		total := donor.open()
+		don, ok := donor.split()
+		if ok != (total > 0) {
+			t.Fatalf("iter %d: split ok = %v with %d open options", iter, ok, total)
+		}
+		if !ok {
+			continue
+		}
+		d := len(don.points) - 1
+		claim := &chooser{}
+		claim.seedClaim(don.points, don.limits, don.memos)
+		// The claim's own vector is one of the donated options.
+		if got, half := claim.open()+1, (total+1)/2; got != half || donor.open() != total-half {
+			t.Fatalf("iter %d: donated %d of %d open options, donor keeps %d; want %d and %d",
+				iter, got, total, donor.open(), half, total-half)
+		}
+		for i := range don.points {
+			if don.limits[i] != before.limits[i] || don.memos[i] != before.memos[i] {
+				t.Fatalf("iter %d: claim point %d carries limit %d memo %p, donor had %d %p",
+					iter, i, don.limits[i], don.memos[i], before.limits[i], before.memos[i])
+			}
+			if i < d && donor.limit[i] != donor.points[i].idx+1 {
+				t.Fatalf("iter %d: donor keeps open options at depth %d above the split depth %d", iter, i, d)
+			}
+		}
+
+		// Through both codecs and back into a chooser.
+		w := encodeClaim(don.points, don.limits, don.memos)
+		data, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v1 WireClaim
+		if err := json.Unmarshal(data, &v1); err != nil {
+			t.Fatal(err)
+		}
+		e := NewWireEncoder(nil)
+		e.Claim(w)
+		dec := NewWireDecoder(e.Bytes())
+		v2 := dec.Claim()
+		if err := dec.Done(); err != nil {
+			t.Fatalf("iter %d: v2 decode: %v", iter, err)
+		}
+		kept := claimLeaves(shape, branch{donor.points, donor.limit, donor.aux})
+		for codec, wc := range map[string]WireClaim{"v1": v1, "v2": v2} {
+			pts, limits, memos, err := wc.compile()
+			if err != nil {
+				t.Fatalf("iter %d: %s compile: %v", iter, codec, err)
+			}
+			if !reflect.DeepEqual(memos, don.memos) && !(memos == nil && allNil(don.memos)) {
+				t.Fatalf("iter %d: %s memos differ:\nwant %v\ngot  %v", iter, codec, don.memos, memos)
+			}
+			given := claimLeaves(shape, branch{pts, limits, memos})
+			if len(given)+len(kept) != len(want) {
+				t.Fatalf("iter %d (%s): claim covers %d leaves and the donor %d, together not the previous %d",
+					iter, codec, len(given), len(kept), len(want))
+			}
+			for _, part := range []map[string]int{given, kept} {
+				for leaf, n := range part {
+					if n != 1 || want[leaf] != 1 {
+						t.Fatalf("iter %d (%s): leaf %s visited %d times (donor before the split: %d)",
+							iter, codec, leaf, n, want[leaf])
+					}
+				}
+			}
+			for leaf := range given {
+				if kept[leaf] != 0 {
+					t.Fatalf("iter %d (%s): leaf %s is in the claim and still with the donor", iter, codec, leaf)
+				}
+			}
+		}
+	}
+}
+
+func allNil(memos []*failMemo) bool {
+	for _, m := range memos {
+		if m != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSplitDrainsCombLogarithmically: the exploration tree of a guest with
+// one failure-point chain is a comb — one recovery subtree (here: one rf
+// point) per failure point. Two workers of unequal speed share a 600-tooth
+// comb, the idle one always hungry: every leaf is visited once, and because a
+// donation is half the donor's open options, each worker donates O(log n)
+// times. Donating the shallowest open sibling — one tooth — took O(n).
+func TestSplitDrainsCombLogarithmically(t *testing.T) {
+	const teeth = 600
+	seen := make(map[string]int)
+	visit := func(ch *chooser) {
+		ch.begin()
+		for k := 0; k < teeth; k++ {
+			if ch.choose(chooseFail, 2) == 1 {
+				seen[fmt.Sprintf("%d/%d", k, ch.choose(chooseReadFrom, 2))]++
+				return
+			}
+		}
+		seen["end"]++
+	}
+	type worker struct {
+		ch        *chooser // nil: idle, asking for work
+		speed     int      // scenarios per round
+		donations int
+	}
+	ws := []*worker{{ch: &chooser{}, speed: 1}, {speed: 3}}
+	for rounds := 0; ws[0].ch != nil || ws[1].ch != nil; rounds++ {
+		if rounds > 4*teeth {
+			t.Fatal("the comb did not drain")
+		}
+		for i, w := range ws {
+			for n := 0; n < w.speed && w.ch != nil; n++ {
+				visit(w.ch)
+				if peer := ws[1-i]; peer.ch == nil {
+					if don, ok := w.ch.split(); ok {
+						w.donations++
+						peer.ch = &chooser{}
+						peer.ch.seedClaim(don.points, don.limits, don.memos)
+					}
+				}
+				if !w.ch.advance() {
+					w.ch = nil
+				}
+			}
+		}
+	}
+	if len(seen) != 2*teeth+1 {
+		t.Errorf("visited %d distinct leaves, want %d", len(seen), 2*teeth+1)
+	}
+	for leaf, n := range seen {
+		if n != 1 {
+			t.Errorf("leaf %s visited %d times", leaf, n)
+		}
+	}
+	bound := 2 * bits.Len(teeth)
+	for i, w := range ws {
+		t.Logf("worker %d (speed %d): %d donations", i, w.speed, w.donations)
+		if w.donations > bound {
+			t.Errorf("worker %d donated %d times on a %d-tooth comb, want <= %d", i, w.donations, teeth, bound)
+		}
 	}
 }
 
 // ---- frontier ---------------------------------------------------------------
 
 func TestFrontierDrainsAndReleases(t *testing.T) {
-	f := newFrontier(4, nil)
-	f.push([]branch{{}})
+	f := newFrontier(nil)
+	f.push(branch{})
 	br, ok := f.pop()
 	if !ok || br.points != nil {
 		t.Fatalf("pop = %v, %v", br, ok)
@@ -237,7 +409,7 @@ func TestParallelStopAtFirstBug(t *testing.T) {
 // truncated, instead of crashing the whole exploration.
 func TestParallelEngineBugGuard(t *testing.T) {
 	c := New(parallelTreeProgram(), Options{})
-	f := newFrontier(0, nil) // never hungry: no donations from this claim
+	f := newFrontier(nil) // nobody waits on it: no donations from this claim
 	caps := newSharedCaps(c.opts, f)
 	// The program's first choice point is fail/2; this prefix claims to
 	// have recorded rf/7 there.
@@ -281,7 +453,7 @@ func TestWorkersDefaultsToSerial(t *testing.T) {
 // ---- distributed-era regression tests ----------------------------------------
 
 // TestParallelSmallTreeManyWorkers: many more workers than scenarios. The
-// frontier's refill path (pop's hungry/lowMark interplay) must not stall
+// frontier's refill path (pop's wait and the donations it solicits) must not stall
 // when the tree is exhausted before most workers ever receive a branch: pop
 // blocks only while claims are outstanding (pending > 0) and every consumer
 // is released by the final finish broadcast. Regression test for the
@@ -314,7 +486,7 @@ func TestParallelSmallTreeManyWorkers(t *testing.T) {
 // accounting. Run under -race: this is the contract documented on noteBug
 // and mirrored by the distributed coordinator's commit handler.
 func TestSharedCapsConcurrentSameBug(t *testing.T) {
-	caps := newSharedCaps(Options{StopAtFirstBug: true}.withDefaults(), newFrontier(0, nil))
+	caps := newSharedCaps(Options{StopAtFirstBug: true}.withDefaults(), newFrontier(nil))
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -336,7 +508,7 @@ func TestSharedCapsConcurrentSameBug(t *testing.T) {
 	// Duplicates must not inflate the MaxBugs count either: 16×200 reports
 	// of one key stay one bug, below a cap of 2; the second distinct key
 	// reaches it.
-	caps = newSharedCaps(Options{MaxBugs: 2}.withDefaults(), newFrontier(0, nil))
+	caps = newSharedCaps(Options{MaxBugs: 2}.withDefaults(), newFrontier(nil))
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {

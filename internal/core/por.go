@@ -27,7 +27,7 @@ import (
 //     to Jaaru's persistency semantics: the "transitions" are read-from
 //     picks, and same-value picks are mutually non-conflicting. Because the
 //     pruned siblings never enter the choice stack at all, the parallel
-//     frontier can never enqueue a pruned prefix — splitOff only donates
+//     frontier can never enqueue a pruned prefix — split only donates
 //     recorded points.
 //
 //   - Post-failure state fingerprinting (porCrashCheck): at the first visit
@@ -206,8 +206,7 @@ type porDelta struct {
 // porRecord tracks an open (still-exploring) subtree.
 type porRecord struct {
 	fp        uint64
-	rootDepth int
-	prefix    []choicePoint
+	rootDepth int // the subtree's prefix is Checker.porPrefix[:rootDepth]
 
 	openVec      obs.CounterVec
 	prefixVec    obs.CounterVec // owner prefix contribution, cleared
@@ -318,7 +317,7 @@ func (c *Checker) porNoteFailPoint() {
 // porPruneSweep clamps failure decisions whose crash subtree is already
 // proven equivalent to an explored one: a fail point still on its continue
 // option whose memoized fingerprint has a published delta gets its
-// exploration limit lowered to 1, so advance never flips it and splitOff
+// exploration limit lowered to 1, so advance never flips it and split
 // never donates it — the subtree's K scenarios are accounted analytically
 // without running a single one. This is what turns a fingerprint hit from a
 // "cheap scenario" (crash-time hits still pay one prefix replay each) into
@@ -361,16 +360,27 @@ func (c *Checker) porPruneSweep() {
 // counted the scenario being started, which is not part of any closing
 // subtree.
 func (c *Checker) porSync() {
+	pts := c.chooser.points
 	for i := len(c.porOpen) - 1; i >= 0; i-- {
 		r := c.porOpen[i]
-		pts := c.chooser.points
-		if r.rootDepth <= len(pts) && slices.Equal(r.prefix, pts[:r.rootDepth]) {
+		if r.rootDepth <= len(pts) && slices.Equal(c.porPrefix[:r.rootDepth], pts[:r.rootDepth]) {
 			break
 		}
 		c.porClose(r, true)
-		c.porOpen[i] = nil
-		c.porOpen = c.porOpen[:i]
+		c.porDrop(i)
 	}
+}
+
+// porDrop cuts the record stack down to its n shallowest records, and the
+// shared prefix with it.
+func (c *Checker) porDrop(n int) {
+	clear(c.porOpen[n:])
+	c.porOpen = c.porOpen[:n]
+	depth := 0
+	if n > 0 {
+		depth = c.porOpen[n-1].rootDepth
+	}
+	c.porPrefix = c.porPrefix[:depth]
 }
 
 // porFlush closes every open record — the exploration (or claimed branch)
@@ -378,19 +388,13 @@ func (c *Checker) porSync() {
 func (c *Checker) porFlush() {
 	for i := len(c.porOpen) - 1; i >= 0; i-- {
 		c.porClose(c.porOpen[i], false)
-		c.porOpen[i] = nil
 	}
-	c.porOpen = c.porOpen[:0]
+	c.porDrop(0)
 }
 
 // porAbandon voids and drops every open record (a cap truncated the subtree,
 // or an engine panic made its statistics unreliable).
-func (c *Checker) porAbandon() {
-	for i := range c.porOpen {
-		c.porOpen[i] = nil
-	}
-	c.porOpen = c.porOpen[:0]
-}
+func (c *Checker) porAbandon() { c.porDrop(0) }
 
 // porCancelBelow voids open records whose subtree a donation carved work out
 // of: a record rooted at or above the donated point no longer covers its
@@ -452,13 +456,16 @@ func (c *Checker) porCrashCheck() bool {
 }
 
 // porOpenRecord opens a subtree record at a first-visit crash point,
-// measuring the owner scenario's own prefix contribution.
+// measuring the owner scenario's own prefix contribution. Every record still
+// open is a prefix of the current vector (porSync ran at scenario start), so
+// porPrefix already holds the decisions up to the record below; this one adds
+// the decisions since.
 func (c *Checker) porOpenRecord(fp uint64) {
 	c.foldChooserStats()
+	c.porPrefix = append(c.porPrefix, c.chooser.points[len(c.porPrefix):c.chooser.cursor]...)
 	r := &porRecord{
 		fp:          fp,
 		rootDepth:   c.chooser.cursor,
-		prefix:      append([]choicePoint(nil), c.chooser.points...),
 		openSteps:   c.totalSteps,
 		prefixSteps: c.totalSteps - c.porScenBaseSteps,
 		baseScen:    c.scenarios - 1, // exclude the root scenario: the delta includes it

@@ -24,7 +24,7 @@ func newReplayChecker(prog Program, opts Options, prefix []choicePoint, ring int
 	if ring > 0 {
 		c.trace = newTraceRing(ring)
 	}
-	c.chooser.seed(prefix)
+	c.chooser.seedClaim(prefix, nil, nil)
 	c.scenarios = 1
 	return c
 }

@@ -68,3 +68,41 @@ func TestSnapshotBytesPerCapture(t *testing.T) {
 		t.Errorf("%d bytes allocated per snapshot capture, want <= %d", per, maxBytes)
 	}
 }
+
+// TestPORRecordMemoryLinear is the same gate for the POR layer's open subtree
+// records. The guest persists one fresh counter value per step, so no two
+// crash states are equivalent: every failure point opens a record, rooted as
+// deep as the failure-point chain is long. A record that carries its own copy
+// of the choice prefix makes the bytes allocated quadratic in the step count;
+// with one prefix shared by the record stack, doubling the steps must at most
+// roughly double them.
+func TestPORRecordMemoryLinear(t *testing.T) {
+	const steps, maxGrowth = 1000, 2.2
+	run := func(steps int) uint64 {
+		prog := core.Program{
+			Name: "por-chain",
+			Run: func(c *core.Context) {
+				for i := 1; i <= steps; i++ {
+					c.Store64(c.Root(), uint64(i))
+					c.Clflush(c.Root(), 8)
+				}
+			},
+			Recover: func(c *core.Context) { _ = c.Load64(c.Root()) },
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := core.New(prog, core.Options{Observe: true}).Run()
+		runtime.ReadMemStats(&after)
+		if res.Buggy() || !res.Complete || res.Metrics.FingerprintMisses < int64(steps) {
+			t.Fatalf("steps=%d: unexpected result: complete=%v bugs=%v records=%d",
+				steps, res.Complete, res.Bugs, res.Metrics.FingerprintMisses)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	a1, a2 := run(steps), run(2*steps)
+	t.Logf("steps %d -> %d: allocated %d -> %d bytes", steps, 2*steps, a1, a2)
+	if g := float64(a2) / float64(a1); g > maxGrowth {
+		t.Errorf("bytes allocated grew %.2fx for a 2x workload, want <= %.1fx", g, maxGrowth)
+	}
+}

@@ -315,6 +315,13 @@ func (c *Checker) captureSnap(kind snapKind) {
 	if n := len(c.snaps); n > 0 && depth <= c.snaps[n-1].depth {
 		return
 	}
+	if ch := c.chooser; kind == fpSnap && depth < len(ch.points) && ch.limit[depth] == 1 {
+		// Replaying a claimed vector through a failure decision frozen on
+		// "continue" — its crash subtree was donated elsewhere or pruned — so
+		// no vector of this claim ever fails here and the entry would never
+		// be restored.
+		return
+	}
 	s := c.getSnapEntry()
 	s.kind = kind
 	s.depth = depth

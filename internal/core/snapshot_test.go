@@ -115,6 +115,16 @@ func snapTestChecker(t *testing.T, opts Options) *Checker {
 	return c
 }
 
+// seedOpen installs pts as the chooser's vector with every sibling option
+// still open, as after a fresh pass.
+func seedOpen(ch *chooser, pts []choicePoint) {
+	limits := make([]int, len(pts))
+	for i, p := range pts {
+		limits[i] = p.n
+	}
+	ch.seedClaim(pts, limits, nil)
+}
+
 // captureAlong replays a capture pass over the chooser's current vector: one
 // entry of the given kind at each listed cursor, shallowest first.
 func captureAlong(c *Checker, kind snapKind, cursors ...int) {
@@ -131,7 +141,7 @@ func captureAlong(c *Checker, kind snapKind, cursors ...int) {
 func TestSnapshotStalePrefixPruned(t *testing.T) {
 	c := snapTestChecker(t, Options{})
 	// Capture pass: both failure points continued; one entry before each.
-	c.chooser.points = failPts(0, 0)
+	seedOpen(c.chooser, failPts(0, 0))
 	captureAlong(c, fpSnap, 0, 1)
 	if len(c.snaps) != 2 || len(c.snapPrefix) != 1 {
 		t.Fatalf("capture pass left %d entries over a %d-point prefix, want 2 over 1",
@@ -168,7 +178,7 @@ func TestSnapshotStalePrefixPruned(t *testing.T) {
 // top entry's depth (a restored prefix) must not duplicate the entry.
 func TestSnapshotCaptureDepthGuard(t *testing.T) {
 	c := snapTestChecker(t, Options{Observe: true})
-	c.chooser.points = failPts(0, 0, 0)
+	seedOpen(c.chooser, failPts(0, 0, 0))
 	captureAlong(c, fpSnap, 2, 2) // same cursor twice: must dedup
 	if len(c.snaps) != 1 {
 		t.Fatalf("duplicate capture: %d entries", len(c.snaps))
@@ -186,6 +196,23 @@ func TestSnapshotCaptureDepthGuard(t *testing.T) {
 	}
 	if got := c.col.Counters()[obs.SnapshotCaptures]; got != 2 {
 		t.Errorf("SnapshotCaptures = %d, want 2", got)
+	}
+}
+
+// TestSnapshotSkipsFrozenContinue: replaying a claimed vector, a failure
+// decision frozen on "continue" (limit 1: its crash subtree was donated
+// elsewhere or pruned) gets no entry — no vector of the claim fails there, so
+// nothing would ever restore it. Open decisions and the one the vector fails
+// at still do.
+func TestSnapshotSkipsFrozenContinue(t *testing.T) {
+	c := snapTestChecker(t, Options{})
+	c.chooser.seedClaim(failPts(0, 0, 0, 1), []int{1, 2, 1, 2}, nil)
+	captureAlong(c, fpSnap, 0, 1, 2, 3)
+	if len(c.snaps) != 2 || c.snaps[0].depth != 1 || c.snaps[1].depth != 3 {
+		t.Fatalf("captured %d entries, want one at the open decision (depth 1) and one at the crash (depth 3)", len(c.snaps))
+	}
+	if len(c.snapPrefix) != 3 {
+		t.Errorf("shared prefix holds %d decisions, want the top entry's depth 3", len(c.snapPrefix))
 	}
 }
 

@@ -68,10 +68,11 @@ type WireMemo struct {
 	Vec   []int64 `json:"vec,omitempty"`
 }
 
-// WireClaim is a unit of leased work: a choice prefix with per-point
-// exploration limits. Limits == nil means a frozen prefix (every point fixed
-// at its recorded option — the shape of donated splits); a residual claim
-// carries Idx < Limits[i] <= N at points whose siblings remain unexplored.
+// WireClaim is a unit of leased work: a choice vector with per-point
+// exploration limits. Limits == nil means a frozen vector (every point fixed
+// at its recorded option — the empty root claim is the one such claim in
+// use); a donated split or a residual carries Idx < Limits[i] <= N at points
+// whose sibling options come with it.
 type WireClaim struct {
 	Points []WirePoint `json:"points,omitempty"`
 	Limits []int       `json:"limits,omitempty"`
@@ -103,19 +104,27 @@ func encodePoints(pts []choicePoint) []WirePoint {
 	return out
 }
 
+// validate checks one wire point: a known kind and 0 <= Idx < N.
+func (wp WirePoint) validate(i int) error {
+	if _, ok := kindFromName(wp.Kind); !ok {
+		return fmt.Errorf("point %d: unknown kind %q", i, wp.Kind)
+	}
+	if wp.N <= 0 || wp.Idx < 0 || wp.Idx >= wp.N {
+		return fmt.Errorf("point %d: idx %d out of range [0,%d)", i, wp.Idx, wp.N)
+	}
+	return nil
+}
+
 func compilePoints(wps []WirePoint) ([]choicePoint, error) {
 	if len(wps) == 0 {
 		return nil, nil
 	}
 	out := make([]choicePoint, len(wps))
 	for i, wp := range wps {
-		k, ok := kindFromName(wp.Kind)
-		if !ok {
-			return nil, fmt.Errorf("point %d: unknown kind %q", i, wp.Kind)
+		if err := wp.validate(i); err != nil {
+			return nil, err
 		}
-		if wp.N <= 0 || wp.Idx < 0 || wp.Idx >= wp.N {
-			return nil, fmt.Errorf("point %d: idx %d out of range [0,%d)", i, wp.Idx, wp.N)
-		}
+		k, _ := kindFromName(wp.Kind)
 		out[i] = choicePoint{kind: k, n: wp.N, idx: wp.Idx}
 	}
 	return out, nil
@@ -147,58 +156,67 @@ func encodeClaim(pts []choicePoint, limits []int, memos []*failMemo) WireClaim {
 	return w
 }
 
-// encodeFrozenClaim serializes a donated branch prefix (every point frozen).
-func encodeFrozenClaim(pts []choicePoint) WireClaim {
-	return WireClaim{Points: encodePoints(pts)}
-}
-
 // compile validates the claim and lowers it to chooser form.
 func (w WireClaim) compile() (pts []choicePoint, limits []int, memos []*failMemo, err error) {
-	pts, err = compilePoints(w.Points)
-	if err != nil {
+	if err := w.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
+	pts, _ = compilePoints(w.Points)
 	if w.Limits != nil {
-		if len(w.Limits) != len(w.Points) {
-			return nil, nil, nil, fmt.Errorf("claim has %d limits for %d points", len(w.Limits), len(w.Points))
-		}
 		limits = append([]int(nil), w.Limits...)
-		for i, lim := range limits {
-			if lim <= pts[i].idx || lim > pts[i].n {
-				return nil, nil, nil, fmt.Errorf("point %d: limit %d out of range (%d,%d]", i, lim, pts[i].idx, pts[i].n)
-			}
-		}
 	}
 	if w.Memos != nil {
-		if len(w.Memos) != len(w.Points) {
-			return nil, nil, nil, fmt.Errorf("claim has %d memos for %d points", len(w.Memos), len(w.Points))
-		}
 		memos = make([]*failMemo, len(w.Memos))
 		for i, wm := range w.Memos {
 			if wm == nil {
 				continue
 			}
-			if pts[i].kind != chooseFail {
-				return nil, nil, nil, fmt.Errorf("point %d: memo on non-fail point", i)
-			}
-			m := &failMemo{fp: wm.FP, steps: wm.Steps}
+			memos[i] = &failMemo{fp: wm.FP, steps: wm.Steps}
 			if wm.Vec != nil {
-				vec, ok := vecFromSlice(wm.Vec)
-				if !ok {
-					return nil, nil, nil, fmt.Errorf("point %d: memo vec has %d counters", i, len(wm.Vec))
-				}
-				m.vec = vec
+				memos[i].vec, _ = vecFromSlice(wm.Vec)
 			}
-			memos[i] = m
 		}
 	}
 	return pts, limits, memos, nil
 }
 
-// Validate reports whether the claim is well-formed (decodable).
+// Validate reports whether the claim is well-formed (decodable). It checks
+// the wire form in place and allocates nothing on a valid claim: the
+// coordinator calls it on every split and residual of every commit, and a
+// residual is as deep as the guest's failure-point chain.
 func (w WireClaim) Validate() error {
-	_, _, _, err := w.compile()
-	return err
+	for i, wp := range w.Points {
+		if err := wp.validate(i); err != nil {
+			return err
+		}
+	}
+	if w.Limits != nil {
+		if len(w.Limits) != len(w.Points) {
+			return fmt.Errorf("claim has %d limits for %d points", len(w.Limits), len(w.Points))
+		}
+		for i, lim := range w.Limits {
+			if p := w.Points[i]; lim <= p.Idx || lim > p.N {
+				return fmt.Errorf("point %d: limit %d out of range (%d,%d]", i, lim, p.Idx, p.N)
+			}
+		}
+	}
+	if w.Memos != nil {
+		if len(w.Memos) != len(w.Points) {
+			return fmt.Errorf("claim has %d memos for %d points", len(w.Memos), len(w.Points))
+		}
+		for i, wm := range w.Memos {
+			if wm == nil {
+				continue
+			}
+			if w.Points[i].Kind != kindName(chooseFail) {
+				return fmt.Errorf("point %d: memo on non-fail point", i)
+			}
+			if wm.Vec != nil && len(wm.Vec) != obs.NumCounters {
+				return fmt.Errorf("point %d: memo vec has %d counters", i, len(wm.Vec))
+			}
+		}
+	}
+	return nil
 }
 
 // WireBug is a BugReport in wire form, including the replay vector so the
@@ -839,18 +857,13 @@ func (lr *LeaseRunner) AbsorbPor(entries []WirePorEntry) error {
 // checker across claimed branches, re-seeding the chooser per branch — with
 // the frontier and caps replaced by the coordinator behind the sink.
 func (lr *LeaseRunner) RunLease(claims []WireClaim, sink LeaseSink) error {
-	type compiledClaim struct {
-		pts    []choicePoint
-		limits []int
-		memos  []*failMemo
-	}
-	comp := make([]compiledClaim, len(claims))
+	comp := make([]branch, len(claims))
 	for i := range claims {
 		pts, limits, memos, err := claims[i].compile()
 		if err != nil {
 			return err
 		}
-		comp[i] = compiledClaim{pts, limits, memos}
+		comp[i] = branch{pts, limits, memos}
 	}
 	c := New(lr.prog, lr.opts)
 	if lr.seen != nil {
@@ -871,7 +884,7 @@ func (lr *LeaseRunner) RunLease(claims []WireClaim, sink LeaseSink) error {
 	for ci := range comp {
 		cl := comp[ci]
 		pending := claims[ci+1:] // untouched claims, owed back in residuals
-		c.chooser.seedClaim(cl.pts, cl.limits, cl.memos)
+		c.chooser.seedClaim(cl.points, cl.limits, cl.memos)
 		for claimDone := false; !claimDone; {
 			if sink.Stopped() {
 				c.porAbandon()
@@ -889,7 +902,7 @@ func (lr *LeaseRunner) RunLease(claims []WireClaim, sink LeaseSink) error {
 				return commit(nil, append([]WireClaim{encodeClaim(rp, rl, rm)}, pending...), true)
 			}
 			c.scenarios++
-			if !c.runScenarioGuarded(cl.pts) {
+			if !c.runScenarioGuarded(cl.points) {
 				// Engine panic: this claim's subtree is unreliable.
 				// recordEngineBug marked the stats truncated; drop the claim's
 				// remainder (requeueing it would crash-loop every future
@@ -900,15 +913,12 @@ func (lr *LeaseRunner) RunLease(claims []WireClaim, sink LeaseSink) error {
 			}
 			var splits []WireClaim
 			if sink.Hungry() {
-				// One donation round per scenario: Hungry is a stale hint
-				// refreshed by the commit below, unlike the in-process loop
-				// which can re-consult the live frontier.
-				bs := c.chooser.splitOff()
-				if len(bs) > 0 {
-					c.porCancelBelow(len(bs[0].points))
-					for _, b := range bs {
-						splits = append(splits, encodeFrozenClaim(b.points))
-					}
+				// One donation round — one claim — per scenario: Hungry is a
+				// stale hint refreshed by the commit below, unlike the in-process
+				// loop which can re-consult the live frontier.
+				if don, ok := c.chooser.split(); ok {
+					c.porCancelBelow(len(don.points))
+					splits = []WireClaim{encodeClaim(don.points, don.limits, don.memos)}
 				}
 			}
 			claimDone = !c.chooser.advance()

@@ -131,9 +131,40 @@ func TestWireClaimCompileRejectsMalformed(t *testing.T) {
 		{"memo vec length", WireClaim{Points: []WirePoint{{Kind: "fail", N: 2, Idx: 0}}, Memos: []*WireMemo{{FP: 1, Vec: []int64{1, 2}}}}},
 	}
 	for _, tc := range cases {
-		if err := tc.w.Validate(); err == nil {
-			t.Errorf("%s: compiled without error", tc.name)
+		err := tc.w.Validate()
+		if err == nil {
+			t.Errorf("%s: validated without error", tc.name)
+			continue
 		}
+		if _, _, _, cerr := tc.w.compile(); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("%s: compile error %v, Validate %v", tc.name, cerr, err)
+		}
+	}
+}
+
+// TestWireClaimValidateAllocFree: the coordinator validates every split and
+// residual of every commit, and a residual is as deep as the guest's
+// failure-point chain — validation must check the wire form where it lies,
+// not build the compiled claim and drop it.
+func TestWireClaimValidateAllocFree(t *testing.T) {
+	const depth = 600
+	pts := make([]choicePoint, depth)
+	limits := make([]int, depth)
+	memos := make([]*failMemo, depth)
+	for i := range pts {
+		pts[i] = choicePoint{kind: chooseFail, n: 2}
+		limits[i] = 1 + i%2
+		memos[i] = &failMemo{fp: uint64(i), steps: int64(i)}
+		memos[i].vec[obs.Steps] = int64(i)
+	}
+	pts[depth-1] = choicePoint{kind: chooseReadFrom, n: 4, idx: 1}
+	limits[depth-1], memos[depth-1] = 3, nil
+	w := encodeClaim(pts, limits, memos)
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = w.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %.0f times on a %d-point claim, want 0", n, depth)
 	}
 }
 
@@ -162,7 +193,7 @@ func TestWireGoldenFixture(t *testing.T) {
 		Por    []WirePorEntry `json:"por"`
 	}{
 		Claim:  encodeClaim(pts, limits, memos),
-		Frozen: encodeFrozenClaim(pts[:2]),
+		Frozen: encodeClaim(pts[:2], nil, nil),
 		Stats: WireStats{
 			Scenarios:  7,
 			ExecsPost:  7,

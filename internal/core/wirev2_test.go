@@ -419,7 +419,7 @@ func TestWireV2GoldenFixture(t *testing.T) {
 	e := NewWireEncoder(nil)
 	e.Claims([]WireClaim{
 		encodeClaim(pts, limits, memos),
-		encodeFrozenClaim(pts[:2]),
+		encodeClaim(pts[:2], nil, nil),
 	})
 	e.Stats(richWireStats())
 	e.PorEntries(richPorEntries())

@@ -18,13 +18,6 @@ import (
 type Config struct {
 	// Resolve materializes submitted ProgSpecs (required).
 	Resolve Resolver
-	// LowMark is the queue length below which the coordinator asks workers
-	// to donate splits; 0 means the queue must feed every currently starving
-	// worker (one whose latest lease poll found nothing). A fixed watermark
-	// keeps a busy fleet permanently "hungry" on small frontiers, and every
-	// hungry scenario costs a donation commit — starvation is the signal
-	// that actually means a worker is idle.
-	LowMark int
 	// Now is the clock leases are measured against (default time.Now).
 	// Tests inject a fake clock to drive TTL expiry deterministically.
 	Now func() time.Time
@@ -33,15 +26,10 @@ type Config struct {
 	// StatusShutdown instead of StatusIdle. Used by the in-process test
 	// harness and batch runs; a long-running service leaves it false.
 	ShutdownWhenDone bool
-	// RetryMs is the poll-again hint on idle lease responses (default 200).
+	// RetryMs is the poll-again hint on idle lease responses, and the longest
+	// a lease request is parked waiting for work while another lease is live
+	// (default 200).
 	RetryMs int
-	// TargetLeaseScenarios sizes lease batches adaptively: the coordinator
-	// grants enough claims per lease that, at the observed scenarios-per-
-	// claim rate, one lease covers about this many scenarios (default 32).
-	TargetLeaseScenarios int
-	// MaxLeaseBatch caps the claims granted per lease regardless of the
-	// observed rate (default 16), bounding the work lost to a worker death.
-	MaxLeaseBatch int
 	// DisableWireV2 pins the coordinator to JSON responses even for workers
 	// that advertise codec v2 (mixed-fleet rollbacks and the v1-coordinator
 	// interop tests).
@@ -54,7 +42,7 @@ type lease struct {
 	token string
 	job   *job
 	// claims is the unexplored remainder this lease is responsible for: the
-	// granted batch before the first commit, the latest residuals after.
+	// granted claim before the first commit, the latest residuals after.
 	// It is exactly what expiry requeues. Committed deltas were absorbed as
 	// they arrived (seq-gated), so expiry has no stats to fold.
 	claims []core.WireClaim
@@ -83,7 +71,6 @@ type job struct {
 
 	absorbedScen  int                 // scenarios in absorbed delta commits
 	absorbedExecs int                 // post-failure executions, same source
-	claimsGranted int                 // claims handed out, for batch sizing
 	bugKeys       map[string]struct{} // distinct canonical bug keys seen
 
 	porLog   []core.WirePorEntry
@@ -120,11 +107,15 @@ type Coordinator struct {
 	jobs    map[string]*job
 	order   []string
 	workers map[string]struct{}
-	// starving holds workers whose latest lease poll found nothing; a grant
-	// removes them. It is the default hunger signal: donations are solicited
-	// only while the queue cannot feed every idle worker, so a busy fleet on
-	// a small frontier is not milked for a split on every scenario.
-	starving  map[string]struct{}
+	// starving holds workers whose latest lease poll found nothing (parked
+	// ones included); a grant removes them. It is the hunger signal:
+	// donations are solicited only while the queue cannot feed every idle
+	// worker, so a busy fleet on a small frontier is not milked for a split
+	// on every scenario.
+	starving map[string]struct{}
+	// wake is closed, and replaced, whenever a parked lease request should
+	// look again: claims were queued or a job finished (wakeLocked).
+	wake      chan struct{}
 	submitted bool
 	nextJob   int
 	nextLease int
@@ -142,18 +133,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.RetryMs <= 0 {
 		cfg.RetryMs = 200
 	}
-	if cfg.TargetLeaseScenarios <= 0 {
-		cfg.TargetLeaseScenarios = 32
-	}
-	if cfg.MaxLeaseBatch <= 0 {
-		cfg.MaxLeaseBatch = 16
-	}
 	c := &Coordinator{
 		cfg:      cfg,
 		start:    cfg.Now(),
 		jobs:     make(map[string]*job),
 		workers:  make(map[string]struct{}),
 		starving: make(map[string]struct{}),
+		wake:     make(chan struct{}),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
@@ -193,7 +179,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		opts:     acc.Options(),
 		acc:      acc,
 		start:    c.cfg.Now(),
-		queued:   []core.WireClaim{{}}, // the root prefix: the whole tree
 		leases:   make(map[string]*lease),
 		workers:  make(map[string]struct{}),
 		bugKeys:  make(map[string]struct{}),
@@ -202,6 +187,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
 	c.submitted = true
+	c.queueLocked(j, []core.WireClaim{{}}) // the root claim: the whole tree
 	j.reg().NoteRPC()
 	j.reg().SetGoal(int64(j.opts.MaxScenarios))
 	c.mu.Unlock()
@@ -268,22 +254,65 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if req.Worker != "" {
 		c.workers[req.Worker] = struct{}{}
 	}
+	resp, reg := c.grantLocked(&req)
+	retryMs := c.cfg.RetryMs
+	if resp == nil && c.leaseLiveLocked() {
+		// Nothing to grant, but a lease is live: its holder donates half its
+		// open work at its next commit once it hears of this worker (the
+		// starving set feeds hungryLocked), and the job may be over before a
+		// poll interval has passed. Park the request — outside c.mu — until
+		// claims are queued or a job finishes, for at most RetryMs.
+		if req.Worker != "" {
+			c.starving[req.Worker] = struct{}{}
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		t := time.NewTimer(time.Duration(c.cfg.RetryMs) * time.Millisecond)
+		gone := false
+		select {
+		case <-wake:
+		case <-t.C:
+		case <-r.Context().Done():
+			gone = true
+		}
+		t.Stop()
+		c.mu.Lock()
+		if gone {
+			// The requester hung up: a grant would leave a lease nobody runs.
+			delete(c.starving, req.Worker)
+			c.mu.Unlock()
+			return
+		}
+		resp, reg = c.grantLocked(&req)
+		// An idle answer after a park has done its waiting here: the worker
+		// should come straight back and park again, not sleep on its side.
+		retryMs = 1
+	}
+	if resp == nil {
+		resp = &LeaseResponse{Status: StatusIdle, RetryMs: retryMs}
+		if c.cfg.ShutdownWhenDone && c.submitted && c.allDoneLocked() {
+			resp = &LeaseResponse{Status: StatusShutdown}
+		} else if req.Worker != "" {
+			c.starving[req.Worker] = struct{}{}
+		}
+	}
+	c.mu.Unlock()
+	writeResp(w, http.StatusOK, resp, v2, reg, rx)
+}
+
+// grantLocked leases the most recently queued claim of the first job that has
+// one, or returns nil. One claim per lease: a donated claim is half its
+// donor's open work and the queue holds at most one per starving worker, so a
+// batch granted to one poller would starve the next.
+func (c *Coordinator) grantLocked(req *LeaseRequest) (*LeaseResponse, *obs.Registry) {
 	for _, id := range c.order {
 		j := c.jobs[id]
 		if j.done() || j.stopped || len(j.queued) == 0 {
 			continue
 		}
-		// LIFO, like the in-process frontier: deepest prefixes first keeps
-		// claims near the workers' warm subtrees. The batch size adapts to
-		// the observed scenarios-per-claim rate (batchSizeLocked).
-		k := c.batchSizeLocked(j)
-		claims := make([]core.WireClaim, k)
-		for i := range claims {
-			claims[i] = j.queued[len(j.queued)-1]
-			j.queued = j.queued[:len(j.queued)-1]
-			j.reg().NoteClaim(len(j.queued))
-		}
-		j.claimsGranted += k
+		// LIFO, like the in-process frontier.
+		claims := []core.WireClaim{j.queued[len(j.queued)-1]}
+		j.queued = j.queued[:len(j.queued)-1]
 		c.nextLease++
 		c.nextToken++
 		l := &lease{
@@ -304,9 +333,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			delete(c.starving, req.Worker)
 		}
 		reg := j.reg()
+		reg.NoteClaim(len(j.queued))
 		reg.NoteRPC()
 		reg.NoteLease()
-		resp := LeaseResponse{
+		resp := &LeaseResponse{
 			Status: StatusGranted,
 			Lease: &Lease{
 				ID:     l.id,
@@ -330,33 +360,33 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			from = min(max(0, req.PorVersion), len(j.porLog))
 		}
 		resp.Por = append([]core.WirePorEntry(nil), j.porLog[from:]...)
-		c.mu.Unlock()
-		writeResp(w, http.StatusOK, &resp, v2, reg, rx)
-		return
+		return resp, reg
 	}
-	shutdown := c.cfg.ShutdownWhenDone && c.submitted && c.allDoneLocked()
-	if req.Worker != "" && !shutdown {
-		c.starving[req.Worker] = struct{}{}
-	}
-	c.mu.Unlock()
-	if shutdown {
-		writeResp(w, http.StatusOK, &LeaseResponse{Status: StatusShutdown}, v2, nil, rx)
-		return
-	}
-	writeResp(w, http.StatusOK, &LeaseResponse{Status: StatusIdle, RetryMs: c.cfg.RetryMs}, v2, nil, rx)
+	return nil, nil
 }
 
-// batchSizeLocked sizes one lease grant: enough claims that, at the job's
-// observed scenarios-per-claim rate, the lease covers about
-// TargetLeaseScenarios scenarios before its final commit. Purely
-// counter-based (no clocks), so runs are reproducible.
-func (c *Coordinator) batchSizeLocked(j *job) int {
-	perClaim := 1
-	if j.claimsGranted > 0 {
-		perClaim = max(1, j.absorbedScen/j.claimsGranted)
+// leaseLiveLocked reports whether some unfinished job has a live lease — the
+// only state in which work can still appear for an idle worker.
+func (c *Coordinator) leaseLiveLocked() bool {
+	for _, j := range c.jobs {
+		if !j.done() && len(j.leases) > 0 {
+			return true
+		}
 	}
-	k := max(1, c.cfg.TargetLeaseScenarios/perClaim)
-	return min(k, c.cfg.MaxLeaseBatch, len(j.queued))
+	return false
+}
+
+// queueLocked puts claims on j's queue and wakes the parked lease requests:
+// every push goes through here, so none is slept through.
+func (c *Coordinator) queueLocked(j *job, claims []core.WireClaim) {
+	j.queued = append(j.queued, claims...)
+	c.wakeLocked()
+}
+
+// wakeLocked releases every parked lease request to retry its grant.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
@@ -451,9 +481,9 @@ func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
 	reg.NoteCommitBatch(int64(req.Delta.Scenarios))
 	if len(req.Splits) > 0 && !j.stopped {
 		// Splits and the residuals travel in one atomic commit, so the
-		// donated subtrees are accounted exactly once: the residuals'
-		// limits were already lowered past them by splitOff.
-		j.queued = append(j.queued, req.Splits...)
+		// donated options are accounted exactly once: the residuals' limits
+		// were already lowered past them by the split.
+		c.queueLocked(j, req.Splits)
 		reg.NotePush(len(req.Splits), len(j.queued))
 		reg.NoteDonation(len(req.Splits))
 	}
@@ -465,7 +495,7 @@ func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
 			// on) an expiry that may never come when TTLs are disabled.
 			requeued := false
 			if !j.stopped {
-				j.queued = append(j.queued, req.Residuals...)
+				c.queueLocked(j, req.Residuals)
 				reg.NotePush(len(req.Residuals), len(j.queued))
 				requeued = true
 			}
@@ -553,12 +583,10 @@ func (c *Coordinator) hungryLocked(j *job) bool {
 	if j.stopped || j.done() {
 		return false
 	}
-	if c.cfg.LowMark > 0 {
-		return len(j.queued) < c.cfg.LowMark
-	}
-	// Default: hungry only while the queue cannot feed every worker whose
-	// latest poll came up empty. Each donation costs the donor a flush
-	// commit, so hunger must mean real starvation, not a watermark.
+	// Hungry only while the queue cannot feed every worker whose latest poll
+	// came up empty — the in-process frontier's rule. Each donation costs the
+	// donor a flush commit and half its open work, so hunger must mean real
+	// starvation, not a watermark.
 	return len(j.queued) < len(c.starving)
 }
 
@@ -580,7 +608,7 @@ func (c *Coordinator) sweepLocked() {
 			delete(j.leases, lid)
 			requeued := false
 			if !j.stopped {
-				j.queued = append(j.queued, l.claims...)
+				c.queueLocked(j, l.claims)
 				requeued = true
 			}
 			j.reg().NoteLeaseExpired(requeued)
@@ -611,6 +639,7 @@ func (c *Coordinator) maybeFinishLocked(j *job) {
 	j.queued = nil
 	j.acc.SetWorkers(len(j.workers))
 	j.result = j.acc.BuildResult(!j.capHit)
+	c.wakeLocked()
 }
 
 func (c *Coordinator) allDoneLocked() bool {

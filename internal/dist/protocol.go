@@ -1,9 +1,9 @@
 // Package dist distributes Jaaru's state-space exploration across
 // processes: a coordinator (jaaru-server) owns the global branch frontier,
 // the shared caps, and the POR seen-set publication log, and workers
-// (jaaru-worker) claim batches of choice-prefix leases over HTTP, explore
-// them with the ordinary core.Checker via core.LeaseRunner, and stream
-// back donated splits plus order-insensitive stat deltas.
+// (jaaru-worker) claim choice-prefix leases over HTTP, explore them with the
+// ordinary core.Checker via core.LeaseRunner, and stream back donated splits
+// plus order-insensitive stat deltas.
 //
 // The protocol is built so that worker death is a non-event for
 // correctness:
@@ -16,7 +16,7 @@
 //     acknowledged without being re-absorbed, so delivery retries are
 //     idempotent even though the payload is incremental.
 //   - Every non-final commit carries the residual claims: the exact
-//     unexplored remainder of the lease batch at that commit. When a
+//     unexplored remainder of the lease at that commit. When a
 //     lease's TTL expires the coordinator requeues the last residuals —
 //     work since the last commit was never committed, so re-executing it on
 //     another worker neither loses nor double-counts anything.
@@ -93,7 +93,9 @@ const (
 	// StatusGranted carries a lease in LeaseResponse.Lease.
 	StatusGranted = "granted"
 	// StatusIdle means no claimable work right now; poll again after
-	// LeaseResponse.RetryMs.
+	// LeaseResponse.RetryMs. While another lease is live the coordinator holds
+	// the request for up to its RetryMs before answering so (a donation wakes
+	// it), and the hint is then 1 ms: come straight back.
 	StatusIdle = "idle"
 	// StatusShutdown tells the worker to exit: every submitted job is done
 	// and the coordinator was configured to release its fleet.
@@ -110,10 +112,9 @@ type LeaseRequest struct {
 	PorVersion int    `json:"por_version,omitempty"`
 }
 
-// Lease describes one granted unit of work: a batch of frontier claims the
-// worker runs sequentially on one checker. Batching is the coordinator's
-// adaptive-lease-sizing lever — cheap scenarios get bigger batches so the
-// RPC count per scenario stays bounded.
+// Lease describes one granted unit of work. Claims holds one frontier claim
+// per grant (the field is a list on the wire, and core.LeaseRunner runs
+// whatever it is handed sequentially on one checker).
 type Lease struct {
 	ID     string           `json:"id"`
 	Token  string           `json:"token"`
@@ -145,19 +146,20 @@ type LeaseResponse struct {
 type CommitRequest struct {
 	Token string `json:"token"`
 	Seq   int64  `json:"seq"`
-	// Splits are donated branch prefixes (frozen claims) for the frontier.
+	// Splits are claims donated to the frontier: at most one per commit, half
+	// of the open sibling options the lease still held (core's chooser.split).
 	Splits []core.WireClaim `json:"splits,omitempty"`
-	// Residuals are the unexplored remainder of the lease batch as of this
-	// commit. Required on non-final commits (the in-progress claim's frozen
-	// snapshot plus any batch claims not yet started). On a final commit an
-	// empty list means the batch is fully explored; a non-empty one
+	// Residuals are the unexplored remainder of the lease as of this commit.
+	// Required on non-final commits (the in-progress claim's snapshot plus
+	// any granted claims not yet started). On a final commit an empty list
+	// means the lease is fully explored; a non-empty one
 	// *releases* the lease (a draining worker handing back its remainder for
 	// immediate requeue).
 	Residuals []core.WireClaim `json:"residuals,omitempty"`
 	// Delta is the lease's stats growth since its previous commit (the full
 	// stats on Seq 1). The coordinator absorbs it only when Seq advances.
 	Delta *core.WireStats `json:"delta"`
-	// Final retires the lease: its batch is fully explored (or abandoned
+	// Final retires the lease: its claims are fully explored (or abandoned
 	// after an engine error, marked by Delta.Truncated), or — with residuals
 	// attached — released by a draining worker.
 	Final bool `json:"final,omitempty"`
