@@ -1,7 +1,7 @@
 # Developer / CI entry points. `make verify` is the gate every change must
 # pass: vet, full build, the full test suite, and a race-detector pass over
 # the packages with shared mutable state (the parallel exploration driver
-# and the TSO simulation it drives).
+# and the TSO simulation and paged store arena it drives).
 
 GO ?= go
 
@@ -23,9 +23,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# The parallel driver (internal/core) and the store-buffer machinery it
-# exercises concurrently (internal/tso) get a dedicated race-detector pass,
-# plus the root-package snapshot and POR equivalence suites, which drive the
+# The parallel driver (internal/core) and the per-worker state it exercises
+# concurrently — the store-buffer machinery (internal/tso: PushEvict against
+# Push + EvictOldest, the line table) and the paged arena (internal/pmem: the
+# node-shape fuzz against the map model, the page-index re-base) — get a
+# dedicated race-detector pass, plus the root-package snapshot and POR equivalence suites, which drive the
 # per-worker snapshot caches and the shared fingerprint seen-set under
 # Workers=4. The distributed coordinator/worker path (internal/dist over the
 # internal/netsim fabric) runs its whole equivalence suite under -race too:
@@ -39,15 +41,17 @@ test:
 # claims and POR memos handed between two runners) and the Workers=2
 # donation-cost gate.
 race:
-	$(GO) test -race ./internal/core/ ./internal/tso/
+	$(GO) test -race ./internal/core/ ./internal/tso/ ./internal/pmem/
 	$(GO) test -race ./internal/dist/ ./internal/netsim/
 	$(GO) test -race -run 'TestSnapshotEquivalence|TestPOREquivalence' .
 	$(GO) test -race -run 'TestChoiceSnapshotEquivalence|TestRangeDonationEquivalence|TestParallelDonationCost' ./internal/benchlist/
 
 # Allocation-regression gates: the testing.AllocsPerRun pins that keep the
-# paged-layout hot path (guest ops including the post-failure Load64 answered
-# from the pinned summary, scenario reset, journal mark/rewind, AppendWord,
-# pin + Stack.Load) at zero heap allocations once warmed, and the
+# paged-layout hot path (guest ops under the default eviction policy — Store8,
+# Store64 as one arena node and as eight over bytes of mixed history, Load64,
+# Clflush, the post-failure Load64 answered from the pinned summary — scenario
+# reset, journal mark/rewind, AppendWord, pin + Stack.Load) at zero heap
+# allocations once warmed, and the
 # bytes-per-capture bound on the snapshot stack (a capture is a journal mark
 # and a few scalars; an entry that copies per-scenario state fails it).
 bench-mem:

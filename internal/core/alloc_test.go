@@ -20,24 +20,35 @@ func allocGateChecker() (*Checker, *Context) {
 	return c, &Context{ck: c, th: main}
 }
 
-// TestSteadyStateOpAllocations pins Store64 / Load64 / Clflush, and the
-// post-failure Load64 answered from the pinned summary, at zero heap
-// allocations per operation on a warmed scenario.
+// TestSteadyStateOpAllocations pins Store8 / Store64 (as one arena node, and
+// over bytes of mixed history as eight) / Load64 / Clflush under the default
+// eviction policy, and the post-failure Load64 answered from the pinned
+// summary, at zero heap allocations per operation on a warmed scenario.
 func TestSteadyStateOpAllocations(t *testing.T) {
 	c, ctx := allocGateChecker()
 	a := ctx.Root()
 	b := a.Add(64)
-	// Warm: grow the store-queue arena, page table, and TSO buffers to
-	// steady-state capacity (with headroom past the next arena doubling).
-	for i := 0; i < 2500; i++ {
+	w := a.Add(128)
+	// Warm: grow the store-queue arena, page index, line table and TSO
+	// buffers to steady-state capacity (11 arena nodes per round: 25 300,
+	// 4 000 short of the next growth; the pins below append 2 010).
+	for i := 0; i < 2300; i++ {
 		ctx.Store64(a, uint64(i))
 		ctx.Store64(b, uint64(i))
+		ctx.Store8(w.Add(3), uint8(i))
+		ctx.Store64(w, uint64(i))
 		_ = ctx.Load64(a)
 		ctx.Clflush(a, 8)
 	}
 
 	if n := testing.AllocsPerRun(200, func() { ctx.Store64(a, 7) }); n != 0 {
 		t.Errorf("Store64 allocates %.3f times per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { ctx.Store8(w.Add(3), 7) }); n != 0 {
+		t.Errorf("Store8 allocates %.3f times per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { ctx.Store64(w, 7) }); n != 0 {
+		t.Errorf("Store64 over a word with a byte stored into it allocates %.3f times per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { _ = ctx.Load64(a) }); n != 0 {
 		t.Errorf("Load64 allocates %.3f times per op, want 0", n)

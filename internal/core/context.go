@@ -82,27 +82,34 @@ func (c *Context) checkRange(a Addr, size uint64, what string) {
 		msg: fmt.Sprintf("illegal %s of %d bytes at %v (%s) at %s", what, size, a, why, guestLocation())})
 }
 
-func (c *Context) evictionPolicy() {
+// issue executes one buffered operation (Figure 7, Exec_*) and then lets the
+// eviction policy run. The eager policy drains after every operation, so its
+// buffer is always empty and the entry takes effect without entering it.
+func (c *Context) issue(e tso.Entry) {
+	ts := c.th.ts
+	if c.ck.opts.Eviction == EvictEager {
+		ts.PushEvict(c.ck, &e)
+		return
+	}
+	ts.Push(c.ck, e)
 	switch c.ck.opts.Eviction {
-	case EvictEager:
-		c.th.ts.DrainSB(c.ck)
 	case EvictAtFences:
 		// Capacity-based eviction happens inside Push.
 	case EvictRandom:
-		n := c.ck.rng.Intn(c.th.ts.SBLen() + 1)
+		n := c.ck.rng.Intn(ts.SBLen() + 1)
 		for i := 0; i < n; i++ {
-			c.th.ts.EvictOldest(c.ck)
+			ts.EvictOldest(c.ck)
 		}
 	case EvictExplore:
 		// Figure 11, lines 4–8: eviction is itself a nondeterministic
 		// choice the checker enumerates.
-		for c.th.ts.SBLen() > 0 {
+		for ts.SBLen() > 0 {
 			evict := c.ck.chooser.choose(chooseEvict, 2) == 1
 			c.ck.wrecDecision()
 			if !evict {
 				break
 			}
-			c.th.ts.EvictOldest(c.ck)
+			ts.EvictOldest(c.ck)
 		}
 	}
 }
@@ -169,8 +176,7 @@ func (c *Context) store(a Addr, size int, v uint64) {
 	c.op()
 	c.checkRange(a, uint64(size), "store")
 	c.ck.traceOp(c.th.id, "store", a, size, v)
-	c.th.ts.Push(c.ck, tso.Entry{Kind: tso.Store, Addr: a, Size: size, Val: v, Op: c.ck.wrecOp()})
-	c.evictionPolicy()
+	c.issue(tso.Entry{Kind: tso.Store, Addr: a, Size: size, Val: v, Op: c.ck.wrecOp()})
 	c.yield()
 }
 
@@ -268,8 +274,7 @@ func (c *Context) Clflush(a Addr, size uint64) {
 	pmem.Lines(a, size, func(line Addr) {
 		c.op()
 		c.ck.traceOp(c.th.id, "clflush", line, pmem.CacheLineSize, 0)
-		c.th.ts.Push(c.ck, tso.Entry{Kind: tso.CLFlush, Addr: line, Loc: loc, Op: c.ck.wrecOp()})
-		c.evictionPolicy()
+		c.issue(tso.Entry{Kind: tso.CLFlush, Addr: line, Loc: loc, Op: c.ck.wrecOp()})
 		c.yield()
 	})
 }
@@ -285,8 +290,7 @@ func (c *Context) Clflushopt(a Addr, size uint64) {
 	pmem.Lines(a, size, func(line Addr) {
 		c.op()
 		c.ck.traceOp(c.th.id, "clflushopt", line, pmem.CacheLineSize, 0)
-		c.th.ts.Push(c.ck, tso.Entry{Kind: tso.CLFlushOpt, Addr: line, Loc: loc, Op: c.ck.wrecOp()})
-		c.evictionPolicy()
+		c.issue(tso.Entry{Kind: tso.CLFlushOpt, Addr: line, Loc: loc, Op: c.ck.wrecOp()})
 		c.yield()
 	})
 }
@@ -302,8 +306,7 @@ func (c *Context) Sfence() {
 	}
 	c.op()
 	c.ck.traceOp(c.th.id, "sfence", 0, 0, 0)
-	c.th.ts.Push(c.ck, tso.Entry{Kind: tso.SFence, Loc: c.perfLoc(), Op: c.ck.wrecOp()})
-	c.evictionPolicy()
+	c.issue(tso.Entry{Kind: tso.SFence, Loc: c.perfLoc(), Op: c.ck.wrecOp()})
 	c.yield()
 }
 

@@ -216,3 +216,36 @@ func TestReplayPhaseAccounting(t *testing.T) {
 			m.PreFailureNs, m.PostFailureNs)
 	}
 }
+
+// Only the eager policy bypasses the store buffer: with EvictAtFences entries
+// still wait in it up to its capacity, and every one of them is still counted
+// as an eviction when it leaves.
+func TestStoreBufferOccupancyByPolicy(t *testing.T) {
+	prog := Program{
+		Name: "sb-occupancy",
+		Run: func(c *Context) {
+			for i := uint64(0); i < 10; i++ {
+				c.Store64(c.Root().Add(8*i), i+1)
+			}
+			c.Persist(c.Root(), 80)
+		},
+		Recover: func(c *Context) { _ = c.Load64(c.Root()) },
+	}
+	for _, tc := range []struct {
+		opts Options
+		want int64
+	}{
+		{Options{Observe: true}, 1},
+		{Options{Observe: true, Eviction: EvictAtFences, SBCapacity: 4}, 4},
+	} {
+		m := New(prog, tc.opts).Run().Metrics
+		if m.MaxSBOccupancy != tc.want {
+			t.Errorf("%v capacity %d: MaxSBOccupancy = %d, want %d",
+				tc.opts.Eviction, tc.opts.SBCapacity, m.MaxSBOccupancy, tc.want)
+		}
+		// 10 stores, 2 clflushopt and 1 sfence in the pre-failure run alone.
+		if m.SBEvictions < 13 {
+			t.Errorf("%v capacity %d: SBEvictions = %d, want >= 13", tc.opts.Eviction, tc.opts.SBCapacity, m.SBEvictions)
+		}
+	}
+}

@@ -48,11 +48,12 @@ func TestSnapshotMemoryLinear(t *testing.T) {
 // bytes an exploration of CCEH-update allocates, divided by the entries it
 // captures. The workload is nearly all failure points (one capture per
 // scenario, a dozen live cache lines), so the quotient is the per-entry
-// price: 2.6 KB, for a journal mark, a few scalars and the guest's own store
-// queues. The bound leaves 55 % headroom and is half of what an entry costs
-// once it copies per-scenario state — a 64-operation trace made it 8.3 KB.
+// price: 1.4 KB, for a journal mark, a few scalars and the guest's own store
+// queues at one arena node per store. The bound leaves 50 % headroom; one node
+// per stored byte made the price 2.4 KB, an entry that copies per-scenario
+// state — a 64-operation trace — 8.3 KB.
 func TestSnapshotBytesPerCapture(t *testing.T) {
-	const rounds, maxBytes = 512, 4000
+	const rounds, maxBytes = 512, 2100
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

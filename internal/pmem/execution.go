@@ -3,8 +3,8 @@ package pmem
 import "slices"
 
 // ByteStore is one entry of a per-byte store queue: the value written to the
-// cache at sequence number Seq. Multi-byte stores enqueue one ByteStore per
-// byte, all sharing the same sequence number ("mixed size accesses", §4).
+// cache at sequence number Seq. A multi-byte store appears in the queue of
+// every byte it covers under one sequence number ("mixed size accesses", §4).
 type ByteStore struct {
 	Val byte
 	Seq Seq
@@ -21,12 +21,16 @@ type Execution struct {
 	// ID is the index of this execution in its Stack.
 	ID int
 
-	// pages maps page id (addr >> pageShift) to its dense headers; lastID /
-	// lastPage are a one-entry cache that short-circuits the lookup for the
-	// common run of accesses within one page, and missID (page id + 1, 0 =
-	// none) remembers the last id the map did not hold: post-failure loads
-	// probe the top execution first and almost always miss there.
-	pages    map[Addr]*page
+	// pages is the dense page index: pages[id-pageBase] holds the headers of
+	// page id (addr >> pageShift), nil while untouched, from the lowest to
+	// the highest id touched (entries past len are nil); touched lists the
+	// ids present in first-touch order, so iteration and release cost what
+	// was touched, not the span. lastID / lastPage cache the last page hit,
+	// and missID (page id + 1, 0 = none) the last id the index did not hold:
+	// post-failure loads probe the top execution first and mostly miss there.
+	pages    []*page
+	pageBase Addr
+	touched  []Addr
 	lastID   Addr
 	lastPage *page
 	missID   Addr
@@ -63,13 +67,13 @@ func (e *Execution) pageFor(a Addr) *page {
 	if e.missID == id+1 {
 		return nil
 	}
-	pg := e.pages[id]
-	if pg != nil {
-		e.lastID, e.lastPage = id, pg
-	} else {
-		e.missID = id + 1
+	// id below pageBase wraps to a huge index and misses like one above the span.
+	if i := id - e.pageBase; i < Addr(len(e.pages)) && e.pages[i] != nil {
+		e.lastID, e.lastPage = id, e.pages[i]
+		return e.lastPage
 	}
-	return pg
+	e.missID = id + 1
+	return nil
 }
 
 // ensurePage returns the page covering a, creating it from the pool on first
@@ -79,14 +83,39 @@ func (e *Execution) ensurePage(a Addr) *page {
 	if e.lastPage != nil && e.lastID == id {
 		return e.lastPage
 	}
-	pg, ok := e.pages[id]
-	if !ok {
+	i := id - e.pageBase
+	if i >= Addr(len(e.pages)) {
+		i = e.growIndex(id)
+	}
+	pg := e.pages[i]
+	if pg == nil {
 		pg = e.pool.getPage()
-		e.pages[id] = pg
+		e.pages[i] = pg
+		e.touched = append(e.touched, id)
 		e.missID = 0
 	}
 	e.lastID, e.lastPage = id, pg
 	return pg
+}
+
+// growIndex extends the page index to span id and returns id's position in
+// it: the first page sets the base, a higher id lengthens the index, and a
+// lower one re-bases it by sliding the present entries up.
+func (e *Execution) growIndex(id Addr) Addr {
+	n := len(e.pages)
+	if n == 0 {
+		e.pageBase = id
+	}
+	if id < e.pageBase {
+		shift := int(e.pageBase - id)
+		e.pages = slices.Grow(e.pages, shift)[:n+shift]
+		copy(e.pages[shift:], e.pages[:n])
+		clear(e.pages[:min(shift, n)])
+		e.pageBase = id
+	} else {
+		e.pages = slices.Grow(e.pages, int(id-e.pageBase)+1-n)[:id-e.pageBase+1]
+	}
+	return id - e.pageBase
 }
 
 // peekLine returns the line record for the line containing a without
@@ -116,72 +145,90 @@ func (e *Execution) ensureLine(a Addr) *lineRec {
 // Sequence numbers must be appended in increasing order.
 func (e *Execution) Append(a Addr, v byte, s Seq) {
 	pg := e.ensurePage(a)
-	lr := &pg.lines[lineIndex(a)]
-	e.link(pg, lr, a, v, s)
-	lr.fpOK = false
-	// Sequence numbers only grow, so a fresh store is always past the line's
-	// lower writeback bound.
-	lr.dirty++
+	e.link(pg, pg.slots[a&pageMask:][:1], a, uint64(v), s)
 }
 
-// link appends one store's arena node and chains it into its byte and line
-// headers.
-func (e *Execution) link(pg *page, lr *lineRec, a Addr, v byte, s Seq) {
-	sl := &pg.slots[a&pageMask]
-	idx := int32(len(e.arena) + 1)
-	e.arena = append(e.arena, node{seq: s, addr: a, prev: sl.tail, linePrev: lr.tail, val: v})
-	sl.tail = idx
-	if sl.head == 0 {
-		sl.head = idx
+// link appends one arena node for a store covering the slots sls (all with
+// the same tail) and chains it into their headers and the line's.
+func (e *Execution) link(pg *page, sls []slot, a Addr, val uint64, s Seq) {
+	lr := &pg.lines[lineIndex(a)]
+	prev := sls[0].tail
+	// Filled in place: a literal is built on the stack with narrow stores and
+	// copied in with wide loads, which stalls on store forwarding.
+	e.arena = append(e.arena, node{})
+	idx := int32(len(e.arena))
+	nd := &e.arena[idx-1]
+	nd.seq, nd.addr, nd.val, nd.size = s, a, val, uint8(len(sls))
+	nd.prev, nd.linePrev = prev, lr.tail
+	for i := range sls {
+		sls[i].tail = idx
+		if prev == 0 {
+			sls[i].head = idx
+		}
 	}
-	lr.tail = idx
+	lr.tail, lr.fpOK = idx, false
+	// Sequence numbers only grow, so a fresh store is always past the line's
+	// lower writeback bound.
+	lr.dirty += int32(len(sls))
+}
+
+// sameTail reports whether all of sls have the same newest store (or none).
+func sameTail(sls []slot) bool {
+	for i := 1; i < len(sls); i++ {
+		if sls[i].tail != sls[0].tail {
+			return false
+		}
+	}
+	return true
 }
 
 // AppendWord records a size-byte little-endian store of val at a, all bytes
-// sharing sequence s ("mixed size accesses", §4). It leaves exactly the arena
-// nodes and chains of one Append per byte in address order, but resolves the
-// page and line record once when the store stays inside one cache line.
+// sharing sequence s ("mixed size accesses", §4): one arena node when the
+// store stays inside a cache line and every byte it covers has the same
+// previous store (fresh bytes, or bytes last written together), so that the
+// node's single prev is exact for each; else one Append per byte, in order.
 func (e *Execution) AppendWord(a Addr, size int, val uint64, s Seq) {
-	if a.LineOffset()+uint64(size) > CacheLineSize {
-		for i := 0; i < size; i++ {
-			e.Append(a+Addr(i), byte(val>>(8*uint(i))), s)
+	if a.LineOffset()+uint64(size) <= CacheLineSize {
+		pg := e.ensurePage(a)
+		sls := pg.slots[a&pageMask:][:size]
+		if sameTail(sls) {
+			// A shift by 64 yields 0, so the mask keeps all of an 8-byte value.
+			e.link(pg, sls, a, val&(1<<(8*uint(size))-1), s)
+			return
 		}
-		return
 	}
-	pg := e.ensurePage(a)
-	lr := &pg.lines[lineIndex(a)]
 	for i := 0; i < size; i++ {
-		e.link(pg, lr, a+Addr(i), byte(val>>(8*uint(i))), s)
+		e.Append(a+Addr(i), byte(val>>(8*uint(i))), s)
 	}
-	lr.fpOK = false
-	lr.dirty += int32(size)
 }
 
 // truncateArena pops appends beyond the first n, newest-first, unlinking each
-// from its page headers and restoring the per-line dirty-store and
-// EvictedStores accounting — the undo path of a journal Rewind.
+// from the headers of every byte it covers and restoring the per-line dirty
+// and EvictedStores accounting (both count bytes): a journal Rewind's undo path.
 func (e *Execution) truncateArena(n int) {
 	for i := len(e.arena); i > n; i-- {
 		nd := &e.arena[i-1]
 		pg := e.pageFor(nd.addr)
-		sl := &pg.slots[nd.addr&pageMask]
-		sl.tail = nd.prev
-		if nd.prev == 0 {
-			sl.head = 0
+		sls := pg.slots[nd.addr&pageMask:][:nd.size]
+		for j := range sls {
+			sls[j].tail = nd.prev
+			if nd.prev == 0 {
+				sls[j].head = 0
+			}
 		}
 		lr := &pg.lines[lineIndex(nd.addr)]
 		lr.tail = nd.linePrev
 		lr.fpOK = false
 		if nd.seq > lr.iv.Begin {
-			lr.dirty--
+			lr.dirty -= int32(nd.size)
 		}
-		e.EvictedStores--
+		e.EvictedStores -= int(nd.size)
 	}
 	e.arena = e.arena[:n]
 }
 
-// recountDirty recomputes a line's dirty-store count after its lower
-// writeback bound moved: the line chain is in append order, so the walk
+// recountDirty recomputes a line's dirty-store count (in bytes) after its
+// lower writeback bound moved: the line chain is in append order, so the walk
 // stops at the first store at or before the bound. Cost is proportional to
 // the stores still past the bound.
 func (e *Execution) recountDirty(lr *lineRec) {
@@ -191,7 +238,7 @@ func (e *Execution) recountDirty(lr *lineRec) {
 		if nd.seq <= lr.iv.Begin {
 			break
 		}
-		n++
+		n += int32(nd.size)
 		i = nd.linePrev
 	}
 	lr.dirty = n
@@ -216,7 +263,7 @@ func (e *Execution) Queue(a Addr) []ByteStore {
 	for i := pg.slots[a&pageMask].tail; i != 0; {
 		nd := &e.arena[i-1]
 		n--
-		out[n] = ByteStore{Val: nd.val, Seq: nd.seq}
+		out[n] = ByteStore{Val: nd.byteAt(a), Seq: nd.seq}
 		i = nd.prev
 	}
 	return out
@@ -233,7 +280,7 @@ func (e *Execution) Newest(a Addr) (ByteStore, bool) {
 		return ByteStore{}, false
 	}
 	nd := &e.arena[i-1]
-	return ByteStore{Val: nd.val, Seq: nd.seq}, true
+	return ByteStore{Val: nd.byteAt(a), Seq: nd.seq}, true
 }
 
 // First returns the oldest store to byte address a in this execution.
@@ -247,7 +294,7 @@ func (e *Execution) First(a Addr) (ByteStore, bool) {
 		return ByteStore{}, false
 	}
 	nd := &e.arena[i-1]
-	return ByteStore{Val: nd.val, Seq: nd.seq}, true
+	return ByteStore{Val: nd.byteAt(a), Seq: nd.seq}, true
 }
 
 // nextSeqAfter returns the sequence of the oldest store to a strictly after
@@ -350,7 +397,7 @@ func (e *Execution) appendCandidates(a Addr, out []Candidate) ([]Candidate, bool
 		if nd.seq >= end {
 			continue
 		}
-		out = append(out, Candidate{Exec: e.ID, ByteStore: ByteStore{Val: nd.val, Seq: nd.seq}})
+		out = append(out, Candidate{Exec: e.ID, ByteStore: ByteStore{Val: nd.byteAt(a), Seq: nd.seq}})
 		if nd.seq <= begin {
 			// Newest store at or before Begin: guaranteed persisted;
 			// earlier stores (and earlier executions) are unreachable.
@@ -371,7 +418,7 @@ func (e *Execution) ForEachStoreNewest(a Addr, fn func(ByteStore) bool) {
 	for i := pg.slots[a&pageMask].tail; i != 0; {
 		nd := &e.arena[i-1]
 		i = nd.prev
-		if !fn(ByteStore{Val: nd.val, Seq: nd.seq}) {
+		if !fn(ByteStore{Val: nd.byteAt(a), Seq: nd.seq}) {
 			return
 		}
 	}
@@ -393,49 +440,46 @@ func (e *Execution) DirtyStores(line Addr) int {
 // DirtyLines returns, in sorted order, the base addresses of all lines that
 // have at least one store after their lower writeback bound.
 func (e *Execution) DirtyLines() []Addr {
-	var out []Addr
-	for id, pg := range e.pages {
-		base := id << pageShift
-		for li := range pg.lines {
-			if pg.lines[li].dirty > 0 {
-				out = append(out, base+Addr(li*CacheLineSize))
-			}
-		}
-	}
-	sortAddrs(out)
-	return out
+	return e.linesWhere(func(lr *lineRec) bool { return lr.dirty > 0 })
 }
 
 // TouchedLines returns, in sorted order, the base addresses of all lines
 // written during this execution.
 func (e *Execution) TouchedLines() []Addr {
+	return e.linesWhere(func(lr *lineRec) bool { return lr.tail != 0 })
+}
+
+// linesWhere walks the page index in page-id order, so its result is sorted.
+func (e *Execution) linesWhere(keep func(*lineRec) bool) []Addr {
 	var out []Addr
-	for id, pg := range e.pages {
-		base := id << pageShift
+	for i, pg := range e.pages {
+		if pg == nil {
+			continue
+		}
+		base := (e.pageBase + Addr(i)) << pageShift
 		for li := range pg.lines {
-			if pg.lines[li].tail != 0 {
+			if keep(&pg.lines[li]) {
 				out = append(out, base+Addr(li*CacheLineSize))
 			}
 		}
 	}
-	sortAddrs(out)
 	return out
 }
 
 // TouchedAddrs returns every byte address written during this execution, in
-// sorted order.
+// sorted order (the page index is in page-id order).
 func (e *Execution) TouchedAddrs() []Addr {
 	var out []Addr
-	for id, pg := range e.pages {
-		base := id << pageShift
+	for i, pg := range e.pages {
+		if pg == nil {
+			continue
+		}
+		base := (e.pageBase + Addr(i)) << pageShift
 		for si := range pg.slots {
 			if pg.slots[si].tail != 0 {
 				out = append(out, base+Addr(si))
 			}
 		}
 	}
-	sortAddrs(out)
 	return out
 }
-
-func sortAddrs(s []Addr) { slices.Sort(s) }

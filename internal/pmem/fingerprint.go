@@ -25,8 +25,8 @@ import "slices"
 // Each touched line is hashed independently (FNV-1a over a canonical byte
 // stream: absolute line address, bound ranks, bytes in address order,
 // candidates newest-first) and the per-line hashes are combined by XOR —
-// commutative, so the result is fully deterministic regardless of page-map
-// iteration order or of the choice prefix that produced the state. The
+// commutative, so the result does not depend on the order pages were first
+// touched in or on the choice prefix that produced the state. The
 // line hashes are cached in the line records and invalidated on every
 // store append, interval mutation, and journal rewind, making a fingerprint
 // O(lines changed since the last fingerprint) instead of O(lines touched):
@@ -68,7 +68,8 @@ func (s *Stack) Fingerprint(h uint64) uint64 {
 func (e *Execution) fingerprint(h uint64) uint64 {
 	h = fnvU64(h, uint64(e.ID)+1)
 	var acc, lines uint64
-	for id, pg := range e.pages {
+	for _, id := range e.touched {
+		pg := e.pages[id-e.pageBase]
 		base := id << pageShift
 		for li := range pg.lines {
 			lr := &pg.lines[li]
@@ -140,7 +141,7 @@ func (e *Execution) lineFingerprint(pg *page, line Addr, lr *lineRec) uint64 {
 			if nd.seq >= end {
 				continue
 			}
-			h = fnvByte(h, nd.val)
+			h = fnvByte(h, nd.byteAt(a))
 			h = fnvU64(h, rank(nd.seq))
 			if nd.seq <= begin {
 				settled = true

@@ -1,5 +1,7 @@
 package pmem
 
+import "unsafe"
+
 // Undo journaling for the snapshot engine (see internal/core/snapshot.go).
 //
 // The paper's Jaaru amortizes the shared pre-failure execution with fork():
@@ -7,12 +9,12 @@ package pmem
 // re-running the program. Our deterministic-replay substitution gets the
 // same amortization by making the scenario Stack rewindable:
 //
-//   - Per-byte store queues are append-only and live in one per-execution
-//     arena (page.go), so a snapshot shares them by reference and records
-//     only the arena length. Each arena node carries its byte address, so
-//     truncation back to a recorded length unlinks the popped stores from
-//     their page headers in O(appends undone) — the arena doubles as the
-//     append log a journal would otherwise keep separately.
+//   - Store queues are append-only and live in one per-execution arena, one
+//     node per store (page.go), so a snapshot shares them by reference and
+//     records only the arena length. Each node carries its address and size,
+//     so truncation back to a recorded length restores the header of every
+//     byte the popped stores covered in O(bytes undone) — the arena doubles
+//     as the append log a journal would otherwise keep separately.
 //   - Per-cache-line intervals are NOT append-only: post-failure constraint
 //     refinement (DoRead/updateRanges) raises Begin and lowers End of
 //     pre-failure lines in place. Every effective interval mutation is
@@ -165,16 +167,16 @@ func (s *Stack) lowerEnd(kind IntervalEventKind, e *Execution, a Addr, v Seq) {
 	}
 }
 
-// RetainedBytes estimates the memory retained by the journaled state a
-// snapshot shares: live arena store entries plus undo-journal entries
-// (both ~24 bytes each). Cheap: O(stack depth).
+// RetainedBytes is the memory held by the journaled state a snapshot shares:
+// live arena nodes plus undo-journal entries, each at its real size. Cheap:
+// O(stack depth).
 func (s *Stack) RetainedBytes() int64 {
 	if !s.journaling {
 		return 0
 	}
-	var entries int64
+	var nodes int64
 	for _, e := range s.execs {
-		entries += int64(len(e.arena))
+		nodes += int64(len(e.arena))
 	}
-	return (entries + int64(len(s.ivlog))) * 24
+	return nodes*int64(unsafe.Sizeof(node{})) + int64(len(s.ivlog))*int64(unsafe.Sizeof(ivUndo{}))
 }

@@ -1,6 +1,9 @@
 package pmem
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // journalStack builds a journaling stack whose pre-failure execution wrote
 // two values to address a (seq 1 and 3) and flushed the line at seq 2: the
@@ -158,24 +161,35 @@ func TestJournalVacuousLineNeutral(t *testing.T) {
 	}
 }
 
+// TestRetainedBytesTracksJournal prices the journaled state at what it
+// occupies: one arena node per store (a word is one node, not eight) and one
+// undo entry per effective interval mutation, each at its real size.
 func TestRetainedBytesTracksJournal(t *testing.T) {
 	const a = Addr(0x400)
+	nodeB, undoB := int64(unsafe.Sizeof(node{})), int64(unsafe.Sizeof(ivUndo{}))
+	if nodeB > 40 {
+		t.Errorf("arena node is %d bytes, want <= 40", nodeB)
+	}
 	s := NewStack()
+	s.Top().AppendWord(a, 8, 1, 1)
 	if s.RetainedBytes() != 0 {
 		t.Error("unjournaled stack retains bytes")
 	}
 	s.EnableJournal()
 	base := s.RetainedBytes()
-	m := s.Mark()
-	for i := 0; i < 8; i++ {
-		s.Top().Append(a+Addr(i), byte(i), Seq(i+1))
+	if base != nodeB {
+		t.Errorf("RetainedBytes = %d with one word stored, want %d", base, nodeB)
 	}
-	s.FlushLine(a, 4)
+	m := s.Mark()
+	s.Top().AppendWord(a, 8, 2, 2) // one node
+	for i := 0; i < 8; i++ {       // eight
+		s.Top().Append(a+Addr(i), byte(i), Seq(3+i))
+	}
+	s.FlushLine(a, 2) // one undo entry
 	s.Push()
-	s.DoRead(a, s.ReadPreFailure(a)[0])
-	grown := s.RetainedBytes()
-	if grown <= base {
-		t.Errorf("RetainedBytes = %d after writes, want > %d", grown, base)
+	s.DoRead(a, s.ReadPreFailure(a)[0]) // the newest store: raises Begin, End stays ∞ — one more
+	if got, want := s.RetainedBytes(), 10*nodeB+2*undoB; got != want {
+		t.Errorf("RetainedBytes = %d after writes, want %d", got, want)
 	}
 	s.Rewind(m)
 	if got := s.RetainedBytes(); got != base {

@@ -2,26 +2,28 @@ package pmem
 
 // Paged memory layout — the hot-path storage behind Execution.
 //
-// The maps-of-slices layout this replaces paid a Go map lookup per *byte*
-// for every store, load, flush, and refinement, and allocated fresh maps
-// (plus one queue slice per touched byte) for every execution of every
-// scenario. The paper's evaluation (§5.3) credits Jaaru's speed to doing
-// almost no work per operation, so the bookkeeping is restructured around
-// three dense pieces:
+// The paper's evaluation (§5.3) credits Jaaru's speed to doing almost no work
+// per simulated operation, so an execution's bookkeeping is three dense pieces
+// and no Go map:
 //
 //   - Pages: the address space is divided into fixed-size pages
 //     (addr>>pageShift selects the page, addr&pageMask the slot). A page
 //     holds a dense per-byte queue header (slot) for each of its bytes and
-//     a per-cache-line interval record (lineRec) for each of its lines, so
-//     one map lookup — usually short-circuited by a one-entry page cache —
-//     covers pageSize bytes instead of one.
-//   - Arena: every ByteStore appended during an execution lands in a single
-//     per-execution arena slice. Queue headers hold 1-based chain indices
-//     into the arena (0 = empty, so a zeroed page is a valid empty page):
-//     slot.tail links newest-first through node.prev, and lineRec.tail
-//     links the whole line's stores newest-first through node.linePrev.
-//     The arena doubles as the append log the undo journal used to keep
-//     separately — node.addr locates the headers to unlink on truncation.
+//     a per-cache-line interval record (lineRec) for each of its lines. An
+//     execution finds them through a dense index spanning the lowest to the
+//     highest page id it touched — pool addresses come from a bump allocator,
+//     so the span is the image — usually short-circuited by a one-entry cache.
+//   - Arena: every store applied during an execution is one node — seq,
+//     address, size, up to eight value bytes — of a single per-execution
+//     arena slice. Queue headers hold 1-based chain indices into it (0 =
+//     empty, so a zeroed page is a valid empty page): slot.tail links
+//     newest-first through node.prev, lineRec.tail links the line's stores
+//     newest-first through node.linePrev. One prev per node is exact because
+//     a store becomes one node only when every byte it covers has the same
+//     previous store; any other store (bytes of different history, a word
+//     crossing a line) is one size-1 node per byte (AppendWord). The arena
+//     doubles as the undo journal's append log — node.addr and node.size
+//     locate the headers to unlink on truncation.
 //   - Pool: pages, Executions, and Stacks are recycled across the millions
 //     of scenario replays a run performs instead of reallocated. Releasing
 //     an execution returns only its touched pages (zeroed, so reuse starts
@@ -39,15 +41,20 @@ const (
 	linesPerPage = pageSize / CacheLineSize
 )
 
-// node is one arena entry: a ByteStore plus the chain links and the byte
-// address that let a rewind unlink it from its page headers.
+// node is one arena entry: one store of size bytes at addr, all sharing seq
+// ("mixed size accesses", §4), plus the chain links and the extent that let a
+// rewind unlink it from its page headers.
 type node struct {
 	seq      Seq
 	addr     Addr
-	prev     int32 // previous store to the same byte (1-based arena index, 0 = none)
-	linePrev int32 // previous store to the same cache line
-	val      byte
+	val      uint64 // little-endian; bytes at and beyond size are zero
+	prev     int32  // previous store to every covered byte (1-based arena index, 0 = none)
+	linePrev int32  // previous store to the same cache line
+	size     uint8
 }
+
+// byteAt returns the byte the store wrote to address a, which it must cover.
+func (nd *node) byteAt(a Addr) byte { return byte(nd.val >> (8 * uint(a-nd.addr))) }
 
 // slot is the per-byte queue header: 1-based arena indices of the oldest and
 // newest store to the byte (0 = no stores), plus the refinement memo —
@@ -152,17 +159,20 @@ func (p *Pool) getExec(id int) *Execution {
 		e.ID = id
 		return e
 	}
-	return &Execution{ID: id, pages: make(map[Addr]*page), pool: p}
+	return &Execution{ID: id, pool: p}
 }
 
 // putExec returns an execution to the pool: its touched pages are zeroed and
 // recycled, its arena emptied (capacity retained).
 func (p *Pool) putExec(e *Execution) {
-	for _, pg := range e.pages {
+	for _, id := range e.touched {
+		pg := e.pages[id-e.pageBase]
+		e.pages[id-e.pageBase] = nil
 		*pg = page{}
 		p.pages = append(p.pages, pg)
 	}
-	clear(e.pages)
+	e.pages = e.pages[:0]
+	e.touched = e.touched[:0]
 	e.arena = e.arena[:0]
 	e.EvictedStores = 0
 	e.lastPage = nil

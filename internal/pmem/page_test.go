@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -322,12 +323,19 @@ func byteLoad(s *Stack, m *modelStack, a Addr) (val byte, cached bool, cands int
 // The real stack is recycled through one shared pool across seeds, so
 // pooled-state reuse is cross-checked continuously.
 //
-// A twin stack receives the same mutations but resolves every load byte by
-// byte. Whenever Stack.Load answers a whole load on the primary, the twin's
-// byte path must yield exactly those bytes — all from the top execution for
-// LoadCached; one candidate each and a memoized (skipped) DoRead for
-// LoadPinned — and when it declines, the primary takes the byte path too, so
-// the two stay in lockstep and both must keep matching the model.
+// A twin stack receives the same mutations through the byte API alone — a
+// word store is one Append per byte, so every arena node has size 1 — and
+// resolves every load byte by byte. Whenever Stack.Load answers a whole load
+// on the primary, the twin's byte path must yield exactly those bytes — all
+// from the top execution for LoadCached; one candidate each and a memoized
+// (skipped) DoRead for LoadPinned — and when it declines, the primary takes
+// the byte path too, so the two stay in lockstep, both must keep matching the
+// model, and their Fingerprints must agree after every step: whether a store
+// became one node or several is not observable.
+//
+// Besides uniformly random stores the generator plays the four sequences that
+// decide between one node and the per-byte fallback (storeShapes), each with a
+// mark before its last store and a rewind to it afterwards.
 func TestPagedMatchesMapModel(t *testing.T) {
 	pool, twinPool := NewPool(), NewPool()
 	var s, tw *Stack
@@ -353,6 +361,36 @@ func TestPagedMatchesMapModel(t *testing.T) {
 		}
 		recycle()
 		nextSeq := func() Seq { seq++; return seq }
+		// store applies one store to the primary (one AppendWord), the
+		// twin (one Append per byte) and the model.
+		store := func(a Addr, size int, val uint64) {
+			sq := nextSeq()
+			s.Top().AppendWord(a, size, val, sq)
+			s.Top().EvictedStores += size
+			for i := 0; i < size; i++ {
+				b, v := a+Addr(i), byte(val>>(8*uint(i)))
+				tw.Top().Append(b, v, sq)
+				tw.Top().EvictedStores++
+				m.top().queues[b] = append(m.top().queues[b], ByteStore{Val: v, Seq: sq})
+			}
+		}
+		mark := func() savedMark {
+			return savedMark{mark: s.Mark(), twin: tw.Mark(), model: m.clone(), seq: seq}
+		}
+		rewind := func(sm savedMark) {
+			s.Rewind(sm.mark)
+			tw.Rewind(sm.twin)
+			m = sm.model.clone()
+			seq = sm.seq
+		}
+		check := func(step int) {
+			t.Helper()
+			checkSame(t, step, s, m)
+			checkSame(t, step, tw, m)
+			if got, want := s.Fingerprint(FingerprintSeed), tw.Fingerprint(FingerprintSeed); got != want {
+				t.Fatalf("seed %d step %d: Fingerprint = %#x, byte-built twin %#x", seed, step, got, want)
+			}
+		}
 
 		for step := 0; step < 200; step++ {
 			a := addrs[rng.Intn(len(addrs))]
@@ -364,16 +402,29 @@ func TestPagedMatchesMapModel(t *testing.T) {
 					st.Top().EvictedStores++
 				}
 				m.top().queues[a] = append(m.top().queues[a], ByteStore{Val: v, Seq: sq})
-			case op < 35: // word store (offset 63 crosses into the next line)
-				size, val, sq := sizes[rng.Intn(len(sizes))], rng.Uint64(), nextSeq()
-				for _, st := range []*Stack{s, tw} {
-					st.Top().AppendWord(a, size, val, sq)
-					st.Top().EvictedStores += size
+			case op < 30: // word store (offset 63 crosses into the next line)
+				store(a, sizes[rng.Intn(len(sizes))], rng.Uint64())
+			case op < 35: // a node-shape sequence on a's line
+				shape := storeShapes[rng.Intn(len(storeShapes))]
+				base := a.Line()
+				var sm savedMark
+				var fp uint64
+				for i, st := range shape {
+					if i == len(shape)-1 {
+						sm, fp = mark(), s.Fingerprint(FingerprintSeed)
+					}
+					store(base+st.off, st.size, rng.Uint64())
+					check(step)
 				}
-				for i := 0; i < size; i++ {
-					b := a + Addr(i)
-					m.top().queues[b] = append(m.top().queues[b], ByteStore{Val: byte(val >> (8 * uint(i))), Seq: sq})
+				rewind(sm)
+				if got := s.Fingerprint(FingerprintSeed); got != fp {
+					t.Fatalf("seed %d step %d: Fingerprint = %#x after rewind, %#x at the mark", seed, step, got, fp)
 				}
+				check(step)
+				// The outstanding marks are still valid: the state is the
+				// one the shape's last store was applied to.
+				last := shape[len(shape)-1]
+				store(base+last.off, last.size, rng.Uint64())
 			case op < 47: // flush
 				at := nextSeq()
 				s.FlushLine(a, at)
@@ -424,27 +475,123 @@ func TestPagedMatchesMapModel(t *testing.T) {
 				tw.Push()
 				m.execs = append(m.execs, newModelExec(len(m.execs)))
 			case op < 93: // snapshot mark
-				marks = append(marks, savedMark{mark: s.Mark(), twin: tw.Mark(), model: m.clone(), seq: seq})
+				marks = append(marks, mark())
 			case op < 99: // rewind to a random outstanding mark
 				if len(marks) == 0 {
 					continue
 				}
 				i := rng.Intn(len(marks))
-				s.Rewind(marks[i].mark)
-				tw.Rewind(marks[i].twin)
-				m = marks[i].model.clone()
-				seq = marks[i].seq
+				rewind(marks[i])
 				marks = marks[:i+1]
 			default: // scenario reset through the pools
 				recycle()
 			}
-			checkSame(t, step, s, m)
-			checkSame(t, step, tw, m)
+			check(step)
 		}
 	}
 	for _, src := range []LoadSource{LoadDeclined, LoadCached, LoadPinned} {
 		if fast[src] < 50 {
 			t.Errorf("Stack.Load answered with source %d only %d times: the fuzz no longer exercises it", src, fast[src])
+		}
+	}
+}
+
+// storeShapes are the store sequences that decide whether AppendWord leaves
+// one arena node or falls back to one per byte, as offsets into a cache line.
+var storeShapes = [][]struct {
+	off  Addr
+	size int
+}{
+	{{8, 8}, {8, 8}},          // word over the identical word: one node each
+	{{8, 8}, {10, 2}, {8, 8}}, // narrower inside wider, then the wider again: mixed tails
+	{{8, 8}, {11, 1}, {8, 8}}, // byte into the middle of a word
+	{{56, 8}, {60, 8}},        // a word crossing into the next line (and, from 0x1c0, page)
+}
+
+// TestAppendWordNodeCount pins the node shape from inside: a word store over
+// fresh bytes, or over bytes last written together, is exactly one arena node;
+// one over bytes of different history, or across a line, is one per byte.
+func TestAppendWordNodeCount(t *testing.T) {
+	e := NewExecution(0)
+	grow := func(a Addr, size int) int {
+		before := len(e.arena)
+		e.AppendWord(a, size, 0x0807060504030201, Seq(before+1))
+		return len(e.arena) - before
+	}
+	for _, c := range []struct {
+		what    string
+		a       Addr
+		size    int
+		want    int
+		wantVal uint64
+	}{
+		{"fresh aligned word", 0x100, 8, 1, 0x0807060504030201},
+		{"the same word again", 0x100, 8, 1, 0x0807060504030201},
+		{"narrower store inside it", 0x102, 2, 1, 0x0201},
+		{"the word over mixed tails", 0x100, 8, 8, 0x0807060504030201},
+		{"the word over eight byte nodes", 0x100, 8, 8, 0x0807060504030201},
+		{"fresh half word", 0x110, 4, 1, 0x04030201},
+		{"word over a half word and fresh bytes", 0x110, 8, 8, 0x0807060504030201},
+		{"line-crossing word", 0x13c, 8, 8, 0x0807060504030201},
+	} {
+		if got := grow(c.a, c.size); got != c.want {
+			t.Errorf("%s: arena grew by %d nodes, want %d", c.what, got, c.want)
+		}
+		var v uint64
+		for i := 0; i < c.size; i++ {
+			bs, _ := e.Newest(c.a + Addr(i))
+			v |= uint64(bs.Val) << (8 * uint(i))
+		}
+		if v != c.wantVal {
+			t.Errorf("%s: bytes read back %#x, want %#x", c.what, v, c.wantVal)
+		}
+	}
+	if got, want := e.DirtyStores(0x100), 2*8+2+2*8+4+8+4; got != want {
+		t.Errorf("DirtyStores(0x100) = %d, want %d (it counts bytes, not nodes)", got, want)
+	}
+}
+
+// TestPageIndexRebase touches page ids out of order: the dense index must
+// re-base when a lower id arrives after a higher one, keep every page
+// reachable, and leave the accessors sorted.
+func TestPageIndexRebase(t *testing.T) {
+	pool := NewPool()
+	s := pool.NewStack()
+	for round := 0; round < 2; round++ {
+		e := s.Top()
+		pages := []Addr{0x900, 0xa00, 0x300, 0x1200, 0x100, 0x300}
+		for i, a := range pages {
+			e.Append(a+Addr(i), byte(i+1), Seq(i+1))
+		}
+		if e.pageBase != 1 || len(e.pages) != 0x12 {
+			t.Fatalf("round %d: index spans base %d len %d, want base 1 len 18", round, e.pageBase, len(e.pages))
+		}
+		if got, want := e.touched, []Addr{9, 0xa, 3, 0x12, 1}; !slices.Equal(got, want) {
+			t.Errorf("round %d: touched = %v, want %v (first-touch order)", round, got, want)
+		}
+		for i, a := range pages {
+			if bs, ok := e.Newest(a + Addr(i)); !ok || bs.Val != byte(i+1) {
+				t.Errorf("round %d: Newest(%v) = %v/%v, want %d", round, a+Addr(i), bs, ok, i+1)
+			}
+		}
+		for _, a := range []Addr{0x0, 0x200, 0x1100, 0x1300, 1 << 40} {
+			if _, ok := e.Newest(a); ok || e.pageFor(a) != nil {
+				t.Errorf("round %d: untouched %v has a page", round, a)
+			}
+		}
+		if got, want := e.TouchedAddrs(), []Addr{0x104, 0x302, 0x305, 0x900, 0xa01, 0x1203}; !slices.Equal(got, want) {
+			t.Errorf("round %d: TouchedAddrs = %v, want %v", round, got, want)
+		}
+		if got, want := e.TouchedLines(), []Addr{0x100, 0x300, 0x900, 0xa00, 0x1200}; !slices.Equal(got, want) {
+			t.Errorf("round %d: TouchedLines = %v, want %v", round, got, want)
+		}
+		if got := e.DirtyLines(); !slices.Equal(got, e.TouchedLines()) {
+			t.Errorf("round %d: DirtyLines = %v, want every touched line", round, got)
+		}
+		// The recycled execution starts from an empty index over the same array.
+		s = pool.Recycle(s)
+		if e := s.Top(); len(e.pages) != 0 || len(e.touched) != 0 {
+			t.Fatalf("round %d: recycled execution keeps %d index entries, %d touched", round, len(e.pages), len(e.touched))
 		}
 	}
 }
@@ -567,3 +714,5 @@ func TestStackOpsAllocFree(t *testing.T) {
 		t.Errorf("warmed mark/append/flush/refine/rewind cycle allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+func sortAddrs(s []Addr) { slices.Sort(s) }

@@ -224,18 +224,20 @@ func (s *Stack) Load(a Addr, size int) (v uint64, src LoadSource) {
 	}
 	top := s.Top()
 	if pg := top.pageFor(a); pg != nil && pg.lines[lineIndex(a)].tail != 0 {
-		hits := 0
-		for i := 0; i < size; i++ {
-			if t := pg.slots[int(a&pageMask)+i].tail; t != 0 {
-				v |= uint64(top.arena[t-1].val) << (8 * uint(i))
-				hits++
+		sls := pg.slots[a&pageMask:][:size]
+		if t := sls[0].tail; !sameTail(sls) {
+			// Different stores: all from this execution, or the load is mixed.
+			for i := range sls {
+				if sls[i].tail == 0 {
+					return 0, LoadDeclined
+				}
+				v |= uint64(top.arena[sls[i].tail-1].byteAt(a+Addr(i))) << (8 * uint(i))
 			}
-		}
-		if hits == size {
 			return v, LoadCached
-		}
-		if hits != 0 {
-			return 0, LoadDeclined
+		} else if t != 0 {
+			// One store covers the whole access: its word, shifted and masked.
+			nd := &top.arena[t-1]
+			return nd.val >> (8 * uint(a-nd.addr)) & (1<<(8*uint(size)) - 1), LoadCached
 		}
 	}
 	if top.ID == 0 {

@@ -6,7 +6,8 @@
 // The two-phase execution model of §4 is split between this package and the
 // model checker: Exec_* (Figure 7) corresponds to Push/Mfence here, and
 // Evict_SB / Evict_FB (Figure 8) to EvictOldest/DrainFlushBuffer, which apply
-// their effects through the Storage interface implemented by the checker.
+// their effects through the Storage interface implemented by the checker
+// (PushEvict is an Exec_* followed at once by its Evict_SB).
 package tso
 
 import (
@@ -139,7 +140,7 @@ type ThreadState struct {
 	sbHead   int
 	fb       []fbEntry
 	tSfence  pmem.Seq
-	tLine    map[pmem.Addr]pmem.Seq
+	tLine    lineTable
 	capacity int // drain threshold; 0 means unbounded
 
 	// col is the checker's observability shard (nil when disabled: every
@@ -160,7 +161,7 @@ type fbEntry struct {
 // buffer: pushing beyond it evicts the oldest entry first (real store
 // buffers are finite); 0 means unbounded.
 func NewThreadState(capacity int) *ThreadState {
-	return &ThreadState{tLine: make(map[pmem.Addr]pmem.Seq), capacity: capacity}
+	return &ThreadState{capacity: capacity}
 }
 
 // SetObserver attaches the checker's metrics shard; the default (nil)
@@ -178,7 +179,7 @@ func (t *ThreadState) Reset() {
 	t.sbHead = 0
 	t.fb = t.fb[:0]
 	t.tSfence = 0
-	clear(t.tLine)
+	t.tLine.reset()
 }
 
 // SBLen reports the number of buffered store-buffer entries.
@@ -195,11 +196,8 @@ type Snapshot struct {
 	sb      []Entry
 	fb      []fbEntry
 	tSfence pmem.Seq
-	// tLine is captured as parallel key/value slices; RestoreFrom rebuilds
-	// the map, so the (nondeterministic) capture iteration order is
-	// irrelevant to the restored state.
-	lineK []pmem.Addr
-	lineV []pmem.Seq
+	// tLine holds the line table's occupied cells, in table order.
+	tLine []lineCell
 }
 
 // CaptureInto records t's complete buffering state into s, reusing s's
@@ -208,11 +206,11 @@ func (t *ThreadState) CaptureInto(s *Snapshot) {
 	s.sb = append(s.sb[:0], t.sb[t.sbHead:]...)
 	s.fb = append(s.fb[:0], t.fb...)
 	s.tSfence = t.tSfence
-	s.lineK = s.lineK[:0]
-	s.lineV = s.lineV[:0]
-	for k, v := range t.tLine {
-		s.lineK = append(s.lineK, k)
-		s.lineV = append(s.lineV, v)
+	s.tLine = s.tLine[:0]
+	for _, c := range t.tLine.cells {
+		if c.seq != 0 {
+			s.tLine = append(s.tLine, c)
+		}
 	}
 }
 
@@ -222,9 +220,9 @@ func (t *ThreadState) RestoreFrom(s *Snapshot) {
 	t.sbHead = 0
 	t.fb = append(t.fb[:0], s.fb...)
 	t.tSfence = s.tSfence
-	clear(t.tLine)
-	for i, k := range s.lineK {
-		t.tLine[k] = s.lineV[i]
+	t.tLine.reset()
+	for _, c := range s.tLine {
+		t.tLine.set(c.line, c.seq)
 	}
 }
 
@@ -279,31 +277,55 @@ func (t *ThreadState) Overlaps(a pmem.Addr, size int) bool {
 	return false
 }
 
-// EvictOldest removes the oldest store-buffer entry and applies its effect
-// (Figure 8, the four Evict_SB cases). It reports the evicted entry.
+// EvictOldest removes the oldest store-buffer entry and applies its effect.
+// It reports the evicted entry.
 func (t *ThreadState) EvictOldest(st Storage) Entry {
 	e := t.sb[t.sbHead]
 	t.sb[t.sbHead] = Entry{} // release the Loc string
 	t.sbHead++
+	t.evict(st, &e)
+	return e
+}
+
+// PushEvict executes *e on an empty store buffer and evicts it at once: the
+// effects, counters and probe calls of Push then EvictOldest without the
+// entry's round trip through the buffer — how a policy that drains after every
+// operation issues one. The entry comes by pointer (this is the per-operation
+// path and an Entry does not fit the argument registers); a clflushopt's Seq
+// is stamped in place.
+func (t *ThreadState) PushEvict(st Storage, e *Entry) {
+	if t.SBLen() != 0 {
+		panic("tso: PushEvict on a non-empty store buffer")
+	}
+	if e.Kind == CLFlushOpt {
+		e.Seq = st.CurSeq()
+	}
+	t.col.NotePeak(obs.PeakSB, 1)
+	t.evict(st, e)
+}
+
+// evict applies the effect of an entry leaving the store buffer (Figure 8,
+// the four Evict_SB cases).
+func (t *ThreadState) evict(st Storage, e *Entry) {
 	t.col.Inc(obs.SBEvictions)
 	switch e.Kind {
 	case Store:
 		s := st.NextSeq()
 		st.ApplyStore(e.Addr, e.Size, e.Val, s)
-		t.tLine[e.Addr.Line()] = s
-		t.probe.evict(e, s)
+		t.tLine.set(e.Addr.Line(), s)
+		t.probe.evict(*e, s)
 	case CLFlush:
 		st.BeforeFlushEffect(CLFlush, e.Addr, e.Loc)
 		s := st.NextSeq()
 		st.ApplyCLFlush(e.Addr, s)
-		t.tLine[e.Addr.Line()] = s
-		t.probe.evict(e, s)
+		t.tLine.set(e.Addr.Line(), s)
+		t.probe.evict(*e, s)
 	case CLFlushOpt:
 		// Reordering with earlier operations: the writeback is ordered
 		// after the max of (σ at execution, last store/clflush to the same
 		// line by this thread, last sfence by this thread).
 		s := e.Seq
-		if ls := t.tLine[e.Addr.Line()]; ls > s {
+		if ls := t.tLine.get(e.Addr.Line()); ls > s {
 			s = ls
 		}
 		if t.tSfence > s {
@@ -311,15 +333,14 @@ func (t *ThreadState) EvictOldest(st Storage) Entry {
 		}
 		t.fb = append(t.fb, fbEntry{line: e.Addr.Line(), seq: s, loc: e.Loc, op: e.Op})
 		t.col.NotePeak(obs.PeakFB, int64(len(t.fb)))
-		t.probe.evict(e, s)
+		t.probe.evict(*e, s)
 	case SFence:
 		st.SFenceEffect(len(t.fb), e.Loc)
 		s := st.NextSeq()
-		t.probe.evict(e, s)
+		t.probe.evict(*e, s)
 		t.DrainFlushBuffer(st)
 		t.tSfence = s
 	}
-	return e
 }
 
 // DrainSB evicts every store-buffer entry in order.
