@@ -3,12 +3,15 @@ package benchlist
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"testing"
 
 	"jaaru/internal/core"
 	"jaaru/internal/obs"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/loadpath_golden.json")
 
 // loadPathGolden is one pinned exploration: the deterministic Result fields
 // and the canonical counters of a default serial run with Observe on, plus
@@ -37,7 +40,8 @@ type loadPathGolden struct {
 // which was generated from the commit before loads were resolved per
 // operation: the equivalence suites compare the engine with itself, so only
 // a committed golden makes tier-1 fail when every mode drifts together. On a
-// deliberate change, replace the file with the JSON this test prints.
+// deliberate change, `go test ./internal/benchlist -run TestLoadPathGolden
+// -update` rewrites the file; the diff is the change to review.
 func TestLoadPathGolden(t *testing.T) {
 	var got []loadPathGolden
 	for _, tc := range []struct {
@@ -59,11 +63,39 @@ func TestLoadPathGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotJSON = append(gotJSON, '\n')
+	if *update {
+		if err := os.WriteFile("testdata/loadpath_golden.json", gotJSON, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	want, err := os.ReadFile("testdata/loadpath_golden.json")
 	if err != nil {
 		t.Fatalf("%v\ngot:\n%s", err, gotJSON)
 	}
 	if !bytes.Equal(gotJSON, want) {
 		t.Errorf("load-path golden drifted\ngot:\n%s\nwant:\n%s", gotJSON, want)
+	}
+}
+
+// TestBytePathRefinements gates the pinned summary's mechanism by a count that
+// repeats exactly: the post-failure load bytes that still take the byte path
+// (load_refinements - refinements_skipped) in a default serial run. A summary
+// that a restore, a flush of another line or the next scenario retires shows
+// here long before it shows on a clock (601 297 and 58 520 before summaries
+// were invalidated per line).
+func TestBytePathRefinements(t *testing.T) {
+	for _, tc := range []struct {
+		bench string
+		n     int
+		max   int64
+	}{{"part", 32, 170_000}, {"pmserver", 8, 7_000}} {
+		m := core.New(Find(tc.bench).Build(tc.n, false), core.Options{Observe: true}).Run().Metrics
+		if got := m.LoadRefinements - m.RefinementsSkipped; got > tc.max {
+			t.Errorf("%s n=%d: %d load bytes refined on the byte path (of %d), want <= %d",
+				tc.bench, tc.n, got, m.LoadRefinements, tc.max)
+		} else {
+			t.Logf("%s n=%d: %d of %d load bytes on the byte path", tc.bench, tc.n, got, m.LoadRefinements)
+		}
 	}
 }

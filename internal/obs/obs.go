@@ -99,10 +99,10 @@ const (
 	ChoiceRestores
 	ChoiceRestoreNs
 	ReplayStepsSaved
-	// RefinementsSkipped counts post-failure load bytes whose Figure-10
-	// interval refinement was skipped because the chosen line's refinement
-	// epoch was unchanged since an identical refinement of the same
-	// interval (the walk is idempotent, so repeating it is pure cost).
+	// RefinementsSkipped counts post-failure load bytes found pinned: the
+	// byte had one read-from candidate on record (pmem.Stack.DoRead), so
+	// its Figure-10 refinement walk, which could move nothing, was skipped —
+	// per byte on the byte path, per operation when pmem.Stack.Load answers.
 	RefinementsSkipped
 	// ReplaySteps counts guest steps physically executed while the chooser
 	// was still replaying a recorded decision prefix (cursor behind the
@@ -772,8 +772,9 @@ type Metrics struct {
 	MaxSnapshotBytes  int64 `json:"max_snapshot_bytes,omitempty"`
 
 	// Snapshot stack, choice-point entries (same dependencies; zeroed by
-	// Canonical). RefinementsSkipped is likewise non-canonical: restores
-	// change which loads execute live.
+	// Canonical). RefinementsSkipped is likewise non-canonical: which pins
+	// a load finds depends on the scenarios explored before it and on which
+	// loads a restore replays live.
 	ChoiceSnapCaptures int64 `json:"choice_snap_captures,omitempty"`
 	ChoiceRestores     int64 `json:"choice_restores,omitempty"`
 	ChoiceRestoreNs    int64 `json:"choice_restore_ns,omitempty"`

@@ -166,11 +166,16 @@ func (e *Execution) link(pg *page, sls []slot, a Addr, val uint64, s Seq) {
 			sls[i].head = idx
 		}
 	}
-	lr.tail, lr.fpOK = idx, false
+	lr.tail = idx
+	lr.changed()
 	// Sequence numbers only grow, so a fresh store is always past the line's
 	// lower writeback bound.
 	lr.dirty += int32(len(sls))
 }
+
+// wordMask covers the low size (<= 8) bytes of a word; a shift by 64 yields 0,
+// so it keeps all of an 8-byte value.
+func wordMask(size int) uint64 { return 1<<(8*uint(size)) - 1 }
 
 // sameTail reports whether all of sls have the same newest store (or none).
 func sameTail(sls []slot) bool {
@@ -192,8 +197,7 @@ func (e *Execution) AppendWord(a Addr, size int, val uint64, s Seq) {
 		pg := e.ensurePage(a)
 		sls := pg.slots[a&pageMask:][:size]
 		if sameTail(sls) {
-			// A shift by 64 yields 0, so the mask keeps all of an 8-byte value.
-			e.link(pg, sls, a, val&(1<<(8*uint(size))-1), s)
+			e.link(pg, sls, a, val&wordMask(size), s)
 			return
 		}
 	}
@@ -218,7 +222,7 @@ func (e *Execution) truncateArena(n int) {
 		}
 		lr := &pg.lines[lineIndex(nd.addr)]
 		lr.tail = nd.linePrev
-		lr.fpOK = false
+		lr.changed()
 		if nd.seq > lr.iv.Begin {
 			lr.dirty -= int32(nd.size)
 		}
@@ -337,7 +341,7 @@ func (e *Execution) RaiseLineBegin(a Addr, v Seq) {
 		return
 	}
 	lr.iv.Begin = v
-	lr.fpOK = false
+	lr.changed()
 	e.recountDirty(lr)
 }
 

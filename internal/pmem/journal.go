@@ -25,8 +25,7 @@ import "unsafe"
 //     arena truncation, so the count sees the final store chain).
 //   - Executions pushed after a snapshot are simply popped back to the pool;
 //     their stores and intervals die with them (interval undo entries
-//     referencing them are applied before the pool zeroes their pages, while
-//     the pointers are still live — harmless).
+//     referencing them are skipped).
 //
 // Lazily materialized cache lines (CacheLine creating the vacuous [0, ∞))
 // are deliberately not journaled: a rewind restores any refined line to its
@@ -34,13 +33,14 @@ import "unsafe"
 // known with its vacuous interval, which is semantically identical to an
 // unknown line for candidate enumeration.
 
-// ivUndo is one undo-journal entry: the line record's interval value before
-// a mutation, plus the owning execution (to recount dirty stores on rewind
-// and to skip records of popped executions).
+// ivUndo is one undo-journal entry: the interval of one execution's line
+// before a mutation. The line is kept by address, not by record: a rewind
+// recounts its dirty stores and retires its pinned summaries in the
+// executions above as well (lineMoved).
 type ivUndo struct {
-	e   *Execution
-	rec *lineRec
-	old Interval
+	e    *Execution
+	line Addr
+	old  Interval
 }
 
 // Mark identifies a rewindable point in a journaled Stack's history.
@@ -81,10 +81,8 @@ func (s *Stack) Mark() Mark {
 func (s *Stack) Rewind(m Mark) {
 	surviving := s.rewindScratch[:0]
 	for i := len(s.ivlog) - 1; i >= m.Intervals; i-- {
-		u := s.ivlog[i]
-		u.rec.iv = u.old
-		u.rec.fpOK = false
-		if u.e.ID < m.Depth {
+		if u := s.ivlog[i]; u.e.ID < m.Depth {
+			u.e.peekLine(u.line).iv = u.old
 			surviving = append(surviving, u)
 		}
 	}
@@ -96,12 +94,23 @@ func (s *Stack) Rewind(m Mark) {
 	s.execs = s.execs[:m.Depth]
 	s.execs[m.Depth-1].truncateArena(m.TopAppends)
 	for _, u := range surviving {
-		u.e.recountDirty(u.rec)
+		lr := u.e.peekLine(u.line)
+		u.e.recountDirty(lr)
+		s.lineMoved(u.e, lr, u.line)
 	}
 	s.rewindScratch = surviving[:0]
-	// Intervals (and possibly the execution range) moved: refinement memos
-	// recorded against the pre-rewind state must stop matching.
-	s.refEpoch++
+}
+
+// lineMoved retires what is cached about e's line of a after its interval
+// moved, and the pinned summaries of that line in the executions above e:
+// their candidate walks pass through e's interval.
+func (s *Stack) lineMoved(e *Execution, lr *lineRec, a Addr) {
+	lr.changed()
+	for _, x := range s.execs[e.ID+1:] {
+		if xl := x.peekLine(a); xl != nil {
+			xl.pinMask = 0
+		}
+	}
 }
 
 // FlushLine applies a flush effect (clflush or a buffered writeback) to the
@@ -129,12 +138,11 @@ func (s *Stack) raiseBegin(kind IntervalEventKind, e *Execution, a Addr, v Seq) 
 		lr = e.ensureLine(a)
 	}
 	if s.journaling {
-		s.ivlog = append(s.ivlog, ivUndo{e: e, rec: lr, old: lr.iv})
+		s.ivlog = append(s.ivlog, ivUndo{e: e, line: a.Line(), old: lr.iv})
 	}
-	s.refEpoch++
 	before := lr.iv
 	lr.iv.Begin = v
-	lr.fpOK = false
+	s.lineMoved(e, lr, a)
 	e.recountDirty(lr)
 	if s.tracer != nil {
 		s.tracer(IntervalEvent{
@@ -155,12 +163,11 @@ func (s *Stack) lowerEnd(kind IntervalEventKind, e *Execution, a Addr, v Seq) {
 		lr = e.ensureLine(a)
 	}
 	if s.journaling {
-		s.ivlog = append(s.ivlog, ivUndo{e: e, rec: lr, old: lr.iv})
+		s.ivlog = append(s.ivlog, ivUndo{e: e, line: a.Line(), old: lr.iv})
 	}
-	s.refEpoch++
 	before := lr.iv
 	lr.iv.End = v
-	lr.fpOK = false
+	s.lineMoved(e, lr, a)
 	if s.tracer != nil {
 		s.tracer(IntervalEvent{
 			Kind: kind, Exec: e.ID, Line: a.Line(), At: v, Before: before, After: lr.iv})

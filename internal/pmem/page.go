@@ -57,16 +57,9 @@ type node struct {
 func (nd *node) byteAt(a Addr) byte { return byte(nd.val >> (8 * uint(a-nd.addr))) }
 
 // slot is the per-byte queue header: 1-based arena indices of the oldest and
-// newest store to the byte (0 = no stores), plus the refinement memo —
-// refSeq/refEpoch record the last completed DoRead walk that chose this
-// byte's store at refSeq, so a repeat of the identical choice while the
-// stack's refinement epoch is unchanged is skipped as a proven no-op (see
-// Stack.DoRead). refEpoch == 0 (pooled pages come back zeroed) never
-// matches a live epoch, which starts at 1.
+// newest store to the byte (0 = no stores).
 type slot struct {
 	head, tail int32
-	refSeq     Seq
-	refEpoch   uint64
 }
 
 // lineRec is the per-cache-line record: the most-recent-writeback interval
@@ -74,14 +67,17 @@ type slot struct {
 // the line, and the incrementally maintained count of stores past the
 // interval's lower bound (see recountDirty).
 //
-// pinEpoch/pinMask/pinVal are the pinned summary Stack.Load answers whole
-// loads from. It is kept on the execution *below the top* and describes the
-// scenario's pre-failure state as the top execution sees it: while pinEpoch
-// equals the stack's refEpoch, every byte whose pinMask bit is set has exactly
-// one read-from candidate, of value pinVal[offset], and a DoRead of it is a
-// memoized no-op. It is deliberately not part of the line's semantic state:
-// it never sets known, touches fpOK or dirty, and pooled pages come back
-// zeroed (epoch 0 never matches a live epoch).
+// pinMask/pinVal are the pinned summary Stack.Load answers whole loads from.
+// The record of execution j describes what execution j+1 reads from the
+// executions 0..j: every byte whose pinMask bit is set has exactly one
+// read-from candidate there, of value pinVal[offset], and a DoRead of it moves
+// nothing. That is a function of this line's stores and intervals in 0..j
+// alone, so the pin is cleared exactly where they change — a store to the line
+// or its truncation (this execution, while it is the top: changed), an
+// interval of the line moving or being restored in this execution or one
+// below (Stack.lineMoved) — and by nothing else: it outlives the execution
+// above and the scenario. It is not part of the line's semantic state: it
+// never sets known, touches fpOK or dirty, and pooled pages come back zeroed.
 type lineRec struct {
 	iv    Interval
 	known bool
@@ -93,10 +89,13 @@ type lineRec struct {
 	tail  int32 // newest store to the line (1-based arena index, 0 = none)
 	fp    uint64
 
-	pinEpoch uint64
-	pinMask  uint64
-	pinVal   [CacheLineSize]byte
+	pinMask uint64
+	pinVal  [CacheLineSize]byte
 }
+
+// changed retires what is cached about the line when its stores or interval
+// change: the fingerprint and the pinned summary.
+func (lr *lineRec) changed() { lr.fpOK, lr.pinMask = false, 0 }
 
 // page holds the dense headers for pageSize consecutive bytes.
 type page struct {
@@ -121,7 +120,7 @@ func NewPool() *Pool { return &Pool{} }
 // NewStack returns a stack containing only the pre-failure execution, drawing
 // its state from the pool.
 func (p *Pool) NewStack() *Stack {
-	s := &Stack{pool: p, refEpoch: 1}
+	s := &Stack{pool: p}
 	s.execs = append(s.execs, p.getExec(0))
 	return s
 }
@@ -142,11 +141,6 @@ func (p *Pool) Recycle(s *Stack) *Stack {
 	s.ivlog = s.ivlog[:0]
 	s.journaling = false
 	s.tracer = nil
-	// Restart the refinement-memo epoch: released pages are zeroed, so any
-	// page surviving in a *different* stack carries refEpoch values from its
-	// old life — but pools are single-owner and stacks draw pages only from
-	// their own pool, so epoch 1 with zeroed pages is a clean slate.
-	s.refEpoch = 1
 	return s
 }
 

@@ -327,8 +327,8 @@ func byteLoad(s *Stack, m *modelStack, a Addr) (val byte, cached bool, cands int
 // word store is one Append per byte, so every arena node has size 1 — and
 // resolves every load byte by byte. Whenever Stack.Load answers a whole load
 // on the primary, the twin's byte path must yield exactly those bytes — all
-// from the top execution for LoadCached; one candidate each and a memoized
-// (skipped) DoRead for LoadPinned — and when it declines, the primary takes
+// from the top execution for LoadCached; one candidate each and a skipped
+// DoRead for LoadPinned — and when it declines, the primary takes
 // the byte path too, so the two stay in lockstep, both must keep matching the
 // model, and their Fingerprints must agree after every step: whether a store
 // became one node or several is not observable.
@@ -339,7 +339,7 @@ func byteLoad(s *Stack, m *modelStack, a Addr) (val byte, cached bool, cands int
 func TestPagedMatchesMapModel(t *testing.T) {
 	pool, twinPool := NewPool(), NewPool()
 	var s, tw *Stack
-	fast := map[LoadSource]int{}
+	fast, deep := map[LoadSource]int{}, map[LoadSource]int{}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		addrs := modelAddrs()
@@ -383,12 +383,56 @@ func TestPagedMatchesMapModel(t *testing.T) {
 			m = sm.model.clone()
 			seq = sm.seq
 		}
+		push := func() {
+			s.Push()
+			tw.Push()
+			m.execs = append(m.execs, newModelExec(len(m.execs)))
+		}
 		check := func(step int) {
 			t.Helper()
 			checkSame(t, step, s, m)
 			checkSame(t, step, tw, m)
 			if got, want := s.Fingerprint(FingerprintSeed), tw.Fingerprint(FingerprintSeed); got != want {
 				t.Fatalf("seed %d step %d: Fingerprint = %#x, byte-built twin %#x", seed, step, got, want)
+			}
+			// Whatever is pinned right now must be the model's only candidate,
+			// whichever execution, scenario or rewind ago it was pinned.
+			for _, a := range addrs {
+				if v, src := s.Load(a, 1); src == LoadPinned {
+					if want := m.readPreFailure(a); len(want) != 1 || want[0].Val != byte(v) {
+						t.Fatalf("seed %d step %d: %v pinned to %#x, model candidates %v", seed, step, a, v, want)
+					}
+				}
+			}
+		}
+		// load is one whole-operation load on the primary, checked byte by
+		// byte against the twin's byte path (which also refines the model).
+		load := func(step int, a Addr, size int) {
+			v, src := s.Load(a, size)
+			fast[src]++
+			if s.Depth() >= 3 {
+				deep[src]++
+			}
+			for i := 0; i < size; i++ {
+				b := a + Addr(i)
+				val, cached, cands, skipped := byteLoad(tw, m, b)
+				switch src {
+				case LoadDeclined:
+					byteLoad(s, nil, b)
+					continue
+				case LoadCached:
+					if !cached {
+						t.Fatalf("seed %d step %d: Load(%v,%d) cached, twin byte %d is not", seed, step, a, size, i)
+					}
+				case LoadPinned:
+					if cached || cands != 1 || !skipped {
+						t.Fatalf("seed %d step %d: Load(%v,%d) pinned, twin byte %d: cached=%v candidates=%d skipped=%v",
+							seed, step, a, size, i, cached, cands, skipped)
+					}
+				}
+				if got := byte(v >> (8 * uint(i))); got != val {
+					t.Fatalf("seed %d step %d: Load(%v,%d) byte %d = %#x, byte path %#x", seed, step, a, size, i, got, val)
+				}
 			}
 		}
 
@@ -440,33 +484,42 @@ func TestPagedMatchesMapModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: DoRead skipped = %v, twin %v", seed, step, got, want)
 				}
 				m.doRead(a, c)
-			case op < 80: // whole-operation load, re-read up to three times
+			case op < 76: // whole-operation load, re-read up to three times
 				size := sizes[rng.Intn(len(sizes))]
 				for n := 1 + rng.Intn(3); n > 0; n-- {
-					v, src := s.Load(a, size)
-					fast[src]++
-					for i := 0; i < size; i++ {
-						b := a + Addr(i)
-						val, cached, cands, skipped := byteLoad(tw, m, b)
-						switch src {
-						case LoadDeclined:
-							byteLoad(s, nil, b)
-							continue
-						case LoadCached:
-							if !cached {
-								t.Fatalf("seed %d step %d: Load(%v,%d) cached, twin byte %d is not", seed, step, a, size, i)
-							}
-						case LoadPinned:
-							if cached || cands != 1 || !skipped {
-								t.Fatalf("seed %d step %d: Load(%v,%d) pinned, twin byte %d: cached=%v candidates=%d skipped=%v",
-									seed, step, a, size, i, cached, cands, skipped)
-							}
-						}
-						if got := byte(v >> (8 * uint(i))); got != val {
-							t.Fatalf("seed %d step %d: Load(%v,%d) byte %d = %#x, byte path %#x", seed, step, a, size, i, got, val)
-						}
+					load(step, a, size)
+				}
+			case op < 80: // loads at depth 3, the top execution popped and pushed again between them
+				for s.Depth() < 2 {
+					push()
+				}
+				if s.Depth() > 2 {
+					continue
+				}
+				sm := mark()
+				reload := func() {
+					push()
+					for _, b := range addrs {
+						load(step, b, sizes[rng.Intn(len(sizes))])
 					}
 				}
+				reload()
+				rewind(sm)
+				// A store or a flush by the execution that is the top again must
+				// retire what the popped one pinned on that line, and only that.
+				switch rng.Intn(3) {
+				case 0:
+					store(a, sizes[rng.Intn(len(sizes))], rng.Uint64())
+				case 1:
+					at := nextSeq()
+					s.FlushLine(a, at)
+					tw.FlushLine(a, at)
+					m.top().raiseBegin(a, at)
+				}
+				sm = mark()
+				reload()
+				check(step)
+				rewind(sm)
 			case op < 88: // failure
 				if s.Depth() >= 4 {
 					continue
@@ -493,6 +546,10 @@ func TestPagedMatchesMapModel(t *testing.T) {
 		if fast[src] < 50 {
 			t.Errorf("Stack.Load answered with source %d only %d times: the fuzz no longer exercises it", src, fast[src])
 		}
+	}
+	if deep[LoadPinned] < 50 || deep[LoadDeclined] < 50 {
+		t.Errorf("at depth >= 3 Stack.Load was pinned %d times and declined %d: the fuzz no longer exercises pins across a pop and a push",
+			deep[LoadPinned], deep[LoadDeclined])
 	}
 }
 
@@ -693,12 +750,10 @@ func TestStackOpsAllocFree(t *testing.T) {
 		s.Push()
 		scratch = s.ReadPreFailureInto(0x80, scratch[:0])
 		s.DoRead(0x80, scratch[len(scratch)-1])
-		// Two byte-path reads pin the word; the third is a summary copy.
-		for n := 0; n < 2; n++ {
-			for a := Addr(0x88); a < 0x90; a++ {
-				scratch = s.ReadPreFailureInto(a, scratch[:0])
-				s.DoRead(a, scratch[0])
-			}
+		// One byte-path read pins the word; the next load is a summary copy.
+		for a := Addr(0x88); a < 0x90; a++ {
+			scratch = s.ReadPreFailureInto(a, scratch[:0])
+			s.DoRead(a, scratch[0])
 		}
 		if _, src := s.Load(0x88, 8); src != LoadPinned {
 			t.Fatalf("warmed Load(0x88, 8) source = %d, want LoadPinned", src)

@@ -1,5 +1,7 @@
 package pmem
 
+import "encoding/binary"
+
 // Stack is the sequence of executions comprising one failure scenario
 // (the paper's exec). Execution 0 is the pre-failure execution; each
 // injected failure pushes a fresh execution.
@@ -20,14 +22,6 @@ type Stack struct {
 	// rewindScratch is the reused buffer Rewind collects surviving refined
 	// lines into before recounting their dirty stores.
 	rewindScratch []ivUndo
-
-	// refEpoch versions the inputs of the DoRead refinement walk: it is
-	// bumped by every effective interval mutation, every Push (the walk's
-	// execution range changes), and every Rewind. A lineRec memo stamped
-	// with the current epoch proves a repeated refinement of the same
-	// ⟨addr, seq⟩ would be a no-op. Starts at 1 so zeroed pooled pages
-	// (refEpoch 0) never match.
-	refEpoch uint64
 
 	// tracer, when non-nil, receives every effective interval mutation with
 	// its provenance — the forensics hook behind per-cache-line persistence
@@ -90,9 +84,6 @@ func (s *Stack) Prev(e *Execution) *Execution {
 func (s *Stack) Push() *Execution {
 	e := s.pool.getExec(len(s.execs))
 	s.execs = append(s.execs, e)
-	// The refinement walk ranges over execs below the top; a new top
-	// extends that range, so prior walk memos no longer cover it.
-	s.refEpoch++
 	return e
 }
 
@@ -144,52 +135,46 @@ func (s *Stack) ReadPreFailureInto(a Addr, out []Candidate) []Candidate {
 
 // DoRead refines the most-recent-writeback intervals of previous executions
 // after the model checker selects candidate c for a load of byte address a
-// (Figure 10, DoRead / UpdateRanges). If the chosen store is from the current
-// execution there is nothing to refine.
+// (Figure 10, DoRead / UpdateRanges), and pins the byte: c is now its only
+// candidate. If the chosen store is from the current execution, or the current
+// execution is the pre-failure one (nothing below it: c is the pool's initial
+// zero), there is nothing to refine and no page is touched.
 //
-// skipped reports that the whole refinement walk was proven redundant by the
-// epoch memo and elided: a previous DoRead chose the same ⟨addr, seq⟩ of the
-// same execution, and since then no interval moved, no execution was pushed,
-// and no rewind happened (refEpoch unchanged) — so every execution the walk
-// would visit is frozen below the top and the idempotent refinement would
-// move nothing. Update-heavy recovery code re-reading the same recovered
-// word makes this the common case.
+// The pinned summary (lineRec.pinMask/pinVal of the execution below the top)
+// rests on three facts:
+//
+//  1. After DoRead chose ⟨a, σ⟩ the refined intervals admit exactly that one
+//     candidate for byte a (docs/ALGORITHM.md § Figure 10 derives it from the
+//     walk's postconditions). Conversely a byte that already has one candidate
+//     refines to a no-op — the postconditions hold before the walk — so
+//     pinning it journals nothing, skipping the walk for a pinned byte
+//     (skipped) loses nothing, and the pin stays true under any later
+//     narrowing.
+//  2. A choice among two or more candidates moves at least one interval of the
+//     line (the candidate set is a function of the stores and intervals, and
+//     it shrank), and every move is journaled: the Rewind that ends the
+//     scenario or restores a choice point undoes it and so retires every pin
+//     taken under it (lineMoved). Without a journal nothing is ever rewound;
+//     the scenario ends in Recycle, which zeroes the pages.
+//  3. Stores land only in the top execution, so the stores below it cannot
+//     change while a pin describes them; once an execution is the top again
+//     its own stores retire its pins line by line (lineRec.changed), and Load
+//     consults the top execution's own slots before any pin.
 func (s *Stack) DoRead(a Addr, c Candidate) (skipped bool) {
 	top := s.Top()
-	if c.Exec == top.ID {
+	if c.Exec == top.ID || top.ID == 0 {
 		return false
 	}
-	// The memo lives on the chosen execution's slot for byte a (InitialExec
-	// candidates memoize on execution 0; their Seq 0 cannot collide with a
-	// real exec-0 store, whose Seq is >= 1).
-	memoExec := c.Exec
-	if memoExec < 0 {
-		memoExec = 0
-	}
-	pg := s.execs[memoExec].ensurePage(a)
-	sl := &pg.slots[a&pageMask]
-	if sl.refEpoch == s.refEpoch && sl.refSeq == c.Seq {
-		// Second read of the byte in this epoch: publish it to the pinned
-		// summary so whole loads stop coming here (see Load). Not done on the
-		// first read — recoveries that flush bump the epoch per FlushLine and
-		// would pay for summaries they never get to use.
-		if top.ID > 0 {
-			if memoExec != top.ID-1 {
-				pg = s.execs[top.ID-1].ensurePage(a)
-			}
-			lr := &pg.lines[lineIndex(a)]
-			if lr.pinEpoch != s.refEpoch {
-				lr.pinEpoch, lr.pinMask = s.refEpoch, 0
-			}
-			lr.pinMask |= 1 << a.LineOffset()
-			lr.pinVal[a.LineOffset()] = c.Val
-		}
+	lr := &s.execs[top.ID-1].ensurePage(a).lines[lineIndex(a)]
+	off := a.LineOffset()
+	bit := uint64(1) << off
+	if lr.pinMask&bit != 0 {
 		return true
 	}
 	s.updateRanges(top.ID-1, a, c)
-	// Stamp with the post-walk epoch: the walk's own effective mutations
-	// bumped it, and repeating the walk now would be ineffective.
-	sl.refSeq, sl.refEpoch = c.Seq, s.refEpoch
+	// After the walk: its own effective mutations retired the line's pins.
+	lr.pinMask |= bit
+	lr.pinVal[off] = c.Val
 	return false
 }
 
@@ -202,7 +187,7 @@ const (
 	// LoadCached: every byte has a store in the top execution.
 	LoadCached
 	// LoadPinned: no byte has a store in the top execution and every byte is
-	// in the pinned summary — one candidate each, refinement a memoized no-op.
+	// in the pinned summary — one candidate each, refinement a no-op.
 	LoadPinned
 )
 
@@ -210,13 +195,7 @@ const (
 // per-byte path (Top().Newest, else ReadPreFailureInto + DoRead) could only
 // ever reproduce a known answer, and declines everything else: accesses that
 // cross a line, mix top-execution and pre-failure bytes, or read a byte that
-// is unpinned. The pinned summary is sound because after DoRead chose
-// ⟨a, σ⟩ the refined intervals admit exactly that one candidate for byte a
-// (the chosen execution's line has σ <= Begin and End <= the next store to a;
-// every execution above it has End <= its first store to a) until an interval
-// moves, an execution is pushed, or a rewind happens — and each of those
-// bumps refEpoch. Stores appended to the top execution do not, which is why
-// the top execution's slots are consulted first on every call.
+// is unpinned (see DoRead for why a pinned byte's answer is known).
 func (s *Stack) Load(a Addr, size int) (v uint64, src LoadSource) {
 	off := a.LineOffset()
 	if off+uint64(size) > CacheLineSize {
@@ -237,7 +216,7 @@ func (s *Stack) Load(a Addr, size int) (v uint64, src LoadSource) {
 		} else if t != 0 {
 			// One store covers the whole access: its word, shifted and masked.
 			nd := &top.arena[t-1]
-			return nd.val >> (8 * uint(a-nd.addr)) & (1<<(8*uint(size)) - 1), LoadCached
+			return nd.val >> (8 * uint(a-nd.addr)) & wordMask(size), LoadCached
 		}
 	}
 	if top.ID == 0 {
@@ -249,8 +228,11 @@ func (s *Stack) Load(a Addr, size int) (v uint64, src LoadSource) {
 	}
 	lr := &pg.lines[lineIndex(a)]
 	mask := (uint64(1)<<uint(size) - 1) << off
-	if lr.pinEpoch != s.refEpoch || lr.pinMask&mask != mask {
+	if lr.pinMask&mask != mask {
 		return 0, LoadDeclined
+	}
+	if off+8 <= CacheLineSize {
+		return binary.LittleEndian.Uint64(lr.pinVal[off:]) & wordMask(size), LoadPinned
 	}
 	for i := 0; i < size; i++ {
 		v |= uint64(lr.pinVal[off+uint64(i)]) << (8 * uint(i))
