@@ -5,13 +5,15 @@
 // Usage:
 //
 //	jaaru -list
+//	jaaru [-n N] fig14
 //	jaaru [-buggy] [-n N] [-multirf] [-failures K] [-trace] <benchmark>
 //	jaaru [-metrics] [-trace-out FILE] [-progress DUR] [-listen ADDR] <benchmark>
 //
 // Benchmarks: the six RECIPE structures (cceh, fastfair, part, bwtree,
 // clht, masstree), the five PMDK examples (btree, ctree, rbtree,
 // hashmap_atomic, hashmap_tx), and the paper's running examples (figure2,
-// figure4, commitstore).
+// figure4, commitstore). fig14 prints the paper's Figure 14 table for the
+// fixed RECIPE structures at scale N (default 1).
 //
 // -metrics prints the observability counter block after the summary;
 // -trace-out streams the JSONL event trace to a file; -progress prints a
@@ -51,7 +53,6 @@ func main() {
 	trace := flag.Bool("trace", false, "replay each bug and print its last 128 operations")
 	witness := flag.Bool("witness", false, "replay the first bug and print its annotated forensics witness (see also jaaru-explain)")
 	workers := flag.Int("workers", 1, "parallel exploration workers (-1 = GOMAXPROCS); results are identical to -workers 1")
-	por := flag.Bool("por", true, "prune equivalent scenarios via partial-order reduction; results are identical either way")
 	metrics := flag.Bool("metrics", false, "collect and print the observability counter block")
 	traceOut := flag.String("trace-out", "", "write the JSONL event trace to this file (implies -metrics)")
 	progress := flag.Duration("progress", 0, "print a live progress line to stderr at this interval (implies -metrics)")
@@ -76,6 +77,24 @@ func main() {
 	}
 
 	name := flag.Arg(0)
+	if name == "fig14" {
+		if *buggy {
+			fmt.Fprintln(os.Stderr, "fig14 tabulates the fixed RECIPE programs; -buggy does not apply")
+			os.Exit(2)
+		}
+		scale := 1
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "n" {
+				scale = *n
+			}
+		})
+		if err := fig14(scale); err != nil {
+			stopProfiles()
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
 	chosen := benchlist.Find(name)
 	if chosen == nil {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q (try -list)\n", name)
@@ -89,9 +108,6 @@ func main() {
 		RandomScheduler: *random,
 		Seed:            *seed,
 		Workers:         *workers,
-	}
-	if !*por {
-		opts.POR = -1
 	}
 	opts.Observe = *metrics || *progress > 0 || *listen != ""
 

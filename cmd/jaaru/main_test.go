@@ -2,8 +2,10 @@ package main
 
 import (
 	"errors"
+	"math/big"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -70,6 +72,61 @@ func TestTraceFlagReplaysBugs(t *testing.T) {
 	// "first scenario N" is a worker-local discovery index.
 	if par := bugs("-trace", "-workers", "4", "-buggy", "commitstore"); !sameButScenarioIndex(serial, par) {
 		t.Errorf("-trace differs under -workers 4:\nserial:\n%s\nparallel:\n%s", serial, par)
+	}
+}
+
+// TestFig14Table drives the built binary: `jaaru fig14` prints one row per
+// fixed RECIPE program, each within the bands its footer states — between 1
+// and 8 executions per failure point, and an eager (Yat) state count above
+// Jaaru's executions. fig14 is not a workload: -list does not show it, and
+// -buggy is refused.
+func TestFig14Table(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the jaaru binary (~2 s)")
+	}
+	bin := filepath.Join(t.TempDir(), "jaaru")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	out, err := exec.Command(bin, "fig14").CombinedOutput()
+	if err != nil {
+		t.Fatalf("jaaru fig14: %v\n%s", err, out)
+	}
+	_, table, _ := strings.Cut(string(out), "---\n")
+	lines := strings.Split(table, "\n")
+	want := []string{"CCEH", "FAST_FAIR", "P-ART", "P-BwTree", "P-CLHT", "P-Masstree"}
+	if len(lines) < len(want) {
+		t.Fatalf("jaaru fig14 printed too few rows:\n%s", out)
+	}
+	for i, name := range want {
+		f := strings.Fields(lines[i])
+		if len(f) != 6 || f[0] != name {
+			t.Errorf("row %d = %q, want the %s row", i, lines[i], name)
+			continue
+		}
+		execs, err1 := strconv.Atoi(f[1])
+		perFP, err2 := strconv.ParseFloat(f[4], 64)
+		eager, ok := new(big.Float).SetString(f[5])
+		if err1 != nil || err2 != nil || !ok || !strings.Contains(f[5], "e") {
+			t.Errorf("%s: unparsable row %q", name, lines[i])
+			continue
+		}
+		if perFP < 1 || perFP > 8 {
+			t.Errorf("%s: %.2f executions per failure point, outside [1, 8]", name, perFP)
+		}
+		if eager.Cmp(big.NewFloat(float64(execs))) <= 0 {
+			t.Errorf("%s: eager count %s does not exceed %d executions", name, f[5], execs)
+		}
+	}
+
+	if out, err := exec.Command(bin, "-list").CombinedOutput(); err != nil || strings.Contains(string(out), "fig14") {
+		t.Errorf("jaaru -list: err = %v, lists fig14 = %v\n%s", err, strings.Contains(string(out), "fig14"), out)
+	}
+	out, err = exec.Command(bin, "-buggy", "fig14").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "-buggy") {
+		t.Errorf("jaaru -buggy fig14: err = %v, want exit status 2 and a message naming -buggy\n%s", err, out)
 	}
 }
 

@@ -16,7 +16,7 @@ package core
 //
 // All hooks are nil-guarded on the exploration hot paths (c.wrec == nil
 // outside witness replays), following the obs.Collector discipline: disabled
-// forensics costs one branch per hook (pinned by BenchmarkObservability).
+// forensics costs one branch per hook.
 
 import (
 	"fmt"

@@ -16,8 +16,8 @@ import (
 //   - a word re-read until the pinned summary answers it, then a CAS64 on it
 //     (the RMW read takes the summary after its leading mfence drained the
 //     buffer into the current execution) and a load of the CAS result;
-//   - a re-read after a recovery Clflush, which bumps the refinement epoch
-//     and so retires every summary.
+//   - a re-read after a recovery Clflush, which retires that line's pinned
+//     summary on the flushing execution (and no other pin).
 //
 // Under MaxFailures 2 the recovery's own flush is a failure point, so the
 // same code also runs two executions deep, reading recovery's stores back as

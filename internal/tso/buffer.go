@@ -62,8 +62,8 @@ type Entry struct {
 // and buffered writebacks taking effect — for the bug-forensics witness
 // recorder (internal/forensics). It follows the obs.Collector nil-receiver
 // discipline: a nil *Probe (the default) makes every hook a single nil
-// check, so disabled forensics stays on the zero-overhead path measured by
-// BenchmarkObservability.
+// check, so disabled forensics stays on the same path as disabled
+// observability.
 type Probe struct {
 	// OnEvict fires when an entry leaves the store buffer. s is the sequence
 	// at which the entry took effect: for stores and clflushes the σ of the

@@ -6,7 +6,7 @@ package jaaru_test
 // the litmus suite, the example programs and representative RECIPE/PMDK
 // workloads (including seeded-bug variants), a default run (POR on) must
 // reach the same observation set, the same bug set, the same failure-point
-// count and the same logical scenario count as a -por=false reference run —
+// count and the same logical scenario count as a POR: -1 reference run —
 // serially, with Workers=4, and with the snapshot engine on or off.
 //
 // Deliberately NOT compared: RFChoicePoints, MaxRFCandidates and per-bug
