@@ -2,14 +2,14 @@
 # pass: vet, full build, the full test suite, a race-detector pass over the
 # packages with shared mutable state (the parallel exploration driver and the
 # TSO simulation and paged store arena it drives), and the allocation gates
-# (bench-mem). explain-smoke and scrape-smoke drive the forensics and
+# (allocs). explain-smoke and scrape-smoke drive the forensics and
 # telemetry surfaces end to end. Timing lives elsewhere: the benchmark of
 # record is `sh benchmark/run.sh`, and `go run ./cmd/jaaru fig14` prints the
 # paper's Figure 14 table.
 
 GO ?= go
 
-.PHONY: all build test vet race verify bench-mem explain-smoke scrape-smoke clean
+.PHONY: all build test vet race verify allocs explain-smoke scrape-smoke clean
 
 all: verify
 
@@ -22,8 +22,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# The parallel driver (internal/core) and the per-worker state it exercises
-# concurrently — the store-buffer machinery (internal/tso: PushEvict against
+# The partitioned-exploration driver (internal/core: the claim loop and the
+# Frontier that Workers > 1 and the fleet share) and the per-worker state it
+# exercises concurrently — the store-buffer machinery (internal/tso: PushEvict against
 # Push + EvictOldest, the line table) and the paged arena (internal/pmem: the
 # node-shape fuzz against the map model, the page-index re-base) — get a
 # dedicated race-detector pass, plus the root-package snapshot and POR equivalence suites, which drive the
@@ -55,11 +56,11 @@ race:
 # allocations once warmed, and the
 # bytes-per-capture bound on the snapshot stack (a capture is a journal mark
 # and a few scalars; an entry that copies per-scenario state fails it).
-bench-mem:
+allocs:
 	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations|TestSnapshotBytesPerCapture' -count=1 ./internal/core/
 	$(GO) test -run TestStackOpsAllocFree -count=1 ./internal/pmem/
 
-verify: vet build test race bench-mem
+verify: vet build test race allocs
 
 # End-to-end forensics smoke: find the commitstore bug, minimize its choice
 # prefix, build the witness, and validate the emitted JSON against the schema.

@@ -1,11 +1,10 @@
-// Command jaaru-server is the distributed-exploration coordinator: it owns
-// the global branch frontier, the shared caps, and the POR publication log
-// for every submitted job, and serves the lease protocol (internal/dist)
-// over HTTP to a fleet of jaaru-worker processes.
+// Command jaaru-server is the distributed-exploration coordinator: it serves
+// the lease protocol of internal/dist to a fleet of jaaru-worker processes
+// and merges each job's result.
 //
 // Usage:
 //
-//	jaaru-server [-addr :8080] [-shutdown-when-done] [-disable-wire-v2]
+//	jaaru-server [-addr :8080] [-shutdown-when-done]
 //
 // Submit work and poll results through the job API:
 //
@@ -13,22 +12,11 @@
 //	    -d '{"spec":{"bench":"figure2","buggy":true},"opts":{"Observe":true}}'
 //	curl localhost:8080/v1/jobs/j1
 //
-// Fleet telemetry is served from the same listener: GET /metrics is a
-// Prometheus-text scrape (one labeled series per job, including live
-// phase-latency histograms), and GET /v1/status is the JSON fleet view
-// jaaru-top renders (per-job scenarios/sec, frontier depth, active leases,
-// latency quantiles, ETA). -addr :0 binds an ephemeral port and prints the
-// actual address, which is what the scrape smoke test drives.
-//
-// Jobs resolve benchmark names through internal/benchlist, the same registry
-// the jaaru CLI uses; workers resolve the identical spec on their side, so
-// no guest code ever crosses the wire. A complete distributed run returns a
-// Result bit-identical to `jaaru -workers 1` on the same benchmark —
-// including runs where workers died mid-lease (their subtrees are requeued
-// on lease expiry and re-executed exactly).
-//
-// SIGINT/SIGTERM shut the listener down gracefully: in-flight requests
-// finish, then the process exits. Job state is in-memory only.
+// The same listener serves GET /metrics (Prometheus text, one series per
+// job) and GET /v1/status (the JSON fleet view jaaru-top renders). -addr :0
+// binds an ephemeral port and prints the address. Benchmark names resolve
+// through internal/benchlist, as in the jaaru CLI. SIGINT/SIGTERM shut the
+// listener down gracefully; job state is in memory only.
 package main
 
 import (
@@ -43,20 +31,17 @@ import (
 	"time"
 
 	"jaaru/internal/benchlist"
-	"jaaru/internal/core"
 	"jaaru/internal/dist"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shutdownWhenDone := flag.Bool("shutdown-when-done", false, "release the worker fleet once every submitted job is done (batch mode)")
-	disableWireV2 := flag.Bool("disable-wire-v2", false, "answer every worker in JSON v1 (debugging/rollback; v2 frames are still accepted)")
 	flag.Parse()
 
 	coord, err := dist.NewCoordinator(dist.Config{
-		Resolve:          resolve,
+		Resolve:          benchlist.Resolve,
 		ShutdownWhenDone: *shutdownWhenDone,
-		DisableWireV2:    *disableWireV2,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -90,16 +75,4 @@ func main() {
 		os.Exit(1)
 	}
 	<-done
-}
-
-func resolve(spec dist.ProgSpec) (core.Program, error) {
-	b := benchlist.Find(spec.Bench)
-	if b == nil {
-		return core.Program{}, fmt.Errorf("unknown benchmark %q (see jaaru -list)", spec.Bench)
-	}
-	n := spec.N
-	if n == 0 {
-		n = 6
-	}
-	return b.Build(n, spec.Buggy), nil
 }

@@ -1,35 +1,22 @@
 // Command jaaru-worker is one member of a distributed-exploration fleet: it
-// claims choice-prefix leases from a jaaru-server coordinator, explores them
-// with the ordinary checker, and streams back donated splits plus cumulative
-// stats (internal/dist).
+// claims leases from a jaaru-server coordinator, explores them with the
+// ordinary checker, and commits donated splits and stats deltas
+// (internal/dist).
 //
 // Usage:
 //
 //	jaaru-worker -coordinator http://host:8080 [-name w1] [-commit-every N]
-//	            [-codec v1|v2] [-listen ADDR]
+//	            [-listen ADDR]
 //
-// The wire codec is negotiated per connection by default: requests start in
-// JSON advertising binary v2 via Accept, and the worker upgrades the moment
-// the coordinator answers in v2 (downgrading transparently against an older
-// coordinator). -codec v1 pins JSON; -codec v2 starts binary immediately.
-//
-// -listen serves the worker's own telemetry — GET /metrics and GET
-// /v1/status with the lease-claim and commit RPC round-trip latency
-// histograms — so a fleet dashboard can tell a slow coordinator link from a
-// slow exploration (exploration counters travel in the commits and are
-// served by the coordinator's endpoints).
-//
-// Benchmarks are resolved locally through internal/benchlist from the spec
-// in each lease, so the worker binary must be built from the same tree as
-// the server. The worker exits cleanly when the coordinator (started with
-// -shutdown-when-done) releases the fleet, and exits with an error when the
-// coordinator stays unreachable past its retry budget.
-//
-// SIGINT/SIGTERM drain gracefully: the current lease is released — the
-// progress so far is committed and the unexplored remainder handed back to
-// the coordinator, which requeues it for another claimant — no further
-// leases are claimed, and the process exits. Nothing is lost and nothing
-// has to wait for a lease TTL.
+// Between commits the worker renews its lease every TTL/8; the TTL comes
+// with each grant (jaaru-server's is 30 s). -listen serves the worker's own
+// GET /metrics and GET /v1/status: its lease-claim and commit round-trip
+// latencies. Benchmarks resolve locally from each lease's spec, so build the
+// worker from the same tree as the server. The worker exits when the
+// coordinator (-shutdown-when-done) releases the fleet, or with an error once
+// the coordinator stays unreachable past the retry budget. SIGINT/SIGTERM
+// drain: the current lease is released — progress committed, the remainder
+// handed back for immediate requeue — and the process exits.
 package main
 
 import (
@@ -42,7 +29,6 @@ import (
 	"syscall"
 
 	"jaaru/internal/benchlist"
-	"jaaru/internal/core"
 	"jaaru/internal/dist"
 	"jaaru/internal/obs"
 	"jaaru/internal/telemetry"
@@ -52,7 +38,6 @@ func main() {
 	coordinator := flag.String("coordinator", "", "coordinator base URL (required), e.g. http://host:8080")
 	name := flag.String("name", "", "worker name in coordinator accounting (default: hostname-pid)")
 	commitEvery := flag.Int("commit-every", 0, "scenarios between commits (0: adapt to the observed scenario rate); lower = tighter re-execution window after a crash")
-	codec := flag.String("codec", "", `wire codec: "" negotiates binary v2 with fallback (default), "v1" pins JSON, "v2" starts binary immediately`)
 	listen := flag.String("listen", "", "serve worker telemetry (GET /metrics, GET /v1/status) on this address (:0 picks an ephemeral port)")
 	flag.Parse()
 
@@ -80,9 +65,8 @@ func main() {
 	w, err := dist.NewWorker(dist.WorkerConfig{
 		Name:        *name,
 		BaseURL:     *coordinator,
-		Resolve:     resolve,
+		Resolve:     benchlist.Resolve,
 		CommitEvery: *commitEvery,
-		Codec:       *codec,
 		Registry:    reg,
 	})
 	if err != nil {
@@ -103,16 +87,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-func resolve(spec dist.ProgSpec) (core.Program, error) {
-	b := benchlist.Find(spec.Bench)
-	if b == nil {
-		return core.Program{}, fmt.Errorf("unknown benchmark %q", spec.Bench)
-	}
-	n := spec.N
-	if n == 0 {
-		n = 6
-	}
-	return b.Build(n, spec.Buggy), nil
 }

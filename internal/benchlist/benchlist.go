@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"jaaru/internal/core"
+	"jaaru/internal/dist"
 	"jaaru/internal/netsim"
 	"jaaru/internal/pmdk"
 	"jaaru/internal/recipe"
@@ -154,4 +155,18 @@ func Find(name string) *Benchmark {
 		}
 	}
 	return nil
+}
+
+// Resolve is the dist.Resolver of jaaru-server and jaaru-worker: the named
+// benchmark at size spec.N (default 6, the CLI's -n default), fixed or buggy.
+func Resolve(spec dist.ProgSpec) (core.Program, error) {
+	b := Find(spec.Bench)
+	if b == nil {
+		return core.Program{}, fmt.Errorf("unknown benchmark %q (see jaaru -list)", spec.Bench)
+	}
+	n := spec.N
+	if n == 0 {
+		n = 6
+	}
+	return b.Build(n, spec.Buggy), nil
 }

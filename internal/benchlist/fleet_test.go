@@ -19,12 +19,14 @@ import (
 // and returns the merged result as a client reads it off the job API. With
 // killFirst, w1 claims the root lease alone, commits after every scenario and
 // dies after four requests (the grant plus three commits); the coordinator's
-// clock then passes the lease TTL, so w2 finds the residual requeued and
+// clock then passes the 30 s lease TTL, so w2 finds the residual requeued and
 // explores it. The result must show that requeue.
 func fleetOfTwo(t *testing.T, resolve dist.Resolver, spec dist.ProgSpec, opts core.Options, killFirst bool) *core.Result {
 	t.Helper()
 	clock := netsim.NewClock()
-	coord, err := dist.NewCoordinator(dist.Config{Resolve: resolve, Now: clock.Now, ShutdownWhenDone: true})
+	coord, err := dist.NewCoordinator(dist.Config{
+		Resolve: resolve, Now: clock.Now, ShutdownWhenDone: true, LeaseTTL: 30 * time.Second,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func fleetOfTwo(t *testing.T, resolve dist.Resolver, spec dist.ProgSpec, opts co
 		if err := doomed.Run(); err == nil {
 			t.Fatalf("%v: w1 finished within its kill budget; nothing was left mid-lease", spec)
 		}
-		clock.Advance(61 * time.Second) // past the default 30 s lease TTL
+		clock.Advance(61 * time.Second) // past the lease TTL
 		names = names[1:]
 	}
 	var wg sync.WaitGroup
@@ -106,7 +108,7 @@ func TestSeededBugsFleetOfTwo(t *testing.T) {
 		}
 		return progs[spec.N](), nil
 	}
-	opts := core.Options{MaxSteps: 2_000, HeartbeatMs: -1}
+	opts := core.Options{MaxSteps: 2_000}
 	for i := range progs {
 		serial := core.New(progs[i](), opts).Run()
 		if !serial.Buggy() {

@@ -306,21 +306,6 @@ func (c *Checker) runSerial() bool {
 // assembles the Result, sorting every finding list canonically.
 func (c *Checker) buildResult(start time.Time, complete bool) *Result {
 	c.foldChooserStats()
-	mrf := make([]*MultiRF, 0, len(c.multiRF))
-	for _, m := range c.multiRF {
-		mrf = append(mrf, m)
-	}
-	sort.Slice(mrf, func(i, j int) bool { return mrf[i].Loc < mrf[j].Loc })
-	perf := make([]*PerfIssue, 0, len(c.perfIssues))
-	for _, p := range c.perfIssues {
-		perf = append(perf, p)
-	}
-	sort.Slice(perf, func(i, j int) bool {
-		if perf[i].Loc != perf[j].Loc {
-			return perf[i].Loc < perf[j].Loc
-		}
-		return perf[i].Kind < perf[j].Kind
-	})
 	sortBugsCanonically(c.bugs)
 	for _, b := range c.bugs {
 		b.prog, b.opts = &c.prog, &c.opts
@@ -343,8 +328,8 @@ func (c *Checker) buildResult(start time.Time, complete bool) *Result {
 		Steps:              c.totalSteps,
 		Duration:           time.Since(start),
 		Bugs:               c.bugs,
-		MultiRF:            mrf,
-		PerfIssues:         perf,
+		MultiRF:            sortedMultiRF(c.multiRF),
+		PerfIssues:         sortedPerfIssues(c.perfIssues),
 		RFChoicePoints:     c.newPoints[chooseReadFrom],
 		FailDecisionPoints: c.newPoints[chooseFail],
 		MaxRFCandidates:    c.maxRF,
@@ -360,6 +345,21 @@ func (c *Checker) foldChooserStats() {
 		c.newPoints[k] += n
 		c.chooser.newPoints[k] = 0
 	}
+}
+
+// sortedPerfIssues lists performance findings by location, then kind.
+func sortedPerfIssues(m map[string]*PerfIssue) []*PerfIssue {
+	out := make([]*PerfIssue, 0, len(m))
+	for _, p := range m {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Loc != out[j].Loc {
+			return out[i].Loc < out[j].Loc
+		}
+		return out[i].Kind < out[j].Kind
+	})
+	return out
 }
 
 // sortBugsCanonically orders bug reports by the choice-stack description of
@@ -880,26 +880,19 @@ func (c *Checker) recordBug(f guestFault) {
 		Choices:   c.chooser.describe(),
 		replay:    append([]choicePoint(nil), c.chooser.points...),
 	}
-	if existing, ok := c.bugIndex[b.key()]; ok {
-		// Canonical representative, the same rule the parallel merge
-		// uses: of all manifestations sharing a key, the one with the
-		// smallest (Choices, Execution) supplies the reported scenario and
-		// replay vector.
-		if b.Choices < existing.Choices ||
-			(b.Choices == existing.Choices && b.Execution < existing.Execution) {
-			b.Count = existing.Count + 1
-			*existing = *b
-		} else {
-			existing.Count++
-		}
-		return
-	}
-	c.bugIndex[b.key()] = b
-	c.bugs = append(c.bugs, b)
-	if c.reg != nil {
+	c.addBug(b)
+}
+
+// addBug records a manifestation. The first of its key emits a "bug" event;
+// every one merges by mergeBug's rule, so of all manifestations sharing a key
+// the canonical one (smallest Choices, then Execution) supplies the reported
+// scenario and replay vector, as in the parallel merge.
+func (c *Checker) addBug(b *BugReport) {
+	if _, seen := c.bugIndex[b.key()]; !seen && c.reg != nil {
 		c.reg.Emit("bug", "worker", c.workerID, "type", b.Type.String(),
 			"message", b.Message, "choices", b.Choices)
 	}
+	c.mergeBug(b)
 }
 
 // recordEngineBug converts an internal engine panic raised while exploring
@@ -909,7 +902,7 @@ func (c *Checker) recordBug(f guestFault) {
 // parallel exploration. The abandoned subtree marks the stats truncated.
 func (c *Checker) recordEngineBug(e engineError, prefix []choicePoint) {
 	c.truncated = true
-	b := &BugReport{
+	c.mergeBug(&BugReport{
 		Type:      BugEngine,
 		Message:   e.msg,
 		Execution: c.stack.Top().ID,
@@ -917,11 +910,5 @@ func (c *Checker) recordEngineBug(e engineError, prefix []choicePoint) {
 		Count:     1,
 		Choices:   describeChoices(prefix),
 		replay:    append([]choicePoint(nil), prefix...),
-	}
-	if existing, ok := c.bugIndex[b.key()]; ok {
-		existing.Count++
-		return
-	}
-	c.bugIndex[b.key()] = b
-	c.bugs = append(c.bugs, b)
+	})
 }

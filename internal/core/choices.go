@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"jaaru/internal/obs"
@@ -141,16 +142,15 @@ func (ch *chooser) seedClaim(prefix []choicePoint, limits []int, memos []*failMe
 // donated subtrees were pushed), and POR clamps must stay clamped (their
 // analytic delta is part of the same commit's cumulative stats, so a
 // claimant re-applying it would double-count).
-func (ch *chooser) claimSnapshot() (points []choicePoint, limits []int, memos []*failMemo) {
-	points = append([]choicePoint(nil), ch.points...)
-	limits = append([]int(nil), ch.limit...)
-	for _, m := range ch.aux {
-		if m != nil {
-			memos = append([]*failMemo(nil), ch.aux...)
-			break
-		}
+func (ch *chooser) claimSnapshot() branch {
+	br := branch{
+		points: append([]choicePoint(nil), ch.points...),
+		limits: append([]int(nil), ch.limit...),
 	}
-	return points, limits, memos
+	if slices.ContainsFunc(ch.aux, func(m *failMemo) bool { return m != nil }) {
+		br.memos = append([]*failMemo(nil), ch.aux...)
+	}
+	return br
 }
 
 // advance backtracks depth-first: exhausted trailing points are popped, the

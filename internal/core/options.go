@@ -103,7 +103,7 @@ type Options struct {
 	// Workers is the number of goroutines exploring the choice tree
 	// (default 1: the serial reference semantics). A negative value means
 	// GOMAXPROCS. Workers > 1 partitions the tree across private worker
-	// checkers via a shared branch frontier and merges their findings
+	// checkers through a shared Frontier and merges their findings
 	// deterministically: on a full exploration the result (bug set,
 	// scenario/execution/failure-point counts, candidate statistics) is
 	// identical to a serial run. Explorations truncated by MaxScenarios,
@@ -146,20 +146,6 @@ type Options struct {
 	// EvictRandom, instrumented or replayed runs); elision stays active
 	// under witness replay so recorded choice vectors keep their shape.
 	POR int
-
-	// LeaseTTLMs is the distributed-exploration lease time-to-live in
-	// milliseconds (internal/dist): a worker that neither commits nor
-	// heartbeats within the TTL is presumed dead and its uncommitted
-	// subtree is requeued. Default 30000; a negative value disables expiry
-	// (normalized to the sentinel -1: leases never time out — useful for
-	// deterministic tests and debugging stopped workers).
-	LeaseTTLMs int
-
-	// HeartbeatMs is the interval at which a distributed worker renews its
-	// lease between commits (internal/dist). Default 2000; a negative value
-	// disables heartbeats (normalized to the sentinel -1: only commits
-	// renew the lease).
-	HeartbeatMs int
 
 	// Observe enables the observability layer: per-worker lock-free metric
 	// shards (internal/obs) aggregated into Result.Metrics. Off by default;
@@ -228,18 +214,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers < 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.LeaseTTLMs == 0 {
-		o.LeaseTTLMs = 30000
-	}
-	if o.LeaseTTLMs < 0 {
-		o.LeaseTTLMs = -1
-	}
-	if o.HeartbeatMs == 0 {
-		o.HeartbeatMs = 2000
-	}
-	if o.HeartbeatMs < 0 {
-		o.HeartbeatMs = -1
 	}
 	return o
 }

@@ -40,20 +40,13 @@ func TestWithDefaultsIdempotent(t *testing.T) {
 	if n := (Options{Snapshots: -5}).withDefaults().Snapshots; n != -1 {
 		t.Errorf("disabled Snapshots normalized to %d, want the sentinel -1", n)
 	}
-	if n := (Options{LeaseTTLMs: -9}).withDefaults().LeaseTTLMs; n != -1 {
-		t.Errorf("disabled LeaseTTLMs normalized to %d, want the sentinel -1", n)
-	}
-	if n := (Options{HeartbeatMs: -9}).withDefaults().HeartbeatMs; n != -1 {
-		t.Errorf("disabled HeartbeatMs normalized to %d, want the sentinel -1", n)
-	}
 }
 
 // TestWithDefaultsIdempotentEveryField sweeps every Options field by
 // reflection — zero, default-ish, and the negative sentinel probes for
-// numeric fields — so a newly added field (the lease TTL and heartbeat
-// interval were the latest) cannot ship a non-idempotent normalization
-// unnoticed: the hand-maintained case list above can lag the struct, this
-// sweep cannot.
+// numeric fields — so a newly added field cannot ship a non-idempotent
+// normalization unnoticed: the hand-maintained case list above can lag the
+// struct, this sweep cannot.
 func TestWithDefaultsIdempotentEveryField(t *testing.T) {
 	typ := reflect.TypeOf(Options{})
 	check := func(label string, o Options) {

@@ -1,334 +1,75 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"jaaru/internal/obs"
 )
 
-// Parallel state-space exploration.
-//
-// Stateless model checking is embarrassingly parallel once every source of
-// nondeterminism is captured in a replayable choice stack: any branch of
-// the choice tree is fully identified by its prefix of recorded decisions,
-// and two workers exploring disjoint prefixes never need to communicate
-// mid-scenario. The driver here exploits that:
-//
-//   - A coordinator owns a frontier of unexplored claims (choice vectors
-//     with per-point exploration limits). It starts with the root (empty)
-//     claim: the whole tree.
-//   - N workers each own a private Checker — allocator, execution stack,
-//     scheduler, chooser — and repeatedly take a claim, replay its vector,
-//     and run the options it covers depth-first.
-//   - Whenever a worker waits on a frontier that cannot feed it, a busy
-//     worker donates the shallow half of its unvisited sibling options as
-//     one claim (chooser.split), lowering its local exploration limits so
-//     the donated options are explored exactly once, by their claimant.
-//   - Global caps (MaxScenarios, MaxBugs, StopAtFirstBug) are enforced
-//     with a shared admission counter and a cooperative stop flag.
-//
-// Determinism: a claimed prefix replays exactly the decisions a serial
-// exploration would have replayed to reach the same branch, so per-branch
-// observables (bugs, recovery executions, newly discovered choice points,
-// candidate-set sizes) are identical to the serial run; the merge is over
-// order-insensitive aggregates (sums, maxima, keyed dedup with canonical
-// representative selection) followed by a canonical sort. A full parallel
-// exploration therefore produces the same Result as Workers=1, which is the
-// reference semantics.
+// Partitioned exploration: Workers > 1 in process, and a fleet of worker
+// processes behind internal/dist. A branch of the choice tree is fully named
+// by its prefix of recorded decisions, so disjoint prefixes explore anywhere
+// without talking mid-scenario, and a claimed prefix replays exactly the
+// decisions a serial run makes to reach it. Both drivers share the one claim
+// loop (exploreClaim), the one Frontier (claims, hunger, caps, completion)
+// and the one order-insensitive merge (stats.merge, finished by
+// buildResult's canonical sorts), so a full exploration merges to the serial
+// Result either way.
 
-// branch is one frontier item, in the form chooser.seedClaim installs: a
-// choice vector, the per-point limits of the sibling options that come with
-// it (nil: none, every point frozen) and the POR memos of its failure
-// decisions. The claimant replays the vector and owns everything the limits
-// cover (minus anything it later donates back). The memos are shared with the
-// donor's chooser and immutable.
+// branch is one claim, in the form chooser.seedClaim installs: a choice
+// vector, the per-point limits of the sibling options that come with it (nil:
+// none, every point frozen) and the POR memos of its failure decisions. The
+// claimant replays the vector and owns everything the limits cover (minus
+// anything it later donates back). The memos are shared with the donor's
+// chooser and immutable.
 type branch struct {
 	points []choicePoint
 	limits []int
 	memos  []*failMemo
 }
 
-// frontier is the shared queue of unexplored branches. pending counts
-// branches that are queued or actively being explored; when it reaches zero
-// the whole tree has been explored and every popper is released.
-type frontier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	items   []branch
-	pending int
-	waiting int // poppers blocked in pop
-	stopped bool
-
-	// reg receives frontier traffic counters and events (nil when the
-	// exploration is not observed).
-	reg *obs.Registry
+// claimSink is the claim loop's view of whoever handed the claim out: the
+// Frontier itself in process, a leaseRun in a fleet worker.
+type claimSink interface {
+	// admit reports whether one more scenario may run.
+	admit() bool
+	// ran reports a finished scenario's newly recorded distinct bugs; false
+	// ends the claim.
+	ran(bugs []*BugReport) bool
+	// Hungry reports whether a donation is wanted now.
+	Hungry() bool
+	// donate hands off a claim split from the current one.
+	donate(br branch)
+	// advanced follows every advance; more is false once the claim is
+	// exhausted (its POR records already flushed).
+	advanced(more bool) error
 }
 
-func newFrontier(reg *obs.Registry) *frontier {
-	f := &frontier{reg: reg}
-	f.cond = sync.NewCond(&f.mu)
-	return f
-}
-
-// push publishes a branch and accounts for it as pending work. A branch
-// pushed after a stop is dropped: pop would never hand it out, and counting
-// it as pending would leave the frontier unable to report the tree as drained
-// (pending can otherwise never return to zero).
-func (f *frontier) push(br branch) {
-	f.mu.Lock()
-	if f.stopped {
-		f.mu.Unlock()
-		return
-	}
-	f.items = append(f.items, br)
-	f.pending++
-	depth := len(f.items)
-	f.mu.Unlock()
-	f.cond.Broadcast()
-	f.reg.NotePush(1, depth)
-	f.reg.Emit("frontier_push", "n", 1, "depth", depth)
-}
-
-// pop claims a branch, blocking while the queue is empty but other workers
-// still hold claims that may yet donate work. It returns false when
-// exploration is over: the tree is exhausted or a stop was requested.
-//
-// Liveness audit (small trees at high worker counts): a blocked popper is
-// woken by exactly three events — push (new work), finish reaching
-// pending == 0 (tree drained), and stop. The worker holding the last
-// unsplit branch either donates (push wakes the waiters) or retires the
-// claim via finish; since finish broadcasts precisely when pending hits
-// zero, the queue-empty/pending-positive wait can never outlive the last
-// claim, whatever the tree size. The waiting count only solicits donations
-// (hungry): a 2-scenario tree under Workers=8 keeps seven workers parked until
-// the single holder donates its one sibling or drains the tree (see
-// TestParallelSmallTreeManyWorkers).
-func (f *frontier) pop() (branch, bool) {
-	f.mu.Lock()
-	for {
-		if f.stopped {
-			f.mu.Unlock()
-			return branch{}, false
-		}
-		if n := len(f.items); n > 0 {
-			br := f.items[n-1]
-			f.items = f.items[:n-1]
-			f.mu.Unlock()
-			f.reg.NoteClaim(n - 1)
-			f.reg.Emit("frontier_claim", "prefix", len(br.points), "depth", n-1)
-			return br, true
-		}
-		if f.pending == 0 {
-			f.mu.Unlock()
-			return branch{}, false
-		}
-		f.waiting++
-		f.cond.Wait()
-		f.waiting--
-	}
-}
-
-// finish retires a claim whose subtree is fully explored (or abandoned).
-func (f *frontier) finish() {
-	f.mu.Lock()
-	f.pending--
-	done := f.pending == 0
-	f.mu.Unlock()
-	if done {
-		f.cond.Broadcast()
-	}
-}
-
-// hungry reports whether a worker is waiting and the queue cannot feed it —
-// the one condition under which a donation helps. A claim is half the donor's
-// open work, so anything more eager (a watermark) only halves the donor again.
-func (f *frontier) hungry() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return !f.stopped && len(f.items) < f.waiting
-}
-
-// stop releases every popper; in-flight claims notice via sharedCaps.
-func (f *frontier) stop() {
-	f.mu.Lock()
-	f.stopped = true
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// sharedCaps enforces the exploration caps globally across workers.
-type sharedCaps struct {
-	f            *frontier
-	maxScenarios int64
-	maxBugs      int
-	stopAtFirst  bool
-
-	scen    atomic.Int64 // scenarios admitted so far
-	stopped atomic.Bool  // a cap fired: wind down cooperatively
-	capHit  atomic.Bool  // some cap truncated the exploration
-
-	mu   sync.Mutex
-	keys map[string]struct{} // distinct bug keys across all workers
-}
-
-func newSharedCaps(o Options, f *frontier) *sharedCaps {
-	return &sharedCaps{
-		f:            f,
-		maxScenarios: int64(o.MaxScenarios),
-		maxBugs:      o.MaxBugs,
-		stopAtFirst:  o.StopAtFirstBug,
-		keys:         make(map[string]struct{}),
-	}
-}
-
-// requestStop winds the exploration down: marks it truncated and releases
-// all workers.
-func (s *sharedCaps) requestStop() {
-	s.capHit.Store(true)
-	if s.stopped.CompareAndSwap(false, true) {
-		s.f.stop()
-	}
-}
-
-// admit reserves the right to run one more scenario. Mirroring the serial
-// loop, the scenario that reaches MaxScenarios still runs, and the
-// exploration stops after it.
-func (s *sharedCaps) admit() bool {
-	if s.stopped.Load() {
-		return false
-	}
-	n := s.scen.Add(1)
-	if n > s.maxScenarios {
-		s.scen.Add(-1) // not run: keep the global count exact
-		s.requestStop()
-		return false
-	}
-	if n == s.maxScenarios {
-		s.requestStop()
-	}
-	return true
-}
-
-// noteBug registers a distinct bug key and fires the bug caps. Dedup by
-// canonical key happens before any cap accounting: two workers reporting
-// the same bug in the same stop window contribute one entry to the MaxBugs
-// count and fire StopAtFirstBug once, and the merged Result carries one
-// report with summed Count (see TestSharedCapsConcurrentSameBug).
-func (s *sharedCaps) noteBug(key string) {
-	s.mu.Lock()
-	if _, ok := s.keys[key]; !ok {
-		s.keys[key] = struct{}{}
-		if s.stopAtFirst || len(s.keys) >= s.maxBugs {
-			s.mu.Unlock()
-			s.requestStop()
-			return
-		}
-	}
-	s.mu.Unlock()
-}
-
-// runParallel is the Workers>1 exploration driver: partition the choice
-// tree across worker checkers, then merge their stats deterministically.
-func (c *Checker) runParallel() *Result {
-	start := time.Now()
-	nw := c.opts.Workers
-	c.reg.SetWorkers(nw)
-	f := newFrontier(c.reg)
-	caps := newSharedCaps(c.opts, f)
-	f.push(branch{}) // the root claim: the whole tree
-
-	workers := make([]*Checker, nw)
-	var wg sync.WaitGroup
-	for i := range workers {
-		w := c.newWorker(i + 1)
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.workerLoop(f, caps)
-		}()
-	}
-	wg.Wait()
-
-	for _, w := range workers {
-		w.foldChooserStats()
-		c.stats.merge(&w.stats)
-	}
-
-	complete := !caps.capHit.Load()
-	res := c.buildResult(start, complete)
-	// MaxBugs is a cap on recorded bugs; concurrent discoveries can
-	// overshoot before the stop lands, so trim after the canonical sort.
-	if !c.opts.StopAtFirstBug && len(res.Bugs) > c.opts.MaxBugs {
-		res.Bugs = res.Bugs[:c.opts.MaxBugs]
-	}
-	return res
-}
-
-// newWorker builds a private Checker sharing this checker's program and
-// options (already normalized; withDefaults is idempotent, so New's
-// re-normalization is a no-op — disabled features stay disabled). Workers
-// do not build private registries: they record into fresh shards of the
-// coordinator's registry, so the merged metrics cover the whole run.
-func (c *Checker) newWorker(id int) *Checker {
-	o := c.opts
-	o.Observe = false
-	o.EventTrace = nil
-	w := New(c.prog, o)
-	// Workers share the coordinator's fingerprint seen-set: a subtree
-	// explored by one worker prunes equivalent crash states everywhere.
-	w.porSeenSet = c.porSeenSet
-	w.porFPHook = c.porFPHook
-	if c.reg != nil {
-		w.attachObs(c.reg, c.reg.NewShard(), id)
-	}
-	return w
-}
-
-// workerLoop claims branches until the tree is exhausted or a cap stops
-// the exploration.
-func (c *Checker) workerLoop(f *frontier, caps *sharedCaps) {
-	for {
-		br, ok := f.pop()
-		if !ok {
-			return
-		}
-		c.exploreBranch(br, f, caps)
-		f.finish()
-	}
-}
-
-// exploreBranch replays a claimed vector and runs the options its limits
-// cover depth-first, donating half of what is still open whenever the
-// frontier is hungry.
-func (c *Checker) exploreBranch(br branch, f *frontier, caps *sharedCaps) {
+// exploreClaim is the one claim loop: it replays br's vector and runs the
+// options its limits cover depth-first, donating half of what is still open
+// for as long as s is hungry. An engine panic abandons the claim (the
+// replayed subtree is unreliable; recordEngineBug marked the stats
+// truncated), as does a refused admission or an error from s.
+func (c *Checker) exploreClaim(br branch, s claimSink) error {
 	c.chooser.seedClaim(br.points, br.limits, br.memos)
 	for {
-		if !caps.admit() {
+		if !s.admit() {
 			c.porAbandon()
-			return
+			return nil
 		}
 		c.scenarios++
 		prevBugs := len(c.bugs)
-		if !c.runScenarioGuarded(br.points) {
-			// Engine panic: the replayed subtree is unreliable —
-			// abandon the claim (recordEngineBug marked us truncated).
-			for _, b := range c.bugs[prevBugs:] {
-				caps.noteBug(b.key())
-			}
-			return
-		}
-		for _, b := range c.bugs[prevBugs:] {
-			caps.noteBug(b.key())
-		}
-		if caps.stopped.Load() {
+		ok := c.runScenarioGuarded(br.points)
+		if more := s.ran(c.bugs[prevBugs:]); !ok {
+			return nil
+		} else if !more {
 			c.porAbandon()
-			return
+			return nil
 		}
-		for f.hungry() {
+		for s.Hungry() {
 			don, ok := c.chooser.split()
 			if !ok {
 				break
@@ -336,12 +77,18 @@ func (c *Checker) exploreBranch(br branch, f *frontier, caps *sharedCaps) {
 			// A record rooted at or above the deepest donated point no longer
 			// covers its whole subtree locally; its delta must not be published.
 			c.porCancelBelow(len(don.points))
-			c.reg.NoteDonation(1)
-			f.push(don)
+			s.donate(don)
 		}
-		if !c.chooser.advance() {
+		more := c.chooser.advance()
+		if !more {
 			c.porFlush()
-			return
+		}
+		if err := s.advanced(more); err != nil {
+			c.porAbandon()
+			return err
+		}
+		if !more {
+			return nil
 		}
 	}
 }
@@ -374,10 +121,337 @@ func (c *Checker) runScenarioGuarded(prefix []choicePoint) (ok bool) {
 	return true
 }
 
+// ---- Frontier ---------------------------------------------------------------
+
+// Frontier holds one partitioned exploration's open claims and the rules
+// around them. In process, worker goroutines take, donate and report through
+// it directly; internal/dist's coordinator keeps one per job and converts
+// claims to and from wire form at its edge. All methods are safe for
+// concurrent use.
+type Frontier struct {
+	mu   sync.Mutex
+	cond *sync.Cond // wakes next: a claim queued, the exploration stopped or over
+	wake func()     // the owner's hook for the same events but a stop (nil in process)
+	acc  *MergeAcc
+	reg  *obs.Registry
+
+	queue   []branch            // LIFO: the newest donation is handed out first
+	out     int                 // claims taken and not yet retired
+	waiting map[string]struct{} // claimants whose last take found nothing
+
+	// The cap rule: one scenario counter against MaxScenarios (admitted
+	// scenarios in process, committed ones in a fleet) and one set of distinct
+	// canonical bug keys against MaxBugs and StopAtFirstBug.
+	scenarios int
+	bugKeys   map[string]struct{}
+	stopped   bool // a cap fired: nothing more is handed out or admitted
+
+	workers []*Checker // in-process workers; their stats merge at completion
+	result  *Result    // the merged result, set once the exploration is over
+}
+
+// NewFrontier starts a partitioned exploration whose stats merge into acc,
+// with the root claim — the whole tree — queued. wake, when non-nil, is
+// called under the Frontier's lock whenever a claim is queued or the
+// exploration ends (the coordinator releases its parked lease requests).
+func NewFrontier(acc *MergeAcc, wake func()) *Frontier {
+	f := &Frontier{
+		acc:     acc,
+		reg:     acc.ck.reg,
+		wake:    wake,
+		waiting: make(map[string]struct{}),
+		bugKeys: make(map[string]struct{}),
+	}
+	f.cond = sync.NewCond(&f.mu)
+	f.mu.Lock()
+	f.pushLocked(branch{})
+	f.mu.Unlock()
+	return f
+}
+
+func (f *Frontier) changedLocked() {
+	f.cond.Broadcast()
+	if f.wake != nil {
+		f.wake()
+	}
+}
+
+// pushLocked queues claims and reports whether it did: after a stop or the
+// end nothing is queued, since nothing would ever hand it out.
+func (f *Frontier) pushLocked(brs ...branch) bool {
+	if f.stopped || f.result != nil || len(brs) == 0 {
+		return false
+	}
+	f.queue = append(f.queue, brs...)
+	f.reg.NotePush(len(brs), len(f.queue))
+	f.reg.Emit("frontier_push", "n", len(brs), "depth", len(f.queue))
+	f.changedLocked()
+	return true
+}
+
+// takeLocked hands waiter the newest claim, or marks it waiting.
+func (f *Frontier) takeLocked(waiter string) (branch, bool) {
+	n := len(f.queue)
+	if f.stopped || n == 0 {
+		if waiter != "" && f.result == nil {
+			f.waiting[waiter] = struct{}{}
+		}
+		return branch{}, false
+	}
+	br := f.queue[n-1]
+	f.queue = f.queue[:n-1]
+	f.out++
+	delete(f.waiting, waiter)
+	f.reg.NoteClaim(n - 1)
+	f.reg.Emit("frontier_claim", "prefix", len(br.points), "depth", n-1)
+	return br, true
+}
+
+// next takes a claim for an in-process worker, blocking while the queue is
+// empty but claims are still out: their holders may yet donate. It reports
+// false once the exploration stopped or the tree is exhausted.
+//
+// Liveness (small trees at high worker counts): a blocked next is woken by a
+// push, by the retire that ends the exploration, and by a stop. The holder of
+// the last claim either donates (a push) or retires it, so no wait outlives
+// the last claim, whatever the tree size (TestParallelSmallTreeManyWorkers).
+func (f *Frontier) next(waiter string) (branch, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for {
+		if br, ok := f.takeLocked(waiter); ok {
+			return br, true
+		}
+		if f.stopped || f.out == 0 {
+			return branch{}, false
+		}
+		f.cond.Wait()
+	}
+}
+
+// retireLocked ends a taken claim, requeueing residuals (the unexplored rest
+// of a released or expired lease) unless a cap stopped the exploration.
+func (f *Frontier) retireLocked(residuals []branch) (requeued bool) {
+	requeued = f.pushLocked(residuals...)
+	f.out--
+	f.finishLocked()
+	return requeued
+}
+
+// finishLocked ends the exploration once no claim is out and the queue is
+// empty or a cap fired: the in-process workers' stats merge (none of them
+// holds a claim, so none is exploring) and the Result is built.
+func (f *Frontier) finishLocked() {
+	if f.result != nil || f.out > 0 || (!f.stopped && len(f.queue) > 0) {
+		return
+	}
+	f.queue = nil
+	for _, w := range f.workers {
+		w.foldChooserStats()
+		f.acc.ck.stats.merge(&w.stats)
+	}
+	f.result = f.acc.BuildResult(!f.stopped)
+	f.changedLocked()
+}
+
+func (f *Frontier) stopLocked() {
+	if !f.stopped {
+		f.stopped = true
+		f.cond.Broadcast()
+		f.finishLocked()
+	}
+}
+
+// countLocked adds n scenarios to the one counter. Reaching MaxScenarios
+// stops the exploration; as in the serial loop, the scenario that reaches it
+// still counts.
+func (f *Frontier) countLocked(n int) {
+	f.scenarios += n
+	if f.scenarios >= f.acc.ck.opts.MaxScenarios {
+		f.stopLocked()
+	}
+}
+
+// noteBugLocked counts one canonical bug key against the bug caps. Dedup
+// comes first: the same bug reported by two workers, or twice in one commit
+// window, counts once toward MaxBugs and fires StopAtFirstBug once.
+func (f *Frontier) noteBugLocked(key string) {
+	if _, ok := f.bugKeys[key]; ok {
+		return
+	}
+	f.bugKeys[key] = struct{}{}
+	if o := &f.acc.ck.opts; o.StopAtFirstBug || len(f.bugKeys) >= o.MaxBugs {
+		f.stopLocked()
+	}
+}
+
+// admit reserves one scenario for an in-process worker.
+func (f *Frontier) admit() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.stopped {
+		return false
+	}
+	f.countLocked(1)
+	return true
+}
+
+func (f *Frontier) ran(bugs []*BugReport) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, b := range bugs {
+		f.noteBugLocked(b.key())
+	}
+	return !f.stopped
+}
+
+// Hungry is the one hunger rule: a claimant waits and the queue cannot feed
+// it. A donation is half the donor's open work, so anything more eager (a
+// watermark) only halves the donor again.
+func (f *Frontier) Hungry() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return !f.stopped && f.result == nil && len(f.queue) < len(f.waiting)
+}
+
+func (f *Frontier) donate(br branch) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.donateLocked(br)
+}
+
+func (f *Frontier) donateLocked(brs ...branch) {
+	if f.pushLocked(brs...) {
+		f.reg.NoteDonation(len(brs))
+	}
+}
+
+func (f *Frontier) advanced(bool) error { return nil }
+
+// Take hands waiter the newest queued claim in wire form, or marks waiter
+// waiting (ok false) — a waiting claimant is what makes the Frontier hungry.
+func (f *Frontier) Take(waiter string) (WireClaim, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	br, ok := f.takeLocked(waiter)
+	if !ok {
+		return WireClaim{}, false
+	}
+	return encodeClaim(br), true
+}
+
+// Unwait forgets a waiting claimant (it hung up, or another job fed it).
+func (f *Frontier) Unwait(waiter string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.waiting, waiter)
+}
+
+// Commit folds in one lease commit, whose delta and claims passed Validate at
+// ingest: the stats delta goes into the merge and the cap rule (its
+// scenarios count against MaxScenarios, its bug keys — a delta carries a bug
+// exactly when its count grew, every first sighting included — against the
+// bug caps), the splits onto the queue, and a final commit retires the claim
+// as Retire does, reporting whether its residuals were requeued.
+func (f *Frontier) Commit(delta *WireStats, splits, residuals []WireClaim, final bool) (requeued bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_ = f.acc.Absorb(delta) // its error paths are Validate's
+	f.countLocked(delta.Scenarios)
+	for _, key := range delta.BugKeys() {
+		f.noteBugLocked(key)
+	}
+	brs, _ := compileBranches(splits) // validated at ingest
+	f.donateLocked(brs...)
+	if !final {
+		return false
+	}
+	brs, _ = compileBranches(residuals)
+	return f.retireLocked(brs)
+}
+
+// Retire ends a taken claim. Residuals — the unexplored rest of a released or
+// expired lease — go back on the queue unless a cap stopped the exploration;
+// Retire reports whether they did.
+func (f *Frontier) Retire(residuals []WireClaim) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	brs, _ := compileBranches(residuals) // validated at ingest
+	return f.retireLocked(brs)
+}
+
+// Stopped reports whether a cap ended the exploration early.
+func (f *Frontier) Stopped() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.stopped
+}
+
+// Result returns the merged Result once the exploration is over — every
+// claim retired, and the queue empty or a cap fired — and nil before.
+func (f *Frontier) Result() *Result {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.result
+}
+
+// Progress reports the live counts a status view shows: scenarios counted
+// against the cap, post-failure executions merged, distinct bugs and queued
+// claims.
+func (f *Frontier) Progress() (scenarios, execs int64, bugs int, queued int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return int64(f.scenarios), int64(f.acc.ck.execsPost), len(f.bugKeys), int64(len(f.queue))
+}
+
+// runParallel is the Workers > 1 driver: worker goroutines, each with a
+// private Checker, take claims from one Frontier until it stops or drains.
+func (c *Checker) runParallel() *Result {
+	c.reg.SetWorkers(c.opts.Workers)
+	f := NewFrontier(&MergeAcc{ck: c, start: time.Now()}, nil)
+	for i := range c.opts.Workers {
+		f.workers = append(f.workers, c.newWorker(i+1))
+	}
+	var wg sync.WaitGroup
+	for i, w := range f.workers {
+		name := strconv.Itoa(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for br, ok := f.next(name); ok; br, ok = f.next(name) {
+				w.exploreClaim(br, f) // the Frontier's advanced never fails
+				f.Retire(nil)
+			}
+		}()
+	}
+	wg.Wait()
+	return f.Result()
+}
+
+// newWorker builds a private Checker sharing this checker's program and
+// options (already normalized; withDefaults is idempotent, so New's
+// re-normalization is a no-op — disabled features stay disabled). Workers
+// do not build private registries: they record into fresh shards of the
+// coordinator's registry, so the merged metrics cover the whole run.
+func (c *Checker) newWorker(id int) *Checker {
+	o := c.opts
+	o.Observe = false
+	o.EventTrace = nil
+	w := New(c.prog, o)
+	// Workers share the coordinator's fingerprint seen-set: a subtree
+	// explored by one worker prunes equivalent crash states everywhere.
+	w.porSeenSet = c.porSeenSet
+	w.porFPHook = c.porFPHook
+	if c.reg != nil {
+		w.attachObs(c.reg, c.reg.NewShard(), id)
+	}
+	return w
+}
+
 // ---- Deterministic merge ---------------------------------------------------
 
-// merge folds a retired worker's stats into the aggregate. Every operation
-// is order-insensitive (sum, max, keyed union with canonical representative
+// merge folds a worker's stats into the aggregate. Every operation is
+// order-insensitive (sum, max, keyed union with canonical representative
 // selection), so the merged outcome does not depend on worker arrival
 // order; buildResult's canonical sorts finish the job.
 func (dst *stats) merge(src *stats) {
@@ -401,17 +475,7 @@ func (dst *stats) merge(src *stats) {
 		dst.mergeMultiRF(k, m)
 	}
 	for k, p := range src.perfIssues {
-		if ex, ok := dst.perfIssues[k]; ok {
-			ex.Count += p.Count
-			// Canonical representative, the same rule recordPerfIssue
-			// applies within one worker: the smallest affected line is the
-			// reported example, independent of worker arrival order.
-			if p.Line < ex.Line {
-				ex.Line = p.Line
-			}
-		} else {
-			dst.perfIssues[k] = p
-		}
+		dst.mergePerfIssue(k, p)
 	}
 }
 
@@ -453,4 +517,18 @@ func (dst *stats) mergeMultiRF(key string, m *MultiRF) {
 		ex.Candidates = m.Candidates
 	}
 	ex.Count += m.Count
+}
+
+// mergePerfIssue unions a performance finding: counts sum, and the smallest
+// affected line is the reported example — the rule recordPerfIssue applies
+// within one worker, independent of arrival order.
+func (dst *stats) mergePerfIssue(key string, p *PerfIssue) {
+	if ex, ok := dst.perfIssues[key]; ok {
+		ex.Count += p.Count
+		if p.Line < ex.Line {
+			ex.Line = p.Line
+		}
+		return
+	}
+	dst.perfIssues[key] = p
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -50,8 +49,8 @@ func claimLeaves(shape []choicePoint, br branch) map[string]int {
 // random chooser states — partial limits, POR-clamped fail decisions, memos,
 // points with more than two options: the donated claim and the donor's
 // lowered limits cover the donor's previous leaves exactly once between them,
-// the claim takes ceil(T/2) of the T open options, and it survives both wire
-// codecs into seedClaim unchanged.
+// the claim takes ceil(T/2) of the T open options, and it survives the wire
+// codec into seedClaim unchanged.
 func TestSplitPartitionsOpenSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5917))
 	kinds := []choiceKind{chooseFail, chooseFail, chooseReadFrom, chooseEvict}
@@ -125,49 +124,38 @@ func TestSplitPartitionsOpenSet(t *testing.T) {
 			}
 		}
 
-		// Through both codecs and back into a chooser.
-		w := encodeClaim(don.points, don.limits, don.memos)
-		data, err := json.Marshal(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v1 WireClaim
-		if err := json.Unmarshal(data, &v1); err != nil {
-			t.Fatal(err)
-		}
+		// Through the wire codec and back into a chooser.
 		e := NewWireEncoder(nil)
-		e.Claim(w)
+		e.Claim(encodeClaim(don))
 		dec := NewWireDecoder(e.Bytes())
-		v2 := dec.Claim()
+		wc := dec.Claim()
 		if err := dec.Done(); err != nil {
-			t.Fatalf("iter %d: v2 decode: %v", iter, err)
+			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
 		kept := claimLeaves(shape, branch{donor.points, donor.limit, donor.aux})
-		for codec, wc := range map[string]WireClaim{"v1": v1, "v2": v2} {
-			pts, limits, memos, err := wc.compile()
-			if err != nil {
-				t.Fatalf("iter %d: %s compile: %v", iter, codec, err)
-			}
-			if !reflect.DeepEqual(memos, don.memos) && !(memos == nil && allNil(don.memos)) {
-				t.Fatalf("iter %d: %s memos differ:\nwant %v\ngot  %v", iter, codec, don.memos, memos)
-			}
-			given := claimLeaves(shape, branch{pts, limits, memos})
-			if len(given)+len(kept) != len(want) {
-				t.Fatalf("iter %d (%s): claim covers %d leaves and the donor %d, together not the previous %d",
-					iter, codec, len(given), len(kept), len(want))
-			}
-			for _, part := range []map[string]int{given, kept} {
-				for leaf, n := range part {
-					if n != 1 || want[leaf] != 1 {
-						t.Fatalf("iter %d (%s): leaf %s visited %d times (donor before the split: %d)",
-							iter, codec, leaf, n, want[leaf])
-					}
+		got, err := wc.compile()
+		if err != nil {
+			t.Fatalf("iter %d: compile: %v", iter, err)
+		}
+		if !reflect.DeepEqual(got.memos, don.memos) && !(got.memos == nil && allNil(don.memos)) {
+			t.Fatalf("iter %d: memos differ:\nwant %v\ngot  %v", iter, don.memos, got.memos)
+		}
+		given := claimLeaves(shape, got)
+		if len(given)+len(kept) != len(want) {
+			t.Fatalf("iter %d: claim covers %d leaves and the donor %d, together not the previous %d",
+				iter, len(given), len(kept), len(want))
+		}
+		for _, part := range []map[string]int{given, kept} {
+			for leaf, n := range part {
+				if n != 1 || want[leaf] != 1 {
+					t.Fatalf("iter %d: leaf %s visited %d times (donor before the split: %d)",
+						iter, leaf, n, want[leaf])
 				}
 			}
-			for leaf := range given {
-				if kept[leaf] != 0 {
-					t.Fatalf("iter %d (%s): leaf %s is in the claim and still with the donor", iter, codec, leaf)
-				}
+		}
+		for leaf := range given {
+			if kept[leaf] != 0 {
+				t.Fatalf("iter %d: leaf %s is in the claim and still with the donor", iter, leaf)
 			}
 		}
 	}
@@ -246,23 +234,97 @@ func TestSplitDrainsCombLogarithmically(t *testing.T) {
 
 // ---- frontier ---------------------------------------------------------------
 
+// testFrontier is a Frontier over a fresh accumulator, its root claim queued.
+func testFrontier(opts Options) *Frontier {
+	return NewFrontier(NewMergeAcc(parallelTreeProgram(), opts), nil)
+}
+
 func TestFrontierDrainsAndReleases(t *testing.T) {
-	f := newFrontier(nil)
-	f.push(branch{})
-	br, ok := f.pop()
+	f := testFrontier(Options{})
+	br, ok := f.next("w1")
 	if !ok || br.points != nil {
-		t.Fatalf("pop = %v, %v", br, ok)
+		t.Fatalf("next = %v, %v", br, ok)
 	}
-	// The single claim is outstanding: a concurrent popper must block
-	// until finish drops pending to zero, then give up.
+	// The single claim is out: a concurrent claimant must block until its
+	// retire ends the exploration, then give up.
 	released := make(chan bool)
 	go func() {
-		_, ok := f.pop()
+		_, ok := f.next("w2")
 		released <- ok
 	}()
-	f.finish()
+	f.Retire(nil)
 	if got := <-released; got {
-		t.Fatal("pop returned a branch from a drained frontier")
+		t.Fatal("next returned a claim from a drained Frontier")
+	}
+	if res := f.Result(); res == nil || !res.Complete {
+		t.Fatalf("drained Frontier's result = %+v, want a complete one", res)
+	}
+}
+
+// TestFrontierCapRule drives the one cap rule through both of its inputs: an
+// in-process worker's admit before each scenario and ran after it, and a
+// fleet's Commit. A window is some scenarios, then bug reports from
+// separate sources (workers, or commits); both paths must stop in the same
+// window, or not at all, and report the same completeness.
+func TestFrontierCapRule(t *testing.T) {
+	type window struct {
+		scenarios int
+		bugs      []string
+	}
+	cases := []struct {
+		name   string
+		opts   Options
+		wins   []window
+		stopIn int // index of the window the cap fires in; -1: never
+	}{
+		{"MaxScenarios", Options{MaxScenarios: 5}, []window{{3, nil}, {3, nil}, {1, nil}}, 1},
+		{"MaxScenarios not reached", Options{MaxScenarios: 10}, []window{{3, nil}, {3, nil}}, -1},
+		{"MaxBugs", Options{MaxBugs: 2}, []window{{1, []string{"a"}}, {1, []string{"b"}}}, 1},
+		{"StopAtFirstBug", Options{StopAtFirstBug: true}, []window{{2, nil}, {1, []string{"a"}}}, 1},
+		{"same key twice in one window", Options{MaxBugs: 2},
+			[]window{{1, []string{"a", "a"}}, {1, []string{"a"}}}, -1},
+	}
+	paths := map[string]func(f *Frontier, w window){
+		"admit": func(f *Frontier, w window) {
+			for i := 0; i < w.scenarios; i++ {
+				f.admit()
+			}
+			for _, msg := range w.bugs {
+				f.ran([]*BugReport{{Type: BugAssertion, Message: msg}})
+			}
+		},
+		"commit": func(f *Frontier, w window) {
+			f.Commit(&WireStats{Scenarios: w.scenarios}, nil, nil, false)
+			for _, msg := range w.bugs {
+				delta := &WireStats{Bugs: []WireBug{{Type: int(BugAssertion), Message: msg, Count: 1}}}
+				f.Commit(delta, nil, nil, false)
+			}
+		},
+	}
+	for _, tc := range cases {
+		for path, run := range paths {
+			f := testFrontier(tc.opts)
+			if _, ok := f.Take("w1"); !ok {
+				t.Fatalf("%s/%s: root claim not handed out", tc.name, path)
+			}
+			stopIn := -1
+			for i, w := range tc.wins {
+				run(f, w)
+				if f.Stopped() && stopIn < 0 {
+					stopIn = i
+				}
+			}
+			if stopIn != tc.stopIn {
+				t.Errorf("%s/%s: cap fired in window %d, want %d", tc.name, path, stopIn, tc.stopIn)
+			}
+			if f.Result() != nil {
+				t.Errorf("%s/%s: result built while a claim is out", tc.name, path)
+			}
+			f.Retire(nil)
+			if res := f.Result(); res == nil || res.Complete != (tc.stopIn < 0) {
+				t.Errorf("%s/%s: result %+v, want Complete %v", tc.name, path, res, tc.stopIn < 0)
+			}
+		}
 	}
 }
 
@@ -409,12 +471,11 @@ func TestParallelStopAtFirstBug(t *testing.T) {
 // truncated, instead of crashing the whole exploration.
 func TestParallelEngineBugGuard(t *testing.T) {
 	c := New(parallelTreeProgram(), Options{})
-	f := newFrontier(nil) // nobody waits on it: no donations from this claim
-	caps := newSharedCaps(c.opts, f)
+	f := testFrontier(Options{}) // nobody waits on it: no donations from this claim
 	// The program's first choice point is fail/2; this prefix claims to
 	// have recorded rf/7 there.
 	br := branch{points: []choicePoint{{kind: chooseReadFrom, n: 7, idx: 3}}}
-	c.exploreBranch(br, f, caps)
+	c.exploreClaim(br, f)
 
 	if len(c.bugs) != 1 || c.bugs[0].Type != BugEngine {
 		t.Fatalf("bugs = %v, want one BugEngine", c.bugs)
@@ -482,48 +543,42 @@ func TestParallelSmallTreeManyWorkers(t *testing.T) {
 
 // TestSharedCapsConcurrentSameBug: the same canonical bug key reported
 // concurrently by many workers counts once — toward MaxBugs and toward the
-// StopAtFirstBug trigger — because noteBug dedupes by key before any cap
-// accounting. Run under -race: this is the contract documented on noteBug
-// and mirrored by the distributed coordinator's commit handler.
+// StopAtFirstBug trigger — because the Frontier dedupes by key before any cap
+// accounting. Run under -race: the fleet's commit path counts keys through
+// the same rule (TestFrontierCapRule).
 func TestSharedCapsConcurrentSameBug(t *testing.T) {
-	caps := newSharedCaps(Options{StopAtFirstBug: true}.withDefaults(), newFrontier(nil))
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				caps.noteBug("assert:same-key")
-			}
-		}()
+	report := func(f *Frontier, msg string) {
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 200; j++ {
+					f.ran([]*BugReport{{Type: BugAssertion, Message: msg}})
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	if n := len(caps.keys); n != 1 {
+	f := testFrontier(Options{StopAtFirstBug: true})
+	report(f, "same-key")
+	if _, _, n, _ := f.Progress(); n != 1 {
 		t.Errorf("concurrent same-key reports left %d keys, want 1", n)
 	}
-	if !caps.stopped.Load() {
+	if !f.Stopped() {
 		t.Error("StopAtFirstBug did not request a stop")
 	}
 
 	// Duplicates must not inflate the MaxBugs count either: 16×200 reports
 	// of one key stay one bug, below a cap of 2; the second distinct key
 	// reaches it.
-	caps = newSharedCaps(Options{MaxBugs: 2}.withDefaults(), newFrontier(nil))
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				caps.noteBug("assert:first")
-			}
-		}()
-	}
-	wg.Wait()
-	if caps.stopped.Load() {
+	f = testFrontier(Options{MaxBugs: 2})
+	report(f, "first")
+	if f.Stopped() {
 		t.Fatal("duplicate bug keys counted toward MaxBugs")
 	}
-	caps.noteBug("assert:second")
-	if !caps.stopped.Load() {
+	f.ran([]*BugReport{{Type: BugAssertion, Message: "second"}})
+	if !f.Stopped() {
 		t.Error("MaxBugs = 2 did not stop at the second distinct bug")
 	}
 }

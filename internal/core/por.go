@@ -26,8 +26,8 @@ import (
 //     DPOR sleep-set construction of the POWER-paper SMC recipe specialized
 //     to Jaaru's persistency semantics: the "transitions" are read-from
 //     picks, and same-value picks are mutually non-conflicting. Because the
-//     pruned siblings never enter the choice stack at all, the parallel
-//     frontier can never enqueue a pruned prefix — split only donates
+//     pruned siblings never enter the choice stack at all, a partitioned
+//     exploration can never queue a pruned prefix — split only donates
 //     recorded points.
 //
 //   - Post-failure state fingerprinting (porCrashCheck): at the first visit
@@ -693,19 +693,5 @@ func (c *Checker) porGraftBug(pb *porBug, hitDepth int, flip bool) {
 		Choices:   describeChoices(pts),
 		replay:    pts,
 	}
-	if existing, ok := c.bugIndex[b.key()]; ok {
-		total := existing.Count + b.Count
-		if b.Choices < existing.Choices ||
-			(b.Choices == existing.Choices && b.Execution < existing.Execution) {
-			*existing = *b
-		}
-		existing.Count = total
-		return
-	}
-	c.bugIndex[b.key()] = b
-	c.bugs = append(c.bugs, b)
-	if c.reg != nil {
-		c.reg.Emit("bug", "worker", c.workerID, "type", b.Type.String(),
-			"message", b.Message, "choices", b.Choices)
-	}
+	c.addBug(b)
 }

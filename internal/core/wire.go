@@ -2,46 +2,21 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"jaaru/internal/obs"
 )
 
-// Wire codec for distributed exploration (internal/dist). A choice prefix is
+// Wire types for distributed exploration (internal/dist). A choice prefix is
 // a self-contained, serializable unit of work — the property the whole
 // checker is built on — so the distributed protocol is small: claims (branch
 // prefixes with exploration limits), per-lease stats deltas, and POR
-// seen-set publication entries. The structs are JSON-marshalable (wire
-// codec v1, the frozen fallback) and carry a binary codec v2 (wirev2.go)
-// that internal/dist negotiates per connection.
-//
-// The commit protocol is designed so that lease expiry and idempotent
-// re-execution are exact:
-//
-//   - A worker never commits per scenario; it commits *deltas* — the
-//     difference between the lease's cumulative WireStats now and at its
-//     previous commit (DiffWireStats). Absorption is seq-gated: the
-//     coordinator folds a delta into the merged aggregate only when the
-//     commit's sequence number advances the lease's, so a retried or
-//     duplicated delivery is acknowledged without being applied twice.
-//     Summed over the absorbed deltas this reconstructs the cumulative
-//     stats exactly: counts diff and re-sum; maxima (FpointsPre, MaxRF,
-//     obs peaks) and the Truncated flag ship cumulatively and re-join
-//     idempotently; keyed findings (bugs, flagged loads, perf issues) ship
-//     their count growth with the current canonical representative, whose
-//     within-worker updates follow the same semilattice join the merge
-//     applies, so joining every delta's representative equals joining the
-//     final cumulative one.
-//   - Every non-final commit carries residual WireClaims: the chooser state
-//     right after advancing past the last committed scenario, plus any
-//     still-untouched claims of the lease's batch. Committed deltas plus a
-//     full exploration of the residuals (minus donated splits, which travel
-//     in the same atomic commit) cover the original claims exactly once.
-//   - On lease expiry the coordinator keeps the already-absorbed deltas and
-//     requeues the last residuals; work after the last commit was never
-//     committed, so its re-execution by the next claimant neither loses nor
-//     double-counts anything.
+// seen-set publication entries. On the lease path they travel in the binary
+// codec of wirev2.go. The commit protocol built on them (seq-gated deltas,
+// residual claims, expiry) is documented once, in internal/dist's package
+// doc; DiffWireStats says why absorbed deltas re-sum to the cumulative stats
+// exactly.
 //
 // POR clamps interact with residuals subtly but safely: when porPruneSweep
 // clamps a fail decision (limit 2 -> 1) it applies the published delta to
@@ -79,8 +54,6 @@ type WireClaim struct {
 	Memos  []*WireMemo `json:"memos,omitempty"`
 }
 
-func kindName(k choiceKind) string { return k.String() }
-
 func kindFromName(s string) (choiceKind, bool) {
 	switch s {
 	case "fail":
@@ -99,7 +72,7 @@ func encodePoints(pts []choicePoint) []WirePoint {
 	}
 	out := make([]WirePoint, len(pts))
 	for i, p := range pts {
-		out[i] = WirePoint{Kind: kindName(p.kind), N: p.n, Idx: p.idx}
+		out[i] = WirePoint{Kind: p.kind.String(), N: p.n, Idx: p.idx}
 	}
 	return out
 }
@@ -130,54 +103,59 @@ func compilePoints(wps []WirePoint) ([]choicePoint, error) {
 	return out, nil
 }
 
-// encodeClaim serializes a (points, limits, memos) chooser claim.
-func encodeClaim(pts []choicePoint, limits []int, memos []*failMemo) WireClaim {
-	w := WireClaim{Points: encodePoints(pts)}
-	if limits != nil {
-		w.Limits = append([]int(nil), limits...)
+// encodeClaim serializes a chooser claim.
+func encodeClaim(br branch) WireClaim {
+	w := WireClaim{Points: encodePoints(br.points)}
+	if br.limits != nil {
+		w.Limits = append([]int(nil), br.limits...)
 	}
-	for _, m := range memos {
-		if m == nil {
-			continue
-		}
-		w.Memos = make([]*WireMemo, len(memos))
-		for i, mm := range memos {
-			if mm == nil {
+	if slices.ContainsFunc(br.memos, func(m *failMemo) bool { return m != nil }) {
+		w.Memos = make([]*WireMemo, len(br.memos))
+		for i, m := range br.memos {
+			if m == nil {
 				continue
 			}
-			wm := &WireMemo{FP: mm.fp, Steps: mm.steps}
-			if vec := vecToSlice(mm.vec); !allZero(vec) {
-				wm.Vec = vec
-			}
-			w.Memos[i] = wm
+			w.Memos[i] = &WireMemo{FP: m.fp, Steps: m.steps, Vec: vecOrNil(m.vec)}
 		}
-		break
 	}
 	return w
 }
 
 // compile validates the claim and lowers it to chooser form.
-func (w WireClaim) compile() (pts []choicePoint, limits []int, memos []*failMemo, err error) {
+func (w WireClaim) compile() (branch, error) {
 	if err := w.Validate(); err != nil {
-		return nil, nil, nil, err
+		return branch{}, err
 	}
-	pts, _ = compilePoints(w.Points)
+	var br branch
+	br.points, _ = compilePoints(w.Points)
 	if w.Limits != nil {
-		limits = append([]int(nil), w.Limits...)
+		br.limits = append([]int(nil), w.Limits...)
 	}
 	if w.Memos != nil {
-		memos = make([]*failMemo, len(w.Memos))
+		br.memos = make([]*failMemo, len(w.Memos))
 		for i, wm := range w.Memos {
 			if wm == nil {
 				continue
 			}
-			memos[i] = &failMemo{fp: wm.FP, steps: wm.Steps}
+			br.memos[i] = &failMemo{fp: wm.FP, steps: wm.Steps}
 			if wm.Vec != nil {
-				memos[i].vec, _ = vecFromSlice(wm.Vec)
+				br.memos[i].vec, _ = vecFromSlice(wm.Vec)
 			}
 		}
 	}
-	return pts, limits, memos, nil
+	return br, nil
+}
+
+// compileBranches compiles a claim batch.
+func compileBranches(ws []WireClaim) ([]branch, error) {
+	brs := make([]branch, len(ws))
+	for i := range ws {
+		var err error
+		if brs[i], err = ws[i].compile(); err != nil {
+			return nil, err
+		}
+	}
+	return brs, nil
 }
 
 // Validate reports whether the claim is well-formed (decodable). It checks
@@ -208,7 +186,7 @@ func (w WireClaim) Validate() error {
 			if wm == nil {
 				continue
 			}
-			if w.Points[i].Kind != kindName(chooseFail) {
+			if w.Points[i].Kind != chooseFail.String() {
 				return fmt.Errorf("point %d: memo on non-fail point", i)
 			}
 			if wm.Vec != nil && len(wm.Vec) != obs.NumCounters {
@@ -333,29 +311,12 @@ type WireStats struct {
 
 // Validate reports whether the stats are well-formed (mergeable): counts
 // non-negative, bug replay vectors decodable, obs counter vector the right
-// width. The coordinator calls it at commit ingest, so a version-skewed or
-// buggy worker is rejected with a client error instead of its stats being
-// silently dropped from the merged result at retire time.
+// width, histograms well-shaped. The coordinator calls it at commit ingest,
+// so a version-skewed or buggy worker is rejected with a client error
+// instead of corrupting the merge.
 func (ws *WireStats) Validate() error {
-	if ws.Scenarios < 0 || ws.ExecsPost < 0 || ws.FpointsPre < 0 {
-		return fmt.Errorf("negative counts (scenarios %d, execs %d, fpoints %d)",
-			ws.Scenarios, ws.ExecsPost, ws.FpointsPre)
-	}
-	if _, err := compileStats(ws); err != nil {
-		return err
-	}
-	if ws.Obs != nil {
-		if _, ok := vecFromSlice(ws.Obs.Counters); !ok {
-			var want obs.CounterVec
-			return fmt.Errorf("obs counters: got %d values, want %d", len(ws.Obs.Counters), len(want))
-		}
-		for i := range ws.Obs.Hists {
-			if err := ws.Obs.Hists[i].validate(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	_, err := compileStats(ws)
+	return err
 }
 
 // BugKeys returns the canonical dedup key of every bug in the stats — the
@@ -363,11 +324,13 @@ func (ws *WireStats) Validate() error {
 func (ws *WireStats) BugKeys() []string {
 	keys := make([]string, 0, len(ws.Bugs))
 	for i := range ws.Bugs {
-		b := BugReport{Type: BugType(ws.Bugs[i].Type), Message: ws.Bugs[i].Message}
-		keys = append(keys, b.key())
+		keys = append(keys, ws.Bugs[i].key())
 	}
 	return keys
 }
+
+// key is BugReport.key of the bug.
+func (b *WireBug) key() string { return fmt.Sprintf("%d|%s", b.Type, b.Message) }
 
 func vecToSlice(v obs.CounterVec) []int64 {
 	out := make([]int64, len(v))
@@ -384,13 +347,12 @@ func vecFromSlice(s []int64) (obs.CounterVec, bool) {
 	return v, true
 }
 
-func allZero(s []int64) bool {
-	for _, v := range s {
-		if v != 0 {
-			return false
-		}
+// vecOrNil is v as a slice, or nil when it is all zero (the wire omits it).
+func vecOrNil(v obs.CounterVec) []int64 {
+	if v == (obs.CounterVec{}) {
+		return nil
 	}
-	return true
+	return vecToSlice(v)
 }
 
 // exportWireStats snapshots the checker's cumulative stats (and its
@@ -418,22 +380,14 @@ func (c *Checker) exportWireStats() *WireStats {
 			Replay:    encodePoints(b.replay),
 		})
 	}
-	for _, m := range c.multiRF {
+	for _, m := range sortedMultiRF(c.multiRF) {
 		cm := *m
 		cm.Values = append([]string(nil), m.Values...)
 		ws.MultiRF = append(ws.MultiRF, cm)
 	}
-	sort.Slice(ws.MultiRF, func(i, j int) bool { return ws.MultiRF[i].Loc < ws.MultiRF[j].Loc })
-	for _, p := range c.perfIssues {
+	for _, p := range sortedPerfIssues(c.perfIssues) {
 		ws.PerfIssues = append(ws.PerfIssues, *p)
 	}
-	sort.Slice(ws.PerfIssues, func(i, j int) bool {
-		a, b := &ws.PerfIssues[i], &ws.PerfIssues[j]
-		if a.Loc != b.Loc {
-			return a.Loc < b.Loc
-		}
-		return a.Kind < b.Kind
-	})
 	if c.col != nil {
 		ws.Obs = &WireObs{
 			Counters: vecToSlice(c.col.Counters()),
@@ -444,8 +398,23 @@ func (c *Checker) exportWireStats() *WireStats {
 	return ws
 }
 
-// compileStats lowers a WireStats into a mergeable stats value.
+// compileStats validates a WireStats and lowers it into a mergeable stats
+// value (the obs shard, validated here, is folded by MergeAcc.Absorb).
 func compileStats(ws *WireStats) (*stats, error) {
+	if ws.Scenarios < 0 || ws.ExecsPost < 0 || ws.FpointsPre < 0 {
+		return nil, fmt.Errorf("negative counts (scenarios %d, execs %d, fpoints %d)",
+			ws.Scenarios, ws.ExecsPost, ws.FpointsPre)
+	}
+	if ws.Obs != nil {
+		if len(ws.Obs.Counters) != obs.NumCounters {
+			return nil, fmt.Errorf("obs counters: got %d values, want %d", len(ws.Obs.Counters), obs.NumCounters)
+		}
+		for i := range ws.Obs.Hists {
+			if err := ws.Obs.Hists[i].validate(); err != nil {
+				return nil, err
+			}
+		}
+	}
 	var s stats
 	s.initStats()
 	s.scenarios = ws.Scenarios
@@ -478,15 +447,7 @@ func compileStats(ws *WireStats) (*stats, error) {
 	}
 	for i := range ws.PerfIssues {
 		p := ws.PerfIssues[i]
-		key := perfKey(p.Kind, p.Loc)
-		if ex, ok := s.perfIssues[key]; ok {
-			ex.Count += p.Count
-			if p.Line < ex.Line {
-				ex.Line = p.Line
-			}
-		} else {
-			s.perfIssues[key] = &p
-		}
+		s.mergePerfIssue(perfKey(p.Kind, p.Loc), &p)
 	}
 	return &s, nil
 }
@@ -528,46 +489,32 @@ func DiffWireStats(cur, prev *WireStats) *WireStats {
 	for k := range cur.NewPoints {
 		d.NewPoints[k] = cur.NewPoints[k] - prev.NewPoints[k]
 	}
-	prevBugs := make(map[string]int, len(prev.Bugs))
-	for i := range prev.Bugs {
-		b := &prev.Bugs[i]
-		prevBugs[fmt.Sprintf("%d|%s", b.Type, b.Message)] = b.Count
-	}
-	for i := range cur.Bugs {
-		b := cur.Bugs[i]
-		if grown := b.Count - prevBugs[fmt.Sprintf("%d|%s", b.Type, b.Message)]; grown > 0 {
-			b.Count = grown
-			d.Bugs = append(d.Bugs, b)
-		}
-	}
-	prevMulti := make(map[string]int, len(prev.MultiRF))
-	for i := range prev.MultiRF {
-		prevMulti[prev.MultiRF[i].Loc] = prev.MultiRF[i].Count
-	}
-	for i := range cur.MultiRF {
-		m := cur.MultiRF[i]
-		if grown := m.Count - prevMulti[m.Loc]; grown > 0 {
-			m.Count = grown
-			m.Values = append([]string(nil), m.Values...)
-			d.MultiRF = append(d.MultiRF, m)
-		}
-	}
-	prevPerf := make(map[string]int, len(prev.PerfIssues))
-	for i := range prev.PerfIssues {
-		p := &prev.PerfIssues[i]
-		prevPerf[perfKey(p.Kind, p.Loc)] = p.Count
-	}
-	for i := range cur.PerfIssues {
-		p := cur.PerfIssues[i]
-		if grown := p.Count - prevPerf[perfKey(p.Kind, p.Loc)]; grown > 0 {
-			p.Count = grown
-			d.PerfIssues = append(d.PerfIssues, p)
-		}
-	}
+	d.Bugs = grownSince(cur.Bugs, prev.Bugs, (*WireBug).key, func(b *WireBug) *int { return &b.Count })
+	d.MultiRF = grownSince(cur.MultiRF, prev.MultiRF,
+		func(m *MultiRF) string { return m.Loc }, func(m *MultiRF) *int { return &m.Count })
+	d.PerfIssues = grownSince(cur.PerfIssues, prev.PerfIssues,
+		func(p *PerfIssue) string { return perfKey(p.Kind, p.Loc) }, func(p *PerfIssue) *int { return &p.Count })
 	if cur.Obs != nil {
 		d.Obs = diffWireObs(cur.Obs, prev.Obs)
 	}
 	return d
+}
+
+// grownSince returns the keyed findings of cur whose count grew since prev,
+// each carrying its growth as its count.
+func grownSince[T any](cur, prev []T, key func(*T) string, count func(*T) *int) []T {
+	was := make(map[string]int, len(prev))
+	for i := range prev {
+		was[key(&prev[i])] = *count(&prev[i])
+	}
+	var out []T
+	for _, e := range cur {
+		if grown := *count(&e) - was[key(&e)]; grown > 0 {
+			*count(&e) = grown
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // diffWireObs diffs two cumulative shard snapshots: counter and histogram
@@ -672,9 +619,7 @@ func encodePorDelta(d *porDelta) WirePorDelta {
 		NewPoints: d.newPoints,
 		Replayed:  d.replayed,
 		Fresh:     d.fresh,
-	}
-	if vec := vecToSlice(d.vec); !allZero(vec) {
-		wd.Vec = vec
+		Vec:       vecOrNil(d.vec),
 	}
 	for _, b := range d.bugs {
 		wd.Bugs = append(wd.Bugs, WirePorBug{
@@ -750,10 +695,10 @@ func compilePorDelta(wd *WirePorDelta) (*porDelta, error) {
 // ---- Worker side: LeaseRunner ----------------------------------------------
 
 // LeaseSink is the worker's view of the coordinator, implemented by
-// internal/dist over HTTP (and by the in-process test harness directly).
-// All three methods may reflect stale coordinator state — Hungry and Stopped
-// are cooperative hints, and the exactness of the protocol rests entirely on
-// Commit's atomicity at the coordinator.
+// internal/dist over HTTP (and by test harnesses directly). Hungry and
+// Stopped may reflect stale coordinator state — they are cooperative hints,
+// and the exactness of the protocol rests entirely on Commit's atomicity at
+// the coordinator.
 type LeaseSink interface {
 	// Hungry reports whether the coordinator wants donated splits.
 	Hungry() bool
@@ -780,8 +725,8 @@ type LeaseSink interface {
 	Commit(splits []WireClaim, residuals []WireClaim, delta *WireStats, final bool) error
 }
 
-// LeaseRunner executes leases against a guest program: the worker-process
-// analog of the in-process workerLoop. Each lease runs on a fresh private
+// LeaseRunner executes leases against a guest program with the claim loop
+// in-process workers use (exploreClaim). Each lease runs on a fresh private
 // Checker; the POR seen-set mirror persists across leases and syncs with the
 // coordinator's publication log through DrainPor/AbsorbPor.
 type LeaseRunner struct {
@@ -852,112 +797,117 @@ func (lr *LeaseRunner) AbsorbPor(entries []WirePorEntry) error {
 }
 
 // RunLease explores a batch of claimed subtrees to completion on one
-// private Checker, committing progress through the sink as seq-ordered
-// deltas. It mirrors the in-process workerLoop — which likewise reuses one
-// checker across claimed branches, re-seeding the chooser per branch — with
-// the frontier and caps replaced by the coordinator behind the sink.
+// private Checker, each through exploreClaim, committing progress through the
+// sink as seq-ordered deltas.
 func (lr *LeaseRunner) RunLease(claims []WireClaim, sink LeaseSink) error {
-	comp := make([]branch, len(claims))
-	for i := range claims {
-		pts, limits, memos, err := claims[i].compile()
-		if err != nil {
-			return err
-		}
-		comp[i] = branch{pts, limits, memos}
+	brs, err := compileBranches(claims)
+	if err != nil {
+		return err
 	}
 	c := New(lr.prog, lr.opts)
 	if lr.seen != nil {
 		c.porSeenSet = lr.seen
 	}
-	// Every commit ships the delta against the previously committed
-	// cumulative snapshot; the first commit's baseline is empty.
-	var prevStats *WireStats
-	commit := func(splits, residuals []WireClaim, final bool) error {
-		cur := c.exportWireStats()
-		if err := sink.Commit(splits, residuals, DiffWireStats(cur, prevStats), final); err != nil {
+	l := &leaseRun{sink: sink, c: c, every: lr.commitEvery}
+	for i, br := range brs {
+		l.pending = claims[i+1:]
+		if err := c.exploreClaim(br, l); err != nil {
 			return err
 		}
-		prevStats = cur
+		switch {
+		case l.final:
+			return nil
+		case l.stopped:
+			// A cap ended the job: the lease's remainder is dead work.
+			return l.commit(nil, nil, true)
+		case l.draining:
+			// Graceful drain: release the lease instead of discarding its
+			// remainder. The residual snapshot plus the untouched claims
+			// cover exactly the unexplored work, so committing them final
+			// hands the batch back to the coordinator immediately — no TTL
+			// expiry needed (and none may ever come when leases never expire).
+			return l.commit(nil, append([]WireClaim{l.residual()}, l.pending...), true)
+		}
+		// The claim is exhausted, or an engine panic dropped its remainder
+		// (requeueing it would crash-loop every claimant): on to the rest.
+	}
+	// Reached when the last claim hit an engine panic (or the batch was
+	// empty): retire the lease so the coordinator's result reports the
+	// truncation.
+	return l.commit(nil, nil, true)
+}
+
+// leaseRun is the claim loop's sink inside RunLease: LeaseSink's hints, plus
+// the commit cadence, the residuals and the stats deltas.
+type leaseRun struct {
+	sink    LeaseSink
+	c       *Checker
+	every   int         // scenarios between non-final commits
+	since   int         // scenarios since the last commit
+	pending []WireClaim // untouched claims of the batch, owed back in residuals
+	splits  []WireClaim // the current scenario's donation
+	prev    *WireStats  // the last committed cumulative stats (nil: none yet)
+
+	// Why the loop ended: a refused admission, or the batch's final commit.
+	stopped, draining, final bool
+}
+
+func (l *leaseRun) admit() bool {
+	l.stopped = l.sink.Stopped()
+	l.draining = !l.stopped && l.sink.Draining()
+	return !l.stopped && !l.draining
+}
+
+func (l *leaseRun) ran([]*BugReport) bool { return true }
+
+// Hungry allows one donation per scenario: LeaseSink.Hungry is a stale hint,
+// refreshed by the commit the donation triggers.
+func (l *leaseRun) Hungry() bool { return len(l.splits) == 0 && l.sink.Hungry() }
+
+func (l *leaseRun) donate(br branch) {
+	l.splits = append(l.splits, encodeClaim(br))
+}
+
+// advanced commits when a donation must travel, every l.every scenarios, and
+// finally when the batch is exhausted.
+func (l *leaseRun) advanced(more bool) error {
+	splits := l.splits
+	l.splits = nil
+	if !more && len(l.pending) == 0 {
+		l.final = true
+		return l.commit(splits, nil, true)
+	}
+	if l.since++; len(splits) == 0 && l.since < l.every {
 		return nil
 	}
-	sinceCommit := 0
-	for ci := range comp {
-		cl := comp[ci]
-		pending := claims[ci+1:] // untouched claims, owed back in residuals
-		c.chooser.seedClaim(cl.points, cl.limits, cl.memos)
-		for claimDone := false; !claimDone; {
-			if sink.Stopped() {
-				c.porAbandon()
-				return commit(nil, nil, true)
-			}
-			if sink.Draining() {
-				// Graceful drain: release the lease instead of discarding its
-				// remainder. The residual snapshot plus the untouched claims
-				// cover exactly the unexplored work, so committing them final
-				// hands the batch back to the coordinator's frontier
-				// immediately — no TTL expiry needed (and none may ever come
-				// when leases are configured not to expire).
-				c.porAbandon()
-				rp, rl, rm := c.chooser.claimSnapshot()
-				return commit(nil, append([]WireClaim{encodeClaim(rp, rl, rm)}, pending...), true)
-			}
-			c.scenarios++
-			if !c.runScenarioGuarded(cl.points) {
-				// Engine panic: this claim's subtree is unreliable.
-				// recordEngineBug marked the stats truncated; drop the claim's
-				// remainder (requeueing it would crash-loop every future
-				// claimant) and move on to the untouched rest of the batch,
-				// exactly as exploreBranch returns the in-process worker to
-				// its loop.
-				break
-			}
-			var splits []WireClaim
-			if sink.Hungry() {
-				// One donation round — one claim — per scenario: Hungry is a
-				// stale hint refreshed by the commit below, unlike the in-process
-				// loop which can re-consult the live frontier.
-				if don, ok := c.chooser.split(); ok {
-					c.porCancelBelow(len(don.points))
-					splits = []WireClaim{encodeClaim(don.points, don.limits, don.memos)}
-				}
-			}
-			claimDone = !c.chooser.advance()
-			if claimDone {
-				c.porFlush()
-				if ci == len(comp)-1 {
-					return commit(splits, nil, true)
-				}
-			}
-			sinceCommit++
-			if len(splits) > 0 || sinceCommit >= lr.commitEvery {
-				sinceCommit = 0
-				var residuals []WireClaim
-				if !claimDone {
-					rp, rl, rm := c.chooser.claimSnapshot()
-					residuals = []WireClaim{encodeClaim(rp, rl, rm)}
-				}
-				residuals = append(residuals, pending...)
-				if err := commit(splits, residuals, false); err != nil {
-					c.porAbandon()
-					return err
-				}
-			}
-		}
+	l.since = 0
+	var residuals []WireClaim
+	if more {
+		residuals = []WireClaim{l.residual()}
 	}
-	// Reached only when the batch ended without a terminal commit inside the
-	// loop: the last claim hit an engine panic (or the batch was empty).
-	// Retire the lease so the coordinator's result reports the truncation.
-	return commit(nil, nil, true)
+	return l.commit(splits, append(residuals, l.pending...), false)
+}
+
+// residual is the current claim's unexplored remainder.
+func (l *leaseRun) residual() WireClaim { return encodeClaim(l.c.chooser.claimSnapshot()) }
+
+// commit ships the stats delta against the previously committed cumulative
+// snapshot.
+func (l *leaseRun) commit(splits, residuals []WireClaim, final bool) error {
+	cur := l.c.exportWireStats()
+	if err := l.sink.Commit(splits, residuals, DiffWireStats(cur, l.prev), final); err != nil {
+		return err
+	}
+	l.prev = cur
+	return nil
 }
 
 // ---- Coordinator side: MergeAcc --------------------------------------------
 
-// MergeAcc accumulates committed WireStats deltas into one deterministic
-// Result — the coordinator side of distributed exploration. It reuses the
-// exact stats.merge the in-process parallel driver uses, so a complete
-// distributed run is bit-identical to the serial reference by the same
-// argument: every operation is order-insensitive, and buildResult's
-// canonical sorts finish the job.
+// MergeAcc accumulates stats into one deterministic Result: committed
+// WireStats deltas in a fleet, worker stats in process. Both go through
+// stats.merge, so a complete exploration is bit-identical to the serial
+// reference either way.
 type MergeAcc struct {
 	ck    *Checker
 	start time.Time
@@ -994,21 +944,14 @@ func (a *MergeAcc) Absorb(ws *WireStats) error {
 	}
 	a.ck.stats.merge(s)
 	if ws.Obs != nil && a.ck.reg != nil {
-		vec, ok := vecFromSlice(ws.Obs.Counters)
-		if !ok {
-			return fmt.Errorf("obs counters: got %d values", len(ws.Obs.Counters))
-		}
 		if a.col == nil {
 			a.col = a.ck.reg.NewShard()
 		}
+		vec, _ := vecFromSlice(ws.Obs.Counters)
 		a.col.AddCounters(vec)
 		a.col.RaisePeaks(ws.Obs.Peaks)
 		for i := range ws.Obs.Hists {
-			h := &ws.Obs.Hists[i]
-			if err := h.validate(); err != nil {
-				return err
-			}
-			a.col.AddHist(obs.Timer(h.Timer), h.snapshot())
+			a.col.AddHist(obs.Timer(ws.Obs.Hists[i].Timer), ws.Obs.Hists[i].snapshot())
 		}
 	}
 	return nil
@@ -1023,19 +966,15 @@ func AbsorbPorEntry(e *WirePorEntry) error {
 
 // SetWorkers records the fleet size in the merged metrics (non-canonical,
 // like the in-process driver's).
-func (a *MergeAcc) SetWorkers(n int) {
-	if a.ck.reg != nil {
-		a.ck.reg.SetWorkers(n)
-	}
-}
+func (a *MergeAcc) SetWorkers(n int) { a.ck.reg.SetWorkers(n) }
 
 // BuildResult assembles the merged Result. complete reports whether the
-// frontier drained with no cap hit; worker-side truncation (engine errors)
-// is already folded into the merged stats.
+// exploration drained with no cap hit; worker-side truncation (engine
+// errors) is already folded into the merged stats.
 func (a *MergeAcc) BuildResult(complete bool) *Result {
 	res := a.ck.buildResult(a.start, complete)
-	// Same trim as runParallel: concurrent discoveries can overshoot MaxBugs
-	// before the cooperative stop lands.
+	// MaxBugs caps recorded bugs, and concurrent discoveries can overshoot it
+	// before the cooperative stop lands: trim after the canonical sort.
 	if !a.ck.opts.StopAtFirstBug && len(res.Bugs) > a.ck.opts.MaxBugs {
 		res.Bugs = res.Bugs[:a.ck.opts.MaxBugs]
 	}

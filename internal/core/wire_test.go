@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -13,7 +10,7 @@ import (
 
 // TestWireClaimRoundTripProperty: randomized chooser claims — frozen donated
 // prefixes, residuals with partial limits, POR-clamped fail decisions, and
-// failMemo aux state — survive encode -> JSON -> decode -> compile exactly.
+// failMemo aux state — survive encodeClaim -> wire codec -> compile exactly.
 func TestWireClaimRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1a52))
 	kinds := []choiceKind{chooseFail, chooseReadFrom, chooseEvict}
@@ -58,19 +55,19 @@ func TestWireClaimRoundTripProperty(t *testing.T) {
 			memos = nil
 		}
 
-		w := encodeClaim(pts, limits, memos)
-		data, err := json.Marshal(w)
+		w := encodeClaim(branch{pts, limits, memos})
+		e := NewWireEncoder(nil)
+		e.Claim(w)
+		d := NewWireDecoder(e.Bytes())
+		back := d.Claim()
+		if err := d.Done(); err != nil {
+			t.Fatalf("iter %d: decode: %v", iter, err)
+		}
+		got, err := back.compile()
 		if err != nil {
-			t.Fatalf("iter %d: marshal: %v", iter, err)
+			t.Fatalf("iter %d: compile: %v\nclaim: %+v", iter, err, w)
 		}
-		var back WireClaim
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("iter %d: unmarshal: %v", iter, err)
-		}
-		gp, gl, gm, err := back.compile()
-		if err != nil {
-			t.Fatalf("iter %d: compile: %v\nclaim: %s", iter, err, data)
-		}
+		gp, gl, gm := got.points, got.limits, got.memos
 		if !reflect.DeepEqual(gp, pts) && !(len(gp) == 0 && len(pts) == 0) {
 			t.Fatalf("iter %d: points differ:\nwant %v\ngot  %v", iter, pts, gp)
 		}
@@ -100,16 +97,15 @@ func TestWireClaimSeedClaimRoundTrip(t *testing.T) {
 	limits := []int{1, 3, 2, 3} // first fail decision POR-clamped
 	memos := make([]*failMemo, len(pts))
 	memos[2] = &failMemo{fp: 0xfeedface, steps: 321}
-	w := encodeClaim(pts, limits, memos)
+	w := encodeClaim(branch{pts, limits, memos})
 
-	gp, gl, gm, err := w.compile()
+	br, err := w.compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ch := &chooser{}
-	ch.seedClaim(gp, gl, gm)
-	rp, rl, rm := ch.claimSnapshot()
-	if again := encodeClaim(rp, rl, rm); !reflect.DeepEqual(again, w) {
+	ch.seedClaim(br.points, br.limits, br.memos)
+	if again := encodeClaim(ch.claimSnapshot()); !reflect.DeepEqual(again, w) {
 		t.Errorf("claimSnapshot re-encode differs:\nwant %+v\ngot  %+v", w, again)
 	}
 }
@@ -136,7 +132,7 @@ func TestWireClaimCompileRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: validated without error", tc.name)
 			continue
 		}
-		if _, _, _, cerr := tc.w.compile(); cerr == nil || cerr.Error() != err.Error() {
+		if _, cerr := tc.w.compile(); cerr == nil || cerr.Error() != err.Error() {
 			t.Errorf("%s: compile error %v, Validate %v", tc.name, cerr, err)
 		}
 	}
@@ -159,97 +155,12 @@ func TestWireClaimValidateAllocFree(t *testing.T) {
 	}
 	pts[depth-1] = choicePoint{kind: chooseReadFrom, n: 4, idx: 1}
 	limits[depth-1], memos[depth-1] = 3, nil
-	w := encodeClaim(pts, limits, memos)
+	w := encodeClaim(branch{pts, limits, memos})
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = w.Validate() }); n != 0 {
 		t.Errorf("Validate allocates %.0f times on a %d-point claim, want 0", n, depth)
-	}
-}
-
-// TestWireGoldenFixture freezes the JSON wire format. A diff here means the
-// protocol changed: coordinator and workers from different builds would stop
-// interoperating, so bump deliberately (and update the fixture with
-// UPDATE_GOLDEN=1 go test ./internal/core/ -run TestWireGoldenFixture).
-func TestWireGoldenFixture(t *testing.T) {
-	pts := []choicePoint{
-		{kind: chooseFail, n: 2, idx: 0},
-		{kind: chooseReadFrom, n: 4, idx: 1},
-		{kind: chooseFail, n: 2, idx: 0},
-		{kind: chooseEvict, n: 3, idx: 2},
-	}
-	limits := []int{1, 3, 2, 3}
-	memos := make([]*failMemo, len(pts))
-	var vec obs.CounterVec
-	vec[obs.Scenarios] = 3
-	vec[obs.Steps] = 512
-	memos[2] = &failMemo{fp: 0xfeedface, steps: 321, vec: vec}
-
-	fixture := struct {
-		Claim  WireClaim      `json:"claim"`
-		Frozen WireClaim      `json:"frozen"`
-		Stats  WireStats      `json:"stats"`
-		Por    []WirePorEntry `json:"por"`
-	}{
-		Claim:  encodeClaim(pts, limits, memos),
-		Frozen: encodeClaim(pts[:2], nil, nil),
-		Stats: WireStats{
-			Scenarios:  7,
-			ExecsPost:  7,
-			FpointsPre: 5,
-			Steps:      910,
-			MaxRF:      3,
-			NewPoints:  [3]int{4, 2, 1},
-			Bugs: []WireBug{{
-				Type:      int(BugAssertion),
-				Message:   "second line persisted before first",
-				Execution: 1,
-				Scenario:  4,
-				Count:     2,
-				Choices:   "fail@3",
-				Replay:    encodePoints(pts[:1]),
-			}},
-			MultiRF:    []MultiRF{{Loc: "probe.go:12", Count: 2, Values: []string{"7", "9"}}},
-			PerfIssues: []PerfIssue{{Kind: PerfRedundantFlush, Loc: "probe.go:20", Count: 1}},
-			Obs: &WireObs{Counters: []int64{7, 7}, Peaks: []int64{2},
-				Hists: []WireHist{{
-					Timer: int(obs.TimerPreFailure), Count: 2, Sum: 300,
-					Buckets: [][2]int64{
-						{int64(obs.HistBucketIndex(100)), 1},
-						{int64(obs.HistBucketIndex(200)), 1},
-					},
-				}}},
-		},
-		Por: []WirePorEntry{{
-			FP: 0xabcdef12,
-			Delta: WirePorDelta{
-				Scenarios: 2, Execs: 2, Steps: 64, MaxRF: 2, MaxRel: 1,
-				NewPoints: [3]int{1, 1, 0}, Replayed: 10, Fresh: 54,
-			},
-		}},
-	}
-
-	got, err := json.MarshalIndent(fixture, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	path := filepath.Join("testdata", "wire_golden.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("wire format drifted from golden fixture %s:\n--- want\n%s\n--- got\n%s", path, want, got)
 	}
 }
 

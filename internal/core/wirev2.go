@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"math"
 
+	"jaaru/internal/obs"
 	"jaaru/internal/pmem"
 )
 
 // Wire codec v2: a length-prefixed binary encoding of the core wire types,
-// negotiated per connection by internal/dist with transparent fallback to
-// the frozen JSON v1 (the two codecs carry identical values; only the byte
-// representation differs, which the cross-version round-trip tests pin).
+// the one encoding internal/dist's lease path speaks.
 //
 // Layout rules:
 //
@@ -29,7 +28,7 @@ import (
 //   - Counter/peak vectors and histograms ship sparse: (index, value)
 //     pairs for the populated entries against the fixed layouts of
 //     obs.CounterVec / obs.Histogram. The original vector length travels
-//     too, so decode rebuilds the exact slice (the JSON fixtures are not
+//     too, so decode rebuilds the exact slice (the test fixtures are not
 //     all full-width and round-trips must be bit-exact).
 //
 // Encoder and decoder must walk the same field sequence; there is no
@@ -124,7 +123,7 @@ func (e *WireEncoder) String(s string) {
 }
 
 // Blob appends a length-prefixed byte slice (embedded JSON sub-documents:
-// job options travel as v1 JSON inside a v2 frame, because they evolve and
+// job options travel as JSON inside a v2 frame, because they evolve and
 // are nowhere near the hot path).
 func (e *WireEncoder) Blob(b []byte) {
 	e.Uvarint(uint64(len(b)))
@@ -357,7 +356,18 @@ type WireDecoder struct {
 	off  int
 	err  error
 	prev []WirePoint
+	// points counts the points decoded so far, shared prefixes included:
+	// interning makes a stream's size independent of its wire bytes, so the
+	// total is bounded separately (maxPointsPerByte) to keep allocation in
+	// proportion to the message.
+	points int
 }
+
+// maxPointsPerByte bounds a message's decoded points per wire byte. Real
+// messages stay under 20: the deepest are cumulative stats whose bugs carry
+// replay vectors sharing one long prefix, and each bug costs several bytes of
+// its own.
+const maxPointsPerByte = 64
 
 // NewWireDecoder returns a decoder over data.
 func NewWireDecoder(data []byte) *WireDecoder {
@@ -520,7 +530,7 @@ func (d *WireDecoder) Points() []WirePoint {
 		d.fail("shared prefix %d exceeds stream (%d) or context (%d)", shared, n, len(d.prev))
 		return nil
 	}
-	if n-shared > (len(d.data)-d.off)/3+1 {
+	if d.points += n; n-shared > (len(d.data)-d.off)/3+1 || d.points > maxPointsPerByte*(len(d.data)+1) {
 		d.fail("implausible point stream %d (shared %d) at offset %d", n, shared, d.off)
 		return nil
 	}
@@ -557,9 +567,9 @@ func (d *WireDecoder) sparseVec() []int64 {
 	if d.err != nil {
 		return nil
 	}
-	// The width is a logical vector size (obs.NumCounters-scale), not a
-	// byte count; cap it well above any real vector to bound allocation.
-	if width > 1<<16 {
+	// The width is a logical vector size, not a byte count: cap it at the
+	// widest real vector (counters; peaks are narrower) to bound allocation.
+	if width > uint64(obs.NumCounters) {
 		d.fail("implausible vector width %d", width)
 		return nil
 	}

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,7 +61,7 @@ func randWireClaims(rng *rand.Rand, batch int) []WireClaim {
 			memos = nil
 		}
 		prefix = pts
-		ws[ci] = encodeClaim(pts, limits, memos)
+		ws[ci] = encodeClaim(branch{pts, limits, memos})
 	}
 	return ws
 }
@@ -153,8 +153,7 @@ func richPorEntries() []WirePorEntry {
 }
 
 // TestWireV2ClaimRoundTripProperty: randomized claim batches survive the
-// binary codec exactly, and decode equal to the same values pushed through
-// the frozen JSON v1 — the cross-version guarantee mixed fleets rely on.
+// binary codec exactly and still validate (grantable verbatim).
 func TestWireV2ClaimRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x2b52))
 	for iter := 0; iter < 500; iter++ {
@@ -170,22 +169,6 @@ func TestWireV2ClaimRoundTripProperty(t *testing.T) {
 		if !reflect.DeepEqual(got, ws) {
 			t.Fatalf("iter %d: v2 round trip differs:\nwant %+v\ngot  %+v", iter, ws, got)
 		}
-
-		// Cross-version: v1 (JSON) round trip of the same batch decodes to
-		// the same values.
-		data, err := json.Marshal(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v1 []WireClaim
-		if err := json.Unmarshal(data, &v1); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, v1) {
-			t.Fatalf("iter %d: v2 and v1 decode differently:\nv1 %+v\nv2 %+v", iter, v1, got)
-		}
-
-		// Every decoded claim must still compile (grantable verbatim).
 		for i := range got {
 			if err := got[i].Validate(); err != nil {
 				t.Fatalf("iter %d: decoded claim %d invalid: %v", iter, i, err)
@@ -308,7 +291,7 @@ func TestWireV2CompositeMessage(t *testing.T) {
 
 // TestWireV2SmallerThanJSON: the codec's reason to exist — a realistic
 // commit payload (prefix-sharing claims + stats + por) must be much smaller
-// in v2 than in the JSON v1 encoding.
+// in v2 than as JSON.
 func TestWireV2SmallerThanJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	claims := randWireClaims(rng, 8)
@@ -378,6 +361,31 @@ func TestWireV2DecoderRejectsMalformed(t *testing.T) {
 		t.Error("unknown kind code accepted")
 	}
 
+	// Allocation stays in proportion to the message. Interning makes a
+	// stream's length independent of its bytes, so claims that each re-share
+	// one long prefix must hit the per-message point budget instead of
+	// decoding to their product; and no vector is wider than the counters.
+	long := make([]WirePoint, 600)
+	for i := range long {
+		long[i] = WirePoint{Kind: "rf", N: 2}
+	}
+	batch := make([]WireClaim, 1000)
+	for i := range batch {
+		batch[i] = WireClaim{Points: long}
+	}
+	bad = NewWireEncoder(nil)
+	bad.Claims(batch)
+	d = NewWireDecoder(bad.Bytes())
+	if d.Claims(); d.Err() == nil {
+		t.Errorf("%d bytes decoded to %d points", len(bad.Bytes()), len(batch)*len(long))
+	}
+	bad = NewWireEncoder(nil)
+	bad.Stats(&WireStats{Obs: &WireObs{Counters: make([]int64, obs.NumCounters+1)}})
+	d = NewWireDecoder(bad.Bytes())
+	if d.Stats(); d.Err() == nil {
+		t.Error("a vector wider than the counter space decoded")
+	}
+
 	// An unknown-but-escaped kind survives (future-proofing) and is caught
 	// by Validate, not the codec.
 	esc := NewWireEncoder(nil)
@@ -395,62 +403,81 @@ func TestWireV2DecoderRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestWireV2GoldenFixture freezes the binary wire format, beside the JSON
-// v1 fixture in wire_golden.json. A diff here means codec v2 changed shape:
-// old workers and new coordinators would misparse each other, so bump
-// deliberately (and regenerate with
-// UPDATE_GOLDEN=1 go test ./internal/core/ -run TestWireV2GoldenFixture).
-func TestWireV2GoldenFixture(t *testing.T) {
+const goldenPath = "testdata/wire_golden_v2.hex"
+
+// goldenClaims is the claim batch of the golden message: a residual with a
+// POR-clamped limit and a memo, and a frozen split sharing its prefix.
+func goldenClaims() []WireClaim {
 	pts := []choicePoint{
 		{kind: chooseFail, n: 2, idx: 0},
 		{kind: chooseReadFrom, n: 4, idx: 1},
 		{kind: chooseFail, n: 2, idx: 0},
 		{kind: chooseEvict, n: 3, idx: 2},
 	}
-	limits := []int{1, 3, 2, 3}
 	memos := make([]*failMemo, len(pts))
 	var vec obs.CounterVec
 	vec[obs.Scenarios] = 3
 	vec[obs.Steps] = 512
 	memos[2] = &failMemo{fp: 0xfeedface, steps: 321, vec: vec}
+	return []WireClaim{encodeClaim(branch{pts, []int{1, 3, 2, 3}, memos}), encodeClaim(branch{points: pts[:2]})}
+}
 
+// TestWireV2GoldenFixture freezes the wire format's bytes. A diff here means
+// the codec changed shape: workers and coordinators from different builds
+// would misparse each other, so bump deliberately (and regenerate with
+// UPDATE_GOLDEN=1 go test ./internal/core/ -run TestWireV2GoldenFixture).
+func TestWireV2GoldenFixture(t *testing.T) {
 	// One composite message covering every encoder entry point, in the
 	// field order a commit frame uses.
 	e := NewWireEncoder(nil)
-	e.Claims([]WireClaim{
-		encodeClaim(pts, limits, memos),
-		encodeClaim(pts[:2], nil, nil),
-	})
+	e.Claims(goldenClaims())
 	e.Stats(richWireStats())
 	e.PorEntries(richPorEntries())
 
 	got := []byte(hexDump(e.Bytes()))
-	path := filepath.Join("testdata", "wire_golden_v2.hex")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(path)
+	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("read golden (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
 	if string(got) != string(want) {
-		t.Errorf("wire v2 format drifted from golden fixture %s:\n--- want\n%s\n--- got\n%s", path, want, got)
+		t.Errorf("wire format drifted from golden fixture %s:\n--- want\n%s\n--- got\n%s", goldenPath, want, got)
 	}
+}
 
-	// The frozen bytes must still decode to the values they encode — the
-	// fixture pins the format, this pins its meaning.
-	d := NewWireDecoder(e.Bytes())
-	claims := d.Claims()
-	stats := d.Stats()
-	por := d.PorEntries()
+// TestWireGoldenFixture pins the golden bytes' meaning: the committed message
+// decodes to exactly the structs it was made from, and re-encodes to the
+// same bytes.
+func TestWireGoldenFixture(t *testing.T) {
+	text, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := hex.DecodeString(strings.ReplaceAll(string(text), "\n", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewWireDecoder(data)
+	claims, stats, por := d.Claims(), d.Stats(), d.PorEntries()
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if len(claims) != 2 || !reflect.DeepEqual(stats, richWireStats()) ||
-		!reflect.DeepEqual(por, richPorEntries()) {
-		t.Error("golden message decode mismatch")
+	if !reflect.DeepEqual(claims, goldenClaims()) {
+		t.Errorf("golden claims decode to %+v, want %+v", claims, goldenClaims())
+	}
+	if !reflect.DeepEqual(stats, richWireStats()) || !reflect.DeepEqual(por, richPorEntries()) {
+		t.Errorf("golden stats/por decode mismatch:\n%+v\n%+v", stats, por)
+	}
+	e := NewWireEncoder(nil)
+	e.Claims(claims)
+	e.Stats(stats)
+	e.PorEntries(por)
+	if !bytes.Equal(e.Bytes(), data) {
+		t.Error("decoded golden message re-encodes to different bytes")
 	}
 }
 

@@ -7,17 +7,14 @@ import (
 	"jaaru/internal/core"
 )
 
-// Wire codec v2 framing for the lease-protocol messages. A frame is a
-// 2-byte magic ("J2"), a one-byte message kind, then the message fields in
-// the fixed order below, encoded with core.WireEncoder. Only the hot-path
-// messages (lease, commit, heartbeat) have v2 frames; job submission,
-// status polls, and every error body stay JSON so operators and v1 peers
-// can always read them.
+// Wire-v2 framing, the one encoding of the lease-protocol messages. A frame
+// is a 2-byte magic ("J2"), a one-byte message kind, then the message fields
+// in the fixed order below, encoded with core.WireEncoder. Only the hot-path
+// messages (lease, commit, heartbeat) are framed; job submission, status
+// polls, and every error body are JSON so operators can always read them.
 //
-// core.Options travels as an embedded JSON blob inside the lease frame: it
-// is a cold, evolving configuration struct that crosses the wire once per
-// lease, so freezing its field order into the binary layout would buy
-// nothing and cost a cross-version compatibility hazard.
+// core.Options travels as a JSON blob inside the lease frame
+// (core.WireEncoder.Blob says why).
 
 const (
 	wire2Magic0 = 'J'
@@ -36,21 +33,38 @@ const (
 	frameHeartbeatResponse
 )
 
+// frameKind is the kind byte of v's frame (0: v has none).
+func frameKind(v any) byte {
+	switch v.(type) {
+	case *LeaseRequest:
+		return frameLeaseRequest
+	case *LeaseResponse:
+		return frameLeaseResponse
+	case *CommitRequest:
+		return frameCommitRequest
+	case *CommitResponse:
+		return frameCommitResponse
+	case *HeartbeatRequest:
+		return frameHeartbeatRequest
+	case *HeartbeatResponse:
+		return frameHeartbeatResponse
+	}
+	return 0
+}
+
 // encodeWire2 serializes one protocol envelope into a v2 frame appended to
-// buf (from a pool; nil is fine). Unsupported envelope types report an
-// error so call sites fall back to JSON explicitly, never silently.
+// buf (from a pool; nil is fine). Types without a frame are an error.
 func encodeWire2(buf []byte, v any) ([]byte, error) {
 	e := core.NewWireEncoder(buf)
 	e.Byte(wire2Magic0)
 	e.Byte(wire2Magic1)
+	e.Byte(frameKind(v))
 	switch m := v.(type) {
 	case *LeaseRequest:
-		e.Byte(frameLeaseRequest)
 		e.String(m.Worker)
 		e.String(m.JobID)
 		e.Int(m.PorVersion)
 	case *LeaseResponse:
-		e.Byte(frameLeaseResponse)
 		e.String(m.Status)
 		e.Int(m.RetryMs)
 		if m.Lease == nil {
@@ -76,7 +90,6 @@ func encodeWire2(buf []byte, v any) ([]byte, error) {
 		e.PorEntries(m.Por)
 		e.Int(m.PorVersion)
 	case *CommitRequest:
-		e.Byte(frameCommitRequest)
 		e.String(m.Token)
 		e.Varint(m.Seq)
 		e.Claims(m.Splits)
@@ -86,17 +99,14 @@ func encodeWire2(buf []byte, v any) ([]byte, error) {
 		e.PorEntries(m.Por)
 		e.Int(m.PorVersion)
 	case *CommitResponse:
-		e.Byte(frameCommitResponse)
 		e.Bool(m.Stale)
 		e.Bool(m.Stopped)
 		e.Bool(m.Hungry)
 		e.PorEntries(m.Por)
 		e.Int(m.PorVersion)
 	case *HeartbeatRequest:
-		e.Byte(frameHeartbeatRequest)
 		e.String(m.Token)
 	case *HeartbeatResponse:
-		e.Byte(frameHeartbeatResponse)
 		e.Bool(m.Stale)
 		e.Bool(m.Stopped)
 	default:
@@ -112,25 +122,15 @@ func decodeWire2(data []byte, v any) error {
 	if d.Byte() != wire2Magic0 || d.Byte() != wire2Magic1 {
 		return fmt.Errorf("wire2: bad magic")
 	}
-	kind := d.Byte()
-	want := func(k byte) error {
-		if kind != k {
-			return fmt.Errorf("wire2: frame kind %d, want %d", kind, k)
-		}
-		return nil
+	if kind, want := d.Byte(), frameKind(v); kind != want {
+		return fmt.Errorf("wire2: frame kind %d, want %d", kind, want)
 	}
 	switch m := v.(type) {
 	case *LeaseRequest:
-		if err := want(frameLeaseRequest); err != nil {
-			return err
-		}
 		m.Worker = d.String()
 		m.JobID = d.String()
 		m.PorVersion = d.Int()
 	case *LeaseResponse:
-		if err := want(frameLeaseResponse); err != nil {
-			return err
-		}
 		m.Status = d.String()
 		m.RetryMs = d.Int()
 		if d.Bool() {
@@ -157,9 +157,6 @@ func decodeWire2(data []byte, v any) error {
 		m.Por = d.PorEntries()
 		m.PorVersion = d.Int()
 	case *CommitRequest:
-		if err := want(frameCommitRequest); err != nil {
-			return err
-		}
 		m.Token = d.String()
 		m.Seq = d.Varint()
 		m.Splits = d.Claims()
@@ -169,23 +166,14 @@ func decodeWire2(data []byte, v any) error {
 		m.Por = d.PorEntries()
 		m.PorVersion = d.Int()
 	case *CommitResponse:
-		if err := want(frameCommitResponse); err != nil {
-			return err
-		}
 		m.Stale = d.Bool()
 		m.Stopped = d.Bool()
 		m.Hungry = d.Bool()
 		m.Por = d.PorEntries()
 		m.PorVersion = d.Int()
 	case *HeartbeatRequest:
-		if err := want(frameHeartbeatRequest); err != nil {
-			return err
-		}
 		m.Token = d.String()
 	case *HeartbeatResponse:
-		if err := want(frameHeartbeatResponse); err != nil {
-			return err
-		}
 		m.Stale = d.Bool()
 		m.Stopped = d.Bool()
 	default:

@@ -1,16 +1,16 @@
 package dist
 
 import (
-	"encoding/json"
+	"bytes"
+	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"jaaru/internal/core"
-	"jaaru/internal/netsim"
 )
 
 // ---- frame round trips ------------------------------------------------------
@@ -51,14 +51,14 @@ func testPorEntries() []core.WirePorEntry {
 	}
 }
 
-// TestWire2FrameRoundTrip drives every protocol envelope through the v2
-// framing and back, expecting exact structural equality.
-func TestWire2FrameRoundTrip(t *testing.T) {
+// testEnvelopes is every protocol envelope shape: the first of each kind is
+// the richest, and the one FuzzDecodeWire2's committed corpus was made from.
+func testEnvelopes() []any {
 	delta := &core.WireStats{
 		Scenarios: 9, ExecsPost: 8, FpointsPre: 7, Steps: 1234, MaxRF: 3,
 		NewPoints: [3]int{2, 1, 0},
 	}
-	envelopes := []any{
+	return []any{
 		&LeaseRequest{Worker: "w1", JobID: "j1", PorVersion: 5},
 		&LeaseResponse{
 			Status: StatusGranted,
@@ -86,7 +86,12 @@ func TestWire2FrameRoundTrip(t *testing.T) {
 		&HeartbeatRequest{Token: "tok-1"},
 		&HeartbeatResponse{Stale: true, Stopped: true},
 	}
-	for _, env := range envelopes {
+}
+
+// TestWire2FrameRoundTrip drives every protocol envelope through the v2
+// framing and back, expecting exact structural equality.
+func TestWire2FrameRoundTrip(t *testing.T) {
+	for _, env := range testEnvelopes() {
 		frame, err := encodeWire2(nil, env)
 		if err != nil {
 			t.Fatalf("%T: encode: %v", env, err)
@@ -137,305 +142,97 @@ func TestWire2FrameErrors(t *testing.T) {
 	}
 }
 
-// ---- negotiation ------------------------------------------------------------
-
-// exchange records one observed RPC: the request's codec headers and the
-// response's content type, for successful round trips only.
-type exchange struct {
-	path      string
-	reqCT     string
-	reqAccept string
-	respCT    string
-	status    int
+// FuzzDecodeWire2 is the lease-path parser under hostile input. Whatever the
+// bytes, decoding them as any of the six messages must not panic, must
+// allocate in proportion to the input, and a frame that decodes must
+// re-encode to bytes that decode equal. The committed corpus
+// (testdata/fuzz/FuzzDecodeWire2) holds one frame per message kind, the first
+// of each kind in testEnvelopes; `go test -fuzz FuzzDecodeWire2
+// ./internal/dist` explores from there.
+func FuzzDecodeWire2(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		envelopes := []any{&LeaseRequest{}, &LeaseResponse{}, &CommitRequest{},
+			&CommitResponse{}, &HeartbeatRequest{}, &HeartbeatResponse{}}
+		for _, env := range envelopes {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := decodeWire2(data, env)
+			runtime.ReadMemStats(&after)
+			// A generous constant factor (decoded points and full-width
+			// counter vectors outweigh their wire bytes) plus slack for
+			// whatever else the runtime allocated meanwhile.
+			if grew, budget := after.TotalAlloc-before.TotalAlloc, uint64(4096*len(data)+1<<20); grew > budget {
+				t.Fatalf("%T: decoding %d bytes allocated %d, budget %d", env, len(data), grew, budget)
+			}
+			if err != nil {
+				continue
+			}
+			frame, err := encodeWire2(nil, env)
+			if err != nil {
+				t.Fatalf("%T: decoded frame does not re-encode: %v", env, err)
+			}
+			again := reflect.New(reflect.TypeOf(env).Elem()).Interface()
+			if err := decodeWire2(frame, again); err != nil {
+				t.Fatalf("%T: re-encoded frame does not decode: %v", env, err)
+			}
+			if !reflect.DeepEqual(env, again) {
+				t.Fatalf("%T: re-encoded frame decodes differently:\nfirst:  %+v\nsecond: %+v", env, env, again)
+			}
+		}
+	})
 }
 
-// recordingDoer wraps a fabric client and records every exchange's codec
-// headers, so negotiation tests can assert the wire-level handshake rather
-// than just the end state.
-type recordingDoer struct {
-	inner Doer
-
-	mu  sync.Mutex
-	log []exchange
+// finalReplyDropper drops the reply to a worker's final commit once, after
+// the coordinator applied it, so the worker redelivers the same frame.
+type finalReplyDropper struct {
+	inner   Doer
+	dropped bool
 }
 
-func (r *recordingDoer) Do(req *http.Request) (*http.Response, error) {
-	resp, err := r.inner.Do(req)
+func (d *finalReplyDropper) Do(req *http.Request) (*http.Response, error) {
+	body, err := io.ReadAll(req.Body)
 	if err != nil {
+		return nil, err
+	}
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	var commit CommitRequest
+	final := strings.HasSuffix(req.URL.Path, "/commit") && decodeWire2(body, &commit) == nil && commit.Final
+	resp, err := d.inner.Do(req)
+	if err != nil || !final || d.dropped {
 		return resp, err
 	}
-	r.mu.Lock()
-	r.log = append(r.log, exchange{
-		path:      req.URL.Path,
-		reqCT:     req.Header.Get("Content-Type"),
-		reqAccept: req.Header.Get("Accept"),
-		respCT:    resp.Header.Get("Content-Type"),
-		status:    resp.StatusCode,
-	})
-	r.mu.Unlock()
-	return resp, nil
+	d.dropped = true
+	resp.Body.Close()
+	return nil, io.ErrUnexpectedEOF
 }
 
-func (r *recordingDoer) exchanges() []exchange {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]exchange(nil), r.log...)
-}
-
-// newHarnessCfg is newHarness with coordinator knobs (codec, lease sizing)
-// under test control. Resolve/Now/ShutdownWhenDone are filled in.
-func newHarnessCfg(t *testing.T, cfg Config) *harness {
-	t.Helper()
-	clock := netsim.NewClock()
-	cfg.Resolve = testResolver
-	cfg.Now = clock.Now
-	cfg.ShutdownWhenDone = true
-	coord, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric := netsim.NewFabric(coord)
-	fabric.SetClock(clock)
-	return &harness{t: t, coord: coord, fabric: fabric, clock: clock}
-}
-
-// workerCfg builds a worker over the harness fabric with full WorkerConfig
-// control (codec pinning, wrapped clients); unset transport knobs get the
-// deterministic test defaults.
-func (h *harness) workerCfg(cfg WorkerConfig) *Worker {
-	h.t.Helper()
-	cfg.BaseURL = "http://coordinator"
-	if cfg.Client == nil {
-		cfg.Client = h.fabric.Client(cfg.Name)
-	}
-	cfg.Resolve = testResolver
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 2
-	}
-	if cfg.Backoff == 0 {
-		cfg.Backoff = time.Microsecond
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = func(time.Duration) {}
-	}
-	w, err := NewWorker(cfg)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	return w
-}
-
-// TestCodecAutoUpgrade: an auto-codec worker's first request is JSON
-// advertising v2 via Accept; the coordinator answers v2 and every subsequent
-// request rides the binary codec. The merged result is still exact.
-func TestCodecAutoUpgrade(t *testing.T) {
-	serial := serialReference(t, "bugs", distOpts())
-	h := newHarness(t)
-	id := h.submit("bugs", distOpts())
-
-	rec := &recordingDoer{inner: h.fabric.Client("w1")}
-	w := h.workerCfg(WorkerConfig{Name: "w1", Client: rec, CommitEvery: 2})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "auto-upgrade", serial, h.result(id))
-
-	log := rec.exchanges()
-	if len(log) < 3 {
-		t.Fatalf("only %d exchanges recorded", len(log))
-	}
-	first := log[0]
-	if first.reqCT != ContentTypeJSON || first.reqAccept != ContentTypeWireV2 {
-		t.Errorf("first request: CT %q Accept %q, want JSON advertising v2", first.reqCT, first.reqAccept)
-	}
-	if first.respCT != ContentTypeWireV2 {
-		t.Errorf("first response: CT %q, want v2 (upgrade)", first.respCT)
-	}
-	for i, x := range log[1:] {
-		if x.reqCT != ContentTypeWireV2 {
-			t.Errorf("exchange %d after upgrade: request CT %q, want v2 (%s)", i+1, x.reqCT, x.path)
-		}
-		if x.status == http.StatusOK && x.respCT != ContentTypeWireV2 {
-			t.Errorf("exchange %d after upgrade: response CT %q, want v2 (%s)", i+1, x.respCT, x.path)
-		}
-	}
-}
-
-// TestCodecV1Pinned: a -codec v1 worker never advertises v2 and the whole
-// conversation stays JSON.
-func TestCodecV1Pinned(t *testing.T) {
-	serial := serialReference(t, "tree", distOpts())
-	h := newHarness(t)
-	id := h.submit("tree", distOpts())
-
-	rec := &recordingDoer{inner: h.fabric.Client("w1")}
-	w := h.workerCfg(WorkerConfig{Name: "w1", Client: rec, CommitEvery: 2, Codec: CodecV1})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "v1-pinned", serial, h.result(id))
-
-	for i, x := range rec.exchanges() {
-		if x.reqCT != ContentTypeJSON || x.reqAccept != "" {
-			t.Errorf("exchange %d: request CT %q Accept %q, want plain JSON", i, x.reqCT, x.reqAccept)
-		}
-		if x.respCT == ContentTypeWireV2 {
-			t.Errorf("exchange %d: coordinator answered v2 to a v1-pinned worker (%s)", i, x.path)
-		}
-	}
-}
-
-// TestCodecDisabledCoordinator: -disable-wire-v2 keeps every response JSON;
-// an auto worker therefore never upgrades, and the run stays exact.
-func TestCodecDisabledCoordinator(t *testing.T) {
-	serial := serialReference(t, "bugs", distOpts())
-	h := newHarnessCfg(t, Config{DisableWireV2: true})
-	id := h.submit("bugs", distOpts())
-
-	rec := &recordingDoer{inner: h.fabric.Client("w1")}
-	w := h.workerCfg(WorkerConfig{Name: "w1", Client: rec, CommitEvery: 2})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "v2-disabled", serial, h.result(id))
-
-	for i, x := range rec.exchanges() {
-		if x.reqCT != ContentTypeJSON {
-			t.Errorf("exchange %d: request CT %q, want JSON (no upgrade offered)", i, x.reqCT)
-		}
-		if x.respCT == ContentTypeWireV2 {
-			t.Errorf("exchange %d: response CT v2 despite DisableWireV2 (%s)", i, x.path)
-		}
-	}
-}
-
-// v1Coordinator simulates an old coordinator build in front of the real one:
-// binary frames bounce with the JSON 400 a v1 json.Unmarshal failure
-// produces, and the Accept header is ignored (stripped) the way a build
-// that predates it would.
-type v1Coordinator struct {
-	inner http.Handler
-
-	mu       sync.Mutex
-	rejected int
-}
-
-func (v *v1Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == ContentTypeWireV2 {
-		v.mu.Lock()
-		v.rejected++
-		v.mu.Unlock()
-		w.Header().Set("Content-Type", ContentTypeJSON)
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(errorResponse{Error: "invalid character 'J' looking for beginning of value"})
-		return
-	}
-	r.Header.Del("Accept")
-	v.inner.ServeHTTP(w, r)
-}
-
-// TestCodecV2DowngradeAgainstV1Coordinator: a -codec v2 worker whose first
-// binary frame bounces off a v1 coordinator downgrades to JSON transparently
-// — one resend, no lost work, exact merge.
-func TestCodecV2DowngradeAgainstV1Coordinator(t *testing.T) {
-	serial := serialReference(t, "bugs", distOpts())
-
-	clock := netsim.NewClock()
-	coord, err := NewCoordinator(Config{Resolve: testResolver, Now: clock.Now, ShutdownWhenDone: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := &v1Coordinator{inner: coord}
-	fabric := netsim.NewFabric(v1)
-	fabric.SetClock(clock)
-	h := &harness{t: t, coord: coord, fabric: fabric, clock: clock}
-
-	id := h.submit("bugs", distOpts())
-	rec := &recordingDoer{inner: fabric.Client("w1")}
-	w := h.workerCfg(WorkerConfig{Name: "w1", Client: rec, CommitEvery: 2, Codec: CodecV2})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "v2-downgrade", serial, h.result(id))
-
-	if v1.rejected != 1 {
-		t.Errorf("coordinator rejected %d binary frames, want exactly 1 (downgrade sticks)", v1.rejected)
-	}
-	log := rec.exchanges()
-	if len(log) < 3 {
-		t.Fatalf("only %d exchanges recorded", len(log))
-	}
-	if log[0].reqCT != ContentTypeWireV2 || log[0].status != http.StatusBadRequest {
-		t.Errorf("first exchange: CT %q status %d, want a bounced v2 frame", log[0].reqCT, log[0].status)
-	}
-	if log[1].reqCT != ContentTypeJSON || log[1].path != log[0].path {
-		t.Errorf("second exchange: CT %q path %q, want the same message resent as JSON on %q",
-			log[1].reqCT, log[1].path, log[0].path)
-	}
-	for i, x := range log[1:] {
-		if x.reqCT != ContentTypeJSON {
-			t.Errorf("exchange %d after downgrade: request CT %q, want JSON", i+1, x.reqCT)
-		}
-	}
-}
-
-// TestCodecMixedFleet is the version-skew acceptance gate: pinned-v1,
-// pinned-v2, and auto workers share one job; the v2 worker holding the root
-// lease is killed mid-lease and its subtree re-executed by the mixed
-// survivors after TTL expiry. The merge must stay bit-identical to serial.
-func TestCodecMixedFleet(t *testing.T) {
-	for _, bench := range []string{"tree", "bugs"} {
-		t.Run(bench, func(t *testing.T) {
-			serial := serialReference(t, bench, distOpts())
-			h := newHarness(t)
-			id := h.submit(bench, distOpts())
-
-			// The victim speaks binary from the first frame and dies after 4
-			// successful requests: one lease grant plus three commits.
-			w3 := h.workerCfg(WorkerConfig{Name: "w3", CommitEvery: 1, Codec: CodecV2})
-			h.fabric.KillAfter("w3", 4)
-			if err := w3.Run(); err == nil {
-				t.Fatal("killed worker exited cleanly; expected transport failure")
-			}
-			h.clock.Advance(61 * time.Second)
-
-			errs := runWorkers(
-				h.workerCfg(WorkerConfig{Name: "w1", CommitEvery: 2, Codec: CodecV1}),
-				h.workerCfg(WorkerConfig{Name: "w2", CommitEvery: 2, Codec: CodecAuto}),
-			)
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("worker %d: %v", i+1, err)
-				}
-			}
-			res := h.result(id)
-			assertSameResult(t, bench, serial, res)
-			if res.Metrics.LeasesExpired < 1 {
-				t.Errorf("LeasesExpired = %d, want >= 1", res.Metrics.LeasesExpired)
-			}
-			if res.Metrics.LeaseRequeues < 1 {
-				t.Errorf("LeaseRequeues = %d, want >= 1 (the killed v2 worker's subtree)", res.Metrics.LeaseRequeues)
-			}
-		})
-	}
-}
-
-// TestCodecV2KilledWorkerDuplicateCommits crosses the binary codec with the
-// redelivery fault: dropped commit acks force a pinned-v2 worker to resend
-// the same sequence numbers as binary frames, and the seq-gated absorption
-// must keep the merge exact.
+// TestCodecV2DuplicateCommits: a redelivered commit arrives as the identical
+// frame. Non-final duplicates are acknowledged without being re-absorbed
+// (TestDistributedDuplicateCommits); a duplicated final commit finds its lease
+// already retired and is fenced as stale, which the worker takes as the end
+// of the lease. Either way the merge stays exact.
 func TestCodecV2DuplicateCommits(t *testing.T) {
 	serial := serialReference(t, "bugs", distOpts())
 	h := newHarness(t)
 	id := h.submit("bugs", distOpts())
-	w := h.workerCfg(WorkerConfig{
+	dropper := &finalReplyDropper{inner: h.fabric.Client("w1")}
+	w, err := NewWorker(WorkerConfig{
 		Name:        "w1",
-		Client:      &commitReplyDropper{inner: h.fabric.Client("w1"), drops: 2},
-		CommitEvery: 1,
-		Codec:       CodecV2,
+		BaseURL:     "http://coordinator",
+		Client:      dropper,
+		Resolve:     testResolver,
+		MaxRetries:  2,
+		Sleep:       func(time.Duration) {},
+		CommitEvery: 2,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "v2-duplicate-commits", serial, h.result(id))
+	if !dropper.dropped {
+		t.Fatal("no final commit reply was dropped")
+	}
+	assertSameResult(t, "duplicate-final-commit", serial, h.result(id))
 }

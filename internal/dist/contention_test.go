@@ -93,75 +93,69 @@ func (p *probeTransport) get(path string) {
 // TestCoordinatorEncodesOutsideMutex runs a complete lease conversation —
 // submit, lease grants, pipelined commits, heartbeat, status polls, metrics
 // scrape — through a writer that fails the moment any response is encoded or
-// written while c.mu is held, under both wire codecs. The coordinator's own
-// copy of the guest runs only when a finished job's bug traces are replayed
-// (workers resolve theirs separately), so it carries the same probe: a replay
-// is a whole guest execution and must not run under c.mu either — and it runs
-// once per bug however often the job is polled.
+// written while c.mu is held. The coordinator's own copy of the guest runs
+// only when a finished job's bug traces are replayed (workers resolve theirs
+// separately), so it carries the same probe: a replay is a whole guest
+// execution and must not run under c.mu either — and it runs once per bug
+// however often the job is polled.
 func TestCoordinatorEncodesOutsideMutex(t *testing.T) {
-	for _, codec := range []string{CodecV1, CodecAuto} {
-		t.Run("codec="+codec, func(t *testing.T) {
-			clock := netsim.NewClock()
-			var coord *Coordinator
-			replays := 0
-			coord, err := NewCoordinator(Config{
-				Resolve: func(spec ProgSpec) (core.Program, error) {
-					prog, err := testResolver(spec)
-					run := prog.Run
-					prog.Run = func(c *core.Context) {
-						replays++
-						if !coord.mu.TryLock() {
-							t.Error("coordinator mutex held while a bug trace is replayed")
-						} else {
-							coord.mu.Unlock()
-						}
-						run(c)
-					}
-					return prog, err
-				},
-				Now:              clock.Now,
-				ShutdownWhenDone: true,
-			})
-			if err != nil {
-				t.Fatal(err)
+	clock := netsim.NewClock()
+	var coord *Coordinator
+	replays := 0
+	coord, err := NewCoordinator(Config{
+		Resolve: func(spec ProgSpec) (core.Program, error) {
+			prog, err := testResolver(spec)
+			run := prog.Run
+			prog.Run = func(c *core.Context) {
+				replays++
+				if !coord.mu.TryLock() {
+					t.Error("coordinator mutex held while a bug trace is replayed")
+				} else {
+					coord.mu.Unlock()
+				}
+				run(c)
 			}
-			probe := &probeTransport{t: t, c: coord}
-
-			var jr JobResponse
-			probe.post("/v1/jobs", JobRequest{Spec: ProgSpec{Bench: "bugs"}, Opts: distOpts()}, &jr)
-
-			w, err := NewWorker(WorkerConfig{
-				Name:        "w1",
-				BaseURL:     "http://coordinator",
-				Client:      probe,
-				Resolve:     testResolver,
-				MaxRetries:  2,
-				Backoff:     time.Microsecond,
-				Sleep:       func(time.Duration) {},
-				CommitEvery: 1, // maximize commit traffic through the probe
-				Codec:       codec,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Heartbeats renew through their own handler; exercise it with a
-			// live token by heartbeating an unknown lease (the 409 conflict
-			// path writes a response too).
-			hbReq, _ := json.Marshal(HeartbeatRequest{Token: "bogus"})
-			r, _ := http.NewRequest(http.MethodPost, "http://coordinator/v1/leases/l1/heartbeat", bytes.NewReader(hbReq))
-			resp, _ := probe.Do(r)
-			resp.Body.Close()
-
-			if err := w.Run(); err != nil {
-				t.Fatal(err)
-			}
-			probe.get("/v1/jobs/" + jr.ID)
-			probe.get("/v1/jobs/" + jr.ID)
-			if bugs := len(coord.jobs[jr.ID].result.Bugs); bugs == 0 || replays != bugs {
-				t.Errorf("two polls of the finished job replayed %d traces for %d bugs", replays, bugs)
-			}
-			probe.get("/v1/status")
-			probe.get("/metrics")
-		})
+			return prog, err
+		},
+		Now:              clock.Now,
+		ShutdownWhenDone: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	probe := &probeTransport{t: t, c: coord}
+
+	var jr JobResponse
+	probe.post("/v1/jobs", JobRequest{Spec: ProgSpec{Bench: "bugs"}, Opts: distOpts()}, &jr)
+
+	w, err := NewWorker(WorkerConfig{
+		Name:        "w1",
+		BaseURL:     "http://coordinator",
+		Client:      probe,
+		Resolve:     testResolver,
+		MaxRetries:  2,
+		Backoff:     time.Microsecond,
+		Sleep:       func(time.Duration) {},
+		CommitEvery: 1, // maximize commit traffic through the probe
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Heartbeats renew through their own handler; exercise it by heartbeating
+	// an unknown lease (the 409 conflict path writes a response too).
+	hbReq, _ := encodeWire2(nil, &HeartbeatRequest{Token: "bogus"})
+	r, _ := http.NewRequest(http.MethodPost, "http://coordinator/v1/leases/l1/heartbeat", bytes.NewReader(hbReq))
+	resp, _ := probe.Do(r)
+	resp.Body.Close()
+
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	probe.get("/v1/jobs/" + jr.ID)
+	probe.get("/v1/jobs/" + jr.ID)
+	if bugs := len(coord.jobs[jr.ID].f.Result().Bugs); bugs == 0 || replays != bugs {
+		t.Errorf("two polls of the finished job replayed %d traces for %d bugs", replays, bugs)
+	}
+	probe.get("/v1/status")
+	probe.get("/metrics")
 }

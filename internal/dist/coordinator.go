@@ -1,11 +1,11 @@
 package dist
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,10 +30,11 @@ type Config struct {
 	// a lease request is parked waiting for work while another lease is live
 	// (default 200).
 	RetryMs int
-	// DisableWireV2 pins the coordinator to JSON responses even for workers
-	// that advertise codec v2 (mixed-fleet rollbacks and the v1-coordinator
-	// interop tests).
-	DisableWireV2 bool
+	// LeaseTTL is how long a lease lives without a commit or heartbeat before
+	// its worker is presumed dead and its residual requeued (default 30s;
+	// workers heartbeat every TTL/8). Negative: leases never expire and
+	// workers never heartbeat (deterministic tests, a stopped worker).
+	LeaseTTL time.Duration
 }
 
 // lease is one granted unit of work.
@@ -47,38 +48,31 @@ type lease struct {
 	// they arrived (seq-gated), so expiry has no stats to fold.
 	claims []core.WireClaim
 	seq    int64
-	// deadline is the expiry instant, zero when the job's TTL is disabled.
+	// deadline is the expiry instant, zero when leases never expire.
 	deadline time.Time
 }
 
-// job is one submitted workload and everything needed to merge its result.
+// job is one submitted workload: its claims, caps and merge (the Frontier),
+// the leases out against it, and its POR publication log.
 type job struct {
 	id   string
 	spec ProgSpec
 	opts core.Options
 	acc  *core.MergeAcc
+	f    *core.Frontier
 
-	queued  []core.WireClaim
 	leases  map[string]*lease
 	workers map[string]struct{}
-
-	stopped bool // a cap fired: wind down cooperatively
-	capHit  bool
 
 	// start is the submission instant (cfg.Now), the baseline the live
 	// scenarios/sec rate and ETA are measured against.
 	start time.Time
 
-	absorbedScen  int                 // scenarios in absorbed delta commits
-	absorbedExecs int                 // post-failure executions, same source
-	bugKeys       map[string]struct{} // distinct canonical bug keys seen
-
 	porLog   []core.WirePorEntry
 	porIndex map[uint64]struct{}
 
-	result *core.Result
-	// traced is result.Bugs with their traces, replayed by the first status
-	// poll that finds the job done (tracedStatus).
+	// traced is the result's bugs with their traces, replayed by the first
+	// status poll that finds the job done (tracedStatus).
 	traceOnce sync.Once
 	traced    []tracedBug
 }
@@ -92,31 +86,25 @@ type tracedBug struct {
 
 func (j *job) reg() *obs.Registry { return j.acc.Observability() }
 
-func (j *job) done() bool { return j.result != nil }
+func (j *job) done() bool { return j.f.Result() != nil }
 
-// Coordinator owns the global frontier, caps, and POR publication log of
-// every submitted job, and serves the lease protocol over HTTP. All methods
-// are safe for concurrent use; it implements http.Handler.
+// Coordinator serves the lease protocol over HTTP: it hands out each job's
+// claims as leases (token, TTL, commit sequence, residuals), keeps each job's
+// POR publication log, and serves telemetry. The claims, the hunger and cap
+// rules and the merge are each job's core.Frontier. All methods are safe for
+// concurrent use; it implements http.Handler.
 type Coordinator struct {
 	cfg Config
 	mux *http.ServeMux
 
 	start time.Time
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string
-	workers map[string]struct{}
-	// starving holds workers whose latest lease poll found nothing (parked
-	// ones included); a grant removes them. It is the hunger signal:
-	// donations are solicited only while the queue cannot feed every idle
-	// worker, so a busy fleet on a small frontier is not milked for a split
-	// on every scenario.
-	starving map[string]struct{}
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string
 	// wake is closed, and replaced, whenever a parked lease request should
-	// look again: claims were queued or a job finished (wakeLocked).
+	// look again: a Frontier queued claims or finished (wakeLocked).
 	wake      chan struct{}
-	submitted bool
 	nextJob   int
 	nextLease int
 	nextToken int
@@ -133,13 +121,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.RetryMs <= 0 {
 		cfg.RetryMs = 200
 	}
+	cfg.LeaseTTL = cmp.Or(cfg.LeaseTTL, 30*time.Second)
 	c := &Coordinator{
-		cfg:      cfg,
-		start:    cfg.Now(),
-		jobs:     make(map[string]*job),
-		workers:  make(map[string]struct{}),
-		starving: make(map[string]struct{}),
-		wake:     make(chan struct{}),
+		cfg:   cfg,
+		start: cfg.Now(),
+		jobs:  make(map[string]*job),
+		wake:  make(chan struct{}),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
@@ -178,16 +165,14 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		spec:     req.Spec,
 		opts:     acc.Options(),
 		acc:      acc,
+		f:        core.NewFrontier(acc, c.wakeLocked),
 		start:    c.cfg.Now(),
 		leases:   make(map[string]*lease),
 		workers:  make(map[string]struct{}),
-		bugKeys:  make(map[string]struct{}),
 		porIndex: make(map[uint64]struct{}),
 	}
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
-	c.submitted = true
-	c.queueLocked(j, []core.WireClaim{{}}) // the root claim: the whole tree
 	j.reg().NoteRPC()
 	j.reg().SetGoal(int64(j.opts.MaxScenarios))
 	c.mu.Unlock()
@@ -202,9 +187,8 @@ func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		j.reg().NoteRPC()
 		st = JobStatus{ID: j.id, State: JobRunning}
-		if j.done() {
+		if st.Result = j.f.Result(); st.Result != nil {
 			st.State = JobDone
-			st.Result = j.result
 		}
 	}
 	c.mu.Unlock()
@@ -225,7 +209,7 @@ func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // an infinite-loop bug is a whole MaxSteps execution.
 func (j *job) tracedStatus(st JobStatus) any {
 	j.traceOnce.Do(func() {
-		for _, b := range j.result.Bugs {
+		for _, b := range st.Result.Bugs {
 			j.traced = append(j.traced, tracedBug{b, b.Trace(jobTraceLen)})
 		}
 	})
@@ -236,35 +220,28 @@ func (j *job) tracedStatus(st JobStatus) any {
 	return struct {
 		JobStatus
 		Result tracedResult `json:"result"`
-	}{st, tracedResult{j.result, j.traced}}
+	}{st, tracedResult{st.Result, j.traced}}
 }
 
 // ---- lease protocol ---------------------------------------------------------
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	v2 := c.wantsV2(r)
 	var req LeaseRequest
-	rx, err := readRequest(r, &req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+	rx, ok := readRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	c.mu.Lock()
 	c.sweepLocked()
-	if req.Worker != "" {
-		c.workers[req.Worker] = struct{}{}
-	}
 	resp, reg := c.grantLocked(&req)
 	retryMs := c.cfg.RetryMs
 	if resp == nil && c.leaseLiveLocked() {
 		// Nothing to grant, but a lease is live: its holder donates half its
 		// open work at its next commit once it hears of this worker (the
-		// starving set feeds hungryLocked), and the job may be over before a
-		// poll interval has passed. Park the request — outside c.mu — until
-		// claims are queued or a job finishes, for at most RetryMs.
-		if req.Worker != "" {
-			c.starving[req.Worker] = struct{}{}
-		}
+		// failed take marked it waiting, which makes the Frontier hungry),
+		// and the job may be over before a poll interval has passed. Park the
+		// request — outside c.mu — until claims are queued or a job finishes,
+		// for at most RetryMs.
 		wake := c.wake
 		c.mu.Unlock()
 		t := time.NewTimer(time.Duration(c.cfg.RetryMs) * time.Millisecond)
@@ -279,7 +256,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.mu.Lock()
 		if gone {
 			// The requester hung up: a grant would leave a lease nobody runs.
-			delete(c.starving, req.Worker)
+			c.unwaitLocked(req.Worker)
 			c.mu.Unlock()
 			return
 		}
@@ -290,29 +267,26 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	if resp == nil {
 		resp = &LeaseResponse{Status: StatusIdle, RetryMs: retryMs}
-		if c.cfg.ShutdownWhenDone && c.submitted && c.allDoneLocked() {
+		if c.cfg.ShutdownWhenDone && len(c.jobs) > 0 && c.allDoneLocked() {
 			resp = &LeaseResponse{Status: StatusShutdown}
-		} else if req.Worker != "" {
-			c.starving[req.Worker] = struct{}{}
 		}
 	}
 	c.mu.Unlock()
-	writeResp(w, http.StatusOK, resp, v2, reg, rx)
+	writeResp(w, http.StatusOK, resp, reg, rx)
 }
 
-// grantLocked leases the most recently queued claim of the first job that has
-// one, or returns nil. One claim per lease: a donated claim is half its
-// donor's open work and the queue holds at most one per starving worker, so a
-// batch granted to one poller would starve the next.
+// grantLocked leases the newest queued claim of the first job that has one,
+// or returns nil. One claim per lease: a donated claim is half its donor's
+// open work and the queue holds at most one per waiting worker, so a batch
+// granted to one poller would starve the next.
 func (c *Coordinator) grantLocked(req *LeaseRequest) (*LeaseResponse, *obs.Registry) {
 	for _, id := range c.order {
 		j := c.jobs[id]
-		if j.done() || j.stopped || len(j.queued) == 0 {
+		claim, ok := j.f.Take(req.Worker)
+		if !ok {
 			continue
 		}
-		// LIFO, like the in-process frontier.
-		claims := []core.WireClaim{j.queued[len(j.queued)-1]}
-		j.queued = j.queued[:len(j.queued)-1]
+		c.unwaitLocked(req.Worker) // fed: no longer waiting on any job
 		c.nextLease++
 		c.nextToken++
 		l := &lease{
@@ -321,19 +295,15 @@ func (c *Coordinator) grantLocked(req *LeaseRequest) (*LeaseResponse, *obs.Regis
 			id:     fmt.Sprintf("l%d", c.nextLease),
 			token:  fmt.Sprintf("t%d", c.nextToken),
 			job:    j,
-			claims: claims,
+			claims: []core.WireClaim{claim},
 		}
-		ttl := j.opts.LeaseTTLMs
-		if ttl > 0 {
-			l.deadline = c.cfg.Now().Add(time.Duration(ttl) * time.Millisecond)
-		}
+		c.renewLocked(l)
 		j.leases[l.id] = l
 		if req.Worker != "" {
 			j.workers[req.Worker] = struct{}{}
-			delete(c.starving, req.Worker)
+			j.acc.SetWorkers(len(j.workers))
 		}
 		reg := j.reg()
-		reg.NoteClaim(len(j.queued))
 		reg.NoteRPC()
 		reg.NoteLease()
 		resp := &LeaseResponse{
@@ -344,10 +314,10 @@ func (c *Coordinator) grantLocked(req *LeaseRequest) (*LeaseResponse, *obs.Regis
 				JobID:  j.id,
 				Spec:   j.spec,
 				Opts:   j.opts,
-				Claims: claims,
-				TTLMs:  ttl,
+				Claims: l.claims,
+				TTLMs:  int(c.cfg.LeaseTTL.Milliseconds()),
 			},
-			Hungry:     c.hungryLocked(j),
+			Hungry:     j.f.Hungry(),
 			PorVersion: len(j.porLog),
 		}
 		// Ship the publication-log suffix the worker is missing. The cursor
@@ -365,35 +335,46 @@ func (c *Coordinator) grantLocked(req *LeaseRequest) (*LeaseResponse, *obs.Regis
 	return nil, nil
 }
 
-// leaseLiveLocked reports whether some unfinished job has a live lease — the
-// only state in which work can still appear for an idle worker.
+// leaseLiveLocked reports whether some job has a live lease — the only state
+// in which work can still appear for an idle worker.
 func (c *Coordinator) leaseLiveLocked() bool {
 	for _, j := range c.jobs {
-		if !j.done() && len(j.leases) > 0 {
+		if len(j.leases) > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// queueLocked puts claims on j's queue and wakes the parked lease requests:
-// every push goes through here, so none is slept through.
-func (c *Coordinator) queueLocked(j *job, claims []core.WireClaim) {
-	j.queued = append(j.queued, claims...)
-	c.wakeLocked()
-}
-
-// wakeLocked releases every parked lease request to retry its grant.
+// wakeLocked releases every parked lease request to retry its grant. Every
+// job's Frontier calls it when it queues claims or finishes, so no park
+// sleeps through either.
 func (c *Coordinator) wakeLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
 }
 
+// unwaitLocked forgets a waiting worker on every job.
+func (c *Coordinator) unwaitLocked(worker string) {
+	for _, j := range c.jobs {
+		j.f.Unwait(worker)
+	}
+}
+
+// renewLocked moves l's expiry a TTL ahead (never, when leases never expire).
+func (c *Coordinator) renewLocked(l *lease) {
+	if c.cfg.LeaseTTL > 0 {
+		l.deadline = c.cfg.Now().Add(c.cfg.LeaseTTL)
+	}
+}
+
 func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
-	v2 := c.wantsV2(r)
 	var req CommitRequest
-	rx, err := readRequest(r, &req)
-	if err != nil {
+	rx, ok := readRequest(w, r, &req)
+	if !ok {
+		return
+	}
+	if err := req.validate(); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 		return
 	}
@@ -405,7 +386,7 @@ func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
 		// and everything since the worker's last applied commit will be
 		// re-executed by the next claimant — the worker must abandon.
 		c.mu.Unlock()
-		writeResp(w, http.StatusConflict, &CommitResponse{Stale: true}, v2, nil, rx)
+		writeResp(w, http.StatusConflict, &CommitResponse{Stale: true}, nil, rx)
 		return
 	}
 	j := l.job
@@ -417,127 +398,48 @@ func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
 		// what keeps the incremental payloads idempotent.
 		ack := c.commitAckLocked(j, req.PorVersion, len(j.porLog))
 		c.mu.Unlock()
-		writeResp(w, http.StatusOK, &ack, v2, reg, rx)
+		writeResp(w, http.StatusOK, &ack, reg, rx)
 		return
-	}
-	// Validate the whole payload before mutating any state, so a malformed
-	// commit (version-skewed or buggy worker) is rejected atomically: the
-	// delta feeds MergeAcc.Absorb below without an error path, and the
-	// claims are granted verbatim to future workers — a bad one accepted
-	// here would crash-loop every claimant. Rejections are always JSON so a
-	// version-skewed peer can read them.
-	fail := func(code int, msg string) {
-		c.mu.Unlock()
-		writeJSON(w, code, errorResponse{msg})
-	}
-	if req.Delta == nil {
-		fail(http.StatusBadRequest, "commit without delta stats")
-		return
-	}
-	if !req.Final && len(req.Residuals) == 0 {
-		fail(http.StatusBadRequest, "non-final commit without residuals")
-		return
-	}
-	if err := req.Delta.Validate(); err != nil {
-		fail(http.StatusBadRequest, fmt.Sprintf("delta: %v", err))
-		return
-	}
-	for i := range req.Residuals {
-		if err := req.Residuals[i].Validate(); err != nil {
-			fail(http.StatusBadRequest, fmt.Sprintf("residual %d: %v", i, err))
-			return
-		}
-	}
-	for i := range req.Splits {
-		if err := req.Splits[i].Validate(); err != nil {
-			fail(http.StatusBadRequest, fmt.Sprintf("split %d: %v", i, err))
-			return
-		}
 	}
 	// Ingest POR entries before snapshotting the response window, so the
 	// reply's Por slice excludes this commit's own contributions.
 	logBefore := len(j.porLog)
-	for i := range req.Por {
-		e := req.Por[i]
-		if _, seen := j.porIndex[e.FP]; seen {
-			continue
+	for _, e := range req.Por {
+		if _, seen := j.porIndex[e.FP]; !seen {
+			j.porIndex[e.FP] = struct{}{}
+			j.porLog = append(j.porLog, e)
 		}
-		if err := core.AbsorbPorEntry(&e); err != nil {
-			fail(http.StatusBadRequest, err.Error())
-			return
-		}
-		j.porIndex[e.FP] = struct{}{}
-		j.porLog = append(j.porLog, e)
 	}
 	l.seq = req.Seq
-	// Absorb the delta immediately: with seq-gated deltas there is nothing
-	// to fold at retire or expiry, and the live telemetry view is simply
-	// the registry (no per-lease overlay).
-	j.absorbedScen += req.Delta.Scenarios
-	j.absorbedExecs += req.Delta.ExecsPost
-	// Absorb errors cannot happen here: Validate above covers every Absorb
-	// error path (malformed payloads got 400 before any mutation).
-	_ = j.acc.Absorb(req.Delta)
+	// The delta is absorbed at once: with seq-gated deltas there is nothing
+	// to fold at retire or expiry, and the live telemetry view is simply the
+	// registry. Splits and residuals travel in one atomic commit, so the
+	// donated options are accounted exactly once: the residuals' limits were
+	// already lowered past them by the split.
+	requeued := j.f.Commit(req.Delta, req.Splits, req.Residuals, req.Final)
 	reg.NoteCommitBatch(int64(req.Delta.Scenarios))
-	if len(req.Splits) > 0 && !j.stopped {
-		// Splits and the residuals travel in one atomic commit, so the
-		// donated options are accounted exactly once: the residuals' limits
-		// were already lowered past them by the split.
-		c.queueLocked(j, req.Splits)
-		reg.NotePush(len(req.Splits), len(j.queued))
-		reg.NoteDonation(len(req.Splits))
-	}
 	if req.Final {
+		// A final commit with residuals *releases* the lease (worker drain):
+		// the remainder is requeued exactly as TTL expiry would, but at once,
+		// so nothing waits for (or depends on) an expiry that may never come.
 		if len(req.Residuals) > 0 {
-			// Final commit with residuals: the lease is *released* (worker
-			// drain), not complete. Requeue the remainder exactly as TTL
-			// expiry would — immediately, so nothing waits for (or depends
-			// on) an expiry that may never come when TTLs are disabled.
-			requeued := false
-			if !j.stopped {
-				c.queueLocked(j, req.Residuals)
-				reg.NotePush(len(req.Residuals), len(j.queued))
-				requeued = true
-			}
 			reg.NoteLeaseReleased(requeued)
 			reg.Emit("lease_released", "lease", l.id, "requeued", requeued)
 		}
 		delete(j.leases, l.id)
 	} else {
 		l.claims = req.Residuals
-		if ttl := j.opts.LeaseTTLMs; ttl > 0 {
-			l.deadline = c.cfg.Now().Add(time.Duration(ttl) * time.Millisecond)
-		}
+		c.renewLocked(l)
 	}
-	// Cooperative caps, on the same thresholds the in-process sharedCaps
-	// enforces. Bug keys dedupe canonically before any cap accounting, so
-	// the same bug reported by two workers in one stop window counts once.
-	// A delta carries a bug exactly when its count grew, which includes
-	// every first sighting.
-	for _, key := range req.Delta.BugKeys() {
-		if _, ok := j.bugKeys[key]; ok {
-			continue
-		}
-		j.bugKeys[key] = struct{}{}
-		if j.opts.StopAtFirstBug || len(j.bugKeys) >= j.opts.MaxBugs {
-			c.stopJobLocked(j)
-		}
-	}
-	if j.absorbedScen >= j.opts.MaxScenarios {
-		c.stopJobLocked(j)
-	}
-	c.maybeFinishLocked(j)
 	ack := c.commitAckLocked(j, req.PorVersion, logBefore)
 	c.mu.Unlock()
-	writeResp(w, http.StatusOK, &ack, v2, reg, rx)
+	writeResp(w, http.StatusOK, &ack, reg, rx)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	v2 := c.wantsV2(r)
 	var req HeartbeatRequest
-	rx, err := readRequest(r, &req)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+	rx, ok := readRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	c.mu.Lock()
@@ -545,17 +447,15 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	l := c.findLeaseLocked(r.PathValue("id"), req.Token)
 	if l == nil {
 		c.mu.Unlock()
-		writeResp(w, http.StatusConflict, &HeartbeatResponse{Stale: true}, v2, nil, rx)
+		writeResp(w, http.StatusConflict, &HeartbeatResponse{Stale: true}, nil, rx)
 		return
 	}
 	reg := l.job.reg()
 	reg.NoteRPC()
-	if ttl := l.job.opts.LeaseTTLMs; ttl > 0 {
-		l.deadline = c.cfg.Now().Add(time.Duration(ttl) * time.Millisecond)
-	}
-	stopped := l.job.stopped
+	c.renewLocked(l)
+	stopped := l.job.f.Stopped()
 	c.mu.Unlock()
-	writeResp(w, http.StatusOK, &HeartbeatResponse{Stopped: stopped}, v2, reg, rx)
+	writeResp(w, http.StatusOK, &HeartbeatResponse{Stopped: stopped}, reg, rx)
 }
 
 // ---- internals --------------------------------------------------------------
@@ -572,22 +472,11 @@ func (c *Coordinator) findLeaseLocked(id, token string) *lease {
 func (c *Coordinator) commitAckLocked(j *job, porFrom, porTo int) CommitResponse {
 	porFrom = min(max(0, porFrom), porTo)
 	return CommitResponse{
-		Stopped:    j.stopped,
-		Hungry:     c.hungryLocked(j),
+		Stopped:    j.f.Stopped(),
+		Hungry:     j.f.Hungry(),
 		Por:        append([]core.WirePorEntry(nil), j.porLog[porFrom:porTo]...),
 		PorVersion: len(j.porLog),
 	}
-}
-
-func (c *Coordinator) hungryLocked(j *job) bool {
-	if j.stopped || j.done() {
-		return false
-	}
-	// Hungry only while the queue cannot feed every worker whose latest poll
-	// came up empty — the in-process frontier's rule. Each donation costs the
-	// donor a flush commit and half its open work, so hunger must mean real
-	// starvation, not a watermark.
-	return len(j.queued) < len(c.starving)
 }
 
 // sweepLocked expires overdue leases: everything the dead worker committed
@@ -598,48 +487,16 @@ func (c *Coordinator) sweepLocked() {
 	now := c.cfg.Now()
 	for _, id := range c.order {
 		j := c.jobs[id]
-		if j.done() {
-			continue
-		}
 		for lid, l := range j.leases {
 			if l.deadline.IsZero() || !now.After(l.deadline) {
 				continue
 			}
 			delete(j.leases, lid)
-			requeued := false
-			if !j.stopped {
-				c.queueLocked(j, l.claims)
-				requeued = true
-			}
+			requeued := j.f.Retire(l.claims)
 			j.reg().NoteLeaseExpired(requeued)
 			j.reg().Emit("lease_expired", "lease", lid, "requeued", requeued)
 		}
-		c.maybeFinishLocked(j)
 	}
-}
-
-func (c *Coordinator) stopJobLocked(j *job) {
-	if !j.stopped {
-		j.stopped = true
-		j.capHit = true
-	}
-}
-
-// maybeFinishLocked builds the merged result once the job's frontier has
-// drained: no queued claims and no active leases (a stopped job finishes as
-// soon as its in-flight leases retire; its queued claims are discarded, the
-// cap already marked the exploration incomplete).
-func (c *Coordinator) maybeFinishLocked(j *job) {
-	if j.done() || len(j.leases) != 0 {
-		return
-	}
-	if !j.stopped && len(j.queued) != 0 {
-		return
-	}
-	j.queued = nil
-	j.acc.SetWorkers(len(j.workers))
-	j.result = j.acc.BuildResult(!j.capHit)
-	c.wakeLocked()
 }
 
 func (c *Coordinator) allDoneLocked() bool {
@@ -662,14 +519,13 @@ func (c *Coordinator) jobViewLocked(j *job) (obs.Metrics, obs.HistVec, telemetry
 	reg := j.reg()
 	m := reg.Snapshot()
 	hv := reg.Histograms()
-	scen := int64(j.absorbedScen)
-	execs := int64(j.absorbedExecs)
+	scen, execs, bugs, queued := j.f.Progress()
 
 	state := "running"
 	switch {
 	case j.done():
 		state = "done"
-	case j.stopped:
+	case j.f.Stopped():
 		state = "stopping"
 	}
 	elapsed := c.cfg.Now().Sub(j.start).Seconds()
@@ -686,11 +542,11 @@ func (c *Coordinator) jobViewLocked(j *job) (obs.Metrics, obs.HistVec, telemetry
 		Goal:         goal,
 		Rate:         rate,
 		ETASec:       telemetry.ETASec(scen, goal, rate),
-		FrontierLen:  int64(len(j.queued)),
+		FrontierLen:  queued,
 		MaxDepth:     m.MaxChoiceDepth,
 		ActiveLeases: len(j.leases),
 		Workers:      int64(len(j.workers)),
-		Bugs:         len(j.bugKeys),
+		Bugs:         bugs,
 		Latency:      telemetry.LatencyMap(hv),
 		BytesTx:      m.BytesTx,
 		BytesRx:      m.BytesRx,
@@ -740,39 +596,17 @@ func (c *Coordinator) status() telemetry.Status {
 
 const maxBodyBytes = 64 << 20
 
-// wantsV2 reports whether the peer sent codec v2 or advertised it via
-// Accept, and the coordinator is willing to answer in v2. Negotiation is
-// per-request: a mixed fleet has v1 and v2 exchanges interleaved on the
-// same endpoints.
-func (c *Coordinator) wantsV2(r *http.Request) bool {
-	if c.cfg.DisableWireV2 {
-		return false
-	}
-	if r.Header.Get("Content-Type") == ContentTypeWireV2 {
-		return true
-	}
-	for _, v := range r.Header.Values("Accept") {
-		if strings.Contains(v, ContentTypeWireV2) {
-			return true
-		}
-	}
-	return false
-}
-
-// readRequest decodes the request body by its declared codec and returns
-// the body size for wire accounting.
-func readRequest(r *http.Request, v any) (int, error) {
+// readRequest decodes a lease-path request frame, or answers 400 and reports
+// false. It returns the body size for wire accounting.
+func readRequest(w http.ResponseWriter, r *http.Request, v any) (int, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	if err == nil {
+		err = decodeWire2(body, v)
+	}
 	if err != nil {
-		return 0, fmt.Errorf("read body: %v", err)
+		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 	}
-	if r.Header.Get("Content-Type") == ContentTypeWireV2 {
-		return len(body), decodeWire2(body, v)
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return len(body), fmt.Errorf("decode body: %v", err)
-	}
-	return len(body), nil
+	return len(body), err == nil
 }
 
 func readJSON(r *http.Request, v any) error {
@@ -804,34 +638,22 @@ var wire2Pool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-// writeResp encodes v with the negotiated codec and writes it. Call sites
+// writeResp encodes a lease-path response frame and writes it. Call sites
 // invoke it strictly OUTSIDE the coordinator mutex — encoding under c.mu is
-// the contention bug the regression test in coordinator_lock_test.go pins.
-// reg, when non-nil, accumulates the exchange's wire bytes (tx=response,
-// rx=request) into the job's registry.
-func writeResp(w http.ResponseWriter, code int, v any, v2 bool, reg *obs.Registry, rx int) {
-	if v2 {
-		bp := wire2Pool.Get().(*[]byte)
-		enc, err := encodeWire2(*bp, v)
-		if err == nil {
-			w.Header().Set("Content-Type", ContentTypeWireV2)
-			w.WriteHeader(code)
-			w.Write(enc)
-			reg.NoteBytes(int64(len(enc)), int64(rx))
-			*bp = enc[:0]
-			wire2Pool.Put(bp)
-			return
-		}
-		wire2Pool.Put(bp)
-		// No v2 frame for this type: fall back to JSON below.
-	}
-	buf, err := json.Marshal(v)
+// the contention bug TestCoordinatorEncodesOutsideMutex (contention_test.go)
+// pins. reg, when non-nil, accumulates the exchange's wire bytes
+// (tx=response, rx=request) into the job's registry.
+func writeResp(w http.ResponseWriter, code int, v any, reg *obs.Registry, rx int) {
+	bp := wire2Pool.Get().(*[]byte)
+	defer wire2Pool.Put(bp)
+	enc, err := encodeWire2(*bp, v)
 	if err != nil {
 		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", ContentTypeJSON)
+	w.Header().Set("Content-Type", ContentTypeWireV2)
 	w.WriteHeader(code)
-	w.Write(buf)
-	reg.NoteBytes(int64(len(buf)), int64(rx))
+	w.Write(enc)
+	reg.NoteBytes(int64(len(enc)), int64(rx))
+	*bp = enc[:0]
 }

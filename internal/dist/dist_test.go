@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -90,14 +91,20 @@ type harness struct {
 	clock  *netsim.Clock
 }
 
-func newHarness(t *testing.T) *harness {
+// testTTL is the harness coordinators' lease TTL; tests expire a lease by
+// advancing the fake clock past it.
+const testTTL = 60 * time.Second
+
+// newHarness is a coordinator on a fake clock behind a netsim fabric.
+func newHarness(t *testing.T) *harness { return newHarnessCfg(t, Config{}) }
+
+// newHarnessCfg is newHarness with coordinator knobs under test control;
+// Resolve, Now, ShutdownWhenDone and LeaseTTL are filled in.
+func newHarnessCfg(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	clock := netsim.NewClock()
-	coord, err := NewCoordinator(Config{
-		Resolve:          testResolver,
-		Now:              clock.Now,
-		ShutdownWhenDone: true,
-	})
+	cfg.Resolve, cfg.Now, cfg.ShutdownWhenDone, cfg.LeaseTTL = testResolver, clock.Now, true, testTTL
+	coord, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +113,17 @@ func newHarness(t *testing.T) *harness {
 	return &harness{t: t, coord: coord, fabric: fabric, clock: clock}
 }
 
-// rpc drives the job API through the fabric, as an external client would.
+// rpc drives the coordinator through the fabric as an external client would:
+// lease-path messages as wire-v2 frames, the job API as JSON.
 func (h *harness) rpc(method, path string, body, out any) int {
 	h.t.Helper()
 	var payload []byte
+	ct := ContentTypeJSON
 	if body != nil {
 		var err error
-		payload, err = json.Marshal(body)
-		if err != nil {
+		if payload, err = encodeWire2(nil, body); err == nil {
+			ct = ContentTypeWireV2
+		} else if payload, err = json.Marshal(body); err != nil {
 			h.t.Fatal(err)
 		}
 	}
@@ -121,13 +131,20 @@ func (h *harness) rpc(method, path string, body, out any) int {
 	if err != nil {
 		h.t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", ct)
 	resp, err := h.fabric.Client("client").Do(req)
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		data, err := io.ReadAll(resp.Body)
+		if err == nil && resp.Header.Get("Content-Type") == ContentTypeWireV2 {
+			err = decodeWire2(data, out)
+		} else if err == nil {
+			err = json.Unmarshal(data, out)
+		}
+		if err != nil {
 			h.t.Fatal(err)
 		}
 	}
@@ -302,8 +319,6 @@ func distOpts() core.Options {
 		Observe:        true,
 		FlagMultiRF:    true,
 		FlagPerfIssues: true,
-		LeaseTTLMs:     60000,
-		HeartbeatMs:    -1, // commits renew; keeps the tests clock-driven
 	}
 }
 
@@ -616,7 +631,7 @@ func TestCommitRejectsMalformedPayloads(t *testing.T) {
 	h := newHarness(t)
 	h.submit("tree", distOpts())
 	var grant LeaseResponse
-	if code := h.rpc("POST", "/v1/lease", LeaseRequest{Worker: "w1"}, &grant); code != http.StatusOK || grant.Status != StatusGranted {
+	if code := h.rpc("POST", "/v1/lease", &LeaseRequest{Worker: "w1"}, &grant); code != http.StatusOK || grant.Status != StatusGranted {
 		t.Fatalf("lease: HTTP %d status %q", code, grant.Status)
 	}
 	lease := grant.Lease
@@ -639,14 +654,14 @@ func TestCommitRejectsMalformedPayloads(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var resp CommitResponse
-		if code := h.rpc("POST", "/v1/leases/"+lease.ID+"/commit", tc.req, &resp); code != http.StatusBadRequest {
+		if code := h.rpc("POST", "/v1/leases/"+lease.ID+"/commit", &tc.req, &resp); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", tc.name, code)
 		}
 	}
 	// The rejected commits must not have consumed the sequence number or
 	// killed the lease: a well-formed final commit still lands.
 	var resp CommitResponse
-	if code := h.rpc("POST", "/v1/leases/"+lease.ID+"/commit", CommitRequest{
+	if code := h.rpc("POST", "/v1/leases/"+lease.ID+"/commit", &CommitRequest{
 		Token: lease.Token, Seq: 1, Final: true, Delta: &core.WireStats{},
 	}, &resp); code != http.StatusOK {
 		t.Errorf("valid commit after rejections: HTTP %d, want 200", code)
@@ -660,12 +675,12 @@ func TestNegativePorVersionClamped(t *testing.T) {
 	h := newHarness(t)
 	id := h.submit("tree", distOpts())
 	var grant LeaseResponse
-	code := h.rpc("POST", "/v1/lease", LeaseRequest{Worker: "w1", JobID: id, PorVersion: -7}, &grant)
+	code := h.rpc("POST", "/v1/lease", &LeaseRequest{Worker: "w1", JobID: id, PorVersion: -7}, &grant)
 	if code != http.StatusOK || grant.Status != StatusGranted {
 		t.Fatalf("lease with negative cursor: HTTP %d status %q", code, grant.Status)
 	}
 	var resp CommitResponse
-	code = h.rpc("POST", "/v1/leases/"+grant.Lease.ID+"/commit", CommitRequest{
+	code = h.rpc("POST", "/v1/leases/"+grant.Lease.ID+"/commit", &CommitRequest{
 		Token: grant.Lease.Token, Seq: 1, Residuals: []core.WireClaim{{}},
 		Delta: &core.WireStats{}, PorVersion: -7,
 	}, &resp)
@@ -681,14 +696,14 @@ func TestCoordinatorRejectsStaleCommit(t *testing.T) {
 	h := newHarness(t)
 	h.submit("tree", distOpts())
 	var grant LeaseResponse
-	code := h.rpc("POST", "/v1/lease", LeaseRequest{Worker: "w1"}, &grant)
+	code := h.rpc("POST", "/v1/lease", &LeaseRequest{Worker: "w1"}, &grant)
 	if code != http.StatusOK || grant.Status != StatusGranted {
 		t.Fatalf("lease: HTTP %d status %q", code, grant.Status)
 	}
 	h.clock.Advance(61 * time.Second)
 	// The sweep runs on the next request; the zombie's token is then dead.
 	var resp CommitResponse
-	code = h.rpc("POST", "/v1/leases/"+grant.Lease.ID+"/commit", CommitRequest{
+	code = h.rpc("POST", "/v1/leases/"+grant.Lease.ID+"/commit", &CommitRequest{
 		Token: grant.Lease.Token, Seq: 1, Final: true, Delta: &core.WireStats{},
 	}, &resp)
 	if code != http.StatusConflict {

@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -26,22 +25,10 @@ type parkHarness struct {
 
 func newParkHarness(t *testing.T, retryMs int) *parkHarness {
 	t.Helper()
-	clock := netsim.NewClock()
-	coord, err := NewCoordinator(Config{
-		Resolve:          testResolver,
-		Now:              clock.Now,
-		ShutdownWhenDone: true,
-		RetryMs:          retryMs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric := netsim.NewFabric(coord)
-	fabric.SetClock(clock)
-	h := &parkHarness{harness: &harness{t: t, coord: coord, fabric: fabric, clock: clock}}
+	h := &parkHarness{harness: newHarnessCfg(t, Config{RetryMs: retryMs})}
 	h.job = h.submit("tree", distOpts())
 	var grant LeaseResponse
-	if code := h.rpc("POST", "/v1/lease", LeaseRequest{Worker: "w1"}, &grant); code != http.StatusOK || grant.Status != StatusGranted {
+	if code := h.rpc("POST", "/v1/lease", &LeaseRequest{Worker: "w1"}, &grant); code != http.StatusOK || grant.Status != StatusGranted {
 		t.Fatalf("root lease: HTTP %d status %q", code, grant.Status)
 	}
 	h.lease = grant.Lease
@@ -53,12 +40,12 @@ func newParkHarness(t *testing.T, retryMs int) *parkHarness {
 func postLease(ctx context.Context, coord *Coordinator, worker string) <-chan *LeaseResponse {
 	out := make(chan *LeaseResponse, 1)
 	go func() {
-		body, _ := json.Marshal(LeaseRequest{Worker: worker})
+		body, _ := encodeWire2(nil, &LeaseRequest{Worker: worker})
 		req, _ := http.NewRequestWithContext(ctx, "POST", "http://coordinator/v1/lease", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		coord.ServeHTTP(rec, req)
 		var resp LeaseResponse
-		if rec.Body.Len() == 0 || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+		if rec.Body.Len() == 0 || decodeWire2(rec.Body.Bytes(), &resp) != nil {
 			out <- nil
 			return
 		}
@@ -86,7 +73,7 @@ func (h *parkHarness) park(ctx context.Context) <-chan *LeaseResponse {
 	h.t.Helper()
 	out := postLease(ctx, h.coord, "w2")
 	deadline := time.Now().Add(10 * time.Second)
-	for !h.starving("w2") {
+	for !h.hungry() {
 		if time.Now().After(deadline) {
 			h.t.Fatal("w2's lease request never parked")
 		}
@@ -95,18 +82,19 @@ func (h *parkHarness) park(ctx context.Context) <-chan *LeaseResponse {
 	return out
 }
 
-func (h *parkHarness) starving(worker string) bool {
+// hungry reports whether the job's Frontier asks for a donation: with w1
+// holding the only claim, exactly while w2's lease request left it waiting.
+func (h *parkHarness) hungry() bool {
 	h.coord.mu.Lock()
 	defer h.coord.mu.Unlock()
-	_, ok := h.coord.starving[worker]
-	return ok
+	return h.coord.jobs[h.job].f.Hungry()
 }
 
 func (h *parkHarness) commit(req CommitRequest) {
 	h.t.Helper()
 	req.Token, req.Delta = h.lease.Token, &core.WireStats{}
 	var resp CommitResponse
-	if code := h.rpc("POST", "/v1/leases/"+h.lease.ID+"/commit", req, &resp); code != http.StatusOK {
+	if code := h.rpc("POST", "/v1/leases/"+h.lease.ID+"/commit", &req, &resp); code != http.StatusOK {
 		h.t.Fatalf("commit: HTTP %d", code)
 	}
 }
@@ -150,14 +138,8 @@ func TestParkedLeaseReleased(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newParkHarness(t, 60_000)
 			out := h.park(context.Background())
-			// While parked, w2 counts as starving: that is what makes the
-			// lease holder's next commit ack ask for a donation.
-			h.coord.mu.Lock()
-			hungry := h.coord.hungryLocked(h.coord.jobs[h.job])
-			h.coord.mu.Unlock()
-			if !hungry {
-				t.Error("coordinator not hungry with a parked lease request")
-			}
+			// park returned because w2 waiting made the job hungry: that is
+			// what makes the lease holder's next commit ack ask for a donation.
 			tc.release(h)
 			resp := awaitLease(t, out)
 			if resp == nil || resp.Status != tc.want {
@@ -169,8 +151,8 @@ func TestParkedLeaseReleased(t *testing.T) {
 			if !reflect.DeepEqual(resp.Lease.Claims, []core.WireClaim{tc.claim}) {
 				t.Errorf("granted claims %+v, want the one claim %+v", resp.Lease.Claims, tc.claim)
 			}
-			if h.starving("w2") {
-				t.Error("w2 still starving after its grant")
+			if h.hungry() {
+				t.Error("w2 still waiting after its grant")
 			}
 		})
 	}
@@ -178,7 +160,7 @@ func TestParkedLeaseReleased(t *testing.T) {
 
 // TestParkedLeaseCancelled: a requester that hangs up while parked is
 // released without a grant — a lease handed to nobody would sit until its TTL
-// — and no longer counts as starving.
+// — and no longer counts as waiting.
 func TestParkedLeaseCancelled(t *testing.T) {
 	h := newParkHarness(t, 60_000)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -187,8 +169,8 @@ func TestParkedLeaseCancelled(t *testing.T) {
 	if resp := awaitLease(t, out); resp != nil {
 		t.Errorf("cancelled request was answered %+v", resp)
 	}
-	if h.starving("w2") {
-		t.Error("w2 still starving after hanging up")
+	if h.hungry() {
+		t.Error("w2 still waiting after hanging up")
 	}
 	h.coord.mu.Lock()
 	leases := len(h.coord.jobs[h.job].leases)
@@ -235,9 +217,9 @@ func TestLeaseNeverParksWithoutLiveLease(t *testing.T) {
 
 	id := h.submit("tree", distOpts())
 	var grant LeaseResponse
-	h.rpc("POST", "/v1/lease", LeaseRequest{Worker: "w1"}, &grant)
+	h.rpc("POST", "/v1/lease", &LeaseRequest{Worker: "w1"}, &grant)
 	var ack CommitResponse
-	h.rpc("POST", "/v1/leases/"+grant.Lease.ID+"/commit", CommitRequest{
+	h.rpc("POST", "/v1/leases/"+grant.Lease.ID+"/commit", &CommitRequest{
 		Token: grant.Lease.Token, Seq: 1, Final: true, Delta: &core.WireStats{},
 	}, &ack)
 	var st JobStatus

@@ -1,9 +1,11 @@
 // Package dist distributes Jaaru's state-space exploration across
-// processes: a coordinator (jaaru-server) owns the global branch frontier,
-// the shared caps, and the POR seen-set publication log, and workers
-// (jaaru-worker) claim choice-prefix leases over HTTP, explore them with the
-// ordinary core.Checker via core.LeaseRunner, and stream back donated splits
-// plus order-insensitive stat deltas.
+// processes: a coordinator (jaaru-server) keeps one core.Frontier per job —
+// its claims, caps and merge, the same type the in-process Workers > 1
+// driver uses — plus the leases out against it and the POR seen-set
+// publication log, and workers (jaaru-worker) claim choice-prefix leases over
+// HTTP, explore them with core.LeaseRunner (the in-process claim loop behind
+// a LeaseSink), and stream back donated splits plus order-insensitive stat
+// deltas.
 //
 // The protocol is built so that worker death is a non-event for
 // correctness:
@@ -33,14 +35,14 @@
 // driver (order-insensitive merge + canonical sorts) — including runs where
 // workers were killed mid-lease.
 //
-// Two wire codecs coexist on the same endpoints. v1 is the frozen JSON
-// encoding; v2 is a length-prefixed binary encoding (core.WireEncoder)
-// that the worker advertises via an Accept header and the coordinator
-// answers in kind, so mixed fleets interoperate: every message has the
-// same meaning under either codec and the negotiation is per-request.
+// Lease, commit and heartbeat messages travel as wire-v2 frames (codec.go:
+// a length-prefixed binary encoding built on core.WireEncoder). Job
+// submission, job status and error bodies are JSON.
 package dist
 
 import (
+	"fmt"
+
 	"jaaru/internal/core"
 )
 
@@ -112,7 +114,7 @@ type LeaseRequest struct {
 	PorVersion int    `json:"por_version,omitempty"`
 }
 
-// Lease describes one granted unit of work. Claims holds one frontier claim
+// Lease describes one granted unit of work. Claims holds one queued claim
 // per grant (the field is a list on the wire, and core.LeaseRunner runs
 // whatever it is handed sequentially on one checker).
 type Lease struct {
@@ -122,7 +124,8 @@ type Lease struct {
 	Spec   ProgSpec         `json:"spec"`
 	Opts   core.Options     `json:"opts"`
 	Claims []core.WireClaim `json:"claims"`
-	// TTLMs echoes the job's lease TTL (-1: leases never expire).
+	// TTLMs is the coordinator's lease TTL (<= 0: leases never expire); the
+	// worker heartbeats every TTLMs/8.
 	TTLMs int `json:"ttl_ms"`
 }
 
@@ -131,7 +134,8 @@ type LeaseResponse struct {
 	Status  string `json:"status"`
 	RetryMs int    `json:"retry_ms,omitempty"`
 	Lease   *Lease `json:"lease,omitempty"`
-	// Hungry reports whether the coordinator's queue is low (donate splits).
+	// Hungry reports starvation — fewer claims queued than workers waiting
+	// for one — so the holder of a lease should donate a split.
 	Hungry bool `json:"hungry,omitempty"`
 	// Por / PorVersion ship the publication-log entries the worker's cursor
 	// was missing, and the new cursor.
@@ -146,15 +150,13 @@ type LeaseResponse struct {
 type CommitRequest struct {
 	Token string `json:"token"`
 	Seq   int64  `json:"seq"`
-	// Splits are claims donated to the frontier: at most one per commit, half
-	// of the open sibling options the lease still held (core's chooser.split).
+	// Splits are claims donated to the job's queue: at most one per commit,
+	// half of the open sibling options the lease still held (chooser.split).
 	Splits []core.WireClaim `json:"splits,omitempty"`
-	// Residuals are the unexplored remainder of the lease as of this commit.
-	// Required on non-final commits (the in-progress claim's snapshot plus
-	// any granted claims not yet started). On a final commit an empty list
-	// means the lease is fully explored; a non-empty one
-	// *releases* the lease (a draining worker handing back its remainder for
-	// immediate requeue).
+	// Residuals are the unexplored remainder of the lease as of this commit
+	// (the current claim's snapshot plus any not yet started): required on a
+	// non-final commit; on a final one, non-empty *releases* the lease (a
+	// draining worker hands its remainder back for immediate requeue).
 	Residuals []core.WireClaim `json:"residuals,omitempty"`
 	// Delta is the lease's stats growth since its previous commit (the full
 	// stats on Seq 1). The coordinator absorbs it only when Seq advances.
@@ -167,6 +169,38 @@ type CommitRequest struct {
 	// worker's cursor into the coordinator log.
 	Por        []core.WirePorEntry `json:"por,omitempty"`
 	PorVersion int                 `json:"por_version,omitempty"`
+}
+
+// validate checks a commit whole before any of it is applied, so a malformed
+// one (a version-skewed or buggy worker) is rejected atomically: the delta is
+// absorbed without an error path, and the claims are granted verbatim to
+// future workers — a bad one accepted would crash-loop every claimant.
+func (req *CommitRequest) validate() error {
+	switch {
+	case req.Delta == nil:
+		return fmt.Errorf("commit without delta stats")
+	case !req.Final && len(req.Residuals) == 0:
+		return fmt.Errorf("non-final commit without residuals")
+	}
+	if err := req.Delta.Validate(); err != nil {
+		return fmt.Errorf("delta: %v", err)
+	}
+	for i := range req.Residuals {
+		if err := req.Residuals[i].Validate(); err != nil {
+			return fmt.Errorf("residual %d: %v", i, err)
+		}
+	}
+	for i := range req.Splits {
+		if err := req.Splits[i].Validate(); err != nil {
+			return fmt.Errorf("split %d: %v", i, err)
+		}
+	}
+	for i := range req.Por {
+		if err := core.AbsorbPorEntry(&req.Por[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CommitResponse acknowledges a commit.
@@ -196,17 +230,13 @@ type HeartbeatResponse struct {
 	Stopped bool `json:"stopped,omitempty"`
 }
 
-// errorResponse is the JSON body of non-2xx replies. Errors are always
-// JSON regardless of the negotiated codec, so a v1 peer can always read a
-// v2-capable peer's rejection.
+// errorResponse is the JSON body of non-2xx replies, on every endpoint.
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// Wire codec content types. v1 (JSON) is the default and the fallback; v2
-// is the binary framing from codec.go. The worker advertises v2 support
-// with "Accept: application/x-jaaru-wire2" on JSON requests; once the
-// coordinator answers in v2 the worker switches its requests over.
+// Content types: JSON for the job API and errors, the v2 framing of
+// codec.go for the lease path.
 const (
 	ContentTypeJSON   = "application/json"
 	ContentTypeWireV2 = "application/x-jaaru-wire2"

@@ -136,7 +136,7 @@ func (s *probeSink) Draining() bool { return false }
 func (s *probeSink) Commit(splits []core.WireClaim, residuals []core.WireClaim, delta *core.WireStats, final bool) error {
 	s.seq++
 	var resp CommitResponse
-	code := s.h.rpc("POST", "/v1/leases/"+s.lease.ID+"/commit", CommitRequest{
+	code := s.h.rpc("POST", "/v1/leases/"+s.lease.ID+"/commit", &CommitRequest{
 		Token: s.lease.Token, Seq: s.seq,
 		Splits: splits, Residuals: residuals, Delta: delta, Final: final,
 	}, &resp)
@@ -166,7 +166,7 @@ func TestCoordinatorTelemetryMidRun(t *testing.T) {
 	id := h.submit("tree", distOpts())
 
 	var grant LeaseResponse
-	if code := h.rpc("POST", "/v1/lease", LeaseRequest{Worker: "w1"}, &grant); code != http.StatusOK || grant.Status != StatusGranted {
+	if code := h.rpc("POST", "/v1/lease", &LeaseRequest{Worker: "w1"}, &grant); code != http.StatusOK || grant.Status != StatusGranted {
 		t.Fatalf("lease: HTTP %d status %q", code, grant.Status)
 	}
 	prog, err := testResolver(grant.Lease.Spec)

@@ -21,18 +21,6 @@ type Doer interface {
 	Do(*http.Request) (*http.Response, error)
 }
 
-// Worker codec modes (WorkerConfig.Codec).
-const (
-	// CodecAuto starts in JSON, advertises v2 via Accept, and upgrades the
-	// moment the coordinator answers in v2.
-	CodecAuto = ""
-	// CodecV1 pins the frozen JSON codec (never advertises v2).
-	CodecV1 = "v1"
-	// CodecV2 starts in binary v2 immediately; a coordinator that rejects
-	// the frame with a JSON error downgrades the worker to v1 transparently.
-	CodecV2 = "v2"
-)
-
 // WorkerConfig parameterizes a Worker.
 type WorkerConfig struct {
 	// Name identifies the worker in coordinator accounting/events.
@@ -57,9 +45,6 @@ type WorkerConfig struct {
 	// values tighten the re-execution window after a crash at the cost of
 	// more RPC traffic.
 	CommitEvery int
-	// Codec selects the wire codec: CodecAuto (negotiate, the default),
-	// CodecV1, or CodecV2.
-	Codec string
 	// Registry receives worker-local telemetry: lease-claim and commit RPC
 	// round-trip latency histograms (obs.TimerLeaseClaim/TimerLeaseCommit)
 	// and wire-byte counts. Nil disables collection entirely — the hooks
@@ -77,15 +62,10 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg      WorkerConfig
 	draining atomic.Bool
-	// useV2 is the current send codec. It flips up when an auto-mode worker
-	// sees a v2 response, and down when a v2 frame bounces off a v1
-	// coordinator (transparent fallback).
-	useV2 atomic.Bool
 	// col is the worker's RPC-latency shard of cfg.Registry (nil when no
 	// registry is configured; all Observe calls are nil-safe).
 	col *obs.Collector
-
-	mu      sync.Mutex
+	// runners is the per-job state, touched only by Run's goroutine.
 	runners map[string]*jobRunner
 }
 
@@ -113,11 +93,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.BaseURL == "" {
 		return nil, fmt.Errorf("dist: WorkerConfig.BaseURL is required")
 	}
-	switch cfg.Codec {
-	case CodecAuto, CodecV1, CodecV2:
-	default:
-		return nil, fmt.Errorf("dist: unknown codec %q", cfg.Codec)
-	}
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
 	}
@@ -133,13 +108,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	w := &Worker{
+	return &Worker{
 		cfg:     cfg,
 		col:     cfg.Registry.NewShard(), // nil registry -> nil shard
 		runners: make(map[string]*jobRunner),
-	}
-	w.useV2.Store(cfg.Codec == CodecV2)
-	return w, nil
+	}, nil
 }
 
 // Observability exposes the worker's telemetry registry (nil unless
@@ -150,12 +123,9 @@ func (w *Worker) Observability() *obs.Registry { return w.cfg.Registry }
 // timedPost wraps post, recording the successful round trip's latency into
 // timer t. Failed round trips (retries exhausted) are not recorded: the
 // histogram measures the cost of RPCs that happened, not the backoff policy.
-func (w *Worker) timedPost(t obs.Timer, path string, body, out any, conflict *bool) error {
-	if w.col == nil {
-		return w.post(path, body, out, conflict)
-	}
+func (w *Worker) timedPost(t obs.Timer, path string, body, out any) error {
 	t0 := w.cfg.Now()
-	err := w.post(path, body, out, conflict)
+	err := w.post(path, body, out)
 	if err == nil {
 		w.col.Observe(t, w.cfg.Now().Sub(t0).Nanoseconds())
 	}
@@ -176,12 +146,12 @@ func (w *Worker) Run() error {
 	var lastJob string
 	for !w.draining.Load() {
 		req := LeaseRequest{Worker: w.cfg.Name}
-		if jr := w.runner(lastJob); jr != nil {
+		if jr := w.runners[lastJob]; jr != nil {
 			req.JobID = lastJob
 			req.PorVersion = jr.coordSeen
 		}
 		var resp LeaseResponse
-		if err := w.timedPost(obs.TimerLeaseClaim, "/v1/lease", &req, &resp, nil); err != nil {
+		if err := w.timedPost(obs.TimerLeaseClaim, "/v1/lease", &req, &resp); err != nil {
 			return fmt.Errorf("lease request: %w", err)
 		}
 		switch resp.Status {
@@ -206,42 +176,10 @@ func (w *Worker) Run() error {
 	return nil
 }
 
-// runner returns the cached per-job runner (nil when absent).
-func (w *Worker) runner(jobID string) *jobRunner {
-	if jobID == "" {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.runners[jobID]
-}
-
-func (w *Worker) ensureRunner(l *Lease) (*jobRunner, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if jr, ok := w.runners[l.JobID]; ok {
-		return jr, nil
-	}
-	prog, err := w.cfg.Resolve(l.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("resolve %q: %w", l.Spec.Bench, err)
-	}
-	lr := core.NewLeaseRunner(prog, l.Opts)
-	if w.cfg.CommitEvery > 0 {
-		lr.SetCommitEvery(w.cfg.CommitEvery)
-	}
-	jr := &jobRunner{lr: lr}
-	w.runners[l.JobID] = jr
-	return jr, nil
-}
-
 // commitEveryFor maps an observed scenario rate to a commit cadence: about
-// 50ms of exploration per commit, clamped to [16,512]. A zero rate (first
-// lease, or a fake test clock) takes the deterministic default 32. Leases
-// that expire (ttlMs > 0) cap the budget at ttlMs/8: commits renew the
-// deadline, the rate was observed under the contention of an earlier lease,
-// and a cadence near the TTL lets an oversubscribed host expire a live
-// worker's lease between renewals.
+// 50ms of exploration per commit, at most ttlMs/8 (commits renew the lease,
+// and the rate was observed under an earlier lease's contention), clamped to
+// [16,512]. A zero rate (first lease, or a fake test clock) takes 32.
 func commitEveryFor(rate float64, ttlMs int) int {
 	if rate <= 0 {
 		return 32
@@ -260,9 +198,17 @@ var errStale = fmt.Errorf("lease expired under us")
 
 func (w *Worker) runLease(grant LeaseResponse) error {
 	l := grant.Lease
-	jr, err := w.ensureRunner(l)
-	if err != nil {
-		return err
+	jr := w.runners[l.JobID]
+	if jr == nil {
+		prog, err := w.cfg.Resolve(l.Spec)
+		if err != nil {
+			return fmt.Errorf("resolve %q: %w", l.Spec.Bench, err)
+		}
+		jr = &jobRunner{lr: core.NewLeaseRunner(prog, l.Opts)}
+		if w.cfg.CommitEvery > 0 {
+			jr.lr.SetCommitEvery(w.cfg.CommitEvery)
+		}
+		w.runners[l.JobID] = jr
 	}
 	if err := jr.lr.AbsorbPor(grant.Por); err != nil {
 		return fmt.Errorf("absorb por: %w", err)
@@ -273,26 +219,28 @@ func (w *Worker) runLease(grant LeaseResponse) error {
 		jr.lr.SetCommitEvery(commitEveryFor(jr.rate, l.TTLMs))
 	}
 
-	sink := &leaseSink{w: w, jr: jr, lease: l, hungry: grant.Hungry}
-	var hb *heartbeater
-	if l.Opts.HeartbeatMs > 0 {
-		hb = startHeartbeat(w, sink, l)
+	sink := &leaseSink{w: w, jr: jr, lease: l}
+	sink.hungry.Store(grant.Hungry)
+	stop := make(chan struct{})
+	var hb sync.WaitGroup
+	if l.TTLMs > 0 {
+		hb.Add(1)
+		go func() {
+			defer hb.Done()
+			w.heartbeat(sink, stop)
+		}()
 	}
 	t0 := w.cfg.Now()
-	err = jr.lr.RunLease(l.Claims, sink)
-	if hb != nil {
-		hb.stop()
-	}
+	err := jr.lr.RunLease(l.Claims, sink)
+	close(stop)
+	hb.Wait()
 	// RunLease always joins the pipelined commit before returning, so the
 	// sink is quiescent here; fold this lease's observed rate into the
 	// job's estimate for the next lease's commit cadence.
 	if elapsed := w.cfg.Now().Sub(t0).Seconds(); elapsed > 0 && sink.scenarios > 0 {
 		jr.rate = float64(sink.scenarios) / elapsed
 	}
-	if err == errStale {
-		return nil
-	}
-	if err != nil {
+	if err != nil && err != errStale {
 		return fmt.Errorf("lease %s: %w", l.ID, err)
 	}
 	return nil
@@ -314,9 +262,9 @@ type leaseSink struct {
 	jr    *jobRunner
 	lease *Lease
 
-	mu      sync.Mutex // guards hungry/stopped against the heartbeater and sender
-	hungry  bool
-	stopped bool
+	// The latest coordinator hints, set by the commit sender and the
+	// heartbeat.
+	hungry, stopped atomic.Bool
 
 	// Engine-goroutine-only state (Commit is never called concurrently).
 	seq       int64
@@ -324,28 +272,13 @@ type leaseSink struct {
 	scenarios int        // sum of committed delta scenarios, for the rate estimate
 }
 
-func (s *leaseSink) Hungry() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hungry
-}
-
-func (s *leaseSink) Stopped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopped
-}
+func (s *leaseSink) Hungry() bool  { return s.hungry.Load() }
+func (s *leaseSink) Stopped() bool { return s.stopped.Load() }
 
 // Draining reflects the worker-local graceful stop, distinct from Stopped:
 // a drained lease releases its residuals back to the coordinator, a stopped
 // one discards them (the job is over).
 func (s *leaseSink) Draining() bool { return s.w.draining.Load() }
-
-func (s *leaseSink) noteStopped() {
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
-}
 
 // join waits out the pipelined commit, if any, and surfaces its error.
 func (s *leaseSink) join() error {
@@ -381,9 +314,7 @@ func (s *leaseSink) Commit(splits []core.WireClaim, residuals []core.WireClaim, 
 		// late under pipelining). Clear it optimistically so the engine does
 		// not donate — and flush-commit — on every scenario in between; the
 		// ack recomputes hunger after the coordinator absorbed these splits.
-		s.mu.Lock()
-		s.hungry = false
-		s.mu.Unlock()
+		s.hungry.Store(false)
 	}
 	if final {
 		// The final ack is the worker's proof the lease retired; never
@@ -403,18 +334,16 @@ func (s *leaseSink) Commit(splits []core.WireClaim, residuals []core.WireClaim, 
 // orders.
 func (s *leaseSink) send(req *CommitRequest) error {
 	var resp CommitResponse
-	stale := false
-	err := s.w.timedPost(obs.TimerLeaseCommit, "/v1/leases/"+s.lease.ID+"/commit", req, &resp, &stale)
-	if err != nil {
+	if err := s.w.timedPost(obs.TimerLeaseCommit, "/v1/leases/"+s.lease.ID+"/commit", req, &resp); err != nil {
 		return fmt.Errorf("commit: %w", err)
 	}
-	if stale || resp.Stale {
+	if resp.Stale {
 		return errStale
 	}
-	s.mu.Lock()
-	s.hungry = resp.Hungry
-	s.stopped = s.stopped || resp.Stopped
-	s.mu.Unlock()
+	s.hungry.Store(resp.Hungry)
+	if resp.Stopped {
+		s.stopped.Store(true)
+	}
 	if err := s.jr.lr.AbsorbPor(resp.Por); err != nil {
 		return fmt.Errorf("absorb por: %w", err)
 	}
@@ -423,85 +352,39 @@ func (s *leaseSink) send(req *CommitRequest) error {
 	return nil
 }
 
-// heartbeater renews the lease between commits so long scenarios do not
-// trip the TTL.
-type heartbeater struct {
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-func startHeartbeat(w *Worker, s *leaseSink, l *Lease) *heartbeater {
-	hb := &heartbeater{done: make(chan struct{})}
-	interval := time.Duration(l.Opts.HeartbeatMs) * time.Millisecond
-	hb.wg.Add(1)
-	go func() {
-		defer hb.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-hb.done:
-				return
-			case <-t.C:
-			}
-			req := HeartbeatRequest{Token: l.Token}
-			var resp HeartbeatResponse
-			stale := false
-			// Heartbeat failures are advisory: the commit path is the
-			// authority, and a genuinely dead coordinator fails there with
-			// its own bounded retries.
-			if err := w.post("/v1/leases/"+l.ID+"/heartbeat", &req, &resp, &stale); err != nil {
-				continue
-			}
-			if resp.Stopped {
-				s.noteStopped()
-			}
+// heartbeat renews s's lease every TTL/8 — the budget commitEveryFor caps
+// the commit cadence at — until stop is closed, so long scenarios do not trip
+// the TTL between commits.
+func (w *Worker) heartbeat(s *leaseSink, stop <-chan struct{}) {
+	l := s.lease
+	t := time.NewTicker(time.Duration(l.TTLMs) * time.Millisecond / 8)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
 		}
-	}()
-	return hb
-}
-
-func (hb *heartbeater) stop() {
-	close(hb.done)
-	hb.wg.Wait()
-}
-
-// encodeBody serializes one protocol envelope with the chosen codec.
-func encodeBody(body any, v2 bool) ([]byte, error) {
-	if v2 {
-		return encodeWire2(nil, body)
+		var resp HeartbeatResponse
+		// Heartbeat failures are advisory: the commit path is the authority,
+		// and a genuinely dead coordinator fails there with its own bounded
+		// retries.
+		if err := w.post("/v1/leases/"+l.ID+"/heartbeat", &HeartbeatRequest{Token: l.Token}, &resp); err == nil && resp.Stopped {
+			s.stopped.Store(true)
+		}
 	}
-	return json.Marshal(body)
 }
 
-// decodeBody parses one protocol envelope by the codec the response
-// declared.
-func decodeBody(data []byte, out any, v2 bool) error {
-	if v2 {
-		return decodeWire2(data, out)
-	}
-	return json.Unmarshal(data, out)
-}
-
-// post sends one RPC with bounded retry and exponential backoff on
-// transport errors and 5xx responses. A 409 sets *conflict (when provided)
-// instead of erroring, so callers can distinguish fenced leases from a
-// dead coordinator.
-//
-// Codec negotiation happens here. The request goes out in the worker's
-// current codec; JSON requests advertise v2 via Accept unless the codec is
-// pinned to v1. A v2 response upgrades the worker; a non-2xx/409 JSON
-// answer to a v2 frame means the coordinator cannot parse binary (version
-// skew), so the worker downgrades and resends the same message once —
-// transparent fallback, no work lost.
-func (w *Worker) post(path string, body, out any, conflict *bool) error {
-	v2 := w.useV2.Load()
-	payload, err := encodeBody(body, v2)
+// post sends one lease-path message as a wire-v2 frame, with bounded retry
+// and exponential backoff on transport errors and 5xx responses. A 409 (a
+// fenced lease) decodes like a 200: its Stale answer is the caller's to act
+// on, not a dead coordinator's error.
+func (w *Worker) post(path string, body, out any) error {
+	payload, err := encodeWire2(nil, body)
 	if err != nil {
 		return err
 	}
 	var lastErr error
-	downgraded := false
 	backoff := w.cfg.Backoff
 	for attempt := 0; attempt <= w.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -512,14 +395,7 @@ func (w *Worker) post(path string, body, out any, conflict *bool) error {
 		if err != nil {
 			return err
 		}
-		if v2 {
-			req.Header.Set("Content-Type", ContentTypeWireV2)
-		} else {
-			req.Header.Set("Content-Type", ContentTypeJSON)
-			if w.cfg.Codec != CodecV1 {
-				req.Header.Set("Accept", ContentTypeWireV2)
-			}
-		}
+		req.Header.Set("Content-Type", ContentTypeWireV2)
 		resp, err := w.cfg.Client.Do(req)
 		if err != nil {
 			lastErr = err
@@ -532,27 +408,11 @@ func (w *Worker) post(path string, body, out any, conflict *bool) error {
 			continue
 		}
 		w.cfg.Registry.NoteBytes(int64(len(payload)), int64(len(data)))
-		respV2 := resp.Header.Get("Content-Type") == ContentTypeWireV2
-		if respV2 && w.cfg.Codec != CodecV1 {
-			w.useV2.Store(true)
-		}
 		switch {
-		case resp.StatusCode == http.StatusOK:
-			return decodeBody(data, out, respV2)
-		case resp.StatusCode == http.StatusConflict && conflict != nil:
-			*conflict = true
-			return decodeBody(data, out, respV2)
+		case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusConflict:
+			return decodeWire2(data, out)
 		case resp.StatusCode >= 500:
 			lastErr = fmt.Errorf("%s: HTTP %d", path, resp.StatusCode)
-			continue
-		case v2 && !respV2 && !downgraded:
-			downgraded = true
-			v2 = false
-			w.useV2.Store(false)
-			if payload, err = encodeBody(body, false); err != nil {
-				return err
-			}
-			attempt-- // the fallback resend is not a retry
 			continue
 		default:
 			var e errorResponse

@@ -706,7 +706,7 @@ func (r *Registry) Progress() string {
 // FormatProgress is the pure formatting core of Progress, split out so the
 // rendering is testable with fixed inputs. goal <= 0 means no scenario cap
 // was set; elapsed <= 0 suppresses the rate and ETA.
-func FormatProgress(m Metrics, frontier, goal int64, elapsed time.Duration) string {
+func FormatProgress(m Metrics, queued, goal int64, elapsed time.Duration) string {
 	rate := 0.0
 	if sec := elapsed.Seconds(); sec > 0 {
 		rate = float64(m.Scenarios) / sec
@@ -718,7 +718,7 @@ func FormatProgress(m Metrics, frontier, goal int64, elapsed time.Duration) stri
 	} else {
 		fmt.Fprintf(&b, " (%.0f/s)", rate)
 	}
-	fmt.Fprintf(&b, ", %d executions, frontier %d", m.Executions, frontier)
+	fmt.Fprintf(&b, ", %d executions, frontier %d", m.Executions, queued)
 	if goal > 0 && rate > 0 && m.Scenarios < goal {
 		eta := time.Duration(float64(goal-m.Scenarios) / rate * float64(time.Second))
 		fmt.Fprintf(&b, ", <=%s to MaxScenarios", eta.Round(time.Second))
