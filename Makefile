@@ -24,8 +24,8 @@ test:
 
 # The partitioned-exploration driver (internal/core: the claim loop and the
 # Frontier that Workers > 1 and the fleet share) and the per-worker state it
-# exercises concurrently — the store-buffer machinery (internal/tso: PushEvict against
-# Push + EvictOldest, the line table) and the paged arena (internal/pmem: the
+# exercises concurrently — the store-buffer machinery (internal/tso: the
+# buffers' property tests, the line table) and the paged arena (internal/pmem: the
 # node-shape fuzz against the map model, the page-index re-base) — get a
 # dedicated race-detector pass, plus the root-package snapshot and POR equivalence suites, which drive the
 # per-worker snapshot caches and the shared fingerprint seen-set under
@@ -51,7 +51,8 @@ race:
 # Allocation-regression gates: the testing.AllocsPerRun pins that keep the
 # paged-layout hot path (guest ops under the default eviction policy — Store8,
 # Store64 as one arena node and as eight over bytes of mixed history, Load64,
-# Clflush, the post-failure Load64 answered from the pinned summary — scenario
+# Clflush, Clflushopt, Sfence, Persist, a store with a forensics probe attached,
+# the post-failure Load64 answered from the pinned summary — scenario
 # reset, journal mark/rewind, AppendWord, pin + Stack.Load) at zero heap
 # allocations once warmed, and the
 # bytes-per-capture bound on the snapshot stack (a capture is a journal mark

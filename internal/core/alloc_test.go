@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"jaaru/internal/pmem"
+	"jaaru/internal/tso"
 )
 
 // Allocation-regression gates for the paged memory layout: the simulator's
@@ -21,8 +22,9 @@ func allocGateChecker() (*Checker, *Context) {
 }
 
 // TestSteadyStateOpAllocations pins Store8 / Store64 (as one arena node, and
-// over bytes of mixed history as eight) / Load64 / Clflush under the default
-// eviction policy, and the post-failure Load64 answered from the pinned
+// over bytes of mixed history as eight) / Load64 / Clflush / Clflushopt /
+// Sfence / Persist under the default eviction policy, a store with a forensics
+// probe attached, and the post-failure Load64 answered from the pinned
 // summary, at zero heap allocations per operation on a warmed scenario.
 func TestSteadyStateOpAllocations(t *testing.T) {
 	c, ctx := allocGateChecker()
@@ -56,6 +58,30 @@ func TestSteadyStateOpAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { ctx.Clflush(b, 8) }); n != 0 {
 		t.Errorf("Clflush allocates %.3f times per op, want 0", n)
 	}
+	// The eager flush buffer, warmed past the 201 writebacks the Clflushopt
+	// pin appends: a clflushopt appends to it, an sfence drains it.
+	for i := 0; i < 256; i++ {
+		ctx.Clflushopt(b, 8)
+	}
+	ctx.Sfence()
+	if n := testing.AllocsPerRun(200, func() { ctx.Clflushopt(b, 8) }); n != 0 {
+		t.Errorf("Clflushopt allocates %.3f times per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { ctx.Sfence() }); n != 0 {
+		t.Errorf("Sfence allocates %.3f times per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { ctx.Persist(b, 8) }); n != 0 {
+		t.Errorf("Persist allocates %.3f times per op, want 0", n)
+	}
+	// A forensics probe sees each store as the entry evict would report.
+	var probed int
+	c.sched.probe = &tso.Probe{OnEvict: func(tso.Entry, pmem.Seq) { probed++ }}
+	ctx.th.ts.SetProbe(c.sched.probe)
+	if n := testing.AllocsPerRun(200, func() { ctx.Store64(a, 7) }); n != 0 || probed == 0 {
+		t.Errorf("Store64 with a probe attached allocates %.3f times per op (%d probe calls), want 0", n, probed)
+	}
+	c.sched.probe = nil
+	ctx.th.ts.SetProbe(nil)
 
 	// After a failure, one read pins the word; from the second on Load64 is
 	// answered from the pinned summary.

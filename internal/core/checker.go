@@ -151,7 +151,16 @@ type Checker struct {
 	porScenBase      obs.CounterVec
 	porScenBaseSteps int64
 	porFPHook        func(fp uint64, hit bool)
+
+	// eager is Options.Eviction == EvictEager: guest operations then apply
+	// their effects directly instead of through the store buffer (context.go),
+	// unless the eagerViaBuffer test hook was set when the checker was built.
+	eager bool
 }
+
+// eagerViaBuffer routes EvictEager operations through tso's Push +
+// EvictOldest, the general path the direct one must match (test-only).
+var eagerViaBuffer bool
 
 // New returns a checker for prog with the given options.
 func New(prog Program, opts Options) *Checker {
@@ -170,6 +179,7 @@ func New(prog Program, opts Options) *Checker {
 		sched:     newScheduler(),
 		lastStore: make(map[pmem.Addr]pmem.Seq),
 		pmpool:    pmem.NewPool(),
+		eager:     o.Eviction == EvictEager && !eagerViaBuffer,
 	}
 	c.initStats()
 	if o.POR > 0 {

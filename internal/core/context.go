@@ -83,16 +83,13 @@ func (c *Context) checkRange(a Addr, size uint64, what string) {
 }
 
 // issue executes one buffered operation (Figure 7, Exec_*) and then lets the
-// eviction policy run. The eager policy drains after every operation, so its
-// buffer is always empty and the entry takes effect without entering it.
+// eviction policy run. EvictEager operations come here only via eagerViaBuffer.
 func (c *Context) issue(e tso.Entry) {
 	ts := c.th.ts
-	if c.ck.opts.Eviction == EvictEager {
-		ts.PushEvict(c.ck, &e)
-		return
-	}
 	ts.Push(c.ck, e)
 	switch c.ck.opts.Eviction {
+	case EvictEager:
+		ts.EvictOldest(c.ck)
 	case EvictAtFences:
 		// Capacity-based eviction happens inside Push.
 	case EvictRandom:
@@ -112,6 +109,22 @@ func (c *Context) issue(e tso.Entry) {
 			ts.EvictOldest(c.ck)
 		}
 	}
+}
+
+// eagerProbe reports an eager operation as evict reports its entry, if probed.
+// The entry is built out of line so that this nil check inlines.
+func (c *Context) eagerProbe(kind tso.EntryKind, a Addr, size int, v uint64, loc string, s pmem.Seq) {
+	if c.ck.sched.probe != nil {
+		c.probeEvict(kind, a, size, v, loc, s)
+	}
+}
+
+func (c *Context) probeEvict(kind tso.EntryKind, a Addr, size int, v uint64, loc string, s pmem.Seq) {
+	e := tso.Entry{Kind: kind, Addr: a, Size: size, Val: v, Loc: loc, Op: c.ck.wrecOp()}
+	if kind == tso.CLFlushOpt {
+		e.Seq = s
+	}
+	c.ck.sched.probe.Evict(e, s)
 }
 
 // ---- Memory allocation -----------------------------------------------------
@@ -176,7 +189,13 @@ func (c *Context) store(a Addr, size int, v uint64) {
 	c.op()
 	c.checkRange(a, uint64(size), "store")
 	c.ck.traceOp(c.th.id, "store", a, size, v)
-	c.issue(tso.Entry{Kind: tso.Store, Addr: a, Size: size, Val: v, Op: c.ck.wrecOp()})
+	if ck := c.ck; ck.eager {
+		c.th.ts.Evicted()
+		ck.ApplyStore(a, size, v, ck.NextSeq())
+		c.eagerProbe(tso.Store, a, size, v, "", ck.seq)
+	} else {
+		c.issue(tso.Entry{Kind: tso.Store, Addr: a, Size: size, Val: v, Op: c.ck.wrecOp()})
+	}
 	c.yield()
 }
 
@@ -274,7 +293,14 @@ func (c *Context) Clflush(a Addr, size uint64) {
 	pmem.Lines(a, size, func(line Addr) {
 		c.op()
 		c.ck.traceOp(c.th.id, "clflush", line, pmem.CacheLineSize, 0)
-		c.issue(tso.Entry{Kind: tso.CLFlush, Addr: line, Loc: loc, Op: c.ck.wrecOp()})
+		if ck := c.ck; ck.eager {
+			c.th.ts.Evicted()
+			ck.BeforeFlushEffect(tso.CLFlush, line, loc)
+			ck.stack.FlushLine(line, ck.NextSeq())
+			c.eagerProbe(tso.CLFlush, line, 0, 0, loc, ck.seq)
+		} else {
+			c.issue(tso.Entry{Kind: tso.CLFlush, Addr: line, Loc: loc, Op: c.ck.wrecOp()})
+		}
 		c.yield()
 	})
 }
@@ -290,7 +316,14 @@ func (c *Context) Clflushopt(a Addr, size uint64) {
 	pmem.Lines(a, size, func(line Addr) {
 		c.op()
 		c.ck.traceOp(c.th.id, "clflushopt", line, pmem.CacheLineSize, 0)
-		c.issue(tso.Entry{Kind: tso.CLFlushOpt, Addr: line, Loc: loc, Op: c.ck.wrecOp()})
+		if ck := c.ck; ck.eager {
+			// max(σcurr, tτ,cl, tτ) = σcurr: earlier operations are in effect.
+			c.th.ts.Evicted()
+			c.th.ts.AppendWriteback(line, ck.seq, loc, ck.wrecOp())
+			c.eagerProbe(tso.CLFlushOpt, line, 0, 0, loc, ck.seq)
+		} else {
+			c.issue(tso.Entry{Kind: tso.CLFlushOpt, Addr: line, Loc: loc, Op: c.ck.wrecOp()})
+		}
 		c.yield()
 	})
 }
@@ -306,7 +339,16 @@ func (c *Context) Sfence() {
 	}
 	c.op()
 	c.ck.traceOp(c.th.id, "sfence", 0, 0, 0)
-	c.issue(tso.Entry{Kind: tso.SFence, Loc: c.perfLoc(), Op: c.ck.wrecOp()})
+	if ck := c.ck; ck.eager {
+		loc := c.perfLoc()
+		c.th.ts.Evicted()
+		ck.SFenceEffect(c.th.ts.FBLen(), loc)
+		ck.seq++
+		c.eagerProbe(tso.SFence, 0, 0, 0, loc, ck.seq)
+		c.th.ts.DrainFlushBuffer(ck)
+	} else {
+		c.issue(tso.Entry{Kind: tso.SFence, Loc: c.perfLoc(), Op: c.ck.wrecOp()})
+	}
 	c.yield()
 }
 

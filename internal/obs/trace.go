@@ -43,6 +43,9 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 		if err := json.Unmarshal(line, &m); err != nil {
 			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
 		}
+		if m == nil { // the line was JSON null, which decodes without error
+			return nil, fmt.Errorf("trace line %d: not a JSON object", lineNo)
+		}
 		ev := TraceEvent{Fields: m}
 		if t, ok := m["t_us"].(float64); ok {
 			ev.TimeUs = int64(t)
@@ -53,7 +56,8 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
+		// The scanner failed on the line after the last one it returned.
+		return nil, fmt.Errorf("trace line %d: %w", lineNo+1, err)
 	}
 	return out, nil
 }

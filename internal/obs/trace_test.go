@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -54,4 +57,56 @@ func TestReadTraceMalformedLine(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("err = %v, want line-2 parse error", err)
 	}
+}
+
+// A line longer than the scanner's 1 MiB limit fails with its own line number,
+// not the number of the last line read before it.
+func TestReadTraceOverlongLine(t *testing.T) {
+	in := `{"t_us":1,"ev":"a"}` + "\n" + `{"ev":"` + strings.Repeat("x", 1<<20) + `"}` + "\n"
+	_, err := ReadTrace(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "trace line 2:") {
+		t.Errorf("err = %v, want a line-2 scanner error", err)
+	}
+}
+
+// FuzzReadTrace is ReadTrace under hostile input. Whatever the bytes, it must
+// not panic and must allocate in proportion to the input, and a trace it
+// accepts, re-marshalled one event per line, must decode to equal events. The
+// committed corpus (testdata/fuzz/FuzzReadTrace) runs as a plain test; `go
+// test -fuzz FuzzReadTrace ./internal/obs` explores from there.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		events, err := ReadTrace(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// The scanner's 64 KiB buffer plus a generous factor for decoded
+		// values (a one-byte JSON token becomes an interface and a map slot).
+		if grew, budget := after.TotalAlloc-before.TotalAlloc, uint64(512*len(data)+1<<20); grew > budget {
+			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(data), grew, budget)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		for _, ev := range events {
+			m := map[string]any{"t_us": ev.TimeUs, "ev": ev.Ev}
+			for k, v := range ev.Fields {
+				m[k] = v
+			}
+			line, err := json.Marshal(m)
+			if err != nil {
+				t.Fatalf("accepted event %+v does not marshal: %v", ev, err)
+			}
+			buf.Write(line)
+			buf.WriteByte('\n')
+		}
+		again, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-marshalled trace does not decode: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(events, again) {
+			t.Fatalf("re-marshalled trace decodes differently:\nfirst:  %+v\nsecond: %+v", events, again)
+		}
+	})
 }

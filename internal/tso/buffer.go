@@ -6,8 +6,9 @@
 // The two-phase execution model of §4 is split between this package and the
 // model checker: Exec_* (Figure 7) corresponds to Push/Mfence here, and
 // Evict_SB / Evict_FB (Figure 8) to EvictOldest/DrainFlushBuffer, which apply
-// their effects through the Storage interface implemented by the checker
-// (PushEvict is an Exec_* followed at once by its Evict_SB).
+// their effects through the Storage interface implemented by the checker. An
+// operation the checker evicts as soon as it executes (its eager policy)
+// applies its own effect and uses only Evicted and the flush buffer here.
 package tso
 
 import (
@@ -76,7 +77,8 @@ type Probe struct {
 	OnWriteback func(line pmem.Addr, s pmem.Seq, op int)
 }
 
-func (p *Probe) evict(e Entry, s pmem.Seq) {
+// Evict reports e leaving the store buffer at s; a no-op on a nil probe.
+func (p *Probe) Evict(e Entry, s pmem.Seq) {
 	if p == nil || p.OnEvict == nil {
 		return
 	}
@@ -287,21 +289,11 @@ func (t *ThreadState) EvictOldest(st Storage) Entry {
 	return e
 }
 
-// PushEvict executes *e on an empty store buffer and evicts it at once: the
-// effects, counters and probe calls of Push then EvictOldest without the
-// entry's round trip through the buffer — how a policy that drains after every
-// operation issues one. The entry comes by pointer (this is the per-operation
-// path and an Entry does not fit the argument registers); a clflushopt's Seq
-// is stamped in place.
-func (t *ThreadState) PushEvict(st Storage, e *Entry) {
-	if t.SBLen() != 0 {
-		panic("tso: PushEvict on a non-empty store buffer")
-	}
-	if e.Kind == CLFlushOpt {
-		e.Seq = st.CurSeq()
-	}
+// Evicted counts an operation that leaves the store buffer as soon as it
+// enters: occupancy one and one eviction, as Push then EvictOldest count it.
+func (t *ThreadState) Evicted() {
 	t.col.NotePeak(obs.PeakSB, 1)
-	t.evict(st, e)
+	t.col.Inc(obs.SBEvictions)
 }
 
 // evict applies the effect of an entry leaving the store buffer (Figure 8,
@@ -313,13 +305,13 @@ func (t *ThreadState) evict(st Storage, e *Entry) {
 		s := st.NextSeq()
 		st.ApplyStore(e.Addr, e.Size, e.Val, s)
 		t.tLine.set(e.Addr.Line(), s)
-		t.probe.evict(*e, s)
+		t.probe.Evict(*e, s)
 	case CLFlush:
 		st.BeforeFlushEffect(CLFlush, e.Addr, e.Loc)
 		s := st.NextSeq()
 		st.ApplyCLFlush(e.Addr, s)
 		t.tLine.set(e.Addr.Line(), s)
-		t.probe.evict(*e, s)
+		t.probe.Evict(*e, s)
 	case CLFlushOpt:
 		// Reordering with earlier operations: the writeback is ordered
 		// after the max of (σ at execution, last store/clflush to the same
@@ -331,13 +323,12 @@ func (t *ThreadState) evict(st Storage, e *Entry) {
 		if t.tSfence > s {
 			s = t.tSfence
 		}
-		t.fb = append(t.fb, fbEntry{line: e.Addr.Line(), seq: s, loc: e.Loc, op: e.Op})
-		t.col.NotePeak(obs.PeakFB, int64(len(t.fb)))
-		t.probe.evict(*e, s)
+		t.AppendWriteback(e.Addr.Line(), s, e.Loc, e.Op)
+		t.probe.Evict(*e, s)
 	case SFence:
 		st.SFenceEffect(len(t.fb), e.Loc)
 		s := st.NextSeq()
-		t.probe.evict(*e, s)
+		t.probe.Evict(*e, s)
 		t.DrainFlushBuffer(st)
 		t.tSfence = s
 	}
@@ -348,6 +339,13 @@ func (t *ThreadState) DrainSB(st Storage) {
 	for t.SBLen() > 0 {
 		t.EvictOldest(st)
 	}
+}
+
+// AppendWriteback enqueues a clflushopt writeback of line ordered at s, its
+// bound, for the instruction at loc with operation index op.
+func (t *ThreadState) AppendWriteback(line pmem.Addr, s pmem.Seq, loc string, op int) {
+	t.fb = append(t.fb, fbEntry{line: line, seq: s, loc: loc, op: op})
+	t.col.NotePeak(obs.PeakFB, int64(len(t.fb)))
 }
 
 // DrainFlushBuffer applies every pending clflushopt writeback (Figure 8,

@@ -213,3 +213,37 @@ func TestPropertyOverlapsMatchesLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An entry evicted as soon as it is pushed — the checker's eager policy —
+// finds every earlier operation of its thread already in effect at a σ no
+// greater than σcurr. So a clflushopt's flush-buffer bound, the max of its
+// execution stamp, tτ,cl and tτ, is always its execution stamp: the line table
+// and the sfence stamp never raise it. Interleaved Mfences (the locked-RMW and
+// join drains) and Resets (a failure) do not change that.
+func TestPropertyEagerFlushBoundIsExecutionStamp(t *testing.T) {
+	f := func(seed int64, nOps uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		st := newFake()
+		ts := NewThreadState(0)
+		ok := true
+		ts.SetProbe(&Probe{OnEvict: func(e Entry, s pmem.Seq) {
+			if e.Kind == CLFlushOpt && (s != e.Seq || e.Seq != st.seq) {
+				ok = false
+			}
+		}})
+		for _, e := range randomEntries(rng, int(nOps%60)+1) {
+			ts.Push(st, e)
+			ts.EvictOldest(st)
+			switch rng.Intn(8) {
+			case 0:
+				ts.Mfence(st)
+			case 1:
+				ts.Reset()
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
