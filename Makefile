@@ -23,30 +23,19 @@ test:
 	$(GO) test ./...
 
 # The partitioned-exploration driver (internal/core: the claim loop and the
-# Frontier that Workers > 1 and the fleet share) and the per-worker state it
-# exercises concurrently — the store-buffer machinery (internal/tso: the
-# buffers' property tests, the line table) and the paged arena (internal/pmem: the
-# node-shape fuzz against the map model, the page-index re-base) — get a
-# dedicated race-detector pass, plus the root-package snapshot and POR equivalence suites, which drive the
-# per-worker snapshot caches and the shared fingerprint seen-set under
-# Workers=4. The distributed coordinator/worker path (internal/dist over the
-# internal/netsim fabric) runs its whole equivalence suite under -race too:
-# healthy fleets, a worker killed mid-lease with TTL expiry and requeue,
-# duplicate commit delivery, transient outages, and graceful drain must all
-# merge bit-identical to serial. The load-path dispatch equivalence
-# (TestLoadDispatchEquivalence: serial vs replay oracle vs Workers=4 over
-# every resolveLoad branch) lives in internal/core and so runs in the first
-# pass. The benchlist pass adds the worst-case donation schedule
-# (TestRangeDonationEquivalence: every lease split after every scenario,
-# claims and POR memos handed between two runners), the Workers=2
-# donation-cost gate, and the Figure 14 programs under every configuration
-# (TestFigure14Conformance: replay oracle, POR off, Workers=4, and a netsim
-# fleet of two with a worker killed mid-lease).
+# Frontier that Workers > 1 and the fleet share), the store-buffer machinery
+# (internal/tso) and the paged arena (internal/pmem) get a race-detector
+# pass, as does the distributed path (internal/dist over the internal/netsim
+# fabric: drain, parked leases, duplicate commits, a worker killed mid-lease).
+# internal/benchlist runs in one pass: the conformance matrix (every program
+# under the replay oracle, POR off, Workers=4, range donation and a netsim
+# fleet of two, healthy and with a worker killed mid-lease, POR on and off)
+# and the Workers=2 donation-cost gate. Its serial golden and trace pins run
+# one exploration at a time, so they have nothing to race and are skipped.
 race:
 	$(GO) test -race ./internal/core/ ./internal/tso/ ./internal/pmem/
 	$(GO) test -race ./internal/dist/ ./internal/netsim/
-	$(GO) test -race -run 'TestSnapshotEquivalence|TestPOREquivalence' .
-	$(GO) test -race -run 'TestChoiceSnapshotEquivalence|TestRangeDonationEquivalence|TestParallelDonationCost|TestFigure14Conformance' ./internal/benchlist/
+	$(GO) test -race -skip 'TestConformanceGolden|TestTraceIsReplayTail|TestBytePathRefinements' ./internal/benchlist/
 
 # Allocation-regression gates: the testing.AllocsPerRun pins that keep the
 # paged-layout hot path (guest ops under the default eviction policy — Store8,

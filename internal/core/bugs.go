@@ -142,11 +142,28 @@ type MultiRF struct {
 	Addr pmem.Addr
 	// Candidates is the maximum number of candidate stores observed.
 	Candidates int
-	// Values are example candidate values (exec, σ, val) formatted for
-	// display.
+	// Values are example candidate values (exec, val) formatted for
+	// display. They carry no sequence number: fingerprint-equivalent
+	// subtrees differ only in σ, so a σ-free example is the same whichever
+	// of them was explored (DESIGN.md § Fingerprints).
 	Values []string
 	// Count is the number of loads flagged at this location.
 	Count int
+}
+
+// outranks reports whether a manifestation with n candidates, example
+// values vals at address a displaces m as the canonical representative: the
+// larger candidate set wins, ties go to the smaller values, then the smaller
+// address. Serial flagging, snapshot deltas, POR hits and the parallel merge
+// all use this one rule, so the example does not depend on discovery order.
+func (m *MultiRF) outranks(n int, vals []string, a pmem.Addr) bool {
+	if n != m.Candidates {
+		return n > m.Candidates
+	}
+	if v, mv := strings.Join(vals, ","), strings.Join(m.Values, ","); v != mv {
+		return v < mv
+	}
+	return a < m.Addr
 }
 
 func (m *MultiRF) String() string {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"jaaru/internal/forensics"
@@ -141,15 +140,16 @@ type Checker struct {
 	// opened under (records nest by prefix: record i owns
 	// porPrefix[:porOpen[i].rootDepth], and len(porPrefix) is the deepest
 	// record's rootDepth); porFpActive latches per-scenario fingerprint
-	// eligibility; porScenBase/porScenBaseSteps are the scenario baseline a
-	// crash-point prefix measurement is taken against; porFPHook is a test
-	// hook observing every fingerprint consultation.
+	// eligibility; porScenBase/porScenBaseSteps/porScenPerf are the
+	// scenario baseline a crash-point prefix measurement is taken against;
+	// porFPHook is a test hook observing every fingerprint consultation.
 	porSeenSet       *porSeen
 	porOpen          []*porRecord
 	porPrefix        []choicePoint
 	porFpActive      bool
 	porScenBase      obs.CounterVec
 	porScenBaseSteps int64
+	porScenPerf      map[string]int
 	porFPHook        func(fp uint64, hit bool)
 
 	// eager is Options.Eviction == EvictEager: guest operations then apply
@@ -693,6 +693,8 @@ func (c *Checker) BeforeFlushEffect(kind tso.EntryKind, addr pmem.Addr, loc stri
 	fail := c.chooser.choose(chooseFail, 2) == 1
 	if fresh {
 		c.porNoteFailPoint()
+	} else {
+		c.porMemoPerf()
 	}
 	c.wrecDecision()
 	if fail {
@@ -846,12 +848,7 @@ func (c *Checker) flagMultiRF(a pmem.Addr, cands []pmem.Candidate) {
 	if !ok {
 		m = &MultiRF{Loc: loc, Addr: a, Values: vals}
 		c.multiRF[key] = m
-	} else if len(cands) > m.Candidates ||
-		strings.Join(vals, ",") < strings.Join(m.Values, ",") {
-		// Canonical representative, the same rule the parallel merge
-		// uses: the manifestation with the larger candidate set wins,
-		// ties broken lexicographically — so the reported example does
-		// not depend on discovery order (serial or partitioned).
+	} else if m.outranks(len(cands), vals, a) {
 		m.Values = vals
 		m.Addr = a
 	}
@@ -868,7 +865,7 @@ func multiRFValues(cands []pmem.Candidate) []string {
 	vals := make([]string, 0, 8)
 	for _, cd := range cands {
 		vals = append(vals,
-			fmt.Sprintf("exec%d σ=%v val=%#x", cd.Exec, cd.Seq, cd.Val))
+			fmt.Sprintf("exec%d val=%#x", cd.Exec, cd.Val))
 		if len(vals) == 8 {
 			break
 		}

@@ -1,17 +1,14 @@
 package core_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"reflect"
-	"sort"
 	"testing"
 
 	"jaaru/internal/benchlist"
+	"jaaru/internal/conform"
 	"jaaru/internal/core"
 	"jaaru/internal/litmus"
-	"jaaru/internal/obs"
 	"jaaru/internal/pmdk"
 	"jaaru/internal/pmem"
 	"jaaru/internal/recipe"
@@ -83,55 +80,22 @@ func eagerCases() []eagerCase {
 	return cases
 }
 
-// eagerRun is everything observable about one exploration: the Result with
-// its wall-clock fields zeroed and Metrics reduced to the canonical counters,
-// the bug reports' exported fields, every bug's witness as JSON, the
-// post-failure observations of a litmus program, and a hash of every call the
-// forensics probe received (entry, σ and writeback, in order).
-type eagerRun struct {
-	res       core.Result
-	metrics   obs.Metrics
-	bugs      []core.BugReport
-	witnesses []string
-	observed  []string
-	probe     uint64
-}
-
-func exploreEager(t *testing.T, tc eagerCase, viaBuffer bool) eagerRun {
+// exploreEager views one exploration, every bug's witness included, and
+// hashes every call the forensics probe received (entry, σ and writeback, in
+// order).
+func exploreEager(t *testing.T, tc eagerCase, viaBuffer bool) (conform.View, uint64) {
 	t.Helper()
 	defer core.SetEagerViaBuffer(core.SetEagerViaBuffer(viaBuffer))
-	seen := map[string]bool{}
+	var seen conform.Obs
 	opts := tc.opts
 	opts.Observe, opts.FlagPerfIssues, opts.MaxSteps = true, true, 2_000
-	ck := core.New(tc.build(func(s string) { seen[s] = true }), opts)
+	ck := core.New(tc.build(seen.Add), opts)
 	h := fnv.New64a()
 	ck.SetProbe(&tso.Probe{
 		OnEvict:     func(e tso.Entry, s pmem.Seq) { fmt.Fprintf(h, "%+v@%d\n", e, s) },
 		OnWriteback: func(line pmem.Addr, s pmem.Seq, op int) { fmt.Fprintf(h, "wb %v@%d op%d\n", line, s, op) },
 	})
-	res := ck.Run()
-	run := eagerRun{probe: h.Sum64()}
-	for i, b := range res.Bugs {
-		run.bugs = append(run.bugs, core.BugReport{Type: b.Type, Message: b.Message,
-			Execution: b.Execution, Scenario: b.Scenario, Count: b.Count, Choices: b.Choices})
-		w, err := res.Witness(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run.witnesses = append(run.witnesses, string(js))
-	}
-	run.metrics = res.Metrics.Canonical()
-	run.res = *res
-	run.res.Duration, run.res.Metrics, run.res.Bugs = 0, nil, nil
-	for s := range seen {
-		run.observed = append(run.observed, s)
-	}
-	sort.Strings(run.observed)
-	return run
+	return witnessed(t, ck.Run(), seen.Set()), h.Sum64()
 }
 
 // TestEagerIssueMatchesBufferedPath: under EvictEager a guest store, flush or
@@ -146,10 +110,11 @@ func exploreEager(t *testing.T, tc eagerCase, viaBuffer bool) eagerRun {
 // every call the forensics probe receives.
 func TestEagerIssueMatchesBufferedPath(t *testing.T) {
 	for _, tc := range eagerCases() {
-		direct, buffered := exploreEager(t, tc, false), exploreEager(t, tc, true)
-		if !reflect.DeepEqual(direct, buffered) {
-			t.Errorf("%s: direct eager issue diverges from Push + EvictOldest:\ndirect   %+v\nbuffered %+v",
-				tc.name, direct, buffered)
+		direct, directProbe := exploreEager(t, tc, false)
+		buffered, bufferedProbe := exploreEager(t, tc, true)
+		conform.Exact(t, tc.name+": direct eager issue against Push + EvictOldest", buffered, direct)
+		if directProbe != bufferedProbe {
+			t.Errorf("%s: the forensics probe saw different calls", tc.name)
 		}
 	}
 }

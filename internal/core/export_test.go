@@ -17,3 +17,10 @@ func SetEagerViaBuffer(on bool) (was bool) {
 // SetProbe attaches p as the forensics transition probe of every guest thread
 // c runs (test-only; witness replays attach their recorder's own).
 func (c *Checker) SetProbe(p *tso.Probe) { c.sched.probe = p }
+
+// Test programs the external equivalence tests (conform_test.go) share with
+// the in-package ones.
+var (
+	ParallelTreeProgram = parallelTreeProgram
+	BuggyReplayProgram  = buggyReplayProgram
+)

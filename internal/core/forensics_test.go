@@ -95,34 +95,6 @@ func TestBuildWitnessReproducesAndAnnotates(t *testing.T) {
 	}
 }
 
-// Witness building must be independent of how the exploration that found the
-// bug was partitioned: the canonical bug representative is the same, so the
-// witness is too.
-func TestBuildWitnessSerialParallelIdentical(t *testing.T) {
-	prog := buggyReplayProgram()
-	rs := New(prog, Options{}).Run()
-	rp := New(prog, Options{Workers: 4}).Run()
-	if !rs.Buggy() || !rp.Buggy() {
-		t.Fatal("no bug")
-	}
-	ws := BuildWitness(prog, Options{}, rs.Bugs[0])
-	wp := BuildWitness(prog, Options{Workers: 4}, rp.Bugs[0])
-	// Compare the structured contents (the JSON byte-identity is pinned in
-	// internal/report); spot-check the load resolutions deeply.
-	if len(ws.Ops) != len(wp.Ops) || len(ws.Loads) != len(wp.Loads) ||
-		len(ws.Lines) != len(wp.Lines) || len(ws.Decisions) != len(wp.Decisions) {
-		t.Fatalf("shape differs: serial ops/loads/lines/decisions %d/%d/%d/%d, parallel %d/%d/%d/%d",
-			len(ws.Ops), len(ws.Loads), len(ws.Lines), len(ws.Decisions),
-			len(wp.Ops), len(wp.Loads), len(wp.Lines), len(wp.Decisions))
-	}
-	for i := range ws.Loads {
-		s, p := ws.Loads[i], wp.Loads[i]
-		if s.Addr != p.Addr || s.Chosen != p.Chosen || len(s.Candidates) != len(p.Candidates) {
-			t.Errorf("load %d differs: %+v vs %+v", i, s, p)
-		}
-	}
-}
-
 // The Result/BugReport accessors carry the exploration's program and options,
 // so no re-supplying is needed.
 func TestWitnessAccessors(t *testing.T) {

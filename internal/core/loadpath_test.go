@@ -1,8 +1,11 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"testing"
+
+	"jaaru/internal/conform"
+	"jaaru/internal/core"
 )
 
 // loadDispatchProgram drives every branch of resolveLoad's per-operation
@@ -22,11 +25,11 @@ import (
 // Under MaxFailures 2 the recovery's own flush is a failure point, so the
 // same code also runs two executions deep, reading recovery's stores back as
 // pre-failure candidates.
-func loadDispatchProgram() Program {
+func loadDispatchProgram() core.Program {
 	const a1, a2, xv = 0x0101010101010101, 0x0202020202020202, 0x1122334455667788
-	return Program{
+	return core.Program{
 		Name: "load-dispatch",
-		Run: func(c *Context) {
+		Run: func(c *core.Context) {
 			w, x, p, q := c.Root(), c.Root().Add(60), c.Root().Add(128), c.Root().Add(192)
 			c.Store64(w, a1)
 			c.Clflush(w, 8)
@@ -38,7 +41,7 @@ func loadDispatchProgram() Program {
 			c.Clflush(p, 8)
 			c.Clflush(q, 8)
 		},
-		Recover: func(c *Context) {
+		Recover: func(c *core.Context) {
 			w, x, p, q := c.Root(), c.Root().Add(60), c.Root().Add(128), c.Root().Add(192)
 			first := c.Execution() == 1
 
@@ -96,36 +99,34 @@ func loadDispatchProgram() Program {
 }
 
 // TestLoadDispatchEquivalence checks the guest's own value assertions (no
-// bug) and that the default serial engine, the full-replay oracle
-// (Snapshots: -1) and four workers explore bit-identically — Result and
-// canonical counters — with the load path's fast branches demonstrably taken.
+// bug) and that the default serial engine, the full-replay oracle, the
+// unpruned run and four workers explore bit-identically, under eager and
+// at-fences eviction, one and two failures, with the load path's fast
+// branches demonstrably taken.
 func TestLoadDispatchEquivalence(t *testing.T) {
-	for _, base := range []Options{
+	var rows []conform.Row
+	for _, base := range []core.Options{
 		{},
 		{MaxFailures: 2},
-		{Eviction: EvictAtFences, SBCapacity: 2},
-		{Eviction: EvictAtFences, SBCapacity: 2, MaxFailures: 2},
+		{Eviction: core.EvictAtFences, SBCapacity: 2},
+		{Eviction: core.EvictAtFences, SBCapacity: 2, MaxFailures: 2},
 	} {
-		base.Observe = true
-		label := fmt.Sprintf("eviction=%d failures=%d", base.Eviction, base.MaxFailures)
-		serial := New(loadDispatchProgram(), base).Run()
-		for _, b := range serial.Bugs {
-			t.Errorf("%s: guest assertion failed: %v (%s)", label, b, b.Choices)
-		}
-		m := serial.Metrics
-		if m.LoadCacheHits == 0 || m.RefinementsSkipped == 0 || m.LoadRefinements == m.RefinementsSkipped ||
-			(base.Eviction == EvictAtFences) != (m.LoadSBHits > 0) {
-			t.Errorf("%s: load path not fully exercised: sb=%d cache=%d refinements=%d skipped=%d",
-				label, m.LoadSBHits, m.LoadCacheHits, m.LoadRefinements, m.RefinementsSkipped)
-		}
-		replay, par := base, base
-		replay.Snapshots, par.Workers = -1, 4
-		for name, o := range map[string]Options{"replay": replay, "workers=4": par} {
-			got := New(loadDispatchProgram(), o).Run()
-			assertSameExploration(t, label+" "+name, serial, got)
-			if sc, gc := serial.Metrics.Canonical(), got.Metrics.Canonical(); sc != gc {
-				t.Errorf("%s %s: canonical metrics differ:\nserial: %+v\ngot:    %+v", label, name, sc, gc)
-			}
-		}
+		rows = append(rows, conform.Row{
+			Name:  fmt.Sprintf("eviction=%d/failures=%d", base.Eviction, base.MaxFailures),
+			Build: func(func(string)) core.Program { return loadDispatchProgram() },
+			Opts:  base,
+			Check: func(t testing.TB, ref *core.Result) {
+				for _, b := range ref.Bugs {
+					t.Errorf("guest assertion failed: %v (%s)", b, b.Choices)
+				}
+				m := ref.Metrics
+				if m.LoadCacheHits == 0 || m.RefinementsSkipped == 0 || m.LoadRefinements == m.RefinementsSkipped ||
+					(base.Eviction == core.EvictAtFences) != (m.LoadSBHits > 0) {
+					t.Errorf("load path not fully exercised: sb=%d cache=%d refinements=%d skipped=%d",
+						m.LoadSBHits, m.LoadCacheHits, m.LoadRefinements, m.RefinementsSkipped)
+				}
+			},
+		})
 	}
+	conform.Run(t, rows, []conform.Column{conform.SnapshotsOff, conform.POROff, conform.Workers(4)}, nil)
 }

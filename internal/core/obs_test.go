@@ -60,19 +60,14 @@ func TestMetricsMatchResultCounters(t *testing.T) {
 	}
 }
 
-// The canonical counter subset must be bit-identical between a full serial
-// exploration and a full parallel one — partition independence is the same
-// property the Result equivalence suite asserts, extended to the new layer.
+// A parallel run's metrics record its driver: the worker count and frontier
+// traffic. (Its canonical counters equal the serial run's: the conformance
+// matrix and TestParallelMatchesSerial compare them.)
 func TestMetricsSerialParallelEquivalence(t *testing.T) {
-	serial := New(parallelTreeProgram(), Options{Observe: true}).Run()
 	for _, workers := range []int{2, 4} {
 		par := New(parallelTreeProgram(), Options{Workers: workers, Observe: true}).Run()
 		if par.Metrics == nil {
 			t.Fatalf("workers=%d: no metrics", workers)
-		}
-		if got, want := par.Metrics.Canonical(), serial.Metrics.Canonical(); got != want {
-			t.Errorf("workers=%d: canonical metrics diverge\nserial:   %+v\nparallel: %+v",
-				workers, want, got)
 		}
 		if par.Metrics.Workers != int64(workers) {
 			t.Errorf("workers=%d: Metrics.Workers = %d", workers, par.Metrics.Workers)

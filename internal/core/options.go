@@ -123,7 +123,7 @@ type Options struct {
 	// fork()-based restart strategy. A negative value (normalized to the
 	// sentinel -1) selects the reference instead: every scenario re-runs
 	// the guest from the start and replays its whole choice prefix. That is
-	// the oracle the equivalence suites compare the stack against — results
+	// the oracle the conformance matrix compares the stack against — results
 	// are bit-identical either way, including the canonical observability
 	// counters — not a tuning knob. The stack is automatically bypassed for
 	// the configurations it cannot replay exactly (RandomScheduler,

@@ -83,27 +83,3 @@ func TestWithDefaultsIdempotentEveryField(t *testing.T) {
 		}
 	}
 }
-
-// A worker clone of a no-failure-injection exploration must keep injection
-// disabled (MaxFailures sentinel survives the clone's re-normalization),
-// so serial and parallel direct executions agree.
-func TestParallelPreservesDisabledFailureInjection(t *testing.T) {
-	prog := Program{
-		Name: "direct",
-		Run: func(c *Context) {
-			r := c.Root()
-			c.Store64(r, 1)
-			c.Clflush(r, 8)
-			c.Store64(r.Add(64), 2)
-			c.Clflush(r.Add(64), 8)
-		},
-		Recover: func(c *Context) { _ = c.Load64(c.Root()) },
-	}
-	serial := New(prog, Options{MaxFailures: -1}).Run()
-	if serial.Executions != 1 || serial.Scenarios != 1 {
-		t.Fatalf("serial direct execution explored %d executions / %d scenarios",
-			serial.Executions, serial.Scenarios)
-	}
-	par := New(prog, Options{MaxFailures: -1, Workers: 4}).Run()
-	assertSameExploration(t, "direct workers=4", serial, par)
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -499,17 +498,14 @@ func (dst *stats) mergeBug(b *BugReport) {
 }
 
 // mergeMultiRF unions a flagged load: counts sum, candidate maxima win, and
-// the example values come from the representative with the larger candidate
-// set (ties broken lexicographically, for a stable merge).
+// the example comes from the representative that outranks the other.
 func (dst *stats) mergeMultiRF(key string, m *MultiRF) {
 	ex, ok := dst.multiRF[key]
 	if !ok {
 		dst.multiRF[key] = m
 		return
 	}
-	if m.Candidates > ex.Candidates ||
-		(m.Candidates == ex.Candidates &&
-			strings.Join(m.Values, ",") < strings.Join(ex.Values, ",")) {
+	if ex.outranks(m.Candidates, m.Values, m.Addr) {
 		ex.Values = m.Values
 		ex.Addr = m.Addr
 	}

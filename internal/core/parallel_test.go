@@ -328,7 +328,7 @@ func TestFrontierCapRule(t *testing.T) {
 	}
 }
 
-// ---- parallel equivalence (in-package: exact choice-point accounting) --------
+// ---- parallel driver ----------------------------------------------------------
 
 func parallelTreeProgram() Program {
 	// Several failure points and multi-candidate loads: a tree with real
@@ -349,79 +349,6 @@ func parallelTreeProgram() Program {
 				_ = c.Load64(r.Add(i * 8))
 			}
 		},
-	}
-}
-
-func TestParallelMatchesSerial(t *testing.T) {
-	serial := New(parallelTreeProgram(), Options{}).Run()
-	for _, workers := range []int{2, 4, 7} {
-		par := New(parallelTreeProgram(), Options{Workers: workers}).Run()
-		assertSameExploration(t, fmt.Sprintf("workers=%d", workers), serial, par)
-	}
-}
-
-func TestParallelMatchesSerialWithBugs(t *testing.T) {
-	prog := Program{
-		Name: "parallel-bugs",
-		Run: func(c *Context) {
-			r := c.Root()
-			c.Store64(r, 7)
-			c.Clflush(r, 8)
-			c.Store64(r.Add(64), 9)
-			c.Clflush(r.Add(64), 8)
-		},
-		Recover: func(c *Context) {
-			r := c.Root()
-			a, b := c.Load64(r), c.Load64(r.Add(64))
-			c.Assert(b == 0 || a == 7, "second line persisted before first: a=%d b=%d", a, b)
-			if a == 7 && b == 9 {
-				c.Bug("both lines persisted")
-			}
-		},
-	}
-	serial := New(prog, Options{}).Run()
-	if !serial.Buggy() {
-		t.Fatal("program expected to be buggy")
-	}
-	par := New(prog, Options{Workers: 4}).Run()
-	assertSameExploration(t, "workers=4", serial, par)
-	for i := range serial.Bugs {
-		s, p := serial.Bugs[i], par.Bugs[i]
-		if s.Type != p.Type || s.Message != p.Message || s.Count != p.Count || s.Choices != p.Choices {
-			t.Errorf("bug %d differs:\nserial: %v (%s)\nparallel: %v (%s)",
-				i, s, s.Choices, p, p.Choices)
-		}
-	}
-}
-
-func assertSameExploration(t *testing.T, label string, serial, par *Result) {
-	t.Helper()
-	if par.Scenarios != serial.Scenarios {
-		t.Errorf("%s: Scenarios = %d, serial %d", label, par.Scenarios, serial.Scenarios)
-	}
-	if par.Executions != serial.Executions {
-		t.Errorf("%s: Executions = %d, serial %d", label, par.Executions, serial.Executions)
-	}
-	if par.FailurePoints != serial.FailurePoints {
-		t.Errorf("%s: FailurePoints = %d, serial %d", label, par.FailurePoints, serial.FailurePoints)
-	}
-	if par.Steps != serial.Steps {
-		t.Errorf("%s: Steps = %d, serial %d", label, par.Steps, serial.Steps)
-	}
-	if par.RFChoicePoints != serial.RFChoicePoints {
-		t.Errorf("%s: RFChoicePoints = %d, serial %d", label, par.RFChoicePoints, serial.RFChoicePoints)
-	}
-	if par.FailDecisionPoints != serial.FailDecisionPoints {
-		t.Errorf("%s: FailDecisionPoints = %d, serial %d", label, par.FailDecisionPoints, serial.FailDecisionPoints)
-	}
-	if par.MaxRFCandidates != serial.MaxRFCandidates {
-		t.Errorf("%s: MaxRFCandidates = %d, serial %d", label, par.MaxRFCandidates, serial.MaxRFCandidates)
-	}
-	if par.Complete != serial.Complete {
-		t.Errorf("%s: Complete = %v, serial %v", label, par.Complete, serial.Complete)
-	}
-	if len(par.Bugs) != len(serial.Bugs) {
-		t.Errorf("%s: %d bugs, serial %d", label, len(par.Bugs), len(serial.Bugs))
 	}
 }
 
@@ -512,34 +439,6 @@ func TestWorkersDefaultsToSerial(t *testing.T) {
 }
 
 // ---- distributed-era regression tests ----------------------------------------
-
-// TestParallelSmallTreeManyWorkers: many more workers than scenarios. The
-// frontier's refill path (pop's wait and the donations it solicits) must not stall
-// when the tree is exhausted before most workers ever receive a branch: pop
-// blocks only while claims are outstanding (pending > 0) and every consumer
-// is released by the final finish broadcast. Regression test for the
-// small-tree liveness audit documented on frontier.pop.
-func TestParallelSmallTreeManyWorkers(t *testing.T) {
-	prog := Program{
-		Name: "litmus-tiny",
-		Run: func(c *Context) {
-			r := c.Root()
-			c.Store64(r, 1)
-			c.Clflush(r, 8)
-		},
-		Recover: func(c *Context) { _ = c.Load64(c.Root()) },
-	}
-	serial := New(prog, Options{}).Run()
-	if serial.Scenarios > 4 {
-		t.Fatalf("litmus workload grew to %d scenarios; this test needs workers >> scenarios", serial.Scenarios)
-	}
-	// The stall this guards against was timing-dependent: iterate to give
-	// the 8-worker pool many chances to race pop/finish/stop.
-	for i := 0; i < 50; i++ {
-		par := New(prog, Options{Workers: 8}).Run()
-		assertSameExploration(t, fmt.Sprintf("iter %d", i), serial, par)
-	}
-}
 
 // TestSharedCapsConcurrentSameBug: the same canonical bug key reported
 // concurrently by many workers counts once — toward MaxBugs and toward the

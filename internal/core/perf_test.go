@@ -167,56 +167,3 @@ func TestPerfIssuesThroughWorkload(t *testing.T) {
 		t.Errorf("double Persist not flagged: %v", res.PerfIssues)
 	}
 }
-
-// PerfIssue merging must be partition-independent: under Workers>1 the
-// per-location Count totals and the canonical example Line must match the
-// serial run exactly. The guest flushes the same source location against
-// several cache lines in descending order, so a first-seen representative
-// would report the highest line serially and an arbitrary one in parallel.
-func TestParallelPerfIssuesMatchSerial(t *testing.T) {
-	prog := Program{
-		Name: "perf-partition",
-		Run: func(c *Context) {
-			r := c.Root()
-			for i := uint64(3); i > 0; i-- { // descending: lines 128, 64, 0
-				line := r.Add((i - 1) * 64)
-				c.Store64(line, i)
-				c.Clflush(line, 8)
-				c.Clflush(line, 8) // redundant, same source location each time
-			}
-			c.Sfence() // redundant: empty flush buffer
-		},
-		Recover: func(c *Context) {
-			r := c.Root()
-			for i := uint64(0); i < 3; i++ {
-				_ = c.Load64(r.Add(i * 64))
-			}
-		},
-	}
-	serial := New(prog, Options{FlagPerfIssues: true}).Run()
-	if serial.Buggy() {
-		t.Fatalf("bugs: %v", serial.Bugs)
-	}
-	if len(serial.PerfIssues) == 0 {
-		t.Fatal("no perf issues flagged")
-	}
-	// The serial representative must already be canonical: the smallest
-	// line, although the largest was seen first.
-	for _, p := range serial.PerfIssues {
-		if p.Kind == PerfRedundantFlush && p.Line != PoolBase.Line() {
-			t.Errorf("serial representative line = %v, want the smallest %v",
-				p.Line, PoolBase.Line())
-		}
-	}
-	par := New(prog, Options{FlagPerfIssues: true, Workers: 4}).Run()
-	if len(par.PerfIssues) != len(serial.PerfIssues) {
-		t.Fatalf("parallel found %d issues, serial %d:\n%v\n%v",
-			len(par.PerfIssues), len(serial.PerfIssues), par.PerfIssues, serial.PerfIssues)
-	}
-	for i := range serial.PerfIssues {
-		s, p := serial.PerfIssues[i], par.PerfIssues[i]
-		if s.Kind != p.Kind || s.Loc != p.Loc || s.Line != p.Line || s.Count != p.Count {
-			t.Errorf("issue %d diverges:\nserial:   %+v\nparallel: %+v", i, s, p)
-		}
-	}
-}

@@ -152,8 +152,9 @@ func (ps *porSeen) entriesSince(from int) (fps []uint64, deltas []*porDelta) {
 // point's whole backtracking lifetime.
 type failMemo struct {
 	fp    uint64
-	steps int64          // prefix steps: scenario start -> failure point
-	vec   obs.CounterVec // prefix canonical counters, cleared
+	steps int64                // prefix steps: scenario start -> failure point
+	vec   obs.CounterVec       // prefix canonical counters, cleared
+	perf  map[string]PerfIssue // prefix perf findings
 }
 
 // porBug is one distinct bug of a recorded subtree: its manifestation count
@@ -209,7 +210,8 @@ type porRecord struct {
 	rootDepth int // the subtree's prefix is Checker.porPrefix[:rootDepth]
 
 	openVec      obs.CounterVec
-	prefixVec    obs.CounterVec // owner prefix contribution, cleared
+	prefixVec    obs.CounterVec       // owner prefix contribution, cleared
+	prefixPerf   map[string]PerfIssue // owner prefix perf findings
 	openSteps    int64
 	prefixSteps  int64
 	openReplayed int64
@@ -273,6 +275,30 @@ func (c *Checker) porBeginScenario() {
 	c.porPruneSweep()
 	c.porScenBaseSteps = c.totalSteps
 	c.porScenBase = c.col.Counters()
+	if c.porScenPerf == nil {
+		c.porScenPerf = make(map[string]int)
+	}
+	for k, p := range c.perfIssues {
+		c.porScenPerf[k] = p.Count
+	}
+}
+
+// perfSince returns the perf findings the current scenario has made since
+// its start, counted per key: a prefix's share, which a hit or prune
+// re-applies once per skipped scenario, like the prefix steps. It is nil only
+// without FlagPerfIssues, so a memo decoded from a claim, which carries none
+// until porMemoPerf completes it, is told apart.
+func (c *Checker) perfSince() map[string]PerfIssue {
+	if !c.opts.FlagPerfIssues {
+		return nil
+	}
+	d := make(map[string]PerfIssue)
+	for k, p := range c.perfIssues {
+		if n := p.Count - c.porScenPerf[k]; n > 0 {
+			d[k] = PerfIssue{Kind: p.Kind, Loc: p.Loc, Line: p.Line, Count: n}
+		}
+	}
+	return d
 }
 
 // porStateFingerprint canonically fingerprints the current persisted state:
@@ -306,12 +332,26 @@ func (c *Checker) porNoteFailPoint() {
 	m := &failMemo{
 		fp:    c.porStateFingerprint(),
 		steps: c.totalSteps - c.porScenBaseSteps,
+		perf:  c.perfSince(),
 	}
 	if c.col != nil {
 		m.vec = c.col.Counters().Diff(c.porScenBase)
 		clearPrefixDependent(&m.vec)
 	}
 	c.chooser.aux[c.chooser.cursor-1] = m
+}
+
+// porMemoPerf completes a memo decoded from a claim, which carries no perf
+// findings, when the claim's prefix is replayed through its point: the
+// findings since the scenario start are its prefix share. The memo may be
+// shared with other choosers, so the point gets a completed copy.
+func (c *Checker) porMemoPerf() {
+	i := c.chooser.cursor - 1
+	if m := c.chooser.aux[i]; m != nil && m.perf == nil && c.opts.FlagPerfIssues {
+		cp := *m
+		cp.perf = c.perfSince()
+		c.chooser.aux[i] = &cp
+	}
 }
 
 // porPruneSweep clamps failure decisions whose crash subtree is already
@@ -335,7 +375,7 @@ func (c *Checker) porPruneSweep() {
 			continue
 		}
 		m := ch.aux[i]
-		if m == nil {
+		if m == nil || c.opts.FlagPerfIssues && m.perf == nil { // off the wire, its prefix not yet replayed
 			continue
 		}
 		d := c.porSeenSet.lookup(m.fp)
@@ -350,7 +390,7 @@ func (c *Checker) porPruneSweep() {
 		if c.porFPHook != nil {
 			c.porFPHook(m.fp, true)
 		}
-		c.porApply(d, int64(d.scenarios), i+1, m.steps, m.vec, true)
+		c.porApply(d, int64(d.scenarios), i+1, m.steps, m.vec, m.perf, true)
 	}
 }
 
@@ -471,6 +511,7 @@ func (c *Checker) porOpenRecord(fp uint64) {
 		baseScen:    c.scenarios - 1, // exclude the root scenario: the delta includes it
 		baseExecs:   c.execsPost,
 		basePoints:  c.newPoints,
+		prefixPerf:  c.perfSince(),
 	}
 	if c.col != nil {
 		r.openVec = c.col.Counters()
@@ -562,7 +603,7 @@ func (c *Checker) porClose(r *porRecord, currentCounted bool) {
 	}
 	sortPorBugs(d.bugs)
 	for key, p := range c.perfIssues {
-		if n := p.Count - r.basePerf[key]; n > 0 {
+		if n := p.Count - r.basePerf[key] - int(k1)*r.prefixPerf[key].Count; n > 0 {
 			d.perf = append(d.perf, porPerfDelta{key: key, count: n, issue: *p})
 		}
 	}
@@ -609,7 +650,7 @@ func (c *Checker) porApplyHit(d *porDelta) {
 		hitPrefix = c.col.Counters().Diff(c.porScenBase)
 		clearPrefixDependent(&hitPrefix)
 	}
-	c.porApply(d, int64(d.scenarios-1), c.chooser.cursor, hitPrefixSteps, hitPrefix, false)
+	c.porApply(d, int64(d.scenarios-1), c.chooser.cursor, hitPrefixSteps, hitPrefix, c.perfSince(), false)
 }
 
 // porApply accounts a recorded subtree delta without running the subtree:
@@ -620,7 +661,8 @@ func (c *Checker) porApplyHit(d *porDelta) {
 // prefix (no scenario of the subtree ever runs). flip marks grafted bug
 // prefixes as taking the failure branch at hitDepth−1, where the live
 // chooser stays on the continue branch.
-func (c *Checker) porApply(d *porDelta, k int64, hitDepth int, prefixSteps int64, prefixVec obs.CounterVec, flip bool) {
+func (c *Checker) porApply(d *porDelta, k int64, hitDepth int, prefixSteps int64, prefixVec obs.CounterVec,
+	prefixPerf map[string]PerfIssue, flip bool) {
 	c.scenarios += int(k)
 	c.execsPost += d.execs
 	stepsApplied := d.steps + k*prefixSteps
@@ -635,16 +677,13 @@ func (c *Checker) porApply(d *porDelta, k int64, hitDepth int, prefixSteps int64
 		c.porGraftBug(&d.bugs[i], hitDepth, flip)
 	}
 	for i := range d.perf {
-		pd := &d.perf[i]
-		if ex, ok := c.perfIssues[pd.key]; ok {
-			ex.Count += pd.count
-			if pd.issue.Line < ex.Line {
-				ex.Line = pd.issue.Line
-			}
-		} else {
-			cp := pd.issue
-			cp.Count = pd.count
-			c.perfIssues[pd.key] = &cp
+		cp := d.perf[i].issue
+		cp.Count = d.perf[i].count
+		c.stats.mergePerfIssue(d.perf[i].key, &cp)
+	}
+	for key, p := range prefixPerf {
+		if p.Count *= int(k); p.Count > 0 {
+			c.stats.mergePerfIssue(key, &p)
 		}
 	}
 	for i := range d.multi {

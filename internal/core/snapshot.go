@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"jaaru/internal/obs"
@@ -603,12 +602,9 @@ func (c *Checker) noteMultiDelta(key string, a pmem.Addr, n int, vals []string) 
 	if !ok {
 		d = &MultiRF{Loc: key, Addr: a, Values: vals}
 		c.scenMulti[key] = d
-	} else if vals != nil && n >= d.Candidates {
-		if n > d.Candidates || d.Values == nil ||
-			strings.Join(vals, ",") < strings.Join(d.Values, ",") {
-			d.Values = vals
-			d.Addr = a
-		}
+	} else if vals != nil && (d.Values == nil && n >= d.Candidates || d.outranks(n, vals, a)) {
+		d.Values = vals
+		d.Addr = a
 	}
 	if n > d.Candidates {
 		d.Candidates = n

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"jaaru/internal/conform"
 	"jaaru/internal/core"
 )
 
@@ -234,5 +235,5 @@ func TestCodecV2DuplicateCommits(t *testing.T) {
 	if !dropper.dropped {
 		t.Fatal("no final commit reply was dropped")
 	}
-	assertSameResult(t, "duplicate-final-commit", serial, h.result(id))
+	conform.Exact(t, "duplicate-final-commit", serialView(serial), h.result(id).view())
 }

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"jaaru/internal/conform"
 	"jaaru/internal/core"
 	"jaaru/internal/netsim"
 )
@@ -198,6 +198,14 @@ func (h *harness) result(id string) *servedResult {
 	return res
 }
 
+// view is what the comparer sees of a served result.
+func (r *servedResult) view() conform.View {
+	return conform.Partitioned(conform.Served(r.Result, r.Traces, nil))
+}
+
+// serialView is a serial reference as a fleet's result is compared with it.
+func serialView(r *core.Result) conform.View { return conform.Partitioned(conform.Of(r, nil)) }
+
 func (h *harness) worker(name string, commitEvery int) *Worker {
 	h.t.Helper()
 	w, err := NewWorker(WorkerConfig{
@@ -232,88 +240,6 @@ func runWorkers(ws ...*Worker) []error {
 	return errs
 }
 
-// assertSameResult is the distributed-equivalence gate: everything except
-// wall-clock Duration and the partition-local BugReport.Scenario index must
-// be identical to the serial reference (the same standard the in-process
-// parallel suite enforces; Scenario is a worker-local discovery index even
-// under Workers>1). Bug traces are compared through the HTTP round trip: the
-// serial report's replayed trace against the one the job's JSON carried.
-func assertSameResult(t *testing.T, label string, serial *core.Result, got *servedResult) {
-	t.Helper()
-	if got.Program != serial.Program {
-		t.Errorf("%s: Program = %q, serial %q", label, got.Program, serial.Program)
-	}
-	if got.Scenarios != serial.Scenarios {
-		t.Errorf("%s: Scenarios = %d, serial %d", label, got.Scenarios, serial.Scenarios)
-	}
-	if got.Executions != serial.Executions {
-		t.Errorf("%s: Executions = %d, serial %d", label, got.Executions, serial.Executions)
-	}
-	if got.FailurePoints != serial.FailurePoints {
-		t.Errorf("%s: FailurePoints = %d, serial %d", label, got.FailurePoints, serial.FailurePoints)
-	}
-	if got.Steps != serial.Steps {
-		t.Errorf("%s: Steps = %d, serial %d", label, got.Steps, serial.Steps)
-	}
-	if got.RFChoicePoints != serial.RFChoicePoints {
-		t.Errorf("%s: RFChoicePoints = %d, serial %d", label, got.RFChoicePoints, serial.RFChoicePoints)
-	}
-	if got.FailDecisionPoints != serial.FailDecisionPoints {
-		t.Errorf("%s: FailDecisionPoints = %d, serial %d", label, got.FailDecisionPoints, serial.FailDecisionPoints)
-	}
-	if got.MaxRFCandidates != serial.MaxRFCandidates {
-		t.Errorf("%s: MaxRFCandidates = %d, serial %d", label, got.MaxRFCandidates, serial.MaxRFCandidates)
-	}
-	if got.Complete != serial.Complete {
-		t.Errorf("%s: Complete = %v, serial %v", label, got.Complete, serial.Complete)
-	}
-	if len(got.Bugs) != len(serial.Bugs) || len(got.Traces) != len(serial.Bugs) {
-		t.Fatalf("%s: %d bugs with %d traces, serial %d", label, len(got.Bugs), len(got.Traces), len(serial.Bugs))
-	}
-	for i := range serial.Bugs {
-		s, g := serial.Bugs[i], got.Bugs[i]
-		if g.Type != s.Type || g.Message != s.Message || g.Execution != s.Execution ||
-			g.Count != s.Count || g.Choices != s.Choices {
-			t.Errorf("%s: bug %d differs:\nserial: %v (count %d, choices %q)\ngot:    %v (count %d, choices %q)",
-				label, i, s, s.Count, s.Choices, g, g.Count, g.Choices)
-		}
-		if st, gt := s.Trace(jobTraceLen), got.Traces[i]; len(st) == 0 || !reflect.DeepEqual(st, gt) {
-			t.Errorf("%s: bug %d trace differs (%d ops vs %d)", label, i, len(st), len(gt))
-		}
-	}
-	if !reflect.DeepEqual(derefMultiRF(serial.MultiRF), derefMultiRF(got.MultiRF)) {
-		t.Errorf("%s: MultiRF differs:\nserial: %v\ngot:    %v", label, serial.MultiRF, got.MultiRF)
-	}
-	if !reflect.DeepEqual(derefPerf(serial.PerfIssues), derefPerf(got.PerfIssues)) {
-		t.Errorf("%s: PerfIssues differ:\nserial: %v\ngot:    %v", label, serial.PerfIssues, got.PerfIssues)
-	}
-	if (serial.Metrics == nil) != (got.Metrics == nil) {
-		t.Fatalf("%s: metrics presence differs", label)
-	}
-	if serial.Metrics != nil {
-		sc, gc := serial.Metrics.Canonical(), got.Metrics.Canonical()
-		if sc != gc {
-			t.Errorf("%s: canonical metrics differ:\nserial: %+v\ngot:    %+v", label, sc, gc)
-		}
-	}
-}
-
-func derefMultiRF(ms []*core.MultiRF) []core.MultiRF {
-	out := make([]core.MultiRF, len(ms))
-	for i, m := range ms {
-		out[i] = *m
-	}
-	return out
-}
-
-func derefPerf(ps []*core.PerfIssue) []core.PerfIssue {
-	out := make([]core.PerfIssue, len(ps))
-	for i, p := range ps {
-		out[i] = *p
-	}
-	return out
-}
-
 func distOpts() core.Options {
 	return core.Options{
 		Observe:        true,
@@ -334,103 +260,79 @@ func serialReference(t *testing.T, bench string, opts core.Options) *core.Result
 
 // ---- tests ------------------------------------------------------------------
 
+// fleetRows are this package's test programs, with the fleet options as
+// their serial reference's.
+func fleetRows(ref core.Options) (rows []conform.Row) {
+	for _, bench := range []string{"tree", "bugs"} {
+		rows = append(rows, conform.Row{Name: bench, Opts: ref, Build: func(func(string)) core.Program {
+			prog, _ := testResolver(ProgSpec{Bench: bench})
+			return prog
+		}})
+	}
+	return rows
+}
+
+// fleet is the matrix column of a fleet over the fabric, run with distOpts
+// whatever the row's reference. A healthy fleet is three workers. With kill,
+// w3 claims the root (the whole tree), commits after every scenario and is
+// killed after 4 successful requests: one lease grant plus three non-final
+// commits. Nothing is claimable until its lease expires; then w1 and w2
+// re-execute the requeued residual.
+func fleet(kill bool) conform.Column {
+	col := conform.Column{Name: "fleet-of-3", Partitioned: true}
+	if kill {
+		col.Name = "fleet-of-3-killed"
+	}
+	col.Run = func(t *testing.T, rw conform.Row, _ core.Options) conform.View {
+		h := newHarness(t)
+		id := h.submit(rw.Name, distOpts())
+		workers := []*Worker{h.worker("w1", 4), h.worker("w2", 4)}
+		if kill {
+			w3 := h.worker("w3", 1)
+			h.fabric.KillAfter("w3", 4)
+			if err := w3.Run(); err == nil {
+				t.Fatal("killed worker exited cleanly; expected transport failure")
+			}
+			h.clock.Advance(61 * time.Second)
+		} else {
+			workers = append(workers, h.worker("w3", 4))
+		}
+		for i, err := range runWorkers(workers...) {
+			if err != nil {
+				t.Fatalf("worker %d: %v", i+1, err)
+			}
+		}
+		res := h.result(id)
+		if m := res.Metrics; kill && (m.LeaseRequeues < 1 || m.LeasesExpired < 1) {
+			t.Errorf("LeaseRequeues = %d, LeasesExpired = %d; want >= 1 each (the killed worker's subtree)",
+				m.LeaseRequeues, m.LeasesExpired)
+		}
+		return res.view()
+	}
+	return col
+}
+
 // TestDistributedMatchesSerial: a healthy 3-worker fleet over the fabric
 // merges to the serial reference exactly.
 func TestDistributedMatchesSerial(t *testing.T) {
-	for _, bench := range []string{"tree", "bugs"} {
-		t.Run(bench, func(t *testing.T) {
-			serial := serialReference(t, bench, distOpts())
-			h := newHarness(t)
-			id := h.submit(bench, distOpts())
-			errs := runWorkers(h.worker("w1", 4), h.worker("w2", 4), h.worker("w3", 4))
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("worker %d: %v", i+1, err)
-				}
-			}
-			assertSameResult(t, bench, serial, h.result(id))
-		})
-	}
+	conform.Run(t, fleetRows(distOpts()), []conform.Column{fleet(false)}, nil)
 }
 
-// TestDistributedWorkerKilledMidLease is the robustness acceptance gate:
-// worker w3 claims the root lease, commits a few scenarios, and dies. After
-// its TTL expires the residual subtree is requeued and re-executed by the
+// TestDistributedWorkerKilledMidLease is the robustness acceptance gate: the
+// killed worker's residual subtree is requeued and re-executed by the
 // surviving workers; the merged result must still be bit-identical to the
 // serial reference.
 func TestDistributedWorkerKilledMidLease(t *testing.T) {
-	for _, bench := range []string{"tree", "bugs"} {
-		t.Run(bench, func(t *testing.T) {
-			serial := serialReference(t, bench, distOpts())
-			h := newHarness(t)
-			id := h.submit(bench, distOpts())
-
-			// w3 claims the root (the whole tree), commits after every
-			// scenario, and is killed after 4 successful requests: one lease
-			// grant plus three non-final commits.
-			w3 := h.worker("w3", 1)
-			h.fabric.KillAfter("w3", 4)
-			if err := w3.Run(); err == nil {
-				t.Fatal("killed worker exited cleanly; expected transport failure")
-			}
-
-			// Nothing is claimable until the dead worker's lease expires.
-			h.clock.Advance(61 * time.Second)
-
-			errs := runWorkers(h.worker("w1", 4), h.worker("w2", 4))
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("worker %d: %v", i+1, err)
-				}
-			}
-			res := h.result(id)
-			assertSameResult(t, bench, serial, res)
-			if res.Metrics.LeaseRequeues < 1 {
-				t.Errorf("LeaseRequeues = %d, want >= 1 (the killed worker's subtree)", res.Metrics.LeaseRequeues)
-			}
-			if res.Metrics.LeasesExpired < 1 {
-				t.Errorf("LeasesExpired = %d, want >= 1", res.Metrics.LeasesExpired)
-			}
-		})
-	}
+	conform.Run(t, fleetRows(distOpts()), []conform.Column{fleet(true)}, nil)
 }
 
 // TestChoiceSnapshotEquivalenceKilledWorker crosses the snapshot stack with
-// distribution and fault injection: the serial reference is the replay
-// oracle (Snapshots: -1), the fleet runs with the stack enabled, the
-// root-lease worker is killed mid-lease so its residual is requeued after
-// TTL expiry — and the merged result must still be bit-identical, canonical
-// metrics included.
+// distribution and fault injection: the same fleet, against the replay
+// oracle (Snapshots: -1) as the serial reference.
 func TestChoiceSnapshotEquivalenceKilledWorker(t *testing.T) {
-	for _, bench := range []string{"tree", "bugs"} {
-		t.Run(bench, func(t *testing.T) {
-			refOpts := distOpts()
-			refOpts.Snapshots = -1
-			serial := serialReference(t, bench, refOpts)
-
-			h := newHarness(t)
-			id := h.submit(bench, distOpts())
-
-			w3 := h.worker("w3", 1)
-			h.fabric.KillAfter("w3", 4)
-			if err := w3.Run(); err == nil {
-				t.Fatal("killed worker exited cleanly; expected transport failure")
-			}
-			h.clock.Advance(61 * time.Second)
-
-			errs := runWorkers(h.worker("w1", 4), h.worker("w2", 4))
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("worker %d: %v", i+1, err)
-				}
-			}
-			res := h.result(id)
-			assertSameResult(t, bench, serial, res)
-			if res.Metrics.LeaseRequeues < 1 {
-				t.Errorf("LeaseRequeues = %d, want >= 1 (the killed worker's subtree)", res.Metrics.LeaseRequeues)
-			}
-		})
-	}
+	ref := distOpts()
+	ref.Snapshots = -1
+	conform.Run(t, fleetRows(ref), []conform.Column{fleet(true)}, nil)
 }
 
 // commitReplyDropper drops the replies of the first n commit requests after
@@ -478,7 +380,7 @@ func TestDistributedDuplicateCommits(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "duplicate-commits", serial, h.result(id))
+	conform.Exact(t, "duplicate-commits", serialView(serial), h.result(id).view())
 }
 
 // TestDistributedTransientOutage: a transient transport failure is retried
@@ -492,7 +394,7 @@ func TestDistributedTransientOutage(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "transient-outage", serial, h.result(id))
+	conform.Exact(t, "transient-outage", serialView(serial), h.result(id).view())
 }
 
 // TestDistributedStopAtFirstBug: the cooperative stop truncates the run and
@@ -535,7 +437,7 @@ func TestDistributedDrain(t *testing.T) {
 	if err := h.worker("w1", 4).Run(); err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "drain", serial, h.result(id))
+	conform.Exact(t, "drain", serialView(serial), h.result(id).view())
 }
 
 // drainAfterCommits triggers the worker's own Drain after the n-th
@@ -608,7 +510,7 @@ func TestDistributedDrainMidLease(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := h.result(id)
-			assertSameResult(t, bench, serial, res)
+			conform.Exact(t, bench, serialView(serial), res.view())
 			if res.Metrics.LeasesReleased < 1 {
 				t.Errorf("LeasesReleased = %d, want >= 1", res.Metrics.LeasesReleased)
 			}

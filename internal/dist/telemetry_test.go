@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"jaaru/internal/conform"
 	"jaaru/internal/core"
 	"jaaru/internal/obs"
 	"jaaru/internal/telemetry"
@@ -235,7 +236,7 @@ func TestCoordinatorTelemetryMidRun(t *testing.T) {
 		t.Fatal("probe never fired: lease finished without a non-final commit")
 	}
 
-	assertSameResult(t, "mid-run-telemetry", serial, h.result(id))
+	conform.Exact(t, "mid-run-telemetry", serialView(serial), h.result(id).view())
 	st := h.status()
 	if len(st.Jobs) != 1 || st.Jobs[0].State != "done" {
 		t.Fatalf("post-run status = %+v, want one done job", st.Jobs)

@@ -198,8 +198,8 @@ func TestFormatProgress(t *testing.T) {
 }
 
 // Exhaustiveness gate (reflection): Metrics must stay a flat struct of int64
-// fields — that is what makes two snapshots comparable with == in every
-// equivalence suite — and every wall-clock field (json tag ending "_ns")
+// fields — that is what makes two snapshots comparable with == wherever
+// results are compared — and every wall-clock field (json tag ending "_ns")
 // must be zeroed by Canonical. A future timing counter that is added to
 // Metrics without a Canonical entry fails here, not in a flaky determinism
 // suite three layers up.
