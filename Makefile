@@ -2,14 +2,14 @@
 # pass: vet, full build, the full test suite, a race-detector pass over the
 # packages with shared mutable state (the parallel exploration driver and the
 # TSO simulation and paged store arena it drives), and the allocation gates
-# (allocs). explain-smoke and scrape-smoke drive the forensics and
-# telemetry surfaces end to end. Timing lives elsewhere: the benchmark of
-# record is `sh benchmark/run.sh`, and `go run ./cmd/jaaru fig14` prints the
-# paper's Figure 14 table.
+# (allocs); the full suite drives every `jaaru` subcommand end to end
+# (cmd/jaaru). scrape-smoke drives the telemetry surface over real TCP.
+# Timing lives elsewhere: the benchmark of record is `sh benchmark/run.sh`,
+# and `go run ./cmd/jaaru fig14` prints the paper's Figure 14 table.
 
 GO ?= go
 
-.PHONY: all build test vet race verify allocs explain-smoke scrape-smoke clean
+.PHONY: all build test vet race verify allocs scrape-smoke clean
 
 all: verify
 
@@ -51,11 +51,6 @@ allocs:
 	$(GO) test -run TestStackOpsAllocFree -count=1 ./internal/pmem/
 
 verify: vet build test race allocs
-
-# End-to-end forensics smoke: find the commitstore bug, minimize its choice
-# prefix, build the witness, and validate the emitted JSON against the schema.
-explain-smoke:
-	$(GO) run ./cmd/jaaru-explain -buggy -minimize -json -validate commitstore > /dev/null
 
 # Telemetry scrape smoke: boot a coordinator on an ephemeral TCP port, run a
 # real worker fleet against it, GET /metrics and /v1/status over the wire,

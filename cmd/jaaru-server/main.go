@@ -5,15 +5,13 @@
 // Usage:
 //
 //	jaaru-server [-addr :8080] [-shutdown-when-done]
-//
-// Submit work and poll results through the job API:
-//
 //	curl -X POST localhost:8080/v1/jobs \
 //	    -d '{"spec":{"bench":"figure2","buggy":true},"opts":{"Observe":true}}'
 //	curl localhost:8080/v1/jobs/j1
+//	jaaru top -server http://localhost:8080
 //
 // The same listener serves GET /metrics (Prometheus text, one series per
-// job) and GET /v1/status (the JSON fleet view jaaru-top renders). -addr :0
+// job) and GET /v1/status (the JSON fleet view `jaaru top` renders). -addr :0
 // binds an ephemeral port and prints the address. Benchmark names resolve
 // through internal/benchlist, as in the jaaru CLI. SIGINT/SIGTERM shut the
 // listener down gracefully; job state is in memory only.

@@ -1,6 +1,12 @@
-// Command jaaru runs the model checker over any registered benchmark and
-// prints the exploration summary: executions, failure points, bugs, and
-// (with -multirf) the loads flagged as able to read multiple stores.
+// Command jaaru is the model checker's one front end. Without a subcommand it
+// explores one registered benchmark (-list names them) and prints the
+// exploration summary: executions, failure points, bugs, and (with -multirf)
+// the loads flagged as able to read multiple stores; fig14 prints the paper's
+// Figure 14 table for the fixed RECIPE structures at scale N (default 1). A
+// subcommand, given as the first argument and followed by its own flags, runs
+// the rest of the evaluation: bugs (Figures 12, 13 and 15), explain (a bug's
+// forensics witness), fuzz (self-validation against eager enumeration) and
+// top (a live view of a telemetry endpoint).
 //
 // Usage:
 //
@@ -8,24 +14,23 @@
 //	jaaru [-n N] fig14
 //	jaaru [-buggy] [-n N] [-multirf] [-failures K] [-trace] <benchmark>
 //	jaaru [-metrics] [-trace-out FILE] [-progress DUR] [-listen ADDR] <benchmark>
-//
-// Benchmarks: the six RECIPE structures (cceh, fastfair, part, bwtree,
-// clht, masstree), the five PMDK examples (btree, ctree, rbtree,
-// hashmap_atomic, hashmap_tx), and the paper's running examples (figure2,
-// figure4, commitstore). fig14 prints the paper's Figure 14 table for the
-// fixed RECIPE structures at scale N (default 1).
+//	jaaru bugs [-suite pmdk|recipe|all] [-v]
+//	jaaru explain [-buggy] [-n N] [-bug I] [-minimize] [-json] [-validate] [-from-trace FILE] <benchmark>
+//	jaaru fuzz [-seeds N] [-ops M] [-lines L] [-mixed] [-rmw] [-v]
+//	jaaru top -server URL [-watch DUR] [-timeout DUR]
 //
 // -metrics prints the observability counter block after the summary;
 // -trace-out streams the JSONL event trace to a file; -progress prints a
 // live scenarios/sec + ETA line to stderr while the exploration runs;
 // -listen serves live GET /metrics (Prometheus text) and GET /v1/status
-// (the JSON view jaaru-top renders) while the run is in flight. All of them
+// (the JSON view jaaru top renders) while the run is in flight. All of them
 // leave the exploration itself untouched — the counters are accumulated
 // independently of the Result fields, so the two always cross-check.
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"flag"
 	"fmt"
 	"net"
@@ -35,104 +40,155 @@ import (
 
 	"jaaru/internal/benchlist"
 	"jaaru/internal/core"
-	"jaaru/internal/obs"
+	"jaaru/internal/dist"
 	"jaaru/internal/profiling"
 	"jaaru/internal/report"
 	"jaaru/internal/telemetry"
 )
 
+// subcommands maps a first argument to its entry point, which parses the
+// remaining arguments with a flag set of its own.
+var subcommands = map[string]func(args []string){
+	"bugs":    runBugs,
+	"explain": runExplain,
+	"fuzz":    runFuzz,
+	"top":     runTop,
+}
+
 func main() {
-	list := flag.Bool("list", false, "list available benchmarks")
-	buggy := flag.Bool("buggy", false, "run the seeded-bug variant")
-	n := flag.Int("n", 6, "workload size (inserted keys)")
-	failures := flag.Int("failures", 1, "maximum failures per scenario")
-	multirf := flag.Bool("multirf", false, "flag loads that can read multiple stores")
-	perf := flag.Bool("perfissues", false, "flag redundant flushes and fences")
-	random := flag.Bool("random", false, "use the seeded random thread scheduler")
-	seed := flag.Int64("seed", 0, "seed for -random and the EvictRandom policy")
-	trace := flag.Bool("trace", false, "replay each bug and print its last 128 operations")
-	witness := flag.Bool("witness", false, "replay the first bug and print its annotated forensics witness (see also jaaru-explain)")
-	workers := flag.Int("workers", 1, "parallel exploration workers (-1 = GOMAXPROCS); results are identical to -workers 1")
-	metrics := flag.Bool("metrics", false, "collect and print the observability counter block")
-	traceOut := flag.String("trace-out", "", "write the JSONL event trace to this file (implies -metrics)")
-	progress := flag.Duration("progress", 0, "print a live progress line to stderr at this interval (implies -metrics)")
-	listen := flag.String("listen", "", "serve live GET /metrics and GET /v1/status on this address while the exploration runs (implies -metrics; :0 picks an ephemeral port)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	flag.Parse()
+	if len(os.Args) > 1 {
+		if sub := subcommands[os.Args[1]]; sub != nil {
+			sub(os.Args[2:])
+			return
+		}
+	}
+	runCheck(os.Args[1:])
+}
+
+// benchFlags are the flags of the commands that explore one registered
+// benchmark: the checker run itself and explain.
+type benchFlags struct {
+	list, buggy          *bool
+	n, failures, workers *int
+}
+
+func addBenchFlags(fs *flag.FlagSet) benchFlags {
+	return benchFlags{
+		list:     fs.Bool("list", false, "list available benchmarks"),
+		buggy:    fs.Bool("buggy", false, "run the seeded-bug variant"),
+		n:        fs.Int("n", 6, "workload size (inserted keys)"),
+		failures: fs.Int("failures", 1, "maximum failures per scenario"),
+		workers:  fs.Int("workers", 1, "parallel exploration workers (-1 = GOMAXPROCS); results and witnesses are identical to -workers 1"),
+	}
+}
+
+// benchmark returns the one positional benchmark name. Under -list, or
+// without exactly one name, it prints the registry instead: it returns false
+// after -list and exits 2 otherwise.
+func (f benchFlags) benchmark(fs *flag.FlagSet) (string, bool) {
+	if !*f.list && fs.NArg() == 1 {
+		return fs.Arg(0), true
+	}
+	fmt.Println("benchmarks:")
+	for _, b := range benchlist.All() {
+		fmt.Printf("  %-15s %s\n", b.Name, b.Doc)
+	}
+	if !*f.list {
+		os.Exit(2)
+	}
+	return "", false
+}
+
+// program builds the named benchmark at -n, fixed or -buggy, through the
+// registry's one resolver (the fleet's too); an unknown name exits 2.
+func (f benchFlags) program(name string) core.Program {
+	prog, err := benchlist.Resolve(dist.ProgSpec{Bench: name, N: *f.n, Buggy: *f.buggy})
+	if err != nil {
+		exit(2, "%v", err)
+	}
+	return prog
+}
+
+// exit prints a message to stderr and exits with the given status.
+func exit(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(code)
+}
+
+// runCheck explores one benchmark, or tabulates Figure 14 for fig14.
+func runCheck(args []string) {
+	fs := flag.NewFlagSet("jaaru", flag.ExitOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: jaaru [flags] <benchmark>|fig14, or jaaru bugs|explain|fuzz|top [flags]")
+		fs.PrintDefaults()
+	}
+	bf := addBenchFlags(fs)
+	multirf := fs.Bool("multirf", false, "flag loads that can read multiple stores")
+	perf := fs.Bool("perfissues", false, "flag redundant flushes and fences")
+	random := fs.Bool("random", false, "use the seeded random thread scheduler")
+	seed := fs.Int64("seed", 0, "seed for the -random scheduler")
+	trace := fs.Bool("trace", false, "replay each bug and print its last 128 operations")
+	metrics := fs.Bool("metrics", false, "collect and print the observability counter block")
+	traceOut := fs.String("trace-out", "", "write the JSONL event trace to this file (implies -metrics)")
+	progress := fs.Duration("progress", 0, "print a live progress line to stderr at this interval (implies -metrics)")
+	listen := fs.String("listen", "", "serve live GET /metrics and GET /v1/status on this address while the exploration runs (implies -metrics; :0 picks an ephemeral port)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	fs.Parse(args)
 
 	stopProfiles := profiling.Start(*cpuprofile, *memprofile)
 	defer stopProfiles()
 
-	bms := benchlist.All()
-	if *list || flag.NArg() != 1 {
-		fmt.Println("benchmarks:")
-		for _, b := range bms {
-			fmt.Printf("  %-15s %s\n", b.Name, b.Doc)
-		}
-		if !*list {
-			os.Exit(2)
-		}
+	name, ok := bf.benchmark(fs)
+	if !ok {
 		return
 	}
-
-	name := flag.Arg(0)
 	if name == "fig14" {
-		if *buggy {
-			fmt.Fprintln(os.Stderr, "fig14 tabulates the fixed RECIPE programs; -buggy does not apply")
-			os.Exit(2)
+		if *bf.buggy {
+			exit(2, "fig14 tabulates the fixed RECIPE programs; -buggy does not apply")
 		}
 		scale := 1
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "n" {
-				scale = *n
+				scale = *bf.n
 			}
 		})
 		if err := fig14(scale); err != nil {
 			stopProfiles()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1, "%v", err)
 		}
 		return
 	}
-	chosen := benchlist.Find(name)
-	if chosen == nil {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q (try -list)\n", name)
-		os.Exit(2)
-	}
+	prog := bf.program(name)
 
 	opts := core.Options{
-		MaxFailures:     *failures,
+		MaxFailures:     *bf.failures,
 		FlagMultiRF:     *multirf,
 		FlagPerfIssues:  *perf,
 		RandomScheduler: *random,
 		Seed:            *seed,
-		Workers:         *workers,
+		Workers:         *bf.workers,
 	}
 	opts.Observe = *metrics || *progress > 0 || *listen != ""
 
-	var traceFile *os.File
-	var traceBuf *bufio.Writer
+	flushTrace := func() error { return nil }
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating %s: %v\n", *traceOut, err)
-			os.Exit(2)
+			exit(2, "creating %s: %v", *traceOut, err)
 		}
-		traceFile = f
-		traceBuf = bufio.NewWriter(f)
-		opts.EventTrace = traceBuf
+		buf := bufio.NewWriter(f)
+		opts.EventTrace = buf
+		flushTrace = func() error { return cmp.Or(buf.Flush(), f.Close()) }
 	}
 
-	prog := chosen.Build(*n, *buggy)
 	ck := core.New(prog, opts)
 
 	if *listen != "" {
 		reg := ck.Observability()
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "listening on %s: %v\n", *listen, err)
-			os.Exit(2)
+			exit(2, "listening on %s: %v", *listen, err)
 		}
 		fmt.Fprintf(os.Stderr, "jaaru: telemetry on http://%s\n", ln.Addr())
 		go http.Serve(ln, telemetry.RegistryMux("jaaru", reg, func() []telemetry.JobStatus {
@@ -140,40 +196,21 @@ func main() {
 		}))
 	}
 
-	var stopProgress chan struct{}
+	stopProgress := func() {}
 	if *progress > 0 {
-		reg := ck.Observability()
-		stopProgress = make(chan struct{})
+		reg, tick := ck.Observability(), time.NewTicker(*progress)
 		go func() {
-			tick := time.NewTicker(*progress)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopProgress:
-					return
-				case <-tick.C:
-					fmt.Fprintln(os.Stderr, reg.Progress())
-				}
+			for range tick.C {
+				fmt.Fprintln(os.Stderr, reg.Progress())
 			}
 		}()
+		stopProgress = tick.Stop
 	}
 
 	res := ck.Run()
-	if stopProgress != nil {
-		close(stopProgress)
-	}
-	if traceBuf != nil {
-		err := traceBuf.Flush()
-		if cerr := traceFile.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = ck.Observability().Err()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *traceOut, err)
-			os.Exit(2)
-		}
+	stopProgress()
+	if err := cmp.Or(flushTrace(), ck.Observability().Err()); err != nil {
+		exit(2, "writing %s: %v", *traceOut, err)
 	}
 
 	fmt.Printf("\n%s: %d executions, %d scenarios, %d failure points, %d steps, %v\n",
@@ -205,79 +242,10 @@ func main() {
 	}
 	if res.Metrics != nil {
 		fmt.Println()
-		fmt.Print(metricsBlock(res.Metrics))
-	}
-	if *witness && res.Buggy() {
-		fmt.Println()
-		fmt.Print(report.WitnessText(core.BuildWitness(prog, opts, res.Bugs[0])))
+		fmt.Print(report.Metrics(res.Metrics))
 	}
 	if res.Buggy() {
 		stopProfiles() // os.Exit skips the deferred stop
 		os.Exit(1)
 	}
-}
-
-// metricsBlock renders the merged observability counters as the two-column
-// block the summary prints under -metrics.
-func metricsBlock(m *obs.Metrics) string {
-	dur := func(ns int64) string {
-		return time.Duration(ns).Round(time.Microsecond).String()
-	}
-	kvs := []report.KV{
-		{Key: "scenarios", Value: m.Scenarios},
-		{Key: "executions", Value: m.Executions},
-		{Key: "post-failure executions", Value: m.ExecutionsPost},
-		{Key: "guest steps", Value: m.Steps},
-		{Key: "pre-failure time", Value: dur(m.PreFailureNs)},
-		{Key: "post-failure time", Value: dur(m.PostFailureNs)},
-		{Key: "replay time", Value: dur(m.ReplayNs)},
-		{Key: "loads: store-buffer hits", Value: m.LoadSBHits},
-		{Key: "loads: cache hits", Value: m.LoadCacheHits},
-		{Key: "loads: refinements", Value: m.LoadRefinements},
-		{Key: "rf candidates (total)", Value: m.RFCandidates},
-		{Key: "rf candidates (max)", Value: m.MaxRFCandidates},
-		{Key: "choices replayed", Value: m.ChoicesReplayed},
-		{Key: "choices restored", Value: m.ChoicesRestored},
-		{Key: "choices fresh", Value: m.ChoicesFresh},
-		{Key: "replayed guest steps", Value: m.ReplaySteps},
-		{Key: "choice depth (max)", Value: m.MaxChoiceDepth},
-		{Key: "store-buffer evictions", Value: m.SBEvictions},
-		{Key: "flush-buffer writebacks", Value: m.FBWritebacks},
-		{Key: "store-buffer occupancy (max)", Value: m.MaxSBOccupancy},
-		{Key: "flush-buffer occupancy (max)", Value: m.MaxFBOccupancy},
-	}
-	if m.SnapshotCaptures > 0 {
-		kvs = append(kvs,
-			report.KV{Key: "snapshots captured", Value: m.SnapshotCaptures},
-			report.KV{Key: "snapshots restored", Value: m.SnapshotRestores},
-			report.KV{Key: "snapshot restore time", Value: dur(m.SnapshotRestoreNs)},
-			report.KV{Key: "snapshot bytes (max)", Value: m.MaxSnapshotBytes})
-	}
-	if m.ChoiceSnapCaptures > 0 {
-		kvs = append(kvs,
-			report.KV{Key: "choice snapshots captured", Value: m.ChoiceSnapCaptures},
-			report.KV{Key: "choice snapshots restored", Value: m.ChoiceRestores},
-			report.KV{Key: "choice restore time", Value: dur(m.ChoiceRestoreNs)},
-			report.KV{Key: "replay steps saved", Value: m.ReplayStepsSaved},
-			report.KV{Key: "refinements skipped", Value: m.RefinementsSkipped})
-	}
-	if m.RFElisions > 0 || m.FingerprintHits > 0 || m.FingerprintMisses > 0 {
-		kvs = append(kvs,
-			report.KV{Key: "rf elisions", Value: m.RFElisions},
-			report.KV{Key: "scenarios pruned", Value: m.ScenariosPruned},
-			report.KV{Key: "fingerprint hits", Value: m.FingerprintHits},
-			report.KV{Key: "fingerprint misses", Value: m.FingerprintMisses})
-	}
-	if m.Workers > 1 {
-		kvs = append(kvs,
-			report.KV{Key: "workers", Value: m.Workers},
-			report.KV{Key: "frontier pushed", Value: m.FrontierPushed},
-			report.KV{Key: "frontier claimed", Value: m.FrontierClaimed},
-			report.KV{Key: "donations", Value: m.Donations},
-			report.KV{Key: "frontier length (max)", Value: m.MaxFrontierLen})
-	}
-	if m.Events > 0 {
-		kvs = append(kvs, report.KV{Key: "trace events", Value: m.Events})
-	}
-	return report.KVBlock("observability", kvs)
 }

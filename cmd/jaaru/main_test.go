@@ -1,14 +1,149 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"math/big"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"jaaru/internal/benchlist"
+	"jaaru/internal/forensics"
 )
+
+// bin is the jaaru binary TestMain builds once for every test that drives
+// it. Under -short it is not built, and those tests skip.
+var bin string
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	os.Exit(func() int {
+		if testing.Short() {
+			return m.Run()
+		}
+		dir, err := os.MkdirTemp("", "jaaru-cmd-test")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		defer os.RemoveAll(dir)
+		bin = filepath.Join(dir, "jaaru")
+		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+			fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+			return 1
+		}
+		return m.Run()
+	}())
+}
+
+func skipShort(t *testing.T, cost string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("runs the jaaru binary (" + cost + ")")
+	}
+}
+
+// run executes the binary and returns its stdout, stderr and exit status.
+func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var o, e strings.Builder
+	cmd.Stdout, cmd.Stderr = &o, &e
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("jaaru %v: %v", args, err)
+	}
+	return o.String(), e.String(), cmd.ProcessState.ExitCode()
+}
+
+// TestSubcommandsAreNotBenchmarks: the first argument picks a subcommand
+// before it could name a benchmark, so no subcommand (nor fig14) may shadow
+// a registered benchmark name.
+func TestSubcommandsAreNotBenchmarks(t *testing.T) {
+	names := []string{"fig14"}
+	for name := range subcommands {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		if benchlist.Find(name) != nil {
+			t.Errorf("subcommand %q is also a benchmark name", name)
+		}
+	}
+}
+
+// TestExplainSubcommand drives the forensics path end to end: find the
+// commitstore bug, minimize its choice prefix, build the witness, and emit
+// JSON that the schema accepts. A clean program has nothing to explain
+// (exit 1); an unknown benchmark is a usage error (exit 2).
+func TestExplainSubcommand(t *testing.T) {
+	skipShort(t, "~1 s")
+	out, errOut, code := run(t, "explain", "-buggy", "-minimize", "-json", "-validate", "commitstore")
+	if code != 0 {
+		t.Fatalf("jaaru explain: exit %d\n%s", code, errOut)
+	}
+	if !json.Valid([]byte(out)) {
+		t.Fatalf("jaaru explain -json printed invalid JSON:\n%s", out)
+	}
+	if err := forensics.ValidateJSON([]byte(out)); err != nil {
+		t.Errorf("witness JSON fails the schema: %v", err)
+	}
+	if _, errOut, code := run(t, "explain", "commitstore"); code != 1 || !strings.Contains(errOut, "nothing to explain") {
+		t.Errorf("jaaru explain commitstore: exit %d, want 1\n%s", code, errOut)
+	}
+	if _, errOut, code := run(t, "explain", "no-such-benchmark"); code != 2 {
+		t.Errorf("jaaru explain no-such-benchmark: exit %d, want 2\n%s", code, errOut)
+	}
+}
+
+// TestBugsSubcommand: `jaaru bugs` regenerates Figures 12 and 13 — one row
+// per seeded bug, 7 PMDK and 18 RECIPE, each detected — and exits 0.
+func TestBugsSubcommand(t *testing.T) {
+	skipShort(t, "~1 s")
+	out, errOut, code := run(t, "bugs")
+	if code != 0 {
+		t.Fatalf("jaaru bugs: exit %d\n%s\n%s", code, out, errOut)
+	}
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			if _, err := strconv.Atoi(f[0]); err == nil {
+				rows++
+			}
+		}
+	}
+	if rows != 25 || strings.Contains(out, "NOT DETECTED") {
+		t.Errorf("jaaru bugs: %d bug rows, want 25, all detected:\n%s", rows, out)
+	}
+}
+
+// TestFuzzSubcommand: lazy and eager exploration agree on five random
+// programs.
+func TestFuzzSubcommand(t *testing.T) {
+	skipShort(t, "~1 s")
+	out, errOut, code := run(t, "fuzz", "-seeds", "5")
+	if code != 0 || !strings.Contains(out, "\n5/5 programs agree between lazy and eager exploration\n") {
+		t.Errorf("jaaru fuzz -seeds 5: exit %d\n%s\n%s", code, out, errOut)
+	}
+}
+
+// TestTopSubcommandExitStatus: a missing -server is a usage error (2), an
+// unreachable endpoint a failed poll (1).
+func TestTopSubcommandExitStatus(t *testing.T) {
+	skipShort(t, "~1 s")
+	if _, errOut, code := run(t, "top"); code != 2 || !strings.Contains(errOut, "-server is required") {
+		t.Errorf("jaaru top: exit %d, want 2\n%s", code, errOut)
+	}
+	if _, errOut, code := run(t, "top", "-server", "http://127.0.0.1:1", "-timeout", "1s"); code != 1 {
+		t.Errorf("jaaru top -server http://127.0.0.1:1: exit %d, want 1\n%s", code, errOut)
+	}
+}
 
 // TestStepBudgetIsLibraryDefault drives the built binary: the CLI must not
 // narrow core.Options.MaxSteps below the library default. With a 100 000-step
@@ -17,13 +152,7 @@ import (
 // (RECIPE bug #1, the missing segment flush in the CCEH constructor) must
 // still be caught.
 func TestStepBudgetIsLibraryDefault(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the jaaru binary (~3 s)")
-	}
-	bin := filepath.Join(t.TempDir(), "jaaru")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	skipShort(t, "~3 s")
 
 	out, err := exec.Command(bin, "-n", "2048", "cceh-update").CombinedOutput()
 	if err != nil {
@@ -47,13 +176,7 @@ func TestStepBudgetIsLibraryDefault(t *testing.T) {
 // bug, the last operations of that bug's scenario — replayed from the report,
 // so serial and partitioned explorations print the same lines.
 func TestTraceFlagReplaysBugs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the jaaru binary (~2 s)")
-	}
-	bin := filepath.Join(t.TempDir(), "jaaru")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	skipShort(t, "~2 s")
 	bugs := func(args ...string) string {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var ee *exec.ExitError
@@ -81,13 +204,7 @@ func TestTraceFlagReplaysBugs(t *testing.T) {
 // Jaaru's executions. fig14 is not a workload: -list does not show it, and
 // -buggy is refused.
 func TestFig14Table(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the jaaru binary (~2 s)")
-	}
-	bin := filepath.Join(t.TempDir(), "jaaru")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	skipShort(t, "~2 s")
 
 	out, err := exec.Command(bin, "fig14").CombinedOutput()
 	if err != nil {

@@ -1,22 +1,3 @@
-// Command jaaru-top is the live fleet profiler: it polls a jaaru telemetry
-// endpoint's GET /v1/status — the coordinator (jaaru-server), a standalone
-// checker run (jaaru -listen), or a worker (jaaru-worker -listen) — and
-// renders per-job progress plus phase-latency quantiles: top(1) for an
-// exploration fleet.
-//
-// Usage:
-//
-//	jaaru-top -server http://host:8080            one snapshot, then exit
-//	jaaru-top -server http://host:8080 -watch 2s  refresh until interrupted
-//
-// Each job row shows scenarios against the MaxScenarios goal, the live
-// scenarios/sec rate, the ETA to the goal (an upper bound: complete
-// explorations finish earlier), frontier depth, active leases, workers,
-// distinct bugs, the lease protocol's wire bytes in each direction, and the
-// average scenarios per absorbed delta commit (wire columns render "-" for
-// in-process runs); the indented lines below a row are that job's per-phase
-// latency distributions (p50/p99/max from the mergeable histograms the
-// workers ship with every commit).
 package main
 
 import (
@@ -33,21 +14,33 @@ import (
 	"jaaru/internal/telemetry"
 )
 
-func main() {
-	server := flag.String("server", "", "telemetry base URL (required), e.g. http://host:8080")
-	watch := flag.Duration("watch", 0, "refresh at this interval instead of printing one snapshot")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-poll HTTP timeout")
-	flag.Parse()
+// runTop is `jaaru top`, the live fleet profiler — top(1) for an exploration
+// fleet: one snapshot, or with -watch a refresh until interrupted. It polls a telemetry endpoint's GET /v1/status — the coordinator
+// (jaaru-server), a standalone checker run (jaaru -listen), or a worker
+// (jaaru-worker -listen) — and renders per-job progress plus phase-latency
+// quantiles. Each job row shows scenarios against the MaxScenarios goal, the
+// live scenarios/sec rate, the ETA to the goal (an upper bound: complete
+// explorations finish earlier), frontier depth, active leases, workers,
+// distinct bugs, the lease protocol's wire bytes in each direction, and the
+// average scenarios per absorbed delta commit (wire columns render "-" for
+// in-process runs); the indented lines below a row are that job's per-phase
+// latency distributions (p50/p99/max from the mergeable histograms the
+// workers ship with every commit). A failed poll exits 1, a missing -server 2.
+func runTop(args []string) {
+	fs := flag.NewFlagSet("jaaru top", flag.ExitOnError)
+	server := fs.String("server", "", "telemetry base URL (required), e.g. http://host:8080")
+	watch := fs.Duration("watch", 0, "refresh at this interval instead of printing one snapshot")
+	timeout := fs.Duration("timeout", 5*time.Second, "per-poll HTTP timeout")
+	fs.Parse(args)
 
 	if *server == "" {
-		fmt.Fprintln(os.Stderr, "jaaru-top: -server is required")
-		os.Exit(2)
+		exit(2, "jaaru top: -server is required")
 	}
 	client := &http.Client{Timeout: *timeout}
 	for {
 		st, err := fetchStatus(client, *server)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "jaaru-top: %v\n", err)
+			fmt.Fprintf(os.Stderr, "jaaru top: %v\n", err)
 			if *watch <= 0 {
 				os.Exit(1)
 			}
@@ -72,14 +65,10 @@ func fetchStatus(c *http.Client, base string) (telemetry.Status, error) {
 		return st, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return st, err
-	}
 	if resp.StatusCode != http.StatusOK {
 		return st, fmt.Errorf("GET /v1/status: HTTP %d", resp.StatusCode)
 	}
-	if err := json.Unmarshal(body, &st); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&st); err != nil {
 		return st, fmt.Errorf("decode /v1/status: %v", err)
 	}
 	return st, nil

@@ -77,7 +77,7 @@ func run(name string, flushData bool) {
 // decision prefix, where the power failure was injected, and — for each
 // post-failure load — which stores it could legally have read from. The
 // full text/JSON renderings are available via jaaru.FormatWitnessText and
-// jaaru.MarshalWitnessJSON, or `go run ./cmd/jaaru-explain -buggy commitstore`.
+// jaaru.MarshalWitnessJSON, or `go run ./cmd/jaaru explain -buggy commitstore`.
 func explain(res *jaaru.Result) {
 	nb, min, err := res.Bugs[0].Minimize()
 	if err != nil {

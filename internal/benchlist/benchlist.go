@@ -1,8 +1,9 @@
 // Package benchlist is the shared registry of runnable benchmarks: the
 // paper's running examples, the six RECIPE structures, the five PMDK
-// examples, and the networked PM server. The jaaru, jaaru-explain,
-// jaaru-server and jaaru-worker front ends all select workloads from this one
-// list, so a benchmark name means the same program everywhere.
+// examples, and the networked PM server. The jaaru command (its checker run
+// and `jaaru explain`), jaaru-server and jaaru-worker all select workloads
+// from this one list through Resolve, so a benchmark name means the same
+// program everywhere.
 package benchlist
 
 import (

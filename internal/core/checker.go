@@ -407,7 +407,7 @@ func (c *Checker) resetScenario() {
 		panic(engineError{"pool smaller than root area"})
 	}
 	c.chooser.begin()
-	if c.opts.Eviction == EvictRandom || c.opts.RandomScheduler {
+	if c.opts.RandomScheduler {
 		c.rng = rand.New(rand.NewSource(c.opts.Seed))
 	}
 	c.fpCount = 0

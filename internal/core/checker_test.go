@@ -736,18 +736,6 @@ func TestTraceInBugReport(t *testing.T) {
 	}
 }
 
-func TestEvictRandomDeterministic(t *testing.T) {
-	mk := func() *Result {
-		obs := &obsSet{}
-		return New(figure4Program(obs), Options{Eviction: EvictRandom, Seed: 42}).Run()
-	}
-	r1, r2 := mk(), mk()
-	if r1.Scenarios != r2.Scenarios {
-		t.Errorf("EvictRandom not deterministic: %d vs %d scenarios",
-			r1.Scenarios, r2.Scenarios)
-	}
-}
-
 func TestRootAreaAlwaysAddressable(t *testing.T) {
 	res := Execute("root", func(c *Context) {
 		r := c.Root()

@@ -92,11 +92,6 @@ func (c *Context) issue(e tso.Entry) {
 		ts.EvictOldest(c.ck)
 	case EvictAtFences:
 		// Capacity-based eviction happens inside Push.
-	case EvictRandom:
-		n := c.ck.rng.Intn(ts.SBLen() + 1)
-		for i := 0; i < n; i++ {
-			ts.EvictOldest(c.ck)
-		}
 	case EvictExplore:
 		// Figure 11, lines 4–8: eviction is itself a nondeterministic
 		// choice the checker enumerates.

@@ -29,9 +29,6 @@ const (
 	// TSO store-buffering behaviours (a thread's stores invisible to
 	// others) in addition to persistency nondeterminism.
 	EvictAtFences
-	// EvictRandom drains a pseudo-random number of entries after each
-	// operation, seeded by Options.Seed; deterministic under replay.
-	EvictRandom
 	// EvictExplore makes store-buffer eviction a model-checking choice
 	// point, exactly as in the paper's Explore algorithm (Figure 11,
 	// lines 4–8: "choose to evict"). Every TSO-visible buffering
@@ -72,7 +69,7 @@ type Options struct {
 	// entries; 0 keeps the default).
 	SBCapacity int
 
-	// Seed seeds EvictRandom and the random scheduler.
+	// Seed seeds the random scheduler (RandomScheduler).
 	Seed int64
 
 	// RandomScheduler interleaves guest threads with a schedule drawn from
@@ -127,7 +124,7 @@ type Options struct {
 	// are bit-identical either way, including the canonical observability
 	// counters — not a tuning knob. The stack is automatically bypassed for
 	// the configurations it cannot replay exactly (RandomScheduler,
-	// EvictRandom, instrumented or replayed runs).
+	// instrumented or replayed runs).
 	Snapshots int
 
 	// POR controls the persistency-aware partial-order-reduction layer
@@ -143,7 +140,7 @@ type Options struct {
 	// are identical either way; scenario counts with POR on are smaller.
 	// Fingerprinting is automatically bypassed for configurations it
 	// cannot replay exactly (MaxFailures != 1, RandomScheduler,
-	// EvictRandom, instrumented or replayed runs); elision stays active
+	// instrumented or replayed runs); elision stays active
 	// under witness replay so recorded choice vectors keep their shape.
 	POR int
 

@@ -253,7 +253,6 @@ func (c *Checker) porFpEligible() bool {
 		c.opts.MaxFailures == 1 &&
 		c.prog.Recover != nil &&
 		!c.opts.RandomScheduler &&
-		c.opts.Eviction != EvictRandom &&
 		c.snapshot == nil &&
 		len(c.observers) == 0 &&
 		c.wrec == nil &&

@@ -76,7 +76,6 @@ func TestPORFpEligibilityGates(t *testing.T) {
 		{"multi failure", Options{MaxFailures: 2}, false},
 		{"no failure injection", Options{MaxFailures: -1}, false},
 		{"random scheduler", Options{RandomScheduler: true, Seed: 1}, false},
-		{"random eviction", Options{Eviction: EvictRandom, Seed: 1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -170,9 +170,9 @@ type snapEntry struct {
 }
 
 // snapEligible reports whether the snapshot stack can run for this checker
-// at all. RandomScheduler and EvictRandom draw from an rng that is re-seeded
-// per scenario and advanced by every operation — a skipped prefix would
-// leave it in the wrong state — and instrumented (Yat), observed, or
+// at all. RandomScheduler draws from an rng that is re-seeded per scenario
+// and advanced by every scheduling decision — a skipped prefix would leave
+// it in the wrong state — and instrumented (Yat), observed, or
 // replayed runs (Replay, FormatWitness, BuildWitness, Minimize) must see
 // every guest operation from the start of the pre-failure execution.
 func (c *Checker) snapEligible() bool {
@@ -180,7 +180,6 @@ func (c *Checker) snapEligible() bool {
 		c.opts.MaxFailures > 0 &&
 		c.prog.Recover != nil &&
 		!c.opts.RandomScheduler &&
-		c.opts.Eviction != EvictRandom &&
 		c.snapshot == nil &&
 		len(c.observers) == 0 &&
 		!c.replaySegment

@@ -43,7 +43,6 @@ func TestSnapshotEligibilityGates(t *testing.T) {
 		{"disabled", Options{Snapshots: -1}, false},
 		{"no failure injection", Options{MaxFailures: -1}, false},
 		{"random scheduler", Options{RandomScheduler: true, Seed: 1}, false},
-		{"random eviction", Options{Eviction: EvictRandom, Seed: 1}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -77,10 +77,18 @@ func encodePoints(pts []choicePoint) []WirePoint {
 	return out
 }
 
-// validate checks one wire point: a known kind and 0 <= Idx < N.
+// maxWireOptions bounds a wire point's option count. A real point has at most
+// as many options as there are pre-failure stores; the bound keeps
+// chooser.split's sum of open options across a claim from overflowing.
+const maxWireOptions = 1 << 32
+
+// validate checks one wire point: a known kind and 0 <= Idx < N <= maxWireOptions.
 func (wp WirePoint) validate(i int) error {
 	if _, ok := kindFromName(wp.Kind); !ok {
 		return fmt.Errorf("point %d: unknown kind %q", i, wp.Kind)
+	}
+	if wp.N > maxWireOptions {
+		return fmt.Errorf("point %d: %d options, more than %d", i, wp.N, maxWireOptions)
 	}
 	if wp.N <= 0 || wp.Idx < 0 || wp.Idx >= wp.N {
 		return fmt.Errorf("point %d: idx %d out of range [0,%d)", i, wp.Idx, wp.N)

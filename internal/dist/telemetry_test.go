@@ -253,7 +253,7 @@ func TestCoordinatorTelemetryMidRun(t *testing.T) {
 // TestScrapeSmoke boots the coordinator on a real ephemeral TCP port, runs a
 // job through a worker over real HTTP, and validates a real scrape of
 // /metrics and /v1/status — the end-to-end path a Prometheus server and
-// jaaru-top exercise in production. make scrape-smoke runs exactly this test.
+// `jaaru top` exercise in production. make scrape-smoke runs exactly this test.
 func TestScrapeSmoke(t *testing.T) {
 	coord, err := NewCoordinator(Config{Resolve: testResolver, ShutdownWhenDone: true})
 	if err != nil {

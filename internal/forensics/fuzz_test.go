@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzValidateWitnessJSON feeds arbitrary documents to the witness schema
-// check behind `jaaru-explain -validate`: it must not panic and must allocate
+// check behind `jaaru explain -validate`: it must not panic and must allocate
 // in proportion to its input. The committed corpus
 // (testdata/fuzz/FuzzValidateWitnessJSON) holds a complete witness, one with
 // a minimization block, an empty one and schema violations; `go test -fuzz

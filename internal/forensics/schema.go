@@ -4,7 +4,7 @@ package forensics
 // (docs/ALGORITHM.md § "Witnesses and minimization") without external schema
 // tooling: the JSON is decoded generically and every required field is
 // checked for presence and JSON type. It is the check behind
-// `jaaru-explain -validate` and the CI explain-smoke target.
+// `jaaru explain -validate`, which cmd/jaaru's tests run end to end.
 
 import (
 	"encoding/json"

@@ -24,7 +24,7 @@ func (e TraceEvent) Str(key string) string {
 }
 
 // ReadTrace decodes a JSONL event trace back into structured events, for
-// tools that post-process a recorded run (jaaru-explain -from-trace). Blank
+// tools that post-process a recorded run (jaaru explain -from-trace). Blank
 // lines are skipped; a malformed line fails with its line number, since a
 // trace cut off mid-write is worth diagnosing rather than silently
 // truncating.

@@ -115,7 +115,7 @@ type KV struct {
 }
 
 // KVBlock renders a two-column key/value block with right-aligned values —
-// the metrics-block form the CLI front ends print.
+// the form Metrics prints.
 func KVBlock(title string, kvs []KV) string {
 	t := New(title, "metric", "value").AlignRight(1)
 	for _, kv := range kvs {

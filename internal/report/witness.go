@@ -21,7 +21,7 @@ func WitnessJSON(w *forensics.Witness) ([]byte, error) {
 }
 
 // WitnessText renders a structured witness as the annotated human-readable
-// report jaaru-explain prints: decisions, the TSO-annotated operation trace,
+// report `jaaru explain` prints: decisions, the TSO-annotated operation trace,
 // failure points, per-cache-line persistence timelines, and the read-from
 // resolution of every post-failure load.
 func WitnessText(w *forensics.Witness) string {

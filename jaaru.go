@@ -118,7 +118,6 @@ type MultiRF = core.MultiRF
 const (
 	EvictEager    = core.EvictEager
 	EvictAtFences = core.EvictAtFences
-	EvictRandom   = core.EvictRandom
 	EvictExplore  = core.EvictExplore
 )
 
@@ -202,7 +201,7 @@ func Minimize(prog Program, opts Options, b *BugReport) (*BugReport, *Minimizati
 }
 
 // FormatWitnessText renders a structured witness as the annotated
-// human-readable report jaaru-explain prints.
+// human-readable report `jaaru explain` prints.
 func FormatWitnessText(w *Witness) string { return report.WitnessText(w) }
 
 // MarshalWitnessJSON serializes a witness as indented JSON. Equal witnesses
