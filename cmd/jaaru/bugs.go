@@ -22,6 +22,7 @@ func runBugs(args []string) {
 	verbose := fs.Bool("v", false, "print every bug manifestation and flagged load")
 	fs.Parse(args)
 
+	// benchmark/bugs.go explores the same cases under the same options.
 	ok := true
 	if *suite == "pmdk" || *suite == "all" {
 		tbl := report.New("Figure 12 — Bugs found in PMDK (★ = new bug)",
@@ -42,8 +43,7 @@ func runBugs(args []string) {
 		for _, bc := range recipe.BugCases() {
 			rows = append(rows, seeded{bc.Program, []any{bc.ID, starred(bc.Benchmark, bc.New), bc.Type, bc.Cause}})
 		}
-		opts := core.Options{FlagMultiRF: true, MaxSteps: 20_000, StopAtFirstBug: true}
-		ok = bugTable(tbl, rows, opts, *verbose) && ok
+		ok = bugTable(tbl, rows, core.Options{FlagMultiRF: true, MaxSteps: 20_000, StopAtFirstBug: true}, *verbose) && ok
 	}
 	if !ok {
 		os.Exit(1)

@@ -198,13 +198,18 @@ func runCheck(args []string) {
 
 	stopProgress := func() {}
 	if *progress > 0 {
-		reg, tick := ck.Observability(), time.NewTicker(*progress)
+		reg, tick, done := ck.Observability(), time.NewTicker(*progress), make(chan struct{})
 		go func() {
-			for range tick.C {
-				fmt.Fprintln(os.Stderr, reg.Progress())
+			for {
+				select {
+				case <-done:
+					return
+				case <-tick.C:
+					fmt.Fprintln(os.Stderr, reg.Progress())
+				}
 			}
 		}()
-		stopProgress = tick.Stop
+		stopProgress = func() { tick.Stop(); close(done) }
 	}
 
 	res := ck.Run()

@@ -39,18 +39,15 @@ func runTop(args []string) {
 	client := &http.Client{Timeout: *timeout}
 	for {
 		st, err := fetchStatus(client, *server)
-		if err != nil {
+		switch {
+		case err != nil && *watch <= 0:
+			exit(1, "jaaru top: %v", err)
+		case err != nil:
 			fmt.Fprintf(os.Stderr, "jaaru top: %v\n", err)
-			if *watch <= 0 {
-				os.Exit(1)
-			}
-		} else {
-			if *watch > 0 {
-				fmt.Print("\033[H\033[2J") // clear screen between refreshes
-			}
+		case *watch > 0:
+			fmt.Print("\033[H\033[2J" + render(st)) // clear screen between refreshes
+		default:
 			fmt.Print(render(st))
-		}
-		if *watch <= 0 {
 			return
 		}
 		time.Sleep(*watch)

@@ -80,7 +80,7 @@ func encodePoints(pts []choicePoint) []WirePoint {
 // maxWireOptions bounds a wire point's option count. A real point has at most
 // as many options as there are pre-failure stores; the bound keeps
 // chooser.split's sum of open options across a claim from overflowing.
-const maxWireOptions = 1 << 32
+const maxWireOptions = 1 << 30
 
 // validate checks one wire point: a known kind and 0 <= Idx < N <= maxWireOptions.
 func (wp WirePoint) validate(i int) error {

@@ -165,8 +165,8 @@ func allocBudget(t *testing.T, what string, inputLen int, fn func()) {
 // check on every split and residual a worker commits — compiles, seeds a
 // chooser that replays its vector, exports a residual and donates a half
 // that validate again, and walks its siblings, all without a panic and in
-// allocation proportional to the input. (Donation found that option counts
-// near MaxInt overflowed split's sum; maxWireOptions bounds them.)
+// allocation proportional to the input. split sums the open options of every
+// point, which is why validation bounds each count by maxWireOptions.
 func FuzzWireClaimValidate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := fuzzClaim(data)
