@@ -3,13 +3,14 @@
 # packages with shared mutable state (the parallel exploration driver and the
 # TSO simulation and paged store arena it drives), and the allocation gates
 # (allocs); the full suite drives every `jaaru` subcommand end to end
-# (cmd/jaaru). scrape-smoke drives the telemetry surface over real TCP.
+# (cmd/jaaru). scrape-smoke drives the telemetry surface over real TCP, and
+# fuzz-smoke fuzzes the lease-path decoders for a bounded time.
 # Timing lives elsewhere: the benchmark of record is `sh benchmark/run.sh`,
 # and `go run ./cmd/jaaru fig14` prints the paper's Figure 14 table.
 
 GO ?= go
 
-.PHONY: all build test vet race verify allocs scrape-smoke clean
+.PHONY: all build test vet race verify allocs scrape-smoke fuzz-smoke clean
 
 all: verify
 
@@ -57,6 +58,16 @@ verify: vet build test race allocs
 # and validate the Prometheus exposition with the strict test parser.
 scrape-smoke:
 	$(GO) test -run TestScrapeSmoke -count=1 ./internal/dist/
+
+# Decoder fuzz smoke: 10 s of fuzzing each, from the committed corpora, for
+# the lease-path frame decoder (FuzzDecodeWire2) and the claim and stats
+# decoders under it, which are the coordinator's only validation of what a
+# worker sends (FuzzWireClaimValidate, FuzzWireStatsValidate). Not part of
+# verify: its inputs differ run to run. The corpora alone run in `make test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire2$$' -fuzztime 10s -parallel 2 ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireClaimValidate$$' -fuzztime 10s -parallel 2 ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireStatsValidate$$' -fuzztime 10s -parallel 2 ./internal/core/
 
 clean:
 	$(GO) clean ./...

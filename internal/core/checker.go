@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"jaaru/internal/forensics"
@@ -363,11 +366,8 @@ func sortedPerfIssues(m map[string]*PerfIssue) []*PerfIssue {
 	for _, p := range m {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Loc != out[j].Loc {
-			return out[i].Loc < out[j].Loc
-		}
-		return out[i].Kind < out[j].Kind
+	slices.SortFunc(out, func(a, b *PerfIssue) int {
+		return cmp.Or(strings.Compare(a.Loc, b.Loc), cmp.Compare(a.Kind, b.Kind))
 	})
 	return out
 }

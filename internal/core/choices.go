@@ -142,8 +142,8 @@ func (ch *chooser) seedClaim(prefix []choicePoint, limits []int, memos []*failMe
 // donated subtrees were pushed), and POR clamps must stay clamped (their
 // analytic delta is part of the same commit's cumulative stats, so a
 // claimant re-applying it would double-count).
-func (ch *chooser) claimSnapshot() branch {
-	br := branch{
+func (ch *chooser) claimSnapshot() WireClaim {
+	br := WireClaim{
 		points: append([]choicePoint(nil), ch.points...),
 		limits: append([]int(nil), ch.limit...),
 	}
@@ -193,13 +193,13 @@ func (ch *chooser) advance() bool {
 // shortest pre-failure replay) and leaves the donor's snapshot stack, which
 // serves the deep half, untouched. A POR-clamped point (limit == idx+1) has
 // no open option and is never donated. ok is false when nothing is open.
-func (ch *chooser) split() (br branch, ok bool) {
+func (ch *chooser) split() (br WireClaim, ok bool) {
 	total := 0
 	for i, p := range ch.points {
 		total += ch.limit[i] - p.idx - 1
 	}
 	if total == 0 {
-		return branch{}, false
+		return WireClaim{}, false
 	}
 	need, d := (total+1)/2, 0
 	for ; ; d++ {
@@ -209,7 +209,7 @@ func (ch *chooser) split() (br branch, ok bool) {
 		}
 		need -= open
 	}
-	br = branch{
+	br = WireClaim{
 		points: append([]choicePoint(nil), ch.points[:d+1]...),
 		limits: append([]int(nil), ch.limit[:d+1]...),
 		memos:  append([]*failMemo(nil), ch.aux[:d+1]...),

@@ -18,13 +18,16 @@ import (
 // buildResult's canonical sorts), so a full exploration merges to the serial
 // Result either way.
 
-// branch is one claim, in the form chooser.seedClaim installs: a choice
+// WireClaim is one claim, in the form chooser.seedClaim installs: a choice
 // vector, the per-point limits of the sibling options that come with it (nil:
 // none, every point frozen) and the POR memos of its failure decisions. The
 // claimant replays the vector and owns everything the limits cover (minus
 // anything it later donates back). The memos are shared with the donor's
-// chooser and immutable.
-type branch struct {
+// chooser and immutable. The zero value is the root claim, the whole tree.
+// In process claims move between workers as they are; a fleet ships them in
+// the wire codec (wirev2.go), whose decoder accepts only well-formed claims:
+// Idx < limit <= N at every point, memos on failure decisions only.
+type WireClaim struct {
 	points []choicePoint
 	limits []int
 	memos  []*failMemo
@@ -41,7 +44,7 @@ type claimSink interface {
 	// Hungry reports whether a donation is wanted now.
 	Hungry() bool
 	// donate hands off a claim split from the current one.
-	donate(br branch)
+	donate(br WireClaim)
 	// advanced follows every advance; more is false once the claim is
 	// exhausted (its POR records already flushed).
 	advanced(more bool) error
@@ -52,7 +55,7 @@ type claimSink interface {
 // for as long as s is hungry. An engine panic abandons the claim (the
 // replayed subtree is unreliable; recordEngineBug marked the stats
 // truncated), as does a refused admission or an error from s.
-func (c *Checker) exploreClaim(br branch, s claimSink) error {
+func (c *Checker) exploreClaim(br WireClaim, s claimSink) error {
 	c.chooser.seedClaim(br.points, br.limits, br.memos)
 	for {
 		if !s.admit() {
@@ -124,8 +127,8 @@ func (c *Checker) runScenarioGuarded(prefix []choicePoint) (ok bool) {
 
 // Frontier holds one partitioned exploration's open claims and the rules
 // around them. In process, worker goroutines take, donate and report through
-// it directly; internal/dist's coordinator keeps one per job and converts
-// claims to and from wire form at its edge. All methods are safe for
+// it directly; internal/dist's coordinator keeps one per job and hands its
+// decoded claims and stats straight through. All methods are safe for
 // concurrent use.
 type Frontier struct {
 	mu   sync.Mutex
@@ -134,7 +137,7 @@ type Frontier struct {
 	acc  *MergeAcc
 	reg  *obs.Registry
 
-	queue   []branch            // LIFO: the newest donation is handed out first
+	queue   []WireClaim         // LIFO: the newest donation is handed out first
 	out     int                 // claims taken and not yet retired
 	waiting map[string]struct{} // claimants whose last take found nothing
 
@@ -163,7 +166,7 @@ func NewFrontier(acc *MergeAcc, wake func()) *Frontier {
 	}
 	f.cond = sync.NewCond(&f.mu)
 	f.mu.Lock()
-	f.pushLocked(branch{})
+	f.pushLocked(WireClaim{})
 	f.mu.Unlock()
 	return f
 }
@@ -177,7 +180,7 @@ func (f *Frontier) changedLocked() {
 
 // pushLocked queues claims and reports whether it did: after a stop or the
 // end nothing is queued, since nothing would ever hand it out.
-func (f *Frontier) pushLocked(brs ...branch) bool {
+func (f *Frontier) pushLocked(brs ...WireClaim) bool {
 	if f.stopped || f.result != nil || len(brs) == 0 {
 		return false
 	}
@@ -189,13 +192,13 @@ func (f *Frontier) pushLocked(brs ...branch) bool {
 }
 
 // takeLocked hands waiter the newest claim, or marks it waiting.
-func (f *Frontier) takeLocked(waiter string) (branch, bool) {
+func (f *Frontier) takeLocked(waiter string) (WireClaim, bool) {
 	n := len(f.queue)
 	if f.stopped || n == 0 {
 		if waiter != "" && f.result == nil {
 			f.waiting[waiter] = struct{}{}
 		}
-		return branch{}, false
+		return WireClaim{}, false
 	}
 	br := f.queue[n-1]
 	f.queue = f.queue[:n-1]
@@ -214,7 +217,7 @@ func (f *Frontier) takeLocked(waiter string) (branch, bool) {
 // push, by the retire that ends the exploration, and by a stop. The holder of
 // the last claim either donates (a push) or retires it, so no wait outlives
 // the last claim, whatever the tree size (TestParallelSmallTreeManyWorkers).
-func (f *Frontier) next(waiter string) (branch, bool) {
+func (f *Frontier) next(waiter string) (WireClaim, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for {
@@ -222,7 +225,7 @@ func (f *Frontier) next(waiter string) (branch, bool) {
 			return br, true
 		}
 		if f.stopped || f.out == 0 {
-			return branch{}, false
+			return WireClaim{}, false
 		}
 		f.cond.Wait()
 	}
@@ -230,7 +233,7 @@ func (f *Frontier) next(waiter string) (branch, bool) {
 
 // retireLocked ends a taken claim, requeueing residuals (the unexplored rest
 // of a released or expired lease) unless a cap stopped the exploration.
-func (f *Frontier) retireLocked(residuals []branch) (requeued bool) {
+func (f *Frontier) retireLocked(residuals []WireClaim) (requeued bool) {
 	requeued = f.pushLocked(residuals...)
 	f.out--
 	f.finishLocked()
@@ -313,13 +316,13 @@ func (f *Frontier) Hungry() bool {
 	return !f.stopped && f.result == nil && len(f.queue) < len(f.waiting)
 }
 
-func (f *Frontier) donate(br branch) {
+func (f *Frontier) donate(br WireClaim) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.donateLocked(br)
 }
 
-func (f *Frontier) donateLocked(brs ...branch) {
+func (f *Frontier) donateLocked(brs ...WireClaim) {
 	if f.pushLocked(brs...) {
 		f.reg.NoteDonation(len(brs))
 	}
@@ -327,16 +330,12 @@ func (f *Frontier) donateLocked(brs ...branch) {
 
 func (f *Frontier) advanced(bool) error { return nil }
 
-// Take hands waiter the newest queued claim in wire form, or marks waiter
-// waiting (ok false) — a waiting claimant is what makes the Frontier hungry.
+// Take hands waiter the newest queued claim, or marks waiter waiting (ok
+// false) — a waiting claimant is what makes the Frontier hungry.
 func (f *Frontier) Take(waiter string) (WireClaim, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	br, ok := f.takeLocked(waiter)
-	if !ok {
-		return WireClaim{}, false
-	}
-	return encodeClaim(br), true
+	return f.takeLocked(waiter)
 }
 
 // Unwait forgets a waiting claimant (it hung up, or another job fed it).
@@ -346,8 +345,8 @@ func (f *Frontier) Unwait(waiter string) {
 	delete(f.waiting, waiter)
 }
 
-// Commit folds in one lease commit, whose delta and claims passed Validate at
-// ingest: the stats delta goes into the merge and the cap rule (its
+// Commit folds in one lease commit, whose delta and claims were checked when
+// they decoded: the stats delta goes into the merge and the cap rule (its
 // scenarios count against MaxScenarios, its bug keys — a delta carries a bug
 // exactly when its count grew, every first sighting included — against the
 // bug caps), the splits onto the queue, and a final commit retires the claim
@@ -355,18 +354,16 @@ func (f *Frontier) Unwait(waiter string) {
 func (f *Frontier) Commit(delta *WireStats, splits, residuals []WireClaim, final bool) (requeued bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_ = f.acc.Absorb(delta) // its error paths are Validate's
-	f.countLocked(delta.Scenarios)
-	for _, key := range delta.BugKeys() {
-		f.noteBugLocked(key)
+	f.acc.Absorb(delta)
+	f.countLocked(delta.scenarios)
+	for _, b := range delta.bugs {
+		f.noteBugLocked(b.key())
 	}
-	brs, _ := compileBranches(splits) // validated at ingest
-	f.donateLocked(brs...)
+	f.donateLocked(splits...)
 	if !final {
 		return false
 	}
-	brs, _ = compileBranches(residuals)
-	return f.retireLocked(brs)
+	return f.retireLocked(residuals)
 }
 
 // Retire ends a taken claim. Residuals — the unexplored rest of a released or
@@ -375,8 +372,7 @@ func (f *Frontier) Commit(delta *WireStats, splits, residuals []WireClaim, final
 func (f *Frontier) Retire(residuals []WireClaim) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	brs, _ := compileBranches(residuals) // validated at ingest
-	return f.retireLocked(brs)
+	return f.retireLocked(residuals)
 }
 
 // Stopped reports whether a cap ended the exploration early.
@@ -452,7 +448,10 @@ func (c *Checker) newWorker(id int) *Checker {
 // merge folds a worker's stats into the aggregate. Every operation is
 // order-insensitive (sum, max, keyed union with canonical representative
 // selection), so the merged outcome does not depend on worker arrival
-// order; buildResult's canonical sorts finish the job.
+// order; buildResult's canonical sorts finish the job. Findings are merged
+// as copies, so src is left untouched: a coordinator may absorb the same
+// delta object again, and a snapshot merged out of a live checker does not
+// move with it.
 func (dst *stats) merge(src *stats) {
 	dst.scenarios += src.scenarios
 	dst.execsPost += src.execsPost
@@ -468,13 +467,16 @@ func (dst *stats) merge(src *stats) {
 		dst.newPoints[k] += n
 	}
 	for _, b := range src.bugs {
-		dst.mergeBug(b)
+		cb := *b
+		dst.mergeBug(&cb)
 	}
 	for k, m := range src.multiRF {
-		dst.mergeMultiRF(k, m)
+		cm := *m
+		dst.mergeMultiRF(k, &cm)
 	}
 	for k, p := range src.perfIssues {
-		dst.mergePerfIssue(k, p)
+		cp := *p
+		dst.mergePerfIssue(k, &cp)
 	}
 }
 

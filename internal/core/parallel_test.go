@@ -28,7 +28,7 @@ func (ch *chooser) open() int {
 // claimLeaves seeds a fresh chooser with br and explores it to exhaustion on
 // a synthetic tree whose level k presents shape[k] (kind and option count):
 // it returns how often each leaf — a full choice vector — was visited.
-func claimLeaves(shape []choicePoint, br branch) map[string]int {
+func claimLeaves(shape []choicePoint, br WireClaim) map[string]int {
 	ch := &chooser{}
 	ch.seedClaim(br.points, br.limits, br.memos)
 	seen := make(map[string]int)
@@ -75,7 +75,7 @@ func TestSplitPartitionsOpenSet(t *testing.T) {
 
 		// The donor: a random claim over the first depth <= 12 levels.
 		depth := rng.Intn(min(12, len(shape)) + 1)
-		before := branch{
+		before := WireClaim{
 			points: append([]choicePoint(nil), shape[:depth]...),
 			limits: make([]int, depth),
 			memos:  make([]*failMemo, depth),
@@ -90,7 +90,7 @@ func TestSplitPartitionsOpenSet(t *testing.T) {
 				}
 				if rng.Intn(2) == 0 {
 					before.memos[i] = &failMemo{fp: rng.Uint64(), steps: rng.Int63n(1 << 20)}
-					before.memos[i].vec[obs.Steps] = rng.Int63n(10000)
+					before.memos[i].vec = &obs.CounterVec{obs.Steps: rng.Int63n(10000)}
 				}
 			}
 		}
@@ -126,17 +126,13 @@ func TestSplitPartitionsOpenSet(t *testing.T) {
 
 		// Through the wire codec and back into a chooser.
 		e := NewWireEncoder(nil)
-		e.Claim(encodeClaim(don))
+		e.claim(&don)
 		dec := NewWireDecoder(e.Bytes())
-		wc := dec.Claim()
+		got := dec.claim()
 		if err := dec.Done(); err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
-		kept := claimLeaves(shape, branch{donor.points, donor.limit, donor.aux})
-		got, err := wc.compile()
-		if err != nil {
-			t.Fatalf("iter %d: compile: %v", iter, err)
-		}
+		kept := claimLeaves(shape, WireClaim{donor.points, donor.limit, donor.aux})
 		if !reflect.DeepEqual(got.memos, don.memos) && !(got.memos == nil && allNil(don.memos)) {
 			t.Fatalf("iter %d: memos differ:\nwant %v\ngot  %v", iter, don.memos, got.memos)
 		}
@@ -294,9 +290,9 @@ func TestFrontierCapRule(t *testing.T) {
 			}
 		},
 		"commit": func(f *Frontier, w window) {
-			f.Commit(&WireStats{Scenarios: w.scenarios}, nil, nil, false)
+			f.Commit(&WireStats{stats: stats{scenarios: w.scenarios}}, nil, nil, false)
 			for _, msg := range w.bugs {
-				delta := &WireStats{Bugs: []WireBug{{Type: int(BugAssertion), Message: msg, Count: 1}}}
+				delta := &WireStats{stats: stats{bugs: []*BugReport{{Type: BugAssertion, Message: msg, Count: 1}}}}
 				f.Commit(delta, nil, nil, false)
 			}
 		},
@@ -401,7 +397,7 @@ func TestParallelEngineBugGuard(t *testing.T) {
 	f := testFrontier(Options{}) // nobody waits on it: no donations from this claim
 	// The program's first choice point is fail/2; this prefix claims to
 	// have recorded rf/7 there.
-	br := branch{points: []choicePoint{{kind: chooseReadFrom, n: 7, idx: 3}}}
+	br := WireClaim{points: []choicePoint{{kind: chooseReadFrom, n: 7, idx: 3}}}
 	c.exploreClaim(br, f)
 
 	if len(c.bugs) != 1 || c.bugs[0].Type != BugEngine {

@@ -128,16 +128,16 @@ func (ps *porSeen) logLen() int {
 	return n
 }
 
-// entriesSince returns the (fingerprint, delta) pairs published at log
-// positions from..len(log), in publication order.
-func (ps *porSeen) entriesSince(from int) (fps []uint64, deltas []*porDelta) {
+// entriesSince returns the entries published at log positions
+// from..len(log), in publication order.
+func (ps *porSeen) entriesSince(from int) []WirePorEntry {
 	ps.mu.RLock()
+	defer ps.mu.RUnlock()
+	var out []WirePorEntry
 	for _, fp := range ps.log[min(from, len(ps.log)):] {
-		fps = append(fps, fp)
-		deltas = append(deltas, ps.m[fp])
+		out = append(out, WirePorEntry{fp, ps.m[fp]})
 	}
-	ps.mu.RUnlock()
-	return fps, deltas
+	return out
 }
 
 // failMemo is the per-failure-point memo the chooser carries alongside each
@@ -153,7 +153,7 @@ func (ps *porSeen) entriesSince(from int) (fps []uint64, deltas []*porDelta) {
 type failMemo struct {
 	fp    uint64
 	steps int64                // prefix steps: scenario start -> failure point
-	vec   obs.CounterVec       // prefix canonical counters, cleared
+	vec   *obs.CounterVec      // prefix canonical counters, cleared (nil: none observed)
 	perf  map[string]PerfIssue // prefix perf findings
 }
 
@@ -334,8 +334,9 @@ func (c *Checker) porNoteFailPoint() {
 		perf:  c.perfSince(),
 	}
 	if c.col != nil {
-		m.vec = c.col.Counters().Diff(c.porScenBase)
-		clearPrefixDependent(&m.vec)
+		vec := c.col.Counters().Diff(c.porScenBase)
+		clearPrefixDependent(&vec)
+		m.vec = &vec
 	}
 	c.chooser.aux[c.chooser.cursor-1] = m
 }
@@ -649,18 +650,18 @@ func (c *Checker) porApplyHit(d *porDelta) {
 		hitPrefix = c.col.Counters().Diff(c.porScenBase)
 		clearPrefixDependent(&hitPrefix)
 	}
-	c.porApply(d, int64(d.scenarios-1), c.chooser.cursor, hitPrefixSteps, hitPrefix, c.perfSince(), false)
+	c.porApply(d, int64(d.scenarios-1), c.chooser.cursor, hitPrefixSteps, &hitPrefix, c.perfSince(), false)
 }
 
 // porApply accounts a recorded subtree delta without running the subtree:
-// k skipped scenarios, each paying prefixSteps/prefixVec to reach the
-// subtree root at choice depth hitDepth, plus the prefix-invariant recovery
+// k skipped scenarios, each paying prefixSteps/prefixVec (nil: no counters)
+// to reach the subtree root at choice depth hitDepth, plus the prefix-invariant recovery
 // part recorded in d. Crash-time hits pass k = K−1 (the hit scenario is
 // physical and measured live); sweep prunes pass k = K with the memoized
 // prefix (no scenario of the subtree ever runs). flip marks grafted bug
 // prefixes as taking the failure branch at hitDepth−1, where the live
 // chooser stays on the continue branch.
-func (c *Checker) porApply(d *porDelta, k int64, hitDepth int, prefixSteps int64, prefixVec obs.CounterVec,
+func (c *Checker) porApply(d *porDelta, k int64, hitDepth int, prefixSteps int64, prefixVec *obs.CounterVec,
 	prefixPerf map[string]PerfIssue, flip bool) {
 	c.scenarios += int(k)
 	c.execsPost += d.execs
@@ -694,8 +695,10 @@ func (c *Checker) porApply(d *porDelta, k int64, hitDepth int, prefixSteps int64
 	}
 	if c.col != nil {
 		vec := d.vec
-		for key := range vec {
-			vec[key] += k * prefixVec[key]
+		if prefixVec != nil {
+			for key := range vec {
+				vec[key] += k * prefixVec[key]
+			}
 		}
 		c.col.AddCounters(vec)
 		c.col.Add(obs.Steps, stepsApplied)

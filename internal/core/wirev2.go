@@ -4,13 +4,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"jaaru/internal/obs"
 	"jaaru/internal/pmem"
 )
 
-// Wire codec v2: a length-prefixed binary encoding of the core wire types,
-// the one encoding internal/dist's lease path speaks.
+// Wire codec v2: a length-prefixed binary encoding of the engine's claims,
+// stats and POR deltas, the one encoding internal/dist's lease path speaks.
+// There is no second in-memory form: WireEncoder writes the engine's types
+// and WireDecoder builds them, checking every field as it reads it, so a
+// value that decodes is valid — a claim can be granted, a stats batch
+// absorbed, a POR entry published.
 //
 // Layout rules:
 //
@@ -20,56 +25,34 @@ import (
 //   - Fingerprints (hash-distributed 64-bit values) are fixed 8-byte
 //     little-endian: a uvarint of a uniformly random uint64 averages over
 //     9 bytes, so varinting them is a pessimization.
-//   - Choice-point streams are prefix-interned per message: each stream
-//     encodes the length of its common prefix with the previous stream the
-//     same encoder emitted, then only the new points. Claims in a batch,
-//     residual snapshots, and bug replay vectors share long prefixes by
-//     construction, so this is where most of the wire bytes go away.
+//   - A choice point is its choiceKind as one byte (0 fail, 1 rf, 2
+//     evict), then its option count and index. Point streams are
+//     prefix-interned per message: each stream encodes the length of its
+//     common prefix with the previous stream the same encoder emitted, then
+//     only the new points. Claims in a batch, residual snapshots, and bug
+//     replay vectors share long prefixes by construction, so this is where
+//     most of the wire bytes go away.
 //   - Counter/peak vectors and histograms ship sparse: (index, value)
 //     pairs for the populated entries against the fixed layouts of
-//     obs.CounterVec / obs.Histogram. The original vector length travels
-//     too, so decode rebuilds the exact slice (the test fixtures are not
-//     all full-width and round-trips must be bit-exact).
+//     obs.CounterVec / obs.Histogram. A vector's width travels too: counter
+//     vectors are always obs.NumCounters wide, and only peaks keep a
+//     narrower one.
 //
 // Encoder and decoder must walk the same field sequence; there is no
 // self-describing framing below the message level. internal/dist frames
 // whole protocol messages with a 2-byte magic and a message-kind byte.
 
-// wireKindCode maps the three choice kinds to stable one-byte codes; any
-// other string (malformed or future) travels escaped, so the codec never
-// corrupts values it does not understand.
-const wireKindEscape = 0xff
+// maxWireOptions bounds a point's option count. A real point has at most as
+// many options as there are pre-failure stores; the bound keeps
+// chooser.split's sum of open options across a claim from overflowing.
+const maxWireOptions = 1 << 30
 
-func wireKindCode(kind string) (byte, bool) {
-	switch kind {
-	case "fail":
-		return 0, true
-	case "rf":
-		return 1, true
-	case "evict":
-		return 2, true
-	}
-	return 0, false
-}
-
-func wireKindName(code byte) (string, bool) {
-	switch code {
-	case 0:
-		return "fail", true
-	case 1:
-		return "rf", true
-	case 2:
-		return "evict", true
-	}
-	return "", false
-}
-
-// WireEncoder serializes core wire types into one codec-v2 message. The
-// zero value is not usable; construct with NewWireEncoder. Buffers may be
+// WireEncoder serializes the engine's wire types into one codec-v2 message.
+// The zero value is not usable; construct with NewWireEncoder. Buffers may be
 // reused across messages via Reset (pooling them is the caller's business).
 type WireEncoder struct {
 	buf  []byte
-	prev []WirePoint // interning context: the previous point stream
+	prev []choicePoint // interning context: the previous point stream
 }
 
 // NewWireEncoder returns an encoder appending to buf (nil is fine).
@@ -87,14 +70,10 @@ func (e *WireEncoder) Reset() {
 }
 
 // Uvarint appends an unsigned LEB128 varint.
-func (e *WireEncoder) Uvarint(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
+func (e *WireEncoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
 // Varint appends a zigzag-encoded signed varint.
-func (e *WireEncoder) Varint(v int64) {
-	e.buf = binary.AppendVarint(e.buf, v)
-}
+func (e *WireEncoder) Varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 
 // Int appends an int as a zigzag varint.
 func (e *WireEncoder) Int(v int) { e.Varint(int64(v)) }
@@ -112,9 +91,7 @@ func (e *WireEncoder) Bool(b bool) {
 func (e *WireEncoder) Byte(b byte) { e.buf = append(e.buf, b) }
 
 // Fixed64 appends a fixed 8-byte little-endian value (fingerprints).
-func (e *WireEncoder) Fixed64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
+func (e *WireEncoder) Fixed64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
 // String appends a length-prefixed string.
 func (e *WireEncoder) String(s string) {
@@ -125,14 +102,11 @@ func (e *WireEncoder) String(s string) {
 // Blob appends a length-prefixed byte slice (embedded JSON sub-documents:
 // job options travel as JSON inside a v2 frame, because they evolve and
 // are nowhere near the hot path).
-func (e *WireEncoder) Blob(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
+func (e *WireEncoder) Blob(b []byte) { e.String(string(b)) }
 
-// Points appends a choice-point stream, interned against the previous
+// points appends a choice-point stream, interned against the previous
 // stream this encoder emitted: shared-prefix length, then the new points.
-func (e *WireEncoder) Points(pts []WirePoint) {
+func (e *WireEncoder) points(pts []choicePoint) {
 	shared := 0
 	for shared < len(pts) && shared < len(e.prev) && pts[shared] == e.prev[shared] {
 		shared++
@@ -140,19 +114,14 @@ func (e *WireEncoder) Points(pts []WirePoint) {
 	e.Uvarint(uint64(len(pts)))
 	e.Uvarint(uint64(shared))
 	for _, p := range pts[shared:] {
-		if code, ok := wireKindCode(p.Kind); ok {
-			e.Byte(code)
-		} else {
-			e.Byte(wireKindEscape)
-			e.String(p.Kind)
-		}
-		e.Int(p.N)
-		e.Int(p.Idx)
+		e.Byte(byte(p.kind))
+		e.Int(p.n)
+		e.Int(p.idx)
 	}
 	e.prev = pts
 }
 
-// sparseVec appends an int64 vector as explicit length plus sparse
+// sparseVec appends an int64 vector as explicit width plus sparse
 // (index, value) pairs.
 func (e *WireEncoder) sparseVec(v []int64) {
 	e.Uvarint(uint64(len(v)))
@@ -171,37 +140,41 @@ func (e *WireEncoder) sparseVec(v []int64) {
 	}
 }
 
-// Claim appends one WireClaim.
-func (e *WireEncoder) Claim(w WireClaim) {
-	e.Points(w.Points)
-	if w.Limits == nil {
+// counterVec appends a counter vector behind a presence flag: a nil or
+// all-zero vector is absent.
+func (e *WireEncoder) counterVec(v *obs.CounterVec) {
+	if v == nil || *v == (obs.CounterVec{}) {
 		e.Bool(false)
-	} else {
-		e.Bool(true)
-		e.Uvarint(uint64(len(w.Limits)))
-		for _, lim := range w.Limits {
+		return
+	}
+	e.Bool(true)
+	e.sparseVec(v[:])
+}
+
+// claim appends one claim: its points, then its limits and its memos, each
+// behind a presence flag (a frozen claim has no limits, and memos travel
+// only when one is set).
+func (e *WireEncoder) claim(w *WireClaim) {
+	e.points(w.points)
+	e.Bool(len(w.limits) > 0)
+	if len(w.limits) > 0 {
+		e.Uvarint(uint64(len(w.limits)))
+		for _, lim := range w.limits {
 			e.Int(lim)
 		}
 	}
-	if w.Memos == nil {
-		e.Bool(false)
-	} else {
-		e.Bool(true)
-		e.Uvarint(uint64(len(w.Memos)))
-		for _, m := range w.Memos {
-			if m == nil {
-				e.Bool(false)
-				continue
-			}
-			e.Bool(true)
-			e.Fixed64(m.FP)
-			e.Varint(m.Steps)
-			if m.Vec == nil {
-				e.Bool(false)
-			} else {
-				e.Bool(true)
-				e.sparseVec(m.Vec)
-			}
+	memos := slices.ContainsFunc(w.memos, func(m *failMemo) bool { return m != nil })
+	e.Bool(memos)
+	if !memos {
+		return
+	}
+	e.Uvarint(uint64(len(w.memos)))
+	for _, m := range w.memos {
+		e.Bool(m != nil)
+		if m != nil {
+			e.Fixed64(m.fp)
+			e.Varint(m.steps)
+			e.counterVec(m.vec)
 		}
 	}
 }
@@ -209,8 +182,8 @@ func (e *WireEncoder) Claim(w WireClaim) {
 // Claims appends a claim batch.
 func (e *WireEncoder) Claims(ws []WireClaim) {
 	e.Uvarint(uint64(len(ws)))
-	for _, w := range ws {
-		e.Claim(w)
+	for i := range ws {
+		e.claim(&ws[i])
 	}
 }
 
@@ -232,135 +205,140 @@ func (e *WireEncoder) perfIssue(p *PerfIssue) {
 	e.Int(p.Count)
 }
 
-func (e *WireEncoder) hist(h *WireHist) {
-	e.Int(h.Timer)
+// hist appends timer t's histogram: count, sum, then its populated buckets
+// as ascending gap-encoded (index, count) pairs.
+func (e *WireEncoder) hist(t int, h *obs.HistSnapshot) {
+	e.Int(t)
 	e.Varint(h.Count)
 	e.Varint(h.Sum)
-	e.Uvarint(uint64(len(h.Buckets)))
-	prev := int64(0)
-	for i, b := range h.Buckets {
-		if i == 0 {
-			e.Varint(b[0])
-		} else {
-			e.Varint(b[0] - prev) // gap-encoded ascending indexes
+	nz := 0
+	for _, n := range h.Counts {
+		if n != 0 {
+			nz++
 		}
-		prev = b[0]
-		e.Varint(b[1])
+	}
+	e.Uvarint(uint64(nz))
+	prev := 0
+	for i, n := range h.Counts {
+		if n != 0 {
+			e.Varint(int64(i - prev))
+			e.Varint(n)
+			prev = i
+		}
 	}
 }
 
-func (e *WireEncoder) obsShard(wo *WireObs) {
-	if wo == nil {
-		e.Bool(false)
-		return
-	}
-	e.Bool(true)
-	e.sparseVec(wo.Counters)
-	e.sparseVec(wo.Peaks)
-	e.Uvarint(uint64(len(wo.Hists)))
-	for i := range wo.Hists {
-		e.hist(&wo.Hists[i])
-	}
-}
-
-// Stats appends a WireStats (nil encodes as an absence marker).
+// Stats appends a WireStats (nil encodes as an absence marker). Keyed
+// findings go in a canonical order — bugs as recorded, flagged loads and
+// perf issues sorted — so equal stats encode to equal bytes.
 func (e *WireEncoder) Stats(ws *WireStats) {
+	e.Bool(ws != nil)
 	if ws == nil {
-		e.Bool(false)
 		return
 	}
-	e.Bool(true)
-	e.Int(ws.Scenarios)
-	e.Int(ws.ExecsPost)
-	e.Int(ws.FpointsPre)
-	e.Varint(ws.Steps)
-	e.Int(ws.MaxRF)
-	for _, n := range ws.NewPoints {
+	e.Int(ws.scenarios)
+	e.Int(ws.execsPost)
+	e.Int(ws.fpointsPre)
+	e.Varint(ws.totalSteps)
+	e.Int(ws.maxRF)
+	for _, n := range ws.newPoints {
 		e.Int(n)
 	}
-	e.Bool(ws.Truncated)
-	e.Uvarint(uint64(len(ws.Bugs)))
-	for i := range ws.Bugs {
-		b := &ws.Bugs[i]
-		e.Int(b.Type)
+	e.Bool(ws.truncated)
+	e.Uvarint(uint64(len(ws.bugs)))
+	for _, b := range ws.bugs {
+		e.Int(int(b.Type))
 		e.String(b.Message)
 		e.Int(b.Execution)
 		e.Int(b.Scenario)
 		e.Int(b.Count)
 		e.String(b.Choices)
-		e.Points(b.Replay)
+		e.points(b.replay)
 	}
-	e.Uvarint(uint64(len(ws.MultiRF)))
-	for i := range ws.MultiRF {
-		e.multiRF(&ws.MultiRF[i])
+	e.Uvarint(uint64(len(ws.multiRF)))
+	for _, m := range sortedMultiRF(ws.multiRF) {
+		e.multiRF(m)
 	}
-	e.Uvarint(uint64(len(ws.PerfIssues)))
-	for i := range ws.PerfIssues {
-		e.perfIssue(&ws.PerfIssues[i])
+	e.Uvarint(uint64(len(ws.perfIssues)))
+	for _, p := range sortedPerfIssues(ws.perfIssues) {
+		e.perfIssue(p)
 	}
-	e.obsShard(ws.Obs)
+	e.Bool(ws.observed)
+	if !ws.observed {
+		return
+	}
+	e.sparseVec(ws.counters[:])
+	e.sparseVec(ws.peaks)
+	n := 0
+	for t := range ws.hists {
+		if ws.hists[t].Count != 0 {
+			n++
+		}
+	}
+	e.Uvarint(uint64(n))
+	for t := range ws.hists {
+		if ws.hists[t].Count != 0 {
+			e.hist(t, &ws.hists[t])
+		}
+	}
 }
 
 // PorEntries appends a POR publication-log batch.
 func (e *WireEncoder) PorEntries(es []WirePorEntry) {
 	e.Uvarint(uint64(len(es)))
-	for i := range es {
-		en := &es[i]
-		e.Fixed64(en.FP)
-		d := &en.Delta
-		e.Int(d.Scenarios)
-		e.Int(d.Execs)
-		e.Varint(d.Steps)
-		e.Int(d.MaxRF)
-		e.Int(d.MaxRel)
-		for _, n := range d.NewPoints {
+	for _, en := range es {
+		e.Fixed64(en.fp)
+		d := en.delta
+		e.Int(d.scenarios)
+		e.Int(d.execs)
+		e.Varint(d.steps)
+		e.Int(d.maxRF)
+		e.Int(d.maxRel)
+		for _, n := range d.newPoints {
 			e.Int(n)
 		}
-		e.Varint(d.Replayed)
-		e.Varint(d.Fresh)
-		if d.Vec == nil {
-			e.Bool(false)
-		} else {
-			e.Bool(true)
-			e.sparseVec(d.Vec)
+		e.Varint(d.replayed)
+		e.Varint(d.fresh)
+		e.counterVec(&d.vec)
+		e.Uvarint(uint64(len(d.bugs)))
+		for j := range d.bugs {
+			b := &d.bugs[j]
+			e.Int(int(b.typ))
+			e.String(b.msg)
+			e.Int(b.exec)
+			e.Int(b.count)
+			e.String(b.rel)
+			e.points(b.suffix)
 		}
-		e.Uvarint(uint64(len(d.Bugs)))
-		for j := range d.Bugs {
-			b := &d.Bugs[j]
-			e.Int(b.Type)
-			e.String(b.Message)
-			e.Int(b.Exec)
-			e.Int(b.Count)
-			e.String(b.Rel)
-			e.Points(b.Suffix)
+		e.Uvarint(uint64(len(d.perf)))
+		for j := range d.perf {
+			e.Int(d.perf[j].count)
+			e.perfIssue(&d.perf[j].issue)
 		}
-		e.Uvarint(uint64(len(d.Perf)))
-		for j := range d.Perf {
-			e.Int(d.Perf[j].Count)
-			e.perfIssue(&d.Perf[j].Issue)
-		}
-		e.Uvarint(uint64(len(d.Multi)))
-		for j := range d.Multi {
-			e.Int(d.Multi[j].Count)
-			e.multiRF(&d.Multi[j].Multi)
+		e.Uvarint(uint64(len(d.multi)))
+		for j := range d.multi {
+			e.Int(d.multi[j].count)
+			e.multiRF(&d.multi[j].multi)
 		}
 	}
 }
 
 // WireDecoder is the mirror of WireEncoder: it walks the same field
-// sequence over an encoded message. Errors are sticky — after the first
-// malformed field every getter returns zero values and Err reports the
-// failure — so call sites read fields linearly and check once at the end.
+// sequence over an encoded message, building the engine's types and
+// checking each as it goes. Errors are sticky — after the first malformed
+// field every getter returns zero values and Err reports the failure — so
+// call sites read fields linearly and check once at the end; a message
+// getter (Claims, Stats, PorEntries) returns nil once the error is set.
 type WireDecoder struct {
 	data []byte
 	off  int
 	err  error
-	prev []WirePoint
-	// points counts the points decoded so far, shared prefixes included:
+	prev []choicePoint
+	// npoints counts the points decoded so far, shared prefixes included:
 	// interning makes a stream's size independent of its wire bytes, so the
 	// total is bounded separately (maxPointsPerByte) to keep allocation in
 	// proportion to the message.
-	points int
+	npoints int
 }
 
 // maxPointsPerByte bounds a message's decoded points per wire byte. Real
@@ -466,15 +444,12 @@ func (d *WireDecoder) Fixed64() uint64 {
 }
 
 // length reads a collection length and bounds it by the bytes remaining
-// (every element costs at least min bytes), so malformed input cannot force
+// (every element costs at least min >= 1 bytes), so malformed input cannot force
 // huge allocations.
 func (d *WireDecoder) length(min int) int {
 	v := d.Uvarint()
 	if d.err != nil {
 		return 0
-	}
-	if min < 1 {
-		min = 1
 	}
 	if v > uint64((len(d.data)-d.off)/min+1) {
 		d.fail("implausible length %d at offset %d", v, d.off)
@@ -500,59 +475,52 @@ func (d *WireDecoder) String() string {
 
 // Blob reads a length-prefixed byte slice (nil when empty).
 func (d *WireDecoder) Blob() []byte {
-	n := d.length(1)
-	if d.err != nil || n == 0 {
-		return nil
+	if s := d.String(); s != "" {
+		return []byte(s)
 	}
-	if d.off+n > len(d.data) {
-		d.fail("truncated blob at offset %d", d.off)
-		return nil
-	}
-	b := append([]byte(nil), d.data[d.off:d.off+n]...)
-	d.off += n
-	return b
+	return nil
 }
 
-// Points reads a prefix-interned choice-point stream.
-func (d *WireDecoder) Points() []WirePoint {
+// points reads a prefix-interned choice-point stream. Every fresh point
+// must have a known kind and 0 <= idx < n <= maxWireOptions; shared points
+// were checked in the stream they came from.
+func (d *WireDecoder) points() []choicePoint {
 	// Not d.length: shared points cost zero wire bytes, so the generic
 	// at-least-one-byte-per-element plausibility bound would reject valid
 	// streams whose prefix is mostly interned (deep split claims at the tail
 	// of a lease grant). Bound the fresh tail instead — each non-shared
 	// point costs at least 3 bytes (kind byte plus two varints) — and the
-	// shared head by the already-validated previous stream.
-	n := int(d.Uvarint())
-	shared := int(d.Uvarint())
+	// shared head by the already-checked previous stream.
+	n, shared := d.Uvarint(), d.Uvarint()
 	if d.err != nil {
 		return nil
 	}
-	if shared > n || shared > len(d.prev) {
+	if shared > n || shared > uint64(len(d.prev)) {
 		d.fail("shared prefix %d exceeds stream (%d) or context (%d)", shared, n, len(d.prev))
 		return nil
 	}
-	if d.points += n; n-shared > (len(d.data)-d.off)/3+1 || d.points > maxPointsPerByte*(len(d.data)+1) {
+	if n-shared > uint64((len(d.data)-d.off)/3+1) || n > uint64(maxPointsPerByte*(len(d.data)+1)-d.npoints) {
 		d.fail("implausible point stream %d (shared %d) at offset %d", n, shared, d.off)
 		return nil
 	}
+	d.npoints += int(n)
 	if n == 0 {
 		d.prev = nil
 		return nil
 	}
-	pts := make([]WirePoint, n)
+	pts := make([]choicePoint, n)
 	copy(pts, d.prev[:shared])
-	for i := shared; i < n; i++ {
-		code := d.Byte()
-		var kind string
-		if code == wireKindEscape {
-			kind = d.String()
-		} else {
-			var ok bool
-			if kind, ok = wireKindName(code); !ok {
-				d.fail("unknown point kind code %d", code)
-				return nil
-			}
+	for i := int(shared); i < len(pts) && d.err == nil; i++ {
+		kind, opts, idx := d.Byte(), d.Int(), d.Int()
+		switch {
+		case kind > byte(chooseEvict):
+			d.fail("point %d: unknown kind code %d", i, kind)
+		case opts > maxWireOptions:
+			d.fail("point %d: %d options, more than %d", i, opts, maxWireOptions)
+		case opts <= 0 || idx < 0 || idx >= opts:
+			d.fail("point %d: idx %d out of range [0,%d)", i, idx, opts)
 		}
-		pts[i] = WirePoint{Kind: kind, N: d.Int(), Idx: d.Int()}
+		pts[i] = choicePoint{kind: choiceKind(kind), n: opts, idx: idx}
 	}
 	if d.err != nil {
 		return nil
@@ -561,62 +529,86 @@ func (d *WireDecoder) Points() []WirePoint {
 	return pts
 }
 
-// sparseVec reads an explicit-length sparse int64 vector.
-func (d *WireDecoder) sparseVec() []int64 {
+// sparseVec reads an explicit-width sparse int64 vector into v, which it
+// must fit, and returns the width.
+func (d *WireDecoder) sparseVec(v []int64) int {
 	width := d.Uvarint()
 	if d.err != nil {
-		return nil
+		return 0
 	}
-	// The width is a logical vector size, not a byte count: cap it at the
-	// widest real vector (counters; peaks are narrower) to bound allocation.
-	if width > uint64(obs.NumCounters) {
+	if width > uint64(len(v)) {
 		d.fail("implausible vector width %d", width)
-		return nil
+		return 0
 	}
 	nz := d.length(2)
-	if d.err != nil {
+	for i := 0; i < nz && d.err == nil; i++ {
+		switch idx, val := d.Uvarint(), d.Varint(); {
+		case d.err != nil:
+		case idx >= width:
+			d.fail("sparse index %d out of width %d", idx, width)
+		default:
+			v[idx] = val
+		}
+	}
+	return int(width)
+}
+
+// counterVec reads a sparse vector that must be exactly obs.NumCounters wide.
+func (d *WireDecoder) counterVec(v *obs.CounterVec) {
+	if w := d.sparseVec(v[:]); w != len(v) {
+		d.fail("counter vector has %d counters, want %d", w, len(v))
+	}
+}
+
+// optCounterVec reads a counter vector behind a presence flag: nil when
+// absent or all zero, as the engine holds a memo's.
+func (d *WireDecoder) optCounterVec() *obs.CounterVec {
+	if !d.Bool() {
 		return nil
 	}
-	v := make([]int64, width)
-	for i := 0; i < nz; i++ {
-		idx := d.Uvarint()
-		val := d.Varint()
-		if d.err != nil {
-			return nil
-		}
-		if idx >= width {
-			d.fail("sparse index %d out of width %d", idx, width)
-			return nil
-		}
-		v[idx] = val
+	v := new(obs.CounterVec)
+	if d.counterVec(v); *v == (obs.CounterVec{}) {
+		return nil
 	}
 	return v
 }
 
-// Claim reads one WireClaim.
-func (d *WireDecoder) Claim() WireClaim {
+// claim reads one claim: limits must match the points one for one with
+// idx < limit <= n, and memos sit on failure decisions only.
+func (d *WireDecoder) claim() WireClaim {
 	var w WireClaim
-	w.Points = d.Points()
+	w.points = d.points()
 	if d.Bool() {
-		n := d.length(1)
-		w.Limits = make([]int, n)
-		for i := range w.Limits {
-			w.Limits[i] = d.Int()
+		if n := d.length(1); n != len(w.points) {
+			d.fail("claim has %d limits for %d points", n, len(w.points))
+		} else if n > 0 {
+			w.limits = make([]int, n)
+			for i, p := range w.points {
+				if w.limits[i] = d.Int(); w.limits[i] <= p.idx || w.limits[i] > p.n {
+					d.fail("point %d: limit %d out of range (%d,%d]", i, w.limits[i], p.idx, p.n)
+				}
+			}
 		}
 	}
 	if d.Bool() {
-		n := d.length(1)
-		w.Memos = make([]*WireMemo, n)
-		for i := range w.Memos {
-			if !d.Bool() {
-				continue
+		if n := d.length(1); n != len(w.points) {
+			d.fail("claim has %d memos for %d points", n, len(w.points))
+		} else {
+			memos := make([]*failMemo, n)
+			for i, p := range w.points {
+				if !d.Bool() {
+					continue
+				}
+				if p.kind != chooseFail {
+					d.fail("point %d: memo on non-fail point", i)
+				}
+				memos[i] = &failMemo{fp: d.Fixed64(), steps: d.Varint(), vec: d.optCounterVec()}
+				w.memos = memos // set once some point has a memo
 			}
-			m := &WireMemo{FP: d.Fixed64(), Steps: d.Varint()}
-			if d.Bool() {
-				m.Vec = d.sparseVec()
-			}
-			w.Memos[i] = m
 		}
+	}
+	if d.err != nil {
+		return WireClaim{}
 	}
 	return w
 }
@@ -629,18 +621,21 @@ func (d *WireDecoder) Claims() []WireClaim {
 	}
 	ws := make([]WireClaim, n)
 	for i := range ws {
-		ws[i] = d.Claim()
+		ws[i] = d.claim()
+	}
+	if d.err != nil {
+		return nil
 	}
 	return ws
 }
 
-func (d *WireDecoder) multiRF() MultiRF {
-	m := MultiRF{
+func (d *WireDecoder) multiRF() *MultiRF {
+	m := &MultiRF{
 		Loc:        d.String(),
 		Addr:       pmem.Addr(d.Uvarint()),
 		Candidates: d.Int(),
 	}
-	if n := d.length(1); n > 0 && d.err == nil {
+	if n := d.length(1); n > 0 {
 		m.Values = make([]string, n)
 		for i := range m.Values {
 			m.Values[i] = d.String()
@@ -650,8 +645,8 @@ func (d *WireDecoder) multiRF() MultiRF {
 	return m
 }
 
-func (d *WireDecoder) perfIssue() PerfIssue {
-	return PerfIssue{
+func (d *WireDecoder) perfIssue() *PerfIssue {
+	return &PerfIssue{
 		Kind:  PerfIssueKind(d.Int()),
 		Loc:   d.String(),
 		Line:  pmem.Addr(d.Uvarint()),
@@ -659,79 +654,86 @@ func (d *WireDecoder) perfIssue() PerfIssue {
 	}
 }
 
-func (d *WireDecoder) hist() WireHist {
-	h := WireHist{Timer: d.Int(), Count: d.Varint(), Sum: d.Varint()}
-	n := d.length(2)
-	if d.err != nil || n == 0 {
-		return h
+// hist reads timer t's histogram: a positive count, a non-negative sum, and
+// ascending in-range buckets of positive counts that sum to the count.
+func (d *WireDecoder) hist(t obs.Timer) obs.HistSnapshot {
+	h := obs.HistSnapshot{Count: d.Varint(), Sum: d.Varint()}
+	if h.Count <= 0 || h.Sum < 0 {
+		d.fail("hist %s: count/sum %d/%d", t, h.Count, h.Sum)
 	}
-	h.Buckets = make([][2]int64, n)
-	prev := int64(0)
-	for i := range h.Buckets {
-		gap := d.Varint()
-		idx := prev + gap
-		if i == 0 {
-			idx = gap
+	base, last, total := int64(0), int64(-1), int64(0)
+	for i, n := 0, d.length(2); i < n && d.err == nil; i++ {
+		idx, count := base+d.Varint(), d.Varint()
+		switch {
+		case idx <= last || idx >= int64(obs.NumHistBuckets):
+			d.fail("hist %s: bucket index %d out of order or range", t, idx)
+		case count <= 0:
+			d.fail("hist %s: bucket %d has non-positive count %d", t, idx, count)
+		default:
+			h.Counts = append(h.Counts, make([]int64, idx-int64(len(h.Counts)))...)
+			h.Counts = append(h.Counts, count)
+			base, last, total = idx, idx, total+count
 		}
-		prev = idx
-		h.Buckets[i] = [2]int64{idx, d.Varint()}
+	}
+	if total != h.Count {
+		d.fail("hist %s: bucket counts sum to %d, want count %d", t, total, h.Count)
 	}
 	return h
 }
 
-func (d *WireDecoder) obsShard() *WireObs {
-	if !d.Bool() {
-		return nil
-	}
-	wo := &WireObs{Counters: d.sparseVec(), Peaks: d.sparseVec()}
-	n := d.length(1)
-	if d.err != nil {
-		return wo
-	}
-	for i := 0; i < n; i++ {
-		wo.Hists = append(wo.Hists, d.hist())
-	}
-	return wo
-}
-
-// Stats reads a WireStats (nil when the absence marker was encoded).
+// Stats reads a WireStats (nil when the absence marker was encoded). Keyed
+// findings that repeat a key merge as the coordinator's merge would.
 func (d *WireDecoder) Stats() *WireStats {
 	if !d.Bool() {
 		return nil
 	}
-	ws := &WireStats{
-		Scenarios:  d.Int(),
-		ExecsPost:  d.Int(),
-		FpointsPre: d.Int(),
-		Steps:      d.Varint(),
-		MaxRF:      d.Int(),
+	ws := &WireStats{}
+	ws.initStats()
+	ws.scenarios, ws.execsPost, ws.fpointsPre = d.Int(), d.Int(), d.Int()
+	ws.totalSteps, ws.maxRF = d.Varint(), d.Int()
+	for i := range ws.newPoints {
+		ws.newPoints[i] = d.Int()
 	}
-	for i := range ws.NewPoints {
-		ws.NewPoints[i] = d.Int()
+	ws.truncated = d.Bool()
+	if ws.scenarios < 0 || ws.execsPost < 0 || ws.fpointsPre < 0 {
+		d.fail("negative counts (scenarios %d, execs %d, fpoints %d)", ws.scenarios, ws.execsPost, ws.fpointsPre)
 	}
-	ws.Truncated = d.Bool()
-	nb := d.length(1)
-	for i := 0; i < nb && d.err == nil; i++ {
-		b := WireBug{
-			Type:      d.Int(),
+	for i, n := 0, d.length(1); i < n && d.err == nil; i++ {
+		ws.mergeBug(&BugReport{
+			Type:      BugType(d.Int()),
 			Message:   d.String(),
 			Execution: d.Int(),
 			Scenario:  d.Int(),
 			Count:     d.Int(),
 			Choices:   d.String(),
-			Replay:    d.Points(),
+			replay:    d.points(),
+		})
+	}
+	for i, n := 0, d.length(1); i < n && d.err == nil; i++ {
+		m := d.multiRF()
+		ws.mergeMultiRF(m.Loc, m)
+	}
+	for i, n := 0, d.length(1); i < n && d.err == nil; i++ {
+		p := d.perfIssue()
+		ws.mergePerfIssue(perfKey(p.Kind, p.Loc), p)
+	}
+	if ws.observed = d.Bool(); ws.observed {
+		d.counterVec(&ws.counters)
+		var peaks [obs.NumCounters]int64
+		ws.peaks = append([]int64(nil), peaks[:d.sparseVec(peaks[:])]...)
+		last := -1
+		for i, n := 0, d.length(1); i < n && d.err == nil; i++ {
+			t := d.Int()
+			if t <= last || t >= obs.NumTimers {
+				d.fail("hist timer %d out of order or range", t)
+				break
+			}
+			ws.hists[t], last = d.hist(obs.Timer(t)), t
 		}
-		ws.Bugs = append(ws.Bugs, b)
 	}
-	nm := d.length(1)
-	for i := 0; i < nm && d.err == nil; i++ {
-		ws.MultiRF = append(ws.MultiRF, d.multiRF())
+	if d.err != nil {
+		return nil
 	}
-	np := d.length(1)
-	for i := 0; i < np && d.err == nil; i++ {
-		ws.PerfIssues = append(ws.PerfIssues, d.perfIssue())
-	}
-	ws.Obs = d.obsShard()
 	return ws
 }
 
@@ -743,47 +745,42 @@ func (d *WireDecoder) PorEntries() []WirePorEntry {
 	}
 	out := make([]WirePorEntry, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		var en WirePorEntry
-		en.FP = d.Fixed64()
-		dl := &en.Delta
-		dl.Scenarios = d.Int()
-		dl.Execs = d.Int()
-		dl.Steps = d.Varint()
-		dl.MaxRF = d.Int()
-		dl.MaxRel = d.Int()
-		for j := range dl.NewPoints {
-			dl.NewPoints[j] = d.Int()
+		fp := d.Fixed64()
+		dl := &porDelta{
+			scenarios: d.Int(),
+			execs:     d.Int(),
+			steps:     d.Varint(),
+			maxRF:     d.Int(),
+			maxRel:    d.Int(),
 		}
-		dl.Replayed = d.Varint()
-		dl.Fresh = d.Varint()
-		if d.Bool() {
-			dl.Vec = d.sparseVec()
+		for j := range dl.newPoints {
+			dl.newPoints[j] = d.Int()
 		}
-		nb := d.length(1)
-		for j := 0; j < nb && d.err == nil; j++ {
-			b := WirePorBug{
-				Type:    d.Int(),
-				Message: d.String(),
-				Exec:    d.Int(),
-				Count:   d.Int(),
-				Rel:     d.String(),
-				Suffix:  d.Points(),
-			}
-			dl.Bugs = append(dl.Bugs, b)
+		dl.replayed, dl.fresh = d.Varint(), d.Varint()
+		if v := d.optCounterVec(); v != nil {
+			dl.vec = *v
 		}
-		np := d.length(1)
-		for j := 0; j < np && d.err == nil; j++ {
-			p := WirePorPerf{Count: d.Int()}
-			p.Issue = d.perfIssue()
-			dl.Perf = append(dl.Perf, p)
+		for j, nb := 0, d.length(1); j < nb && d.err == nil; j++ {
+			dl.bugs = append(dl.bugs, porBug{
+				typ:    BugType(d.Int()),
+				msg:    d.String(),
+				exec:   d.Int(),
+				count:  d.Int(),
+				rel:    d.String(),
+				suffix: d.points(),
+			})
 		}
-		nm := d.length(1)
-		for j := 0; j < nm && d.err == nil; j++ {
-			m := WirePorMulti{Count: d.Int()}
-			m.Multi = d.multiRF()
-			dl.Multi = append(dl.Multi, m)
+		for j, np := 0, d.length(1); j < np && d.err == nil; j++ {
+			count := d.Int()
+			p := d.perfIssue()
+			dl.perf = append(dl.perf, porPerfDelta{key: perfKey(p.Kind, p.Loc), count: count, issue: *p})
 		}
-		out = append(out, en)
+		for j, nm := 0, d.length(1); j < nm && d.err == nil; j++ {
+			count := d.Int()
+			m := d.multiRF()
+			dl.multi = append(dl.multi, porMultiDelta{key: m.Loc, count: count, multi: *m})
+		}
+		out = append(out, WirePorEntry{fp, dl})
 	}
 	if d.err != nil {
 		return nil

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"math/rand"
 	"os"
 	"reflect"
@@ -13,9 +12,9 @@ import (
 	"jaaru/internal/obs"
 )
 
-// randWireClaims builds a batch of randomized claims in canonical wire shape
-// (the shapes encodeClaim emits: limits nil or full-length, memos nil or
-// full-length), sharing prefixes the way real frontier batches do.
+// randWireClaims builds a batch of randomized claims in the shapes the
+// engine produces (limits nil or full-length, memos nil or full-length),
+// sharing prefixes the way real frontier batches do.
 func randWireClaims(rng *rand.Rand, batch int) []WireClaim {
 	kinds := []choiceKind{chooseFail, chooseReadFrom, chooseEvict}
 	var prefix []choicePoint
@@ -29,7 +28,7 @@ func randWireClaims(rng *rand.Rand, batch int) []WireClaim {
 		}
 		var limits []int
 		memos := make([]*failMemo, depth)
-		residual := rng.Intn(2) == 0
+		residual := depth > 0 && rng.Intn(2) == 0
 		if residual {
 			limits = make([]int, depth)
 		}
@@ -50,6 +49,7 @@ func randWireClaims(rng *rand.Rand, batch int) []WireClaim {
 			if pts[i].kind == chooseFail && rng.Intn(3) == 0 {
 				m := &failMemo{fp: rng.Uint64(), steps: rng.Int63n(1 << 20)}
 				if rng.Intn(2) == 0 {
+					m.vec = new(obs.CounterVec)
 					m.vec[obs.Scenarios] = rng.Int63n(100)
 					m.vec[obs.Steps] = rng.Int63n(10000)
 				}
@@ -60,100 +60,104 @@ func randWireClaims(rng *rand.Rand, batch int) []WireClaim {
 		if !anyMemo {
 			memos = nil
 		}
+		if depth == 0 {
+			pts = nil // an empty vector decodes as nil
+		}
 		prefix = pts
-		ws[ci] = encodeClaim(branch{pts, limits, memos})
+		ws[ci] = WireClaim{pts, limits, memos}
 	}
 	return ws
+}
+
+// newWireStats is an empty stats batch ready for findings.
+func newWireStats() *WireStats {
+	ws := &WireStats{}
+	ws.initStats()
+	return ws
+}
+
+// histOf is a histogram snapshot with the given bucket counts.
+func histOf(sum int64, buckets map[int]int64) obs.HistSnapshot {
+	h := obs.HistSnapshot{Sum: sum}
+	for i, n := range buckets {
+		if i >= len(h.Counts) {
+			h.Counts = append(h.Counts, make([]int64, i+1-len(h.Counts))...)
+		}
+		h.Counts[i] = n
+		h.Count += n
+	}
+	return h
 }
 
 // richWireStats builds a stats snapshot exercising every field the codec
 // carries: bugs with replay vectors, flagged loads, perf issues,
 // and an observability shard with sparse counters and histograms.
 func richWireStats() *WireStats {
-	pts := []choicePoint{
-		{kind: chooseFail, n: 2, idx: 0},
-		{kind: chooseReadFrom, n: 4, idx: 1},
-		{kind: chooseEvict, n: 3, idx: 2},
-	}
-	counters := make([]int64, obs.NumCounters)
-	counters[obs.Scenarios] = 7
-	counters[obs.Steps] = 910
-	return &WireStats{
-		Scenarios:  7,
-		ExecsPost:  7,
-		FpointsPre: 5,
-		Steps:      910,
-		MaxRF:      3,
-		NewPoints:  [3]int{4, 2, 1},
-		Truncated:  true,
-		Bugs: []WireBug{{
-			Type:      int(BugAssertion),
-			Message:   "second line persisted before first",
-			Execution: 1,
-			Scenario:  4,
-			Count:     2,
-			Choices:   "fail@3",
-			Replay:    encodePoints(pts),
-		}},
-		MultiRF: []MultiRF{{
-			Loc: "probe.go:12", Addr: 128, Candidates: 3,
-			Values: []string{"7", "9"}, Count: 2,
-		}},
-		PerfIssues: []PerfIssue{{Kind: PerfRedundantFlush, Loc: "probe.go:20", Line: 20, Count: 1}},
-		Obs: &WireObs{
-			Counters: counters,
-			Peaks:    []int64{2},
-			Hists: []WireHist{{
-				Timer: int(obs.TimerPreFailure), Count: 2, Sum: 300,
-				Buckets: [][2]int64{
-					{int64(obs.HistBucketIndex(100)), 1},
-					{int64(obs.HistBucketIndex(200)), 1},
-				},
-			}},
+	ws := newWireStats()
+	ws.scenarios, ws.execsPost, ws.fpointsPre, ws.totalSteps, ws.maxRF = 7, 7, 5, 910, 3
+	ws.newPoints = [3]int{4, 2, 1}
+	ws.truncated = true
+	ws.mergeBug(&BugReport{
+		Type:      BugAssertion,
+		Message:   "second line persisted before first",
+		Execution: 1,
+		Scenario:  4,
+		Count:     2,
+		Choices:   "fail@3",
+		replay: []choicePoint{
+			{kind: chooseFail, n: 2, idx: 0},
+			{kind: chooseReadFrom, n: 4, idx: 1},
+			{kind: chooseEvict, n: 3, idx: 2},
 		},
-	}
+	})
+	ws.mergeMultiRF("probe.go:12", &MultiRF{
+		Loc: "probe.go:12", Addr: 128, Candidates: 3,
+		Values: []string{"7", "9"}, Count: 2,
+	})
+	ws.mergePerfIssue(perfKey(PerfRedundantFlush, "probe.go:20"),
+		&PerfIssue{Kind: PerfRedundantFlush, Loc: "probe.go:20", Line: 20, Count: 1})
+	ws.observed = true
+	ws.counters[obs.Scenarios] = 7
+	ws.counters[obs.Steps] = 910
+	ws.peaks = []int64{2}
+	ws.hists[obs.TimerPreFailure] = histOf(300, map[int]int64{
+		obs.HistBucketIndex(100): 1,
+		obs.HistBucketIndex(200): 1,
+	})
+	return ws
 }
 
 func richPorEntries() []WirePorEntry {
-	suffix := []choicePoint{
-		{kind: chooseFail, n: 2, idx: 1},
-		{kind: chooseReadFrom, n: 3, idx: 0},
+	d := &porDelta{
+		scenarios: 2, execs: 2, steps: 64, maxRF: 2, maxRel: 1,
+		newPoints: [3]int{1, 1, 0}, replayed: 10, fresh: 54,
+		bugs: []porBug{{
+			typ: BugAssertion, msg: "torn pair", exec: 1, count: 1, rel: "fail@2",
+			suffix: []choicePoint{
+				{kind: chooseFail, n: 2, idx: 1},
+				{kind: chooseReadFrom, n: 3, idx: 0},
+			},
+		}},
+		perf: []porPerfDelta{{
+			key:   perfKey(PerfRedundantFence, "p.go:3"),
+			count: 2,
+			issue: PerfIssue{Kind: PerfRedundantFence, Loc: "p.go:3", Line: 3, Count: 2},
+		}},
+		multi: []porMultiDelta{{
+			key:   "p.go:9",
+			count: 1,
+			multi: MultiRF{Loc: "p.go:9", Addr: 16, Candidates: 2, Values: []string{"0"}, Count: 1},
+		}},
 	}
-	vec := make([]int64, obs.NumCounters)
-	vec[obs.Scenarios] = 2
+	d.vec[obs.Scenarios] = 2
 	return []WirePorEntry{
-		{
-			FP: 0xabcdef12,
-			Delta: WirePorDelta{
-				Scenarios: 2, Execs: 2, Steps: 64, MaxRF: 2, MaxRel: 1,
-				NewPoints: [3]int{1, 1, 0}, Replayed: 10, Fresh: 54,
-				Vec: vec,
-				Bugs: []WirePorBug{{
-					Type: int(BugAssertion), Message: "torn pair", Exec: 1,
-					Count: 1, Rel: "fail@2",
-					Suffix: encodePoints(suffix),
-				}},
-				Perf: []WirePorPerf{{
-					Count: 2,
-					Issue: PerfIssue{Kind: PerfRedundantFence, Loc: "p.go:3", Line: 3, Count: 2},
-				}},
-				Multi: []WirePorMulti{{
-					Count: 1,
-					Multi: MultiRF{Loc: "p.go:9", Addr: 16, Candidates: 2, Values: []string{"0"}, Count: 1},
-				}},
-			},
-		},
-		{
-			FP: 0x22,
-			Delta: WirePorDelta{
-				Scenarios: 1, Execs: 1, Steps: 8, NewPoints: [3]int{0, 1, 0}, Fresh: 8,
-			},
-		},
+		{0xabcdef12, d},
+		{0x22, &porDelta{scenarios: 1, execs: 1, steps: 8, newPoints: [3]int{0, 1, 0}, fresh: 8}},
 	}
 }
 
 // TestWireV2ClaimRoundTripProperty: randomized claim batches survive the
-// binary codec exactly and still validate (grantable verbatim).
+// binary codec exactly.
 func TestWireV2ClaimRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x2b52))
 	for iter := 0; iter < 500; iter++ {
@@ -169,11 +173,6 @@ func TestWireV2ClaimRoundTripProperty(t *testing.T) {
 		if !reflect.DeepEqual(got, ws) {
 			t.Fatalf("iter %d: v2 round trip differs:\nwant %+v\ngot  %+v", iter, ws, got)
 		}
-		for i := range got {
-			if err := got[i].Validate(); err != nil {
-				t.Fatalf("iter %d: decoded claim %d invalid: %v", iter, i, err)
-			}
-		}
 	}
 }
 
@@ -185,11 +184,11 @@ func TestWireV2ClaimRoundTripProperty(t *testing.T) {
 // (observed live: a 4-worker lease grant of donated splits). Must round-trip.
 func TestWireV2DeepSharedPrefixTail(t *testing.T) {
 	mk := func(n int) WireClaim {
-		pts := make([]WirePoint, n)
+		pts := make([]choicePoint, n)
 		for i := range pts {
-			pts[i] = WirePoint{Kind: "rf", N: 2, Idx: i % 2}
+			pts[i] = choicePoint{kind: chooseReadFrom, n: 2, idx: i % 2}
 		}
-		return WireClaim{Points: pts}
+		return WireClaim{points: pts}
 	}
 	// Descending lengths: each claim is a fresh prefix chain ending in a
 	// different last point, so shared = len-1 against its predecessor's
@@ -252,11 +251,6 @@ func TestWireV2PorEntriesRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, es) {
 		t.Errorf("por round trip differs:\nwant %+v\ngot  %+v", es, got)
 	}
-	for i := range got {
-		if err := AbsorbPorEntry(&got[i]); err != nil {
-			t.Errorf("decoded por entry %d invalid: %v", i, err)
-		}
-	}
 }
 
 // TestWireV2CompositeMessage: the codec has no sub-message framing, so a
@@ -289,29 +283,98 @@ func TestWireV2CompositeMessage(t *testing.T) {
 	}
 }
 
-// TestWireV2SmallerThanJSON: the codec's reason to exist — a realistic
-// commit payload (prefix-sharing claims + stats + por) must be much smaller
-// in v2 than as JSON.
-func TestWireV2SmallerThanJSON(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	claims := randWireClaims(rng, 8)
-	ws := richWireStats()
-
+// rawStatsShard is a stats message with no counts or findings whose obs
+// shard write encodes: the encoder cannot produce a malformed shard from the
+// engine's fixed-width types, so these cases write it field by field.
+func rawStatsShard(write func(e *WireEncoder)) []byte {
 	e := NewWireEncoder(nil)
-	e.Claims(claims)
-	e.Stats(ws)
-	v2 := len(e.Bytes())
+	e.Stats(&WireStats{})
+	e.buf = e.buf[:len(e.buf)-1] // the shard's absence flag
+	e.Bool(true)
+	write(e)
+	return e.Bytes()
+}
 
-	j1, _ := json.Marshal(claims)
-	j2, _ := json.Marshal(ws)
-	v1 := len(j1) + len(j2)
-	if v2*2 > v1 {
-		t.Errorf("v2 payload %dB is not at least 2x smaller than JSON %dB", v2, v1)
+// fullCounters writes an all-zero counter vector of the right width.
+func fullCounters(e *WireEncoder) {
+	e.Uvarint(uint64(obs.NumCounters))
+	e.Uvarint(0)
+}
+
+// rejectCase is one decoder check: a message well-formed but for the field
+// the case names, the reader that decodes it (Claims when nil), and a
+// fragment the decode error must mention. The encoder writes whatever
+// engine value it is handed, so most cases are an invalid engine value,
+// encoded.
+type rejectCase struct {
+	name, want string
+	msg        []byte
+	read       func(d *WireDecoder)
+}
+
+// checkRejects decodes each case's message and wants Done to report the
+// case's error.
+func checkRejects(t *testing.T, cases []rejectCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			read := tc.read
+			if read == nil {
+				read = func(d *WireDecoder) { d.Claims() }
+			}
+			d := NewWireDecoder(tc.msg)
+			read(d)
+			if err := d.Done(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("decode error %v, want one mentioning %q", err, tc.want)
+			}
+		})
 	}
 }
 
-// TestWireV2DecoderRejectsMalformed: the decoder must fail cleanly — sticky
-// error, no panic, no silent truncation — on hostile or skewed input.
+func claimsMsg(ws ...WireClaim) []byte {
+	e := NewWireEncoder(nil)
+	e.Claims(ws)
+	return e.Bytes()
+}
+
+func statsMsg(edit func(ws *WireStats)) []byte {
+	ws := newWireStats()
+	edit(ws)
+	e := NewWireEncoder(nil)
+	e.Stats(ws)
+	return e.Bytes()
+}
+
+// histMsg is a stats message whose one replay-timer histogram edit alters.
+func histMsg(edit func(h *obs.HistSnapshot)) []byte {
+	return statsMsg(func(ws *WireStats) {
+		ws.observed = true
+		ws.hists[obs.TimerReplay] = histOf(9, map[int]int64{5: 1})
+		edit(&ws.hists[obs.TimerReplay])
+	})
+}
+
+func porMsg(edit func(d *porDelta)) []byte {
+	d := &porDelta{scenarios: 1}
+	edit(d)
+	e := NewWireEncoder(nil)
+	e.PorEntries([]WirePorEntry{{1, d}})
+	return e.Bytes()
+}
+
+func onePoint(kind choiceKind, n, idx int) []choicePoint {
+	return []choicePoint{{kind: kind, n: n, idx: idx}}
+}
+
+func readStats(d *WireDecoder) { d.Stats() }
+func readPor(d *WireDecoder)   { d.PorEntries() }
+
+// TestWireV2DecoderRejectsMalformed: the decoder is the one validator. It
+// must fail cleanly — sticky error, no panic, no silent truncation — on
+// hostile or skewed input, and reject every value the engine could not use:
+// a claim that would crash-loop its claimants (TestWireClaimCompileRejectsMalformed),
+// stats that would corrupt the merge (TestWireStatsValidateRejectsMalformed),
+// a POR delta that would corrupt a pruned subtree's accounting.
 func TestWireV2DecoderRejectsMalformed(t *testing.T) {
 	e := NewWireEncoder(nil)
 	e.Claims(randWireClaims(rand.New(rand.NewSource(3)), 3))
@@ -334,72 +397,197 @@ func TestWireV2DecoderRejectsMalformed(t *testing.T) {
 		t.Error("trailing bytes accepted")
 	}
 
-	// A shared-prefix count pointing past the interning context must fail.
-	bad := NewWireEncoder(nil)
-	bad.Uvarint(1) // one claim
-	bad.Uvarint(2) // two points
-	bad.Uvarint(2) // sharing 2 points of an empty context
-	d = NewWireDecoder(bad.Bytes())
-	d.Claims()
-	if d.Err() == nil {
-		t.Error("out-of-context shared prefix accepted")
-	}
-
-	// An unknown kind code must fail rather than alias a real kind.
-	bad = NewWireEncoder(nil)
-	bad.Uvarint(1)
-	bad.Uvarint(1)
-	bad.Uvarint(0)
-	bad.Byte(0x7f)
-	bad.Int(2)
-	bad.Int(0)
-	bad.Bool(false)
-	bad.Bool(false)
-	d = NewWireDecoder(bad.Bytes())
-	d.Claims()
-	if d.Err() == nil {
-		t.Error("unknown kind code accepted")
-	}
-
 	// Allocation stays in proportion to the message. Interning makes a
 	// stream's length independent of its bytes, so claims that each re-share
 	// one long prefix must hit the per-message point budget instead of
-	// decoding to their product; and no vector is wider than the counters.
-	long := make([]WirePoint, 600)
+	// decoding to their product.
+	long := make([]choicePoint, 600)
 	for i := range long {
-		long[i] = WirePoint{Kind: "rf", N: 2}
+		long[i] = choicePoint{kind: chooseReadFrom, n: 2}
 	}
 	batch := make([]WireClaim, 1000)
 	for i := range batch {
-		batch[i] = WireClaim{Points: long}
+		batch[i] = WireClaim{points: long}
 	}
-	bad = NewWireEncoder(nil)
+	bad := NewWireEncoder(nil)
 	bad.Claims(batch)
 	d = NewWireDecoder(bad.Bytes())
 	if d.Claims(); d.Err() == nil {
 		t.Errorf("%d bytes decoded to %d points", len(bad.Bytes()), len(batch)*len(long))
 	}
-	bad = NewWireEncoder(nil)
-	bad.Stats(&WireStats{Obs: &WireObs{Counters: make([]int64, obs.NumCounters+1)}})
-	d = NewWireDecoder(bad.Bytes())
-	if d.Stats(); d.Err() == nil {
-		t.Error("a vector wider than the counter space decoded")
-	}
 
-	// An unknown-but-escaped kind survives (future-proofing) and is caught
-	// by Validate, not the codec.
-	esc := NewWireEncoder(nil)
-	esc.Claims([]WireClaim{{Points: []WirePoint{{Kind: "coin", N: 2, Idx: 0}}}})
-	d = NewWireDecoder(esc.Bytes())
-	got := d.Claims()
+	checkRejects(t, []rejectCase{
+		{"por suffix point", "out of range", porMsg(func(d *porDelta) {
+			d.bugs = []porBug{{msg: "x", count: 1, suffix: onePoint(chooseReadFrom, 2, 3)}}
+		}), readPor},
+		{"por vec width", "counters, want", func() []byte {
+			e := NewWireEncoder(nil)
+			e.PorEntries([]WirePorEntry{{1, &porDelta{}}})
+			b := e.Bytes()
+			// Replace the vec's absence flag and the three empty lists.
+			e.buf = b[:len(b)-4]
+			e.Bool(true)
+			e.Uvarint(2)
+			e.Uvarint(0)
+			e.Uvarint(0)
+			e.Uvarint(0)
+			e.Uvarint(0)
+			return e.Bytes()
+		}(), readPor},
+	})
+}
+
+// TestWireClaimCompileRejectsMalformed: a claim that decodes is one a
+// chooser can seed and replay. One case per check on point streams and
+// claims.
+func TestWireClaimCompileRejectsMalformed(t *testing.T) {
+	rf2 := onePoint(chooseReadFrom, 2, 0)
+	checkRejects(t, []rejectCase{
+		// Point streams.
+		{"unknown kind", "unknown kind", claimsMsg(WireClaim{points: onePoint(3, 2, 0)}), nil},
+		{"escaped kind", "unknown kind", func() []byte {
+			// How the codec once carried kinds it did not know: 0xff, then
+			// the kind's name.
+			e := NewWireEncoder(nil)
+			e.Uvarint(1)
+			e.Uvarint(1)
+			e.Uvarint(0)
+			e.Byte(0xff)
+			e.String("coin")
+			e.Int(2)
+			e.Int(0)
+			e.Bool(false)
+			e.Bool(false)
+			return e.Bytes()
+		}(), nil},
+		{"idx out of range", "out of range", claimsMsg(WireClaim{points: onePoint(chooseReadFrom, 2, 2)}), nil},
+		{"negative idx", "out of range", claimsMsg(WireClaim{points: onePoint(chooseReadFrom, 2, -1)}), nil},
+		{"zero n", "out of range", claimsMsg(WireClaim{points: onePoint(chooseFail, 0, 0)}), nil},
+		{"too many options", "options, more than", claimsMsg(WireClaim{points: onePoint(chooseReadFrom, maxWireOptions+1, 0)}), nil},
+		{"shared prefix out of context", "shared prefix", func() []byte {
+			e := NewWireEncoder(nil)
+			e.Uvarint(1) // one claim
+			e.Uvarint(2) // two points
+			e.Uvarint(2) // sharing 2 points of an empty context
+			return e.Bytes()
+		}(), nil},
+		{"point count overflows int", "shared prefix", func() []byte {
+			e := NewWireEncoder(nil)
+			e.Uvarint(1)
+			e.Uvarint(1 << 63)
+			e.Uvarint(1 << 63)
+			return e.Bytes()
+		}(), nil},
+		// Claims.
+		{"limit count mismatch", "limits for", claimsMsg(WireClaim{points: rf2, limits: []int{1, 2}}), nil},
+		{"limit at idx", "limit", claimsMsg(WireClaim{points: onePoint(chooseReadFrom, 3, 2), limits: []int{2}}), nil},
+		{"limit above n", "limit", claimsMsg(WireClaim{points: onePoint(chooseReadFrom, 3, 0), limits: []int{4}}), nil},
+		{"more memos than points", "memos for", claimsMsg(WireClaim{points: onePoint(chooseFail, 2, 0), memos: []*failMemo{nil, {}}}), nil},
+		{"fewer memos than points", "memos for", claimsMsg(WireClaim{
+			points: []choicePoint{{kind: chooseFail, n: 2}, {kind: chooseFail, n: 2}},
+			memos:  []*failMemo{{fp: 1}},
+		}), nil},
+		{"memo on non-fail point", "non-fail", claimsMsg(WireClaim{points: rf2, memos: []*failMemo{{fp: 1}}}), nil},
+		{"memo vec width", "counters, want", func() []byte {
+			e := NewWireEncoder(nil)
+			e.Uvarint(1)
+			e.points(onePoint(chooseFail, 2, 0))
+			e.Bool(false) // no limits
+			e.Bool(true)  // memos
+			e.Uvarint(1)
+			e.Bool(true)
+			e.Fixed64(1)
+			e.Varint(0)
+			e.Bool(true) // a vec two counters wide
+			e.Uvarint(2)
+			e.Uvarint(0)
+			return e.Bytes()
+		}(), nil},
+	})
+}
+
+// TestWireStatsValidateRejectsMalformed: a stats delta that decodes is one
+// MergeAcc.Absorb can fold in unchecked. One case per check on counts,
+// findings and the obs shard.
+func TestWireStatsValidateRejectsMalformed(t *testing.T) {
+	checkRejects(t, []rejectCase{
+		{"negative scenarios", "negative", statsMsg(func(ws *WireStats) { ws.scenarios = -1 }), readStats},
+		{"negative execs", "negative", statsMsg(func(ws *WireStats) { ws.execsPost = -2 }), readStats},
+		{"negative fpoints", "negative", statsMsg(func(ws *WireStats) { ws.fpointsPre = -3 }), readStats},
+		{"bad bug replay point", "unknown kind", statsMsg(func(ws *WireStats) {
+			ws.mergeBug(&BugReport{Message: "x", Count: 1, replay: onePoint(7, 2, 0)})
+		}), readStats},
+		{"obs counters too narrow", "counters, want", rawStatsShard(func(e *WireEncoder) {
+			e.Uvarint(1)
+			e.Uvarint(0)
+		}), readStats},
+		{"obs counters too wide", "vector width", rawStatsShard(func(e *WireEncoder) {
+			e.sparseVec(make([]int64, obs.NumCounters+1))
+		}), readStats},
+		{"peaks too wide", "vector width", rawStatsShard(func(e *WireEncoder) {
+			fullCounters(e)
+			e.sparseVec(make([]int64, obs.NumCounters+1))
+		}), readStats},
+		{"hist timer range", "timer", rawStatsShard(func(e *WireEncoder) {
+			fullCounters(e)
+			e.sparseVec(nil)
+			e.Uvarint(1)
+			h := histOf(1, map[int]int64{0: 1})
+			e.hist(obs.NumTimers, &h)
+		}), readStats},
+		{"hist timer repeated", "timer", rawStatsShard(func(e *WireEncoder) {
+			fullCounters(e)
+			e.sparseVec(nil)
+			e.Uvarint(2)
+			h := histOf(1, map[int]int64{0: 1})
+			e.hist(0, &h)
+			e.hist(0, &h)
+		}), readStats},
+		{"hist without samples", "count/sum", rawStatsShard(func(e *WireEncoder) {
+			fullCounters(e)
+			e.sparseVec(nil)
+			e.Uvarint(1)
+			e.hist(0, &obs.HistSnapshot{})
+		}), readStats},
+		{"hist negative sum", "count/sum", histMsg(func(h *obs.HistSnapshot) { h.Sum = -1 }), readStats},
+		{"hist bucket order", "out of order", rawStatsShard(func(e *WireEncoder) {
+			fullCounters(e)
+			e.sparseVec(nil)
+			e.Uvarint(1)
+			e.Int(0)
+			e.Varint(2) // count
+			e.Varint(0) // sum
+			e.Uvarint(2)
+			e.Varint(5) // bucket 5
+			e.Varint(1)
+			e.Varint(0) // bucket 5 again
+			e.Varint(1)
+		}), readStats},
+		{"hist empty bucket", "non-positive", rawStatsShard(func(e *WireEncoder) {
+			fullCounters(e)
+			e.sparseVec(nil)
+			e.Uvarint(1)
+			e.Int(0)
+			e.Varint(1) // count
+			e.Varint(0) // sum
+			e.Uvarint(2)
+			e.Varint(3) // bucket 3, empty
+			e.Varint(0)
+			e.Varint(2) // bucket 5
+			e.Varint(1)
+		}), readStats},
+		{"hist bucket range", "out of order or range", histMsg(func(h *obs.HistSnapshot) {
+			*h = histOf(1, map[int]int64{obs.NumHistBuckets: 1})
+		}), readStats},
+		{"hist count mismatch", "sum to", histMsg(func(h *obs.HistSnapshot) { h.Count = 3 }), readStats},
+		{"hist negative bucket count", "non-positive", histMsg(func(h *obs.HistSnapshot) { h.Counts[5] = -1 }), readStats},
+	})
+
+	// A well-formed delta still decodes.
+	d := NewWireDecoder(statsMsg(func(ws *WireStats) { ws.scenarios = 3 }))
+	d.Stats()
 	if err := d.Done(); err != nil {
-		t.Fatalf("escaped kind did not round trip: %v", err)
-	}
-	if got[0].Points[0].Kind != "coin" {
-		t.Errorf("escaped kind = %q, want %q", got[0].Points[0].Kind, "coin")
-	}
-	if got[0].Validate() == nil {
-		t.Error("unknown kind passed Validate")
+		t.Errorf("valid stats rejected: %v", err)
 	}
 }
 
@@ -418,8 +606,8 @@ func goldenClaims() []WireClaim {
 	var vec obs.CounterVec
 	vec[obs.Scenarios] = 3
 	vec[obs.Steps] = 512
-	memos[2] = &failMemo{fp: 0xfeedface, steps: 321, vec: vec}
-	return []WireClaim{encodeClaim(branch{pts, []int{1, 3, 2, 3}, memos}), encodeClaim(branch{points: pts[:2]})}
+	memos[2] = &failMemo{fp: 0xfeedface, steps: 321, vec: &vec}
+	return []WireClaim{{pts, []int{1, 3, 2, 3}, memos}, {points: pts[:2]}}
 }
 
 // TestWireV2GoldenFixture freezes the wire format's bytes. A diff here means
@@ -498,52 +686,55 @@ func hexDump(b []byte) string {
 // final cumulative snapshot once would have — the soundness condition of
 // the delta-commit protocol.
 func TestDiffWireStatsSequentialAbsorption(t *testing.T) {
-	replay := encodePoints([]choicePoint{{kind: chooseFail, n: 2, idx: 1}})
-	counters := func(scen, steps int64) []int64 {
-		v := make([]int64, obs.NumCounters)
-		v[obs.Scenarios] = scen
-		v[obs.Steps] = steps
-		return v
+	replay := []choicePoint{{kind: chooseFail, n: 2, idx: 1}}
+	// cumulative builds one snapshot of the worker: its scalars, its bugs
+	// and its flagged load (count, then the representative's candidates and
+	// values), and an obs shard whose timer-0 histogram has the given
+	// buckets.
+	cumulative := func(scen, fpoints, steps, maxRF int, points [3]int, bugs []BugReport,
+		multi MultiRF, perf int, sum int64, buckets map[int]int64) *WireStats {
+		ws := newWireStats()
+		ws.scenarios, ws.execsPost, ws.fpointsPre, ws.totalSteps, ws.maxRF = scen, scen, fpoints, int64(steps), maxRF
+		ws.newPoints = points
+		for i := range bugs {
+			ws.mergeBug(&bugs[i])
+		}
+		ws.multiRF[multi.Loc] = &multi
+		if perf > 0 {
+			ws.perfIssues[perfKey(PerfRedundantFlush, "x.go:2")] = &PerfIssue{
+				Kind: PerfRedundantFlush, Loc: "x.go:2", Line: 2, Count: perf}
+		}
+		ws.observed = true
+		ws.counters[obs.Scenarios] = int64(scen)
+		ws.counters[obs.Steps] = int64(steps)
+		ws.peaks = []int64{int64(maxRF - 1)}
+		ws.hists[0] = histOf(sum, buckets)
+		return ws
 	}
 	// Three cumulative snapshots of one worker: counts only grow, the bug
 	// representative improves canonically ("b" -> "a"), a second bug and a
-	// perf issue appear mid-lease, histogram buckets fill in.
-	cum1 := &WireStats{
-		Scenarios: 3, ExecsPost: 3, FpointsPre: 4, Steps: 100, MaxRF: 2,
-		NewPoints: [3]int{1, 1, 0},
-		Bugs: []WireBug{{Type: 1, Message: "m", Execution: 2, Scenario: 1,
-			Count: 1, Choices: "b", Replay: replay}},
-		MultiRF: []MultiRF{{Loc: "x.go:1", Addr: 8, Candidates: 2, Values: []string{"3"}, Count: 1}},
-		Obs: &WireObs{Counters: counters(3, 100), Peaks: []int64{1},
-			Hists: []WireHist{{Timer: 0, Count: 1, Sum: 50, Buckets: [][2]int64{{4, 1}}}}},
-	}
-	cum2 := &WireStats{
-		Scenarios: 7, ExecsPost: 7, FpointsPre: 5, Steps: 250, MaxRF: 3,
-		NewPoints: [3]int{2, 1, 1},
-		Bugs: []WireBug{
-			{Type: 1, Message: "m", Execution: 1, Scenario: 1, Count: 3, Choices: "a", Replay: replay},
+	// perf issue appear mid-lease, histogram buckets fill in. The flagged
+	// load's representative legitimately changes: a bigger candidate set
+	// displaces it, the same join the worker's own flagMultiRF applies (a
+	// representative never changes otherwise).
+	cum1 := cumulative(3, 4, 100, 2, [3]int{1, 1, 0},
+		[]BugReport{{Type: 1, Message: "m", Execution: 2, Scenario: 1, Count: 1, Choices: "b", replay: replay}},
+		MultiRF{Loc: "x.go:1", Addr: 8, Candidates: 2, Values: []string{"3"}, Count: 1}, 0,
+		50, map[int]int64{4: 1})
+	cum2 := cumulative(7, 5, 250, 3, [3]int{2, 1, 1},
+		[]BugReport{
+			{Type: 1, Message: "m", Execution: 1, Scenario: 1, Count: 3, Choices: "a", replay: replay},
 			{Type: 2, Message: "n", Execution: 5, Scenario: 6, Count: 1, Choices: "c"},
 		},
-		// The flagged load's representative legitimately changed: a bigger
-		// candidate set displaced it, the same join the worker's own
-		// flagMultiRF applies (a representative never changes otherwise).
-		MultiRF:    []MultiRF{{Loc: "x.go:1", Addr: 8, Candidates: 3, Values: []string{"3", "5", "7"}, Count: 2}},
-		PerfIssues: []PerfIssue{{Kind: PerfRedundantFlush, Loc: "x.go:2", Line: 2, Count: 1}},
-		Obs: &WireObs{Counters: counters(7, 250), Peaks: []int64{2},
-			Hists: []WireHist{{Timer: 0, Count: 3, Sum: 150, Buckets: [][2]int64{{4, 2}, {6, 1}}}}},
-	}
-	cum3 := &WireStats{
-		Scenarios: 10, ExecsPost: 10, FpointsPre: 5, Steps: 400, MaxRF: 3,
-		NewPoints: [3]int{2, 2, 1},
-		Bugs: []WireBug{
-			{Type: 1, Message: "m", Execution: 1, Scenario: 1, Count: 4, Choices: "a", Replay: replay},
+		MultiRF{Loc: "x.go:1", Addr: 8, Candidates: 3, Values: []string{"3", "5", "7"}, Count: 2}, 1,
+		150, map[int]int64{4: 2, 6: 1})
+	cum3 := cumulative(10, 5, 400, 3, [3]int{2, 2, 1},
+		[]BugReport{
+			{Type: 1, Message: "m", Execution: 1, Scenario: 1, Count: 4, Choices: "a", replay: replay},
 			{Type: 2, Message: "n", Execution: 5, Scenario: 6, Count: 2, Choices: "c"},
 		},
-		MultiRF:    []MultiRF{{Loc: "x.go:1", Addr: 8, Candidates: 3, Values: []string{"3", "5", "7"}, Count: 3}},
-		PerfIssues: []PerfIssue{{Kind: PerfRedundantFlush, Loc: "x.go:2", Line: 2, Count: 2}},
-		Obs: &WireObs{Counters: counters(10, 400), Peaks: []int64{2},
-			Hists: []WireHist{{Timer: 0, Count: 5, Sum: 260, Buckets: [][2]int64{{4, 3}, {6, 2}}}}},
-	}
+		MultiRF{Loc: "x.go:1", Addr: 8, Candidates: 3, Values: []string{"3", "5", "7"}, Count: 3}, 2,
+		260, map[int]int64{4: 3, 6: 2})
 
 	prog := Program{Name: "delta-probe", Run: func(*Context) {}}
 	opts := Options{Observe: true}

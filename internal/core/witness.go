@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -61,6 +61,6 @@ func sortedMultiRF(m map[string]*MultiRF) []*MultiRF {
 	for _, v := range m {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Loc < out[j].Loc })
+	slices.SortFunc(out, func(a, b *MultiRF) int { return strings.Compare(a.Loc, b.Loc) })
 	return out
 }

@@ -405,8 +405,8 @@ func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
 	// reply's Por slice excludes this commit's own contributions.
 	logBefore := len(j.porLog)
 	for _, e := range req.Por {
-		if _, seen := j.porIndex[e.FP]; !seen {
-			j.porIndex[e.FP] = struct{}{}
+		if _, seen := j.porIndex[e.Fingerprint()]; !seen {
+			j.porIndex[e.Fingerprint()] = struct{}{}
 			j.porLog = append(j.porLog, e)
 		}
 	}
@@ -417,7 +417,7 @@ func (c *Coordinator) handleCommit(w http.ResponseWriter, r *http.Request) {
 	// donated options are accounted exactly once: the residuals' limits were
 	// already lowered past them by the split.
 	requeued := j.f.Commit(req.Delta, req.Splits, req.Residuals, req.Final)
-	reg.NoteCommitBatch(int64(req.Delta.Scenarios))
+	reg.NoteCommitBatch(int64(req.Delta.Scenarios()))
 	if req.Final {
 		// A final commit with residuals *releases* the lease (worker drain):
 		// the remainder is requeued exactly as TTL expiry would, but at once,

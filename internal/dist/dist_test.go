@@ -121,7 +121,9 @@ func (h *harness) rpc(method, path string, body, out any) int {
 	ct := ContentTypeJSON
 	if body != nil {
 		var err error
-		if payload, err = encodeWire2(nil, body); err == nil {
+		if raw, ok := body.([]byte); ok {
+			payload, ct = raw, ContentTypeWireV2
+		} else if payload, err = encodeWire2(nil, body); err == nil {
 			ct = ContentTypeWireV2
 		} else if payload, err = json.Marshal(body); err != nil {
 			h.t.Fatal(err)
@@ -525,10 +527,11 @@ func TestDistributedDrainMidLease(t *testing.T) {
 }
 
 // TestCommitRejectsMalformedPayloads: a version-skewed or buggy worker's
-// commit must be rejected atomically with 400 — malformed delta stats would
-// otherwise corrupt the merge the moment they were absorbed, and a
-// malformed split or residual would be granted verbatim to a future worker
-// and crash-loop the fleet. The lease survives to accept a corrected commit.
+// commit must be rejected atomically with 400 as its frame is decoded —
+// malformed delta stats would otherwise corrupt the merge the moment they
+// were absorbed, and a malformed split or residual would be granted
+// verbatim to a future worker and crash-loop the fleet. The lease survives
+// to accept a corrected commit.
 func TestCommitRejectsMalformedPayloads(t *testing.T) {
 	h := newHarness(t)
 	h.submit("tree", distOpts())
@@ -537,26 +540,85 @@ func TestCommitRejectsMalformedPayloads(t *testing.T) {
 		t.Fatalf("lease: HTTP %d status %q", code, grant.Status)
 	}
 	lease := grant.Lease
-	badPoint := core.WirePoint{Kind: "coin", N: 2, Idx: 0}
+	// frame writes a commit frame field by field, its splits, residuals and
+	// delta by the given writers: a malformed claim or stats batch cannot be
+	// built, only written.
+	type writer = func(e *core.WireEncoder)
+	frame := func(final bool, splits, residuals, delta writer) []byte {
+		e := core.NewWireEncoder(nil)
+		e.Byte(wire2Magic0)
+		e.Byte(wire2Magic1)
+		e.Byte(frameCommitRequest)
+		e.String(lease.Token)
+		e.Varint(1) // seq
+		splits(e)
+		residuals(e)
+		delta(e)
+		e.Bool(final)
+		e.Uvarint(0) // por entries
+		e.Int(0)     // por version
+		return e.Bytes()
+	}
+	none := func(e *core.WireEncoder) { e.Uvarint(0) }
+	claim := func(fresh ...[3]int) writer {
+		return func(e *core.WireEncoder) {
+			e.Uvarint(1)
+			writeFrozen(e, fresh...)
+		}
+	}
+	empty := func(e *core.WireEncoder) { writeStats(e) }
 	cases := []struct {
-		name string
-		req  CommitRequest
+		name  string
+		frame []byte
 	}{
-		{"bad bug replay in delta", CommitRequest{Token: lease.Token, Seq: 1, Final: true,
-			Delta: &core.WireStats{Bugs: []core.WireBug{{Message: "x", Replay: []core.WirePoint{badPoint}}}}}},
-		{"bad obs counters in delta", CommitRequest{Token: lease.Token, Seq: 1, Final: true,
-			Delta: &core.WireStats{Obs: &core.WireObs{Counters: []int64{1}}}}},
-		{"negative scenarios in delta", CommitRequest{Token: lease.Token, Seq: 1, Final: true,
-			Delta: &core.WireStats{Scenarios: -3}}},
-		{"bad split", CommitRequest{Token: lease.Token, Seq: 1, Residuals: []core.WireClaim{{}},
-			Delta:  &core.WireStats{},
-			Splits: []core.WireClaim{{Points: []core.WirePoint{badPoint}}}}},
-		{"bad residual", CommitRequest{Token: lease.Token, Seq: 1, Delta: &core.WireStats{},
-			Residuals: []core.WireClaim{{Points: []core.WirePoint{{Kind: "rf", N: 2, Idx: 5}}}}}},
+		{"bad bug replay in delta", frame(true, none, none, func(e *core.WireEncoder) {
+			writeStatsHead(e)
+			e.Uvarint(1)
+			e.Int(0) // type
+			e.String("x")
+			e.Int(0) // execution
+			e.Int(0) // scenario
+			e.Int(1) // count
+			e.String("")
+			writePoints(e, 0, [3]int{3, 2, 0}) // kind code 3: no such kind
+			e.Uvarint(0)
+			e.Uvarint(0)
+			e.Bool(false)
+		})},
+		{"bad obs counters in delta", frame(true, none, none, func(e *core.WireEncoder) {
+			writeStatsHead(e)
+			e.Uvarint(0)
+			e.Uvarint(0)
+			e.Uvarint(0)
+			e.Bool(true)
+			e.Uvarint(1) // one counter wide
+			e.Uvarint(1)
+			e.Uvarint(0)
+			e.Varint(1)
+			e.Uvarint(0) // peaks
+			e.Uvarint(0)
+			e.Uvarint(0) // histograms
+		})},
+		{"negative scenarios in delta", frame(true, none, none, func(e *core.WireEncoder) { writeStats(e, -3) })},
+		{"bad split", frame(false, claim([3]int{kindRF, 0, 0}), claim(), empty)},
+		{"bad residual", frame(false, none, claim([3]int{kindRF, 2, 5}), empty)},
+		// The codec once carried unknown kinds escaped (0xff, then the
+		// kind's name) for a later Validate to reject; now the decoder does.
+		{"escaped point kind", frame(false, func(e *core.WireEncoder) {
+			e.Uvarint(1)
+			e.Uvarint(1)
+			e.Uvarint(0)
+			e.Byte(0xff)
+			e.String("coin")
+			e.Int(2)
+			e.Int(0)
+			e.Bool(false)
+			e.Bool(false)
+		}, claim(), empty)},
 	}
 	for _, tc := range cases {
 		var resp CommitResponse
-		if code := h.rpc("POST", "/v1/leases/"+lease.ID+"/commit", &tc.req, &resp); code != http.StatusBadRequest {
+		if code := h.rpc("POST", "/v1/leases/"+lease.ID+"/commit", tc.frame, &resp); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", tc.name, code)
 		}
 	}

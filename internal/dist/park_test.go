@@ -104,14 +104,22 @@ func (h *parkHarness) commit(req CommitRequest) {
 // split commit, a released lease, a TTL expiry swept by some later RPC, the
 // job's completion — and answered then, not after a poll interval.
 func TestParkedLeaseReleased(t *testing.T) {
-	donated := core.WireClaim{
-		Points: []core.WirePoint{{Kind: "fail", N: 2, Idx: 1}},
-		Limits: []int{2},
-	}
-	kept := core.WireClaim{
-		Points: []core.WirePoint{{Kind: "fail", N: 2, Idx: 0}, {Kind: "fail", N: 2, Idx: 0}},
-		Limits: []int{1, 2},
-	}
+	// A donated split and the donor's residual, as one commit carries them.
+	claims := decoded(t, (*core.WireDecoder).Claims, func(e *core.WireEncoder) {
+		e.Uvarint(2)
+		writePoints(e, 0, [3]int{kindFail, 2, 1})
+		e.Bool(true) // limits
+		e.Uvarint(1)
+		e.Int(2)
+		e.Bool(false) // memos
+		writePoints(e, 0, [3]int{kindFail, 2, 0}, [3]int{kindFail, 2, 0})
+		e.Bool(true)
+		e.Uvarint(2)
+		e.Int(1)
+		e.Int(2)
+		e.Bool(false)
+	})
+	donated, kept := claims[0], claims[1]
 	cases := []struct {
 		name    string
 		release func(h *parkHarness)

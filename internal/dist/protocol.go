@@ -36,8 +36,12 @@
 // workers were killed mid-lease.
 //
 // Lease, commit and heartbeat messages travel as wire-v2 frames (codec.go:
-// a length-prefixed binary encoding built on core.WireEncoder). Job
-// submission, job status and error bodies are JSON.
+// a length-prefixed binary encoding built on core.WireEncoder). Claims,
+// stats deltas and POR entries in them are the engine's own types, and
+// core.WireDecoder validates each as it decodes it: the coordinator decodes
+// a commit once and hands its claims and delta straight to the job's
+// Frontier, and a frame that decodes can be applied whole. Job submission,
+// job status and error bodies are JSON.
 package dist
 
 import (
@@ -171,34 +175,18 @@ type CommitRequest struct {
 	PorVersion int                 `json:"por_version,omitempty"`
 }
 
-// validate checks a commit whole before any of it is applied, so a malformed
-// one (a version-skewed or buggy worker) is rejected atomically: the delta is
-// absorbed without an error path, and the claims are granted verbatim to
-// future workers — a bad one accepted would crash-loop every claimant.
+// validate checks what decoding a commit cannot: its delta and, unless it
+// is final, its residuals are present. Everything else was checked when the
+// frame decoded (core.WireDecoder accepts only valid claims, stats and POR
+// entries), so a malformed commit — a version-skewed or buggy worker's — is
+// rejected whole, before any of it is applied: a bad claim accepted would be
+// granted verbatim to future workers and crash-loop every claimant.
 func (req *CommitRequest) validate() error {
 	switch {
 	case req.Delta == nil:
 		return fmt.Errorf("commit without delta stats")
 	case !req.Final && len(req.Residuals) == 0:
 		return fmt.Errorf("non-final commit without residuals")
-	}
-	if err := req.Delta.Validate(); err != nil {
-		return fmt.Errorf("delta: %v", err)
-	}
-	for i := range req.Residuals {
-		if err := req.Residuals[i].Validate(); err != nil {
-			return fmt.Errorf("residual %d: %v", i, err)
-		}
-	}
-	for i := range req.Splits {
-		if err := req.Splits[i].Validate(); err != nil {
-			return fmt.Errorf("split %d: %v", i, err)
-		}
-	}
-	for i := range req.Por {
-		if err := core.AbsorbPorEntry(&req.Por[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

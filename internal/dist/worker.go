@@ -210,9 +210,7 @@ func (w *Worker) runLease(grant LeaseResponse) error {
 		}
 		w.runners[l.JobID] = jr
 	}
-	if err := jr.lr.AbsorbPor(grant.Por); err != nil {
-		return fmt.Errorf("absorb por: %w", err)
-	}
+	jr.lr.AbsorbPor(grant.Por)
 	jr.coordSeen = grant.PorVersion
 	jr.drained = jr.lr.PorVersion()
 	if w.cfg.CommitEvery == 0 {
@@ -307,7 +305,7 @@ func (s *leaseSink) Commit(splits []core.WireClaim, residuals []core.WireClaim, 
 	}
 	s.jr.drained = s.jr.lr.PorVersion()
 	if delta != nil {
-		s.scenarios += delta.Scenarios
+		s.scenarios += delta.Scenarios()
 	}
 	if len(splits) > 0 {
 		// The hungry hint is stale until this commit's ack lands (one commit
@@ -344,9 +342,7 @@ func (s *leaseSink) send(req *CommitRequest) error {
 	if resp.Stopped {
 		s.stopped.Store(true)
 	}
-	if err := s.jr.lr.AbsorbPor(resp.Por); err != nil {
-		return fmt.Errorf("absorb por: %w", err)
-	}
+	s.jr.lr.AbsorbPor(resp.Por)
 	s.jr.coordSeen = resp.PorVersion
 	s.jr.drained = s.jr.lr.PorVersion()
 	return nil
