@@ -1,7 +1,8 @@
 # Developer / CI entry points. `make verify` is the gate every change must
 # pass: vet, full build, the full test suite, a race-detector pass over the
-# packages with shared mutable state (the parallel exploration driver and the
-# TSO simulation and paged store arena it drives), and the allocation gates
+# packages with shared mutable state (the parallel exploration driver, the
+# TSO simulation and paged store arena it drives, the distributed path, and
+# the metrics registry and its exposition), and the allocation gates
 # (allocs); the full suite drives every `jaaru` subcommand end to end
 # (cmd/jaaru). scrape-smoke drives the telemetry surface over real TCP, and
 # fuzz-smoke fuzzes the lease-path decoders for a bounded time.
@@ -33,8 +34,12 @@ test:
 # fleet of two, healthy and with a worker killed mid-lease, POR on and off)
 # and the Workers=2 donation-cost gate. Its serial golden and trace pins run
 # one exploration at a time, so they have nothing to race and are skipped.
+# The metrics registry (internal/obs) and the exposition over it
+# (internal/telemetry) race too: snapshots and scrapes read shards and
+# driver signals while workers and the driver write them.
 race:
 	$(GO) test -race ./internal/core/ ./internal/tso/ ./internal/pmem/
+	$(GO) test -race ./internal/obs/ ./internal/telemetry/
 	$(GO) test -race ./internal/dist/ ./internal/netsim/
 	$(GO) test -race -skip 'TestConformanceGolden|TestTraceIsReplayTail|TestBytePathRefinements' ./internal/benchlist/
 

@@ -226,25 +226,6 @@ type porRecord struct {
 	bugs         map[string]*porBug
 }
 
-// clearPrefixDependent zeroes the counters that a recorded delta — a snapshot
-// entry's skipped prefix (snapshot.go) or a published subtree (porDelta) —
-// must not replay through its vec, because whoever re-applies the delta
-// accounts for them itself: per-scenario bookkeeping (Scenarios is counted
-// per scenario regardless; Steps travels as a scalar beside the vec), the
-// analytic choice counters (ChoicesReplayed is the skipped-prefix length,
-// which differs from what the recording run counted as fresh), wall-clock
-// phase timings, and the snapshot stack's and the POR layer's own counters.
-func clearPrefixDependent(v *obs.CounterVec) {
-	v.Clear(obs.Scenarios, obs.Steps,
-		obs.PreFailureNs, obs.PostFailureNs, obs.ReplayNs,
-		obs.ChoicesReplayed, obs.ChoicesFresh,
-		obs.SnapshotCaptures, obs.SnapshotRestores, obs.SnapshotRestoreNs,
-		obs.ScenariosPruned, obs.FingerprintHits, obs.FingerprintMisses,
-		obs.ChoicesRestored, obs.ChoiceSnapCaptures, obs.ChoiceRestores,
-		obs.ChoiceRestoreNs, obs.ReplayStepsSaved, obs.RefinementsSkipped,
-		obs.ReplaySteps)
-}
-
 // porFpEligible reports whether post-failure state fingerprinting can run
 // for this checker at all (see the soundness gates above).
 func (c *Checker) porFpEligible() bool {
@@ -335,7 +316,7 @@ func (c *Checker) porNoteFailPoint() {
 	}
 	if c.col != nil {
 		vec := c.col.Counters().Diff(c.porScenBase)
-		clearPrefixDependent(&vec)
+		vec.KeepCarried()
 		m.vec = &vec
 	}
 	c.chooser.aux[c.chooser.cursor-1] = m
@@ -518,7 +499,7 @@ func (c *Checker) porOpenRecord(fp uint64) {
 		r.openReplayed = r.openVec[obs.ChoicesReplayed]
 		r.openFresh = r.openVec[obs.ChoicesFresh]
 		r.prefixVec = r.openVec.Diff(c.porScenBase)
-		clearPrefixDependent(&r.prefixVec)
+		r.prefixVec.KeepCarried()
 	}
 	if len(c.perfIssues) > 0 {
 		r.basePerf = make(map[string]int, len(c.perfIssues))
@@ -592,7 +573,7 @@ func (c *Checker) porClose(r *porRecord, currentCounted bool) {
 		d.replayed = cur[obs.ChoicesReplayed] - r.openReplayed - k1*int64(r.rootDepth)
 		d.fresh = cur[obs.ChoicesFresh] - r.openFresh
 		vec := cur.Diff(r.openVec)
-		clearPrefixDependent(&vec)
+		vec.KeepCarried()
 		for k := range vec {
 			vec[k] -= k1 * r.prefixVec[k]
 		}
@@ -648,7 +629,7 @@ func (c *Checker) porApplyHit(d *porDelta) {
 	var hitPrefix obs.CounterVec
 	if c.col != nil {
 		hitPrefix = c.col.Counters().Diff(c.porScenBase)
-		clearPrefixDependent(&hitPrefix)
+		hitPrefix.KeepCarried()
 	}
 	c.porApply(d, int64(d.scenarios-1), c.chooser.cursor, hitPrefixSteps, &hitPrefix, c.perfSince(), false)
 }

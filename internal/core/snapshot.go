@@ -360,7 +360,7 @@ func (c *Checker) captureSnap(kind snapKind) {
 	s.vec = obs.CounterVec{}
 	if c.col != nil {
 		s.vec = c.col.Counters().Diff(c.snapBase)
-		clearPrefixDependent(&s.vec)
+		s.vec.KeepCarried()
 	}
 	if len(c.scenPerf) > 0 {
 		s.perf = make(map[string]*PerfIssue, len(c.scenPerf))

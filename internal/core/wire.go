@@ -39,7 +39,7 @@ type WireStats struct {
 	// sum, peaks (index = obs.Peak) join by max.
 	observed bool
 	counters obs.CounterVec
-	peaks    []int64
+	peaks    [obs.NumPeaks]int64
 	hists    obs.HistVec
 }
 

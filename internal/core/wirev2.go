@@ -35,8 +35,7 @@ import (
 //   - Counter/peak vectors and histograms ship sparse: (index, value)
 //     pairs for the populated entries against the fixed layouts of
 //     obs.CounterVec / obs.Histogram. A vector's width travels too: counter
-//     vectors are always obs.NumCounters wide, and only peaks keep a
-//     narrower one.
+//     vectors are always obs.NumCounters wide, peak vectors obs.NumPeaks.
 //
 // Encoder and decoder must walk the same field sequence; there is no
 // self-describing framing below the message level. internal/dist frames
@@ -268,7 +267,7 @@ func (e *WireEncoder) Stats(ws *WireStats) {
 		return
 	}
 	e.sparseVec(ws.counters[:])
-	e.sparseVec(ws.peaks)
+	e.sparseVec(ws.peaks[:])
 	n := 0
 	for t := range ws.hists {
 		if ws.hists[t].Count != 0 {
@@ -560,6 +559,18 @@ func (d *WireDecoder) counterVec(v *obs.CounterVec) {
 	}
 }
 
+// peakVec reads a peak vector: exactly obs.NumPeaks wide, no mark negative.
+func (d *WireDecoder) peakVec(v *[obs.NumPeaks]int64) {
+	if w := d.sparseVec(v[:]); w != len(v) {
+		d.fail("peak vector has %d peaks, want %d", w, len(v))
+	}
+	for p, x := range v {
+		if x < 0 {
+			d.fail("negative peak %d: %d", p, x)
+		}
+	}
+}
+
 // optCounterVec reads a counter vector behind a presence flag: nil when
 // absent or all zero, as the engine holds a memo's.
 func (d *WireDecoder) optCounterVec() *obs.CounterVec {
@@ -719,8 +730,7 @@ func (d *WireDecoder) Stats() *WireStats {
 	}
 	if ws.observed = d.Bool(); ws.observed {
 		d.counterVec(&ws.counters)
-		var peaks [obs.NumCounters]int64
-		ws.peaks = append([]int64(nil), peaks[:d.sparseVec(peaks[:])]...)
+		d.peakVec(&ws.peaks)
 		last := -1
 		for i, n := 0, d.length(1); i < n && d.err == nil; i++ {
 			t := d.Int()

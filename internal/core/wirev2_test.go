@@ -119,7 +119,7 @@ func richWireStats() *WireStats {
 	ws.observed = true
 	ws.counters[obs.Scenarios] = 7
 	ws.counters[obs.Steps] = 910
-	ws.peaks = []int64{2}
+	ws.peaks[obs.PeakRFCandidates] = 2
 	ws.hists[obs.TimerPreFailure] = histOf(300, map[int]int64{
 		obs.HistBucketIndex(100): 1,
 		obs.HistBucketIndex(200): 1,
@@ -301,6 +301,12 @@ func fullCounters(e *WireEncoder) {
 	e.Uvarint(0)
 }
 
+// fullPeaks writes an all-zero peak vector of the right width.
+func fullPeaks(e *WireEncoder) {
+	e.Uvarint(uint64(obs.NumPeaks))
+	e.Uvarint(0)
+}
+
 // rejectCase is one decoder check: a message well-formed but for the field
 // the case names, the reader that decodes it (Claims when nil), and a
 // fragment the decode error must mention. The encoder writes whatever
@@ -434,6 +440,21 @@ func TestWireV2DecoderRejectsMalformed(t *testing.T) {
 			e.Uvarint(0)
 			return e.Bytes()
 		}(), readPor},
+		// Peak vectors are exactly obs.NumPeaks wide, every mark >= 0.
+		{"peaks width 6", "vector width", rawStatsShard(func(e *WireEncoder) {
+			fullCounters(e)
+			e.sparseVec(make([]int64, obs.NumPeaks+1))
+		}), readStats},
+		{"peaks width 28, index 20", "vector width", rawStatsShard(func(e *WireEncoder) {
+			fullCounters(e)
+			v := make([]int64, obs.NumCounters)
+			v[20] = 7
+			e.sparseVec(v)
+		}), readStats},
+		{"negative peak", "negative peak", rawStatsShard(func(e *WireEncoder) {
+			fullCounters(e)
+			e.sparseVec([]int64{obs.PeakSB: -1, obs.PeakSnapshotBytes: 0})
+		}), readStats},
 	})
 }
 
@@ -530,14 +551,14 @@ func TestWireStatsValidateRejectsMalformed(t *testing.T) {
 		}), readStats},
 		{"hist timer range", "timer", rawStatsShard(func(e *WireEncoder) {
 			fullCounters(e)
-			e.sparseVec(nil)
+			fullPeaks(e)
 			e.Uvarint(1)
 			h := histOf(1, map[int]int64{0: 1})
 			e.hist(obs.NumTimers, &h)
 		}), readStats},
 		{"hist timer repeated", "timer", rawStatsShard(func(e *WireEncoder) {
 			fullCounters(e)
-			e.sparseVec(nil)
+			fullPeaks(e)
 			e.Uvarint(2)
 			h := histOf(1, map[int]int64{0: 1})
 			e.hist(0, &h)
@@ -545,14 +566,14 @@ func TestWireStatsValidateRejectsMalformed(t *testing.T) {
 		}), readStats},
 		{"hist without samples", "count/sum", rawStatsShard(func(e *WireEncoder) {
 			fullCounters(e)
-			e.sparseVec(nil)
+			fullPeaks(e)
 			e.Uvarint(1)
 			e.hist(0, &obs.HistSnapshot{})
 		}), readStats},
 		{"hist negative sum", "count/sum", histMsg(func(h *obs.HistSnapshot) { h.Sum = -1 }), readStats},
 		{"hist bucket order", "out of order", rawStatsShard(func(e *WireEncoder) {
 			fullCounters(e)
-			e.sparseVec(nil)
+			fullPeaks(e)
 			e.Uvarint(1)
 			e.Int(0)
 			e.Varint(2) // count
@@ -565,7 +586,7 @@ func TestWireStatsValidateRejectsMalformed(t *testing.T) {
 		}), readStats},
 		{"hist empty bucket", "non-positive", rawStatsShard(func(e *WireEncoder) {
 			fullCounters(e)
-			e.sparseVec(nil)
+			fullPeaks(e)
 			e.Uvarint(1)
 			e.Int(0)
 			e.Varint(1) // count
@@ -707,7 +728,7 @@ func TestDiffWireStatsSequentialAbsorption(t *testing.T) {
 		ws.observed = true
 		ws.counters[obs.Scenarios] = int64(scen)
 		ws.counters[obs.Steps] = int64(steps)
-		ws.peaks = []int64{int64(maxRF - 1)}
+		ws.peaks[obs.PeakRFCandidates] = int64(maxRF - 1)
 		ws.hists[0] = histOf(sum, buckets)
 		return ws
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -20,7 +19,6 @@ type eventWriter struct {
 	w     io.Writer
 	buf   []byte
 	start time.Time
-	count atomic.Int64
 	err   error
 }
 
@@ -56,7 +54,6 @@ func (e *eventWriter) emit(ev string, kv []any) {
 	}
 	b = append(b, '}', '\n')
 	e.buf = b
-	e.count.Add(1)
 	if e.err == nil {
 		if _, err := e.w.Write(b); err != nil {
 			e.err = err

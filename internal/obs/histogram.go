@@ -19,10 +19,11 @@ import (
 //
 // All mutation is atomic: the owning worker writes, Snapshot reads
 // concurrently — the same single-writer / concurrent-reader contract the
-// Collector counters use. The zero value is ready to use.
+// Collector counters use. The observation count is the sum of the buckets,
+// so a snapshot taken mid-write is still a consistent distribution. The zero
+// value is ready to use.
 type Histogram struct {
 	counts [NumHistBuckets]atomic.Int64
-	count  atomic.Int64
 	sum    atomic.Int64
 }
 
@@ -71,7 +72,6 @@ func HistBucketUpper(i int) int64 {
 // Observe records one value. Safe for concurrent use.
 func (h *Histogram) Observe(v int64) {
 	h.counts[HistBucketIndex(v)].Add(1)
-	h.count.Add(1)
 	if v > 0 {
 		h.sum.Add(v)
 	}
@@ -85,20 +85,19 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return s
 	}
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
-	if s.Count == 0 {
-		return s
-	}
 	top := -1
 	var buf [NumHistBuckets]int64
 	for i := range h.counts {
 		if n := h.counts[i].Load(); n != 0 {
 			buf[i] = n
+			s.Count += n
 			top = i
 		}
 	}
-	s.Counts = append([]int64(nil), buf[:top+1]...)
+	if s.Count > 0 {
+		s.Counts = append([]int64(nil), buf[:top+1]...)
+	}
 	return s
 }
 
@@ -113,7 +112,6 @@ func (h *Histogram) AddSnapshot(s HistSnapshot) {
 			h.counts[i].Add(n)
 		}
 	}
-	h.count.Add(s.Count)
 	h.sum.Add(s.Sum)
 }
 

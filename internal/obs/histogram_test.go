@@ -166,8 +166,10 @@ func TestHistogramAddSnapshot(t *testing.T) {
 	}
 
 	var h Histogram
-	h.AddSnapshot(HistSnapshot{Count: 1, Sum: 5, Counts: make([]int64, NumHistBuckets+10)})
-	if got := h.Snapshot(); got.Count != 1 {
+	s := HistSnapshot{Count: 2, Sum: 5, Counts: make([]int64, NumHistBuckets+10)}
+	s.Counts[3], s.Counts[NumHistBuckets+5] = 1, 1
+	h.AddSnapshot(s)
+	if got := h.Snapshot(); got.Count != 1 || len(got.Counts) != 4 || got.Sum != 5 {
 		t.Fatalf("oversized snapshot not folded: %+v", got)
 	}
 }

@@ -12,6 +12,14 @@
 // parallel run of the same program; Metrics.Canonical isolates exactly
 // that comparable subset.
 //
+// A metric is one Metrics field plus one row of Fields (fields.go), and a
+// Counter or Peak when a shard records it. The row is its only definition:
+// its name (json tag, Prometheus family, Counter.String), its source, whether
+// Canonical keeps it, whether a recorded delta carries it, and its
+// `jaaru -metrics` row. Registry.Snapshot, Metrics.Canonical,
+// CounterVec.KeepCarried, report.Metrics and telemetry.WriteMetrics all read
+// the table.
+//
 // When observability is disabled every hook degrades to a nil-receiver
 // check: the Collector methods are nil-safe and small enough to inline, so
 // a checker built without Options.Observe pays one inlined check per hook.
@@ -71,14 +79,12 @@ const (
 	SnapshotRestoreNs
 	// RFElisions counts multi-candidate load bytes resolved without a
 	// choice point because every candidate carried the same value (the
-	// partial-order-reduction commutativity rule). Partition-independent:
-	// elision is a deterministic property of the candidate set.
+	// partial-order-reduction commutativity rule).
 	RFElisions
 	// ScenariosPruned counts scenarios skipped by post-failure state
 	// fingerprinting (the K-1 remaining scenarios of each recovery subtree
 	// a fingerprint hit proved equivalent to an explored one).
 	// FingerprintHits / FingerprintMisses count seen-set consultations.
-	// All three depend on visit order and are zeroed by Canonical.
 	ScenariosPruned
 	FingerprintHits
 	FingerprintMisses
@@ -109,7 +115,7 @@ const (
 	// was still replaying a recorded decision prefix (cursor behind the
 	// vector) — the cost the snapshot stack exists to avoid. Fast-forwarded
 	// operations skip step accounting entirely, so a restored prefix
-	// contributes nothing here. Engine-dependent; zeroed by Canonical.
+	// contributes nothing here.
 	ReplaySteps
 
 	numCounters
@@ -119,49 +125,14 @@ const (
 // validation and exhaustiveness tests.
 const NumCounters = int(numCounters)
 
-// counterNames maps each Counter to its snake_case wire/exposition name —
-// the same vocabulary the Metrics JSON tags use. A counter whose name ends
-// in "_ns" is wall-clock and therefore non-canonical by convention;
-// TestCanonicalZeroesEveryTimingCounter enforces that convention by
-// reflection, so a future timing counter cannot silently leak into the
-// determinism gates.
-var counterNames = [numCounters]string{
-	Scenarios:          "scenarios",
-	ExecutionsPost:     "executions_post",
-	Steps:              "steps",
-	PreFailureNs:       "pre_failure_ns",
-	PostFailureNs:      "post_failure_ns",
-	ReplayNs:           "replay_ns",
-	LoadSBHits:         "load_sb_hits",
-	LoadCacheHits:      "load_cache_hits",
-	LoadRefinements:    "load_refinements",
-	RFCandidates:       "rf_candidates",
-	ChoicesReplayed:    "choices_replayed",
-	ChoicesFresh:       "choices_fresh",
-	SBEvictions:        "sb_evictions",
-	FBWritebacks:       "fb_writebacks",
-	SnapshotCaptures:   "snapshot_captures",
-	SnapshotRestores:   "snapshot_restores",
-	SnapshotRestoreNs:  "snapshot_restore_ns",
-	RFElisions:         "rf_elisions",
-	ScenariosPruned:    "scenarios_pruned",
-	FingerprintHits:    "fingerprint_hits",
-	FingerprintMisses:  "fingerprint_misses",
-	ChoicesRestored:    "choices_restored",
-	ChoiceSnapCaptures: "choice_snap_captures",
-	ChoiceRestores:     "choice_restores",
-	ChoiceRestoreNs:    "choice_restore_ns",
-	ReplayStepsSaved:   "replay_steps_saved",
-	RefinementsSkipped: "refinements_skipped",
-	ReplaySteps:        "replay_steps",
-}
-
-// String returns the counter's snake_case exposition name.
+// String returns the counter's exposition name, its row's Field.Name.
 func (c Counter) String() string {
-	if c < 0 || c >= numCounters {
-		return fmt.Sprintf("counter(%d)", int(c))
+	for _, f := range Fields {
+		if f.Source == FromCounter && f.Index == int(c) {
+			return f.Name
+		}
 	}
-	return counterNames[c]
+	return fmt.Sprintf("counter(%d)", int(c))
 }
 
 // Peak indexes the high-water marks of a Collector shard (merged by max).
@@ -182,6 +153,34 @@ const (
 	PeakSnapshotBytes
 
 	numPeaks
+)
+
+// NumPeaks is the exported width of the peak space, for wire validation.
+const NumPeaks = int(numPeaks)
+
+// signal indexes the registry's driver-level signals: the values that have
+// no per-worker home (frontier traffic, worker count, lease and wire
+// accounting, events emitted).
+type signal int
+
+const (
+	sigWorkers signal = iota
+	sigFrontierPeak
+	sigFrontierPushed
+	sigFrontierClaimed
+	sigDonations
+	sigLeasesGranted
+	sigLeasesExpired
+	sigLeasesReleased
+	sigLeaseRequeues
+	sigRPCs
+	sigBytesTx
+	sigBytesRx
+	sigCommitBatches
+	sigCommitScenarios
+	sigEvents
+
+	numSignals
 )
 
 // Timer indexes the per-phase latency histograms of a Collector shard. Each
@@ -287,7 +286,7 @@ func (c *Collector) NotePeak(p Peak, v int64) {
 	if c == nil {
 		return
 	}
-	c.raisePeak(p, v)
+	raise(&c.peaks[p], v)
 }
 
 // Observe records one duration (nanoseconds) into timer t's histogram.
@@ -296,14 +295,6 @@ func (c *Collector) Observe(t Timer, ns int64) {
 		return
 	}
 	c.hists[t].Observe(ns)
-}
-
-// HistSnapshot reads one timer's histogram (zero value on nil).
-func (c *Collector) HistSnapshot(t Timer) HistSnapshot {
-	if c == nil {
-		return HistSnapshot{}
-	}
-	return c.hists[t].Snapshot()
 }
 
 // HistSnapshots reads every timer histogram (zero value on nil).
@@ -355,13 +346,6 @@ func (v CounterVec) Diff(base CounterVec) CounterVec {
 	return v
 }
 
-// Clear zeroes the given counters in place.
-func (v *CounterVec) Clear(ks ...Counter) {
-	for _, k := range ks {
-		v[k] = 0
-	}
-}
-
 // AddCounters accumulates a whole vector into the collector (no-op on nil).
 func (c *Collector) AddCounters(v CounterVec) {
 	if c == nil {
@@ -374,13 +358,13 @@ func (c *Collector) AddCounters(v CounterVec) {
 	}
 }
 
-// PeakValues reads the collector's peak high-water marks as a dense slice
-// (index = Peak) for wire serialization; nil on a nil collector.
-func (c *Collector) PeakValues() []int64 {
+// PeakValues reads the collector's peak high-water marks (index = Peak), for
+// wire serialization; zero on a nil collector.
+func (c *Collector) PeakValues() [NumPeaks]int64 {
+	var out [NumPeaks]int64
 	if c == nil {
-		return nil
+		return out
 	}
-	out := make([]int64, numPeaks)
 	for p := range out {
 		out[p] = c.peaks[p].Load()
 	}
@@ -388,24 +372,18 @@ func (c *Collector) PeakValues() []int64 {
 }
 
 // RaisePeaks folds wire peak values into the collector by max (the same
-// merge rule Snapshot applies across shards). Extra values are ignored so
-// older senders stay compatible.
-func (c *Collector) RaisePeaks(vals []int64) {
+// merge rule Snapshot applies across shards).
+func (c *Collector) RaisePeaks(vals [NumPeaks]int64) {
 	if c == nil {
 		return
 	}
 	for p, v := range vals {
-		if p >= int(numPeaks) {
-			break
-		}
-		if v > 0 {
-			c.raisePeak(Peak(p), v)
-		}
+		raise(&c.peaks[p], v)
 	}
 }
 
-func (c *Collector) raisePeak(p Peak, v int64) {
-	g := &c.peaks[p]
+// raise lifts g to v if v is larger.
+func raise(g *atomic.Int64, v int64) {
 	for {
 		cur := g.Load()
 		if v <= cur || g.CompareAndSwap(cur, v) {
@@ -415,35 +393,17 @@ func (c *Collector) raisePeak(p Peak, v int64) {
 }
 
 // Registry aggregates the Collector shards of one exploration plus the
-// driver-level signals that have no per-worker home: frontier traffic,
-// worker count, and the optional event stream. All methods are nil-safe.
+// driver-level signals that have no per-worker home, and the optional event
+// stream. All methods are nil-safe.
 type Registry struct {
 	mu     sync.Mutex
 	shards []*Collector
 	events *eventWriter
 	start  time.Time
 
-	goal    atomic.Int64 // MaxScenarios, for progress ETA
-	workers atomic.Int64
-
-	frontierLen     atomic.Int64 // live queue length (gauge)
-	frontierPeak    atomic.Int64
-	frontierPushed  atomic.Int64
-	frontierClaimed atomic.Int64
-	donations       atomic.Int64
-
-	// Distributed-exploration traffic (internal/dist coordinator).
-	leasesGranted  atomic.Int64
-	leasesExpired  atomic.Int64
-	leasesReleased atomic.Int64
-	leaseRequeues  atomic.Int64
-	rpcs           atomic.Int64
-
-	// Wire-level data-plane accounting (internal/dist, either side).
-	bytesTx         atomic.Int64
-	bytesRx         atomic.Int64
-	commitBatches   atomic.Int64
-	commitScenarios atomic.Int64
+	goal        atomic.Int64 // MaxScenarios, for progress ETA
+	frontierLen atomic.Int64 // live queue length (gauge)
+	signals     [numSignals]atomic.Int64
 }
 
 // NewRegistry returns a registry; a non-nil events writer receives the
@@ -468,6 +428,12 @@ func (r *Registry) NewShard() *Collector {
 	return c
 }
 
+func (r *Registry) add(s signal, n int64) {
+	if r != nil {
+		r.signals[s].Add(n)
+	}
+}
+
 // SetGoal records the scenario cap used for progress ETA.
 func (r *Registry) SetGoal(n int64) {
 	if r != nil {
@@ -478,106 +444,68 @@ func (r *Registry) SetGoal(n int64) {
 // SetWorkers records the worker count of the exploration.
 func (r *Registry) SetWorkers(n int) {
 	if r != nil {
-		r.workers.Store(int64(n))
+		r.signals[sigWorkers].Store(int64(n))
 	}
 }
 
 // NotePush records n branches published to the frontier, which now holds
 // depth items.
 func (r *Registry) NotePush(n, depth int) {
-	if r == nil {
-		return
-	}
-	r.frontierPushed.Add(int64(n))
-	r.frontierLen.Store(int64(depth))
-	for {
-		cur := r.frontierPeak.Load()
-		if int64(depth) <= cur || r.frontierPeak.CompareAndSwap(cur, int64(depth)) {
-			break
-		}
+	if r != nil {
+		r.signals[sigFrontierPushed].Add(int64(n))
+		r.frontierLen.Store(int64(depth))
+		raise(&r.signals[sigFrontierPeak], int64(depth))
 	}
 }
 
 // NoteClaim records one branch claimed from the frontier, leaving depth
 // items queued.
 func (r *Registry) NoteClaim(depth int) {
-	if r == nil {
-		return
+	if r != nil {
+		r.signals[sigFrontierClaimed].Add(1)
+		r.frontierLen.Store(int64(depth))
 	}
-	r.frontierClaimed.Add(1)
-	r.frontierLen.Store(int64(depth))
 }
 
 // NoteDonation records n branches donated by a worker (work-stealing).
-func (r *Registry) NoteDonation(n int) {
-	if r != nil {
-		r.donations.Add(int64(n))
-	}
-}
+func (r *Registry) NoteDonation(n int) { r.add(sigDonations, int64(n)) }
 
 // NoteLease records one lease granted to a distributed worker.
-func (r *Registry) NoteLease() {
-	if r != nil {
-		r.leasesGranted.Add(1)
-	}
-}
+func (r *Registry) NoteLease() { r.add(sigLeasesGranted, 1) }
 
 // NoteLeaseExpired records an expired lease whose residual subtree was
 // requeued (requeued=true) or discarded because it was already complete.
-func (r *Registry) NoteLeaseExpired(requeued bool) {
-	if r == nil {
-		return
-	}
-	r.leasesExpired.Add(1)
-	if requeued {
-		r.leaseRequeues.Add(1)
-	}
-}
+func (r *Registry) NoteLeaseExpired(requeued bool) { r.noteLeaseEnd(sigLeasesExpired, requeued) }
 
 // NoteLeaseReleased records a lease relinquished mid-subtree by a draining
 // worker, whose residual was requeued (requeued=false when the job had
 // already stopped and the residual was discarded).
-func (r *Registry) NoteLeaseReleased(requeued bool) {
-	if r == nil {
-		return
-	}
-	r.leasesReleased.Add(1)
+func (r *Registry) NoteLeaseReleased(requeued bool) { r.noteLeaseEnd(sigLeasesReleased, requeued) }
+
+func (r *Registry) noteLeaseEnd(s signal, requeued bool) {
+	r.add(s, 1)
 	if requeued {
-		r.leaseRequeues.Add(1)
+		r.add(sigLeaseRequeues, 1)
 	}
 }
 
 // NoteRPC records one coordinator RPC handled.
-func (r *Registry) NoteRPC() {
-	if r != nil {
-		r.rpcs.Add(1)
-	}
-}
+func (r *Registry) NoteRPC() { r.add(sigRPCs, 1) }
 
 // NoteBytes records wire traffic: tx bytes sent and rx bytes received on
 // the distributed data plane (request plus response bodies, as counted by
 // the transport in use — the netsim fabric in-process, the HTTP client on a
 // real network).
 func (r *Registry) NoteBytes(tx, rx int64) {
-	if r == nil {
-		return
-	}
-	if tx > 0 {
-		r.bytesTx.Add(tx)
-	}
-	if rx > 0 {
-		r.bytesRx.Add(rx)
-	}
+	r.add(sigBytesTx, max(tx, 0))
+	r.add(sigBytesRx, max(rx, 0))
 }
 
 // NoteCommitBatch records one absorbed delta commit covering n scenarios;
 // Snapshot reports the running average as CommitBatchSize.
 func (r *Registry) NoteCommitBatch(n int64) {
-	if r == nil {
-		return
-	}
-	r.commitBatches.Add(1)
-	r.commitScenarios.Add(n)
+	r.add(sigCommitBatches, 1)
+	r.add(sigCommitScenarios, n)
 }
 
 // Emit appends one event to the JSONL stream, if one is attached. kv is a
@@ -587,6 +515,7 @@ func (r *Registry) Emit(ev string, kv ...any) {
 		return
 	}
 	r.events.emit(ev, kv)
+	r.signals[sigEvents].Add(1)
 }
 
 // Err reports the first error the event stream's writer returned, if any.
@@ -599,9 +528,10 @@ func (r *Registry) Err() error {
 	return r.events.err
 }
 
-// Snapshot merges every shard into a Metrics value. It is safe to call
-// while workers are still running (live progress); counters are then a
-// consistent-enough in-flight view, exact once the run has finished.
+// Snapshot merges every shard into a Metrics value, row by row of Fields.
+// It is safe to call while workers are still running (live progress);
+// counters are then a consistent-enough in-flight view, exact once the run
+// has finished.
 func (r *Registry) Snapshot() Metrics {
 	var m Metrics
 	if r == nil {
@@ -611,40 +541,37 @@ func (r *Registry) Snapshot() Metrics {
 	shards := append([]*Collector(nil), r.shards...)
 	r.mu.Unlock()
 	var counts CounterVec
-	var peaks [numPeaks]int64
+	var peaks [NumPeaks]int64
 	for _, s := range shards {
 		for k := range counts {
 			counts[k] += s.counts[k].Load()
 		}
 		for p := range peaks {
-			if v := s.peaks[p].Load(); v > peaks[p] {
-				peaks[p] = v
-			}
+			peaks[p] = max(peaks[p], s.peaks[p].Load())
 		}
 	}
-	m = m.AddVec(counts)
-	m.MaxSnapshotBytes = peaks[PeakSnapshotBytes]
-	m.MaxRFCandidates = peaks[PeakRFCandidates]
-	m.MaxChoiceDepth = peaks[PeakChoiceDepth]
-	m.MaxSBOccupancy = peaks[PeakSB]
-	m.MaxFBOccupancy = peaks[PeakFB]
-	m.FrontierPushed = r.frontierPushed.Load()
-	m.FrontierClaimed = r.frontierClaimed.Load()
-	m.Donations = r.donations.Load()
-	m.MaxFrontierLen = r.frontierPeak.Load()
-	m.Workers = r.workers.Load()
-	m.LeasesGranted = r.leasesGranted.Load()
-	m.LeasesExpired = r.leasesExpired.Load()
-	m.LeasesReleased = r.leasesReleased.Load()
-	m.LeaseRequeues = r.leaseRequeues.Load()
-	m.RPCs = r.rpcs.Load()
-	m.BytesTx = r.bytesTx.Load()
-	m.BytesRx = r.bytesRx.Load()
-	if batches := r.commitBatches.Load(); batches > 0 {
-		m.CommitBatchSize = r.commitScenarios.Load() / batches
+	var sig [numSignals]int64
+	for i := range sig {
+		sig[i] = r.signals[i].Load()
 	}
-	if r.events != nil {
-		m.Events = r.events.count.Load()
+	v := m.values()
+	for i, f := range Fields {
+		switch f.Source {
+		case FromCounter:
+			v[i] = counts[f.Index]
+		case FromPeak:
+			v[i] = peaks[f.Index]
+		case FromSignal:
+			v[i] = sig[f.Index]
+		}
+	}
+	// Restores accumulate into ChoicesReplayed, the partition-independent
+	// total; the report splits them out as ChoicesRestored.
+	m.ChoicesReplayed -= m.ChoicesRestored
+	for i, f := range Fields {
+		if f.derive != nil {
+			v[i] = f.derive(&m, &sig)
+		}
 	}
 	return m
 }
@@ -724,163 +651,4 @@ func FormatProgress(m Metrics, queued, goal int64, elapsed time.Duration) string
 		fmt.Fprintf(&b, ", <=%s to MaxScenarios", eta.Round(time.Second))
 	}
 	return b.String()
-}
-
-// Metrics is one merged snapshot of the registry. All fields are plain
-// integers, so two snapshots compare with ==.
-type Metrics struct {
-	// Exploration totals (partition-independent).
-	Scenarios      int64 `json:"scenarios"`
-	Executions     int64 `json:"executions"`
-	ExecutionsPost int64 `json:"executions_post"`
-	Steps          int64 `json:"steps"`
-
-	// Phase timings, nanoseconds summed over segments (CPU-style under
-	// parallel exploration, where worker segments overlap).
-	PreFailureNs  int64 `json:"pre_failure_ns"`
-	PostFailureNs int64 `json:"post_failure_ns"`
-	ReplayNs      int64 `json:"replay_ns"`
-
-	// Load path (partition-independent).
-	LoadSBHits      int64 `json:"load_sb_hits"`
-	LoadCacheHits   int64 `json:"load_cache_hits"`
-	LoadRefinements int64 `json:"load_refinements"`
-	RFCandidates    int64 `json:"rf_candidates"`
-	MaxRFCandidates int64 `json:"max_rf_candidates"`
-
-	// Choice stack. ChoicesReplayed here is the *live* replay count;
-	// ChoicesRestored is the decisions satisfied by snapshot restores
-	// (failure-point or choice-point). Their sum is partition-independent;
-	// the split depends on the snapshot stack and is re-folded by
-	// Canonical.
-	ChoicesReplayed int64 `json:"choices_replayed"`
-	ChoicesRestored int64 `json:"choices_restored,omitempty"`
-	ChoicesFresh    int64 `json:"choices_fresh"`
-	MaxChoiceDepth  int64 `json:"max_choice_depth"`
-
-	// Store/flush buffer traffic (partition-independent).
-	SBEvictions    int64 `json:"sb_evictions"`
-	FBWritebacks   int64 `json:"fb_writebacks"`
-	MaxSBOccupancy int64 `json:"max_sb_occupancy"`
-	MaxFBOccupancy int64 `json:"max_fb_occupancy"`
-
-	// Snapshot stack, failure-point and end-of-run entries (depends on
-	// Options.Snapshots and on how scenarios were partitioned; zeroed by
-	// Canonical).
-	SnapshotCaptures  int64 `json:"snapshot_captures,omitempty"`
-	SnapshotRestores  int64 `json:"snapshot_restores,omitempty"`
-	SnapshotRestoreNs int64 `json:"snapshot_restore_ns,omitempty"`
-	MaxSnapshotBytes  int64 `json:"max_snapshot_bytes,omitempty"`
-
-	// Snapshot stack, choice-point entries (same dependencies; zeroed by
-	// Canonical). RefinementsSkipped is likewise non-canonical: which pins
-	// a load finds depends on the scenarios explored before it and on which
-	// loads a restore replays live.
-	ChoiceSnapCaptures int64 `json:"choice_snap_captures,omitempty"`
-	ChoiceRestores     int64 `json:"choice_restores,omitempty"`
-	ChoiceRestoreNs    int64 `json:"choice_restore_ns,omitempty"`
-	ReplayStepsSaved   int64 `json:"replay_steps_saved,omitempty"`
-	RefinementsSkipped int64 `json:"refinements_skipped,omitempty"`
-	// ReplaySteps is the physical cost of replay: guest steps executed while
-	// the chooser was still consuming a recorded prefix. The full-replay
-	// reference re-runs every prefix; the snapshot stack restores or
-	// fast-forwards them (ffwd operations skip step accounting).
-	ReplaySteps int64 `json:"replay_steps,omitempty"`
-
-	// Partial-order reduction. RFElisions is a deterministic property of
-	// the candidate sets and stays canonical; the fingerprint seen-set
-	// counters depend on which worker visited an equivalence class first
-	// and are zeroed by Canonical.
-	RFElisions        int64 `json:"rf_elisions,omitempty"`
-	ScenariosPruned   int64 `json:"scenarios_pruned,omitempty"`
-	FingerprintHits   int64 `json:"fingerprint_hits,omitempty"`
-	FingerprintMisses int64 `json:"fingerprint_misses,omitempty"`
-
-	// Parallel driver (depends on scheduling; zeroed by Canonical).
-	FrontierPushed  int64 `json:"frontier_pushed,omitempty"`
-	FrontierClaimed int64 `json:"frontier_claimed,omitempty"`
-	Donations       int64 `json:"donations,omitempty"`
-	MaxFrontierLen  int64 `json:"max_frontier_len,omitempty"`
-	Workers         int64 `json:"workers,omitempty"`
-
-	// Distributed exploration (coordinator-side; depends on fleet timing
-	// and fault injection, zeroed by Canonical).
-	LeasesGranted  int64 `json:"leases_granted,omitempty"`
-	LeasesExpired  int64 `json:"leases_expired,omitempty"`
-	LeasesReleased int64 `json:"leases_released,omitempty"`
-	LeaseRequeues  int64 `json:"lease_requeues,omitempty"`
-	RPCs           int64 `json:"rpcs,omitempty"`
-
-	// Wire-level data plane (depends on codec, batching, and fleet timing;
-	// zeroed by Canonical). CommitBatchSize is the average scenarios carried
-	// per absorbed delta commit.
-	BytesTx         int64 `json:"bytes_tx,omitempty"`
-	BytesRx         int64 `json:"bytes_rx,omitempty"`
-	CommitBatchSize int64 `json:"commit_batch_size,omitempty"`
-
-	// Events emitted to the JSONL stream, if one was attached.
-	Events int64 `json:"events,omitempty"`
-}
-
-// AddVec folds a raw counter vector into the snapshot, applying the same
-// reporting rules as Registry.Snapshot: restore-satisfied decisions are
-// reported separately from live replays (internally restores accumulate into
-// ChoicesReplayed — the partition-independent total — and the split happens
-// here, at the reporting edge), and Executions is recomputed as
-// ExecutionsPost plus the shared pre-failure execution.
-func (m Metrics) AddVec(v CounterVec) Metrics {
-	m.Scenarios += v[Scenarios]
-	m.ExecutionsPost += v[ExecutionsPost]
-	m.Executions = m.ExecutionsPost + 1 // the shared pre-failure execution
-	m.Steps += v[Steps]
-	m.PreFailureNs += v[PreFailureNs]
-	m.PostFailureNs += v[PostFailureNs]
-	m.ReplayNs += v[ReplayNs]
-	m.LoadSBHits += v[LoadSBHits]
-	m.LoadCacheHits += v[LoadCacheHits]
-	m.LoadRefinements += v[LoadRefinements]
-	m.RFCandidates += v[RFCandidates]
-	m.ChoicesReplayed += v[ChoicesReplayed] - v[ChoicesRestored]
-	m.ChoicesRestored += v[ChoicesRestored]
-	m.ChoicesFresh += v[ChoicesFresh]
-	m.SBEvictions += v[SBEvictions]
-	m.FBWritebacks += v[FBWritebacks]
-	m.SnapshotCaptures += v[SnapshotCaptures]
-	m.SnapshotRestores += v[SnapshotRestores]
-	m.SnapshotRestoreNs += v[SnapshotRestoreNs]
-	m.RFElisions += v[RFElisions]
-	m.ScenariosPruned += v[ScenariosPruned]
-	m.FingerprintHits += v[FingerprintHits]
-	m.FingerprintMisses += v[FingerprintMisses]
-	m.ChoiceSnapCaptures += v[ChoiceSnapCaptures]
-	m.ChoiceRestores += v[ChoiceRestores]
-	m.ChoiceRestoreNs += v[ChoiceRestoreNs]
-	m.ReplayStepsSaved += v[ReplayStepsSaved]
-	m.RefinementsSkipped += v[RefinementsSkipped]
-	m.ReplaySteps += v[ReplaySteps]
-	return m
-}
-
-// Canonical returns a copy with the fields that legitimately differ from
-// run to run zeroed — wall-clock phase timings and the driver-dependent
-// frontier/worker/event accounting — leaving exactly the counters that
-// must be identical between a serial exploration and a full parallel
-// exploration of the same program.
-func (m Metrics) Canonical() Metrics {
-	m.PreFailureNs, m.PostFailureNs, m.ReplayNs = 0, 0, 0
-	m.FrontierPushed, m.FrontierClaimed, m.Donations = 0, 0, 0
-	m.MaxFrontierLen, m.Workers, m.Events = 0, 0, 0
-	m.SnapshotCaptures, m.SnapshotRestores = 0, 0
-	m.SnapshotRestoreNs, m.MaxSnapshotBytes = 0, 0
-	// Fold restore-satisfied decisions back into the replay total: the sum
-	// is what is partition- and engine-independent.
-	m.ChoicesReplayed += m.ChoicesRestored
-	m.ChoicesRestored = 0
-	m.ChoiceSnapCaptures, m.ChoiceRestores, m.ChoiceRestoreNs = 0, 0, 0
-	m.ReplayStepsSaved, m.RefinementsSkipped, m.ReplaySteps = 0, 0, 0
-	m.ScenariosPruned, m.FingerprintHits, m.FingerprintMisses = 0, 0, 0
-	m.LeasesGranted, m.LeasesExpired, m.LeasesReleased = 0, 0, 0
-	m.LeaseRequeues, m.RPCs = 0, 0
-	m.BytesTx, m.BytesRx, m.CommitBatchSize = 0, 0, 0
-	return m
 }

@@ -197,30 +197,38 @@ func TestFormatProgress(t *testing.T) {
 	}
 }
 
-// Exhaustiveness gate (reflection): Metrics must stay a flat struct of int64
-// fields — that is what makes two snapshots comparable with == wherever
-// results are compared — and every wall-clock field (json tag ending "_ns")
-// must be zeroed by Canonical. A future timing counter that is added to
-// Metrics without a Canonical entry fails here, not in a flaky determinism
-// suite three layers up.
+// The table gate: Metrics stays a flat struct of int64 fields — that is what
+// makes two snapshots comparable with == wherever results are compared — and
+// Fields covers it exactly once, row i named by field i's json tag, names
+// unique. Every wall-clock row (_ns) and every wire row (bytes_*,
+// commit_batch_size) depends on run conditions, never on the exploration
+// result, so it must be non-canonical and Canonical must zero it.
 func TestCanonicalZeroesEveryTimingCounter(t *testing.T) {
 	typ := reflect.TypeOf(Metrics{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		if f.Type.Kind() != reflect.Int64 {
-			t.Errorf("Metrics.%s is %s; histograms and other non-int64 state must live outside Metrics", f.Name, f.Type)
+	if typ.NumField() != NumFields {
+		t.Fatalf("Metrics has %d fields, Fields %d rows", typ.NumField(), NumFields)
+	}
+	seen := map[string]bool{}
+	for i, f := range Fields {
+		sf := typ.Field(i)
+		if sf.Type.Kind() != reflect.Int64 {
+			t.Errorf("Metrics.%s is %s; histograms and other non-int64 state must live outside Metrics", sf.Name, sf.Type)
+		}
+		if tag, _, _ := strings.Cut(sf.Tag.Get("json"), ","); tag != f.Name {
+			t.Errorf("Fields[%d] is %q, Metrics.%s's json tag %q", i, f.Name, sf.Name, tag)
+		}
+		if seen[f.Name] {
+			t.Errorf("duplicate field name %q", f.Name)
+		}
+		seen[f.Name] = true
+		if (f.Source == Derived) != (f.derive != nil) {
+			t.Errorf("%s: Derived rows, and only they, have a derive func", f.Name)
+		}
+		if !strings.HasSuffix(f.Name, "_ns") && !strings.HasPrefix(f.Name, "bytes_") && f.Name != "commit_batch_size" {
 			continue
 		}
-		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		if tag == "" {
-			t.Errorf("Metrics.%s has no json tag", f.Name)
-		}
-		// Wall-clock timings and the wire-level data-plane accounting both
-		// depend on run conditions, never on the exploration result, so
-		// Canonical must zero every one of them.
-		if !strings.HasSuffix(tag, "_ns") &&
-			!strings.HasPrefix(tag, "bytes_") && tag != "commit_batch_size" {
-			continue
+		if f.Canonical {
+			t.Errorf("run-dependent field %s is canonical", f.Name)
 		}
 		var m Metrics
 		reflect.ValueOf(&m).Elem().Field(i).SetInt(12345)
@@ -230,21 +238,43 @@ func TestCanonicalZeroesEveryTimingCounter(t *testing.T) {
 	}
 }
 
-// The same gate at the counter layer: feeding 1 into any "_ns" counter (via
-// a real shard) must not change the canonical snapshot, and every counter
-// must have an exposition name.
+// The same gate at the shard layer: every Counter and every Peak has
+// exactly one row, which names it; Carried marks counters only; feeding 1
+// into any "_ns" counter (via a real shard) does not change the canonical
+// snapshot; and every timer has an exposition name.
 func TestCanonicalZeroesEveryTimingCounterViaShard(t *testing.T) {
+	rows := map[Source]map[int]int{FromCounter: {}, FromPeak: {}, FromSignal: {}}
+	for _, f := range Fields {
+		if f.Source != Derived {
+			rows[f.Source][f.Index]++
+		}
+		if f.Carried && f.Source != FromCounter {
+			t.Errorf("%s: only counters are carried by a recorded delta", f.Name)
+		}
+	}
+	for src, width := range map[Source]int{FromCounter: NumCounters, FromPeak: NumPeaks} {
+		for i := 0; i < width; i++ {
+			if rows[src][i] != 1 {
+				t.Errorf("source %d index %d has %d rows, want 1", src, i, rows[src][i])
+			}
+		}
+	}
+	for i := signal(0); i < numSignals; i++ {
+		want := 1
+		if i == sigCommitBatches || i == sigCommitScenarios {
+			want = 0 // read by commit_batch_size's derive
+		}
+		if rows[FromSignal][int(i)] != want {
+			t.Errorf("signal %d read by %d rows, want %d", i, rows[FromSignal][int(i)], want)
+		}
+	}
+
 	baseline := (&Registry{}).Snapshot().Canonical()
-	seen := map[string]bool{}
 	for k := Counter(0); int(k) < NumCounters; k++ {
 		name := k.String()
-		if name == "" || strings.HasPrefix(name, "counter(") {
-			t.Errorf("counter %d has no exposition name", k)
+		if strings.HasPrefix(name, "counter(") {
+			t.Errorf("counter %d has no row", k)
 		}
-		if seen[name] {
-			t.Errorf("duplicate counter name %q", name)
-		}
-		seen[name] = true
 		if !strings.HasSuffix(name, "_ns") {
 			continue
 		}
@@ -268,6 +298,53 @@ func TestCanonicalZeroesEveryTimingCounterViaShard(t *testing.T) {
 	}
 	if h := r.Histograms()[TimerPreFailure]; h.Count != 1 {
 		t.Errorf("histogram lost the observation: %+v", h)
+	}
+}
+
+// The -metrics block's rows: labelled rows take lines 1..n once each, and
+// a block's rows are contiguous, in block order.
+func TestMetricsBlockLines(t *testing.T) {
+	byLine := map[int]Field{}
+	for _, f := range Fields {
+		if f.Label == "" {
+			if f.Line != 0 || f.Block != BlockAlways {
+				t.Errorf("%s: unlabelled row with a line or block", f.Name)
+			}
+			continue
+		}
+		if _, dup := byLine[f.Line]; dup {
+			t.Errorf("%s: line %d taken twice", f.Name, f.Line)
+		}
+		byLine[f.Line] = f
+	}
+	for l := 1; l <= len(byLine); l++ {
+		f, ok := byLine[l]
+		if !ok {
+			t.Fatalf("no row on line %d of %d", l, len(byLine))
+		}
+		if prev, ok := byLine[l-1]; ok && f.Block < prev.Block {
+			t.Errorf("line %d (%s) is in block %d, after block %d", l, f.Name, f.Block, prev.Block)
+		}
+	}
+}
+
+// Executions is the post-failure executions plus the one pre-failure
+// execution the scenarios share: zero until a scenario has run, on a nil
+// registry and an empty one alike.
+func TestExecutionsBeforeFirstScenario(t *testing.T) {
+	var nilReg *Registry
+	r := NewRegistry(nil)
+	if a, b := nilReg.Snapshot().Executions, r.Snapshot().Executions; a != 0 || b != 0 {
+		t.Fatalf("executions before any scenario: nil registry %d, empty registry %d; want 0", a, b)
+	}
+	s := r.NewShard()
+	s.Inc(Scenarios)
+	if got := r.Snapshot().Executions; got != 1 {
+		t.Fatalf("executions after the first scenario's pre-failure run = %d, want 1", got)
+	}
+	s.Inc(ExecutionsPost)
+	if got := r.Snapshot().Executions; got != 2 {
+		t.Fatalf("executions = %d, want 2", got)
 	}
 }
 

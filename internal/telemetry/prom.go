@@ -3,9 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"strings"
-	"sync"
 
 	"jaaru/internal/obs"
 )
@@ -22,50 +20,28 @@ type Series struct {
 	Hists   obs.HistVec
 }
 
-// metricFields is the scalar family list, derived once from the Metrics
-// struct's json tags so the exposition vocabulary can never drift from the
-// JSON report vocabulary.
-var metricFields = sync.OnceValue(func() []struct {
-	name  string
-	index int
-} {
-	typ := reflect.TypeOf(obs.Metrics{})
-	out := make([]struct {
-		name  string
-		index int
-	}, 0, typ.NumField())
-	for i := 0; i < typ.NumField(); i++ {
-		tag, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
-		if tag == "" || tag == "-" {
-			continue
-		}
-		out = append(out, struct {
-			name  string
-			index int
-		}{"jaaru_" + tag, i})
-	}
-	return out
-})
-
 // histFamily is the one histogram family: per-phase latency distributions,
 // distinguished by the timer label.
 const histFamily = "jaaru_phase_latency_ns"
 
 // WriteMetrics renders the series in Prometheus text exposition format
-// (version 0.0.4): every scalar Metrics field becomes a gauge family named
-// jaaru_<json_tag> with one sample per series, and every populated timer
+// (version 0.0.4): every row of obs.Fields becomes a gauge family named
+// jaaru_<name> with one sample per series, and every populated timer
 // histogram becomes labeled samples of the jaaru_phase_latency_ns histogram
 // family. Only populated buckets are emitted (cumulative counts stay exact;
 // sparse `le` sets are valid exposition), so a scrape is a few KB, not the
 // full 976-bucket layout.
 func WriteMetrics(w io.Writer, series ...Series) error {
-	for _, f := range metricFields() {
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", f.name); err != nil {
+	vals := make([][obs.NumFields]int64, len(series))
+	for si := range series {
+		vals[si] = series[si].Metrics.Values()
+	}
+	for i, f := range obs.Fields {
+		if _, err := fmt.Fprintf(w, "# TYPE jaaru_%s gauge\n", f.Name); err != nil {
 			return err
 		}
 		for si := range series {
-			v := reflect.ValueOf(series[si].Metrics).Field(f.index).Int()
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(series[si].Labels, "", 0), v); err != nil {
+			if _, err := fmt.Fprintf(w, "jaaru_%s%s %d\n", f.Name, labelString(series[si].Labels, "", 0), vals[si][i]); err != nil {
 				return err
 			}
 		}

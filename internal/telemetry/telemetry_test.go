@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"jaaru/internal/obs"
@@ -159,5 +161,83 @@ func TestQuantilesAndETA(t *testing.T) {
 		if bad != 0 {
 			t.Fatalf("ETASec should be 0 when unknown, got %v", bad)
 		}
+	}
+}
+
+// Before any scenario has run, a standalone checker's /v1/status row and
+// /metrics scrape both serve zero executions, as a nil registry does.
+func TestEmptyRegistryServesNoExecutions(t *testing.T) {
+	reg := obs.NewRegistry(nil)
+	if job := RegistryJob("run", reg); job.Executions != 0 {
+		t.Errorf("/v1/status executions = %d before any scenario, want 0", job.Executions)
+	}
+	var buf bytes.Buffer
+	if err := WriteMetrics(&buf, Series{Metrics: reg.Snapshot(), Hists: reg.Histograms()}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\njaaru_executions 0\n") {
+		t.Errorf("/metrics before any scenario:\n%s", buf.String())
+	}
+}
+
+// Snapshots and scrapes read the shards and the driver signals while the
+// workers and the driver write them (run under -race by `make race`).
+func TestScrapeWhileWriting(t *testing.T) {
+	reg := obs.NewRegistry(io.Discard)
+	var wg sync.WaitGroup
+	for range 2 {
+		c := reg.NewShard()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2000 {
+				c.Inc(obs.Scenarios)
+				c.Add(obs.Steps, 3)
+				c.NotePeak(obs.PeakSB, int64(i))
+				c.Observe(obs.TimerReplay, int64(i))
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range 2000 {
+			reg.SetWorkers(2)
+			reg.NotePush(2, i)
+			reg.NoteClaim(i)
+			reg.NoteDonation(1)
+			reg.NoteLease()
+			reg.NoteLeaseExpired(i%2 == 0)
+			reg.NoteRPC()
+			reg.NoteBytes(10, 20)
+			reg.NoteCommitBatch(4)
+			reg.Emit("tick", "i", i)
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for live := true; live; {
+		select {
+		case <-done:
+			live = false
+		default:
+		}
+		m := reg.Snapshot()
+		var buf bytes.Buffer
+		if err := WriteMetrics(&buf, Series{Metrics: m, Hists: reg.Histograms()}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseExposition(&buf); err != nil {
+			t.Fatalf("scrape mid-run: %v", err)
+		}
+		if m.Steps > 3*2*2000 {
+			t.Fatalf("implausible mid-run snapshot: %+v", m)
+		}
+	}
+	m := reg.Snapshot()
+	if m.Scenarios != 4000 || m.Steps != 12000 || m.MaxSBOccupancy != 1999 ||
+		m.FrontierPushed != 4000 || m.MaxFrontierLen != 1999 || m.LeaseRequeues != 1000 ||
+		m.BytesRx != 40000 || m.CommitBatchSize != 4 || m.Events != 2000 {
+		t.Errorf("final snapshot: %+v", m)
 	}
 }
