@@ -49,11 +49,16 @@ race:
 # Clflush, Clflushopt, Sfence, Persist, a store with a forensics probe attached,
 # the post-failure Load64 answered from the pinned summary — scenario
 # reset, journal mark/rewind, AppendWord, pin + Stack.Load) at zero heap
-# allocations once warmed, and the
-# bytes-per-capture bound on the snapshot stack (a capture is a journal mark
-# and a few scalars; an entry that copies per-scenario state fails it).
+# allocations once warmed; the choice-snapshot push/pop cycle at zero, flags
+# off and with the finding flags on over stats that already hold findings
+# (latching the scenario baseline and measuring an entry's account of skipped
+# work store nothing when the scenario adds nothing); the bytes-per-capture
+# bound on the snapshot stack (a capture is a journal mark and a few scalars;
+# an entry that copies per-scenario state fails it); and linear growth of the
+# bytes POR subtree records allocate (a record that copies its prefix is
+# quadratic).
 allocs:
-	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations|TestSnapshotBytesPerCapture' -count=1 ./internal/core/
+	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations|TestSnapshotBytesPerCapture|TestChoiceSnapshotPushPopAllocs|TestPORRecordMemoryLinear' -count=1 ./internal/core/
 	$(GO) test -run TestStackOpsAllocFree -count=1 ./internal/pmem/
 
 verify: vet build test race allocs

@@ -75,7 +75,6 @@ type Checker struct {
 	// (obs.ReplaySteps), kept as a plain field so op() pays one compare and
 	// an increment, flushed with the segment's step total.
 	replaySteps int
-	observers   []func(pmem.Addr, pmem.Candidate)
 	snapshot    func(fpIndex int) // Yat instrumentation hook
 
 	// Observability (nil unless Options.Observe/EventTrace): reg is the
@@ -115,27 +114,19 @@ type Checker struct {
 	// choice vector they were captured under (entry i owns
 	// snapPrefix[:snaps[i].depth], and len(snapPrefix) is the top entry's
 	// depth); snapFree pools retired entries so the warmed capture/restore
-	// cycle allocates nothing; snapActive latches per-scenario eligibility;
-	// snapBase/snapBaseSteps are the scenario baseline the capture deltas
-	// are measured against; scenPerf/scenMulti accumulate the current
-	// scenario's perf-issue and multi-rf manifestations so entries can
-	// re-apply them on restore. segLogs holds one value log per post-failure
-	// execution depth (index ID-1), recording everything a fast-forward
-	// replay must feed back to the guest; segLog caches &segLogs[Top().ID-1]
-	// while a post-failure segment is in flight (nil otherwise) so the
-	// per-byte noteSegEvent hot path is a single pointer check; ffwd is the
-	// in-flight fast-forward replay, if any.
-	snaps         []*snapEntry
-	snapPrefix    []choicePoint
-	snapFree      []*snapEntry
-	snapActive    bool
-	snapBase      obs.CounterVec
-	snapBaseSteps int64
-	scenPerf      map[string]*PerfIssue
-	scenMulti     map[string]*MultiRF
-	segLogs       [][]segEvent
-	segLog        *[]segEvent
-	ffwd          ffwdState
+	// cycle allocates nothing; snapActive latches per-scenario eligibility.
+	// segLogs holds one value log per post-failure execution depth (index
+	// ID-1), recording everything a fast-forward replay must feed back to the
+	// guest; segLog caches &segLogs[Top().ID-1] while a post-failure segment
+	// is in flight (nil otherwise) so the per-byte noteSegEvent hot path is a
+	// single pointer check; ffwd is the in-flight fast-forward replay, if any.
+	snaps      []*snapEntry
+	snapPrefix []choicePoint
+	snapFree   []*snapEntry
+	snapActive bool
+	segLogs    [][]segEvent
+	segLog     *[]segEvent
+	ffwd       ffwdState
 
 	// Partial-order-reduction state (por.go). porSeenSet is the fingerprint
 	// seen-set, shared across workers; porOpen the stack of subtree records
@@ -143,17 +134,18 @@ type Checker struct {
 	// opened under (records nest by prefix: record i owns
 	// porPrefix[:porOpen[i].rootDepth], and len(porPrefix) is the deepest
 	// record's rootDepth); porFpActive latches per-scenario fingerprint
-	// eligibility; porScenBase/porScenBaseSteps/porScenPerf are the
-	// scenario baseline a crash-point prefix measurement is taken against;
-	// porFPHook is a test hook observing every fingerprint consultation.
-	porSeenSet       *porSeen
-	porOpen          []*porRecord
-	porPrefix        []choicePoint
-	porFpActive      bool
-	porScenBase      obs.CounterVec
-	porScenBaseSteps int64
-	porScenPerf      map[string]int
-	porFPHook        func(fp uint64, hit bool)
+	// eligibility; porFPHook is a test hook observing every fingerprint
+	// consultation.
+	porSeenSet  *porSeen
+	porOpen     []*porRecord
+	porPrefix   []choicePoint
+	porFpActive bool
+	porFPHook   func(fp uint64, hit bool)
+
+	// base is the scenario baseline every account is measured against
+	// (account.go), latched once per scenario while the snapshot stack or
+	// fingerprinting is active.
+	base tally
 
 	// eager is Options.Eviction == EvictEager: guest operations then apply
 	// their effects directly instead of through the store buffer (context.go),
@@ -281,7 +273,7 @@ func (c *Checker) Run() *Result {
 		c.reg.Emit("run_start", "program", c.prog.Name,
 			"workers", c.opts.Workers, "max_scenarios", c.opts.MaxScenarios)
 	}
-	if c.opts.Workers > 1 && c.snapshot == nil && len(c.observers) == 0 {
+	if c.opts.Workers > 1 && c.snapshot == nil {
 		return c.runParallel()
 	}
 	c.reg.SetWorkers(1)
@@ -358,6 +350,16 @@ func (c *Checker) foldChooserStats() {
 		c.newPoints[k] += n
 		c.chooser.newPoints[k] = 0
 	}
+}
+
+// sortedMultiRF lists flagged loads by location.
+func sortedMultiRF(m map[string]*MultiRF) []*MultiRF {
+	out := make([]*MultiRF, 0, len(m))
+	for _, v := range m {
+		out = append(out, v)
+	}
+	slices.SortFunc(out, func(a, b *MultiRF) int { return strings.Compare(a.Loc, b.Loc) })
+	return out
 }
 
 // sortedPerfIssues lists performance findings by location, then kind.
@@ -450,6 +452,11 @@ func (c *Checker) runScenario() {
 	}
 	defer func() { c.porNoteDepth(len(c.chooser.points)) }()
 	c.beginSnapScenario()
+	if c.snapActive || c.porFpActive {
+		// After porPruneSweep: the deltas a prune re-applies are not this
+		// scenario's prefix.
+		c.latch(&c.base)
+	}
 
 	var crashed bool
 	if s := c.usableSnapshot(); s != nil {
@@ -715,13 +722,13 @@ func (c *Checker) BeforeFlushEffect(kind tso.EntryKind, addr pmem.Addr, loc stri
 // it — a byte there has exactly one candidate, so no choice, no capture and
 // no interval can move, and the byte path's counters are added in bulk.
 // Everything else (mixed, cross-line, unpinned, multi-candidate, or a
-// forensics recorder / observer wanting per-byte callbacks) takes resolveByte,
+// forensics recorder wanting per-byte callbacks) takes resolveByte,
 // the single place choices, POR elision, captureSnap(choiceSnap) and Figure-10
 // refinement happen. TimerRefinement (wall-clock, non-canonical) times that
 // path once per operation; a summary copy costs less than reading the clock.
 func (c *Checker) resolveLoad(t *thread, a pmem.Addr, size int) uint64 {
 	v, src := uint64(0), pmem.LoadDeclined
-	if c.wrec == nil && len(c.observers) == 0 && !t.ts.Overlaps(a, size) {
+	if c.wrec == nil && !t.ts.Overlaps(a, size) {
 		v, src = c.stack.Load(a, size)
 	}
 	switch src {
@@ -823,9 +830,6 @@ func (c *Checker) resolveByte(t *thread, a pmem.Addr, first bool) byte {
 		c.wrec.finishLoad(wres, chosen)
 		c.wrec.openLoad = nil
 	}
-	for _, ob := range c.observers {
-		ob(a, chosen)
-	}
 	return chosen.Val
 }
 
@@ -839,9 +843,6 @@ func (c *Checker) flagMultiRF(a pmem.Addr, cands []pmem.Candidate) {
 		// value formatting entirely — this is the hot path once a large
 		// manifestation has been seen at a location.
 		m.Count++
-		if c.snapActive {
-			c.noteMultiDelta(key, a, len(cands), nil)
-		}
 		return
 	}
 	vals := multiRFValues(cands)
@@ -856,9 +857,6 @@ func (c *Checker) flagMultiRF(a pmem.Addr, cands []pmem.Candidate) {
 		m.Candidates = len(cands)
 	}
 	m.Count++
-	if c.snapActive {
-		c.noteMultiDelta(key, a, len(cands), vals)
-	}
 }
 
 func multiRFValues(cands []pmem.Candidate) []string {

@@ -174,7 +174,7 @@ func (o Options) withDefaults() Options {
 	// Normalization is idempotent: "disabled" keeps the distinct sentinel
 	// -1 rather than collapsing onto the zero value, so re-normalizing an
 	// already normalized Options (worker clones in parallel.go, the
-	// Replay/FormatWitness re-runs) cannot flip a disabled feature back to
+	// Replay/BuildWitness re-runs) cannot flip a disabled feature back to
 	// its default. See TestWithDefaultsIdempotent.
 	if o.MaxFailures == 0 {
 		o.MaxFailures = 1

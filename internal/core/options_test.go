@@ -7,7 +7,7 @@ import (
 )
 
 // withDefaults must be idempotent: worker clones (parallel.go) and the
-// Replay/FormatWitness re-runs normalize an already normalized Options, and
+// Replay/BuildWitness re-runs normalize an already normalized Options, and
 // a second pass flipping a disabled feature back to its default was the bug
 // this locks out (a disabled MaxFailures collapsed to 0, which the next pass
 // read as "use the default 1").

@@ -89,8 +89,10 @@ func TestSplitPartitionsOpenSet(t *testing.T) {
 					before.limits[i] = 1 // POR clamp: the sibling is accounted, never donated
 				}
 				if rng.Intn(2) == 0 {
-					before.memos[i] = &failMemo{fp: rng.Uint64(), steps: rng.Int63n(1 << 20)}
-					before.memos[i].vec = &obs.CounterVec{obs.Steps: rng.Int63n(10000)}
+					before.memos[i] = &failMemo{fp: rng.Uint64(), acct: account{
+						steps: rng.Int63n(1 << 20),
+						vec:   &obs.CounterVec{obs.Steps: rng.Int63n(10000)},
+					}}
 				}
 			}
 		}

@@ -104,9 +104,6 @@ func (c *Checker) recordPerfIssue(kind PerfIssueKind, loc string, line pmem.Addr
 	} else {
 		c.perfIssues[key] = &PerfIssue{Kind: kind, Loc: loc, Line: line, Count: 1}
 	}
-	if c.snapActive {
-		c.notePerfDelta(key, kind, loc, line)
-	}
 }
 
 // perfStorage wraps the Checker's tso.Storage implementation; it exists

@@ -44,35 +44,33 @@ import (
 //     counter totals remain "as if unpruned", with the physical saving
 //     reported through obs.ScenariosPruned.
 //
-// Delta exactness. A subtree of K scenarios re-runs (or snapshot-restores —
-// both paths account identically) its choice prefix K−1 times, and the
-// owner's prefix differs from a later hit's prefix. The record therefore
-// separates the two parts: at open it measures the owner scenario's own
-// prefix contribution (scenario baseline → crash point), and at close it
-// publishes vec = rawΔ − (K−1)·ownerPrefixΔ, the prefix-invariant recovery
-// part. A hit re-applies vec + (K−1)·hitPrefixΔ, measuring its own prefix
-// the same way. ChoicesReplayed is handled analytically (each skipped
-// scenario would replay its whole prefix — rootDepth decisions — whether
-// live or via snapshot restore), ChoicesFresh is purely a suffix property
-// (prefix re-runs replay, never discover), and Steps goes through the same
-// prefix separation on the scalar counter.
+// Delta exactness. A record's delta and a hit's prefix are accounts
+// (account.go), measured and re-applied as docs/ALGORITHM.md § "The account
+// of skipped work" describes: at close a record publishes what its subtree
+// added less K−1 copies of its owner's prefix, and a hit re-applies that once
+// plus its own prefix K−1 times (a sweep prune: the memo's prefix K times).
+// Outside the account: ChoicesReplayed is analytic (each skipped scenario
+// would replay its whole prefix — rootDepth decisions — whether live or via
+// snapshot restore), and ChoicesFresh is purely a suffix property (prefix
+// re-runs replay, never discover).
 //
 // Soundness gates. Fingerprinting requires MaxFailures == 1 (recovery then
 // contains no failure decisions, so a recorded bug's choice suffix renders
-// position-independently and grafts onto any equivalent prefix), a
-// deterministic scheduler and eviction draw (a skipped subtree must not
-// leave per-scenario rng state behind), and no instrumentation/observer/
-// replay hooks (those must see every execution). The recovery subtree is a
-// function of exactly (persisted state, allocator high-water), both folded
-// into the fingerprint, so equivalent states have isomorphic subtrees:
-// identical choice structure, behaviours, bug manifestations, and step
-// counts. Elision is gated only on observers: it stays active under witness
-// replay so recorded choice vectors keep their shape.
+// position-independently and grafts onto any equivalent prefix, and a prefix
+// holds no multi-candidate load), a deterministic scheduler and eviction draw
+// (a skipped subtree must not leave per-scenario rng state behind), and no
+// instrumentation or replay hooks (those must see every execution). The
+// recovery subtree is a function of exactly (persisted state, allocator
+// high-water), both folded into the fingerprint, so equivalent states have
+// isomorphic subtrees: identical choice structure, behaviours, bug
+// manifestations, and step counts. Elision has no gate beyond Options.POR: it
+// stays active under witness replay so recorded choice vectors keep their
+// shape.
 
 // porElides reports whether a multi-candidate load byte can be resolved
 // without a choice point because every candidate carries the same value.
 func (c *Checker) porElides(cands []pmem.Candidate) bool {
-	if c.opts.POR <= 0 || len(c.observers) > 0 {
+	if c.opts.POR <= 0 {
 		return false
 	}
 	v := cands[0].Val
@@ -151,10 +149,8 @@ func (ps *porSeen) entriesSince(from int) []WirePorEntry {
 // choice prefix (deterministic scheduler), so the memo stays valid for the
 // point's whole backtracking lifetime.
 type failMemo struct {
-	fp    uint64
-	steps int64                // prefix steps: scenario start -> failure point
-	vec   *obs.CounterVec      // prefix canonical counters, cleared (nil: none observed)
-	perf  map[string]PerfIssue // prefix perf findings
+	fp   uint64
+	acct account // the prefix: scenario start -> failure point
 }
 
 // porBug is one distinct bug of a recorded subtree: its manifestation count
@@ -172,36 +168,19 @@ type porBug struct {
 	suffix []choicePoint
 }
 
-// porPerfDelta / porMultiDelta carry a subtree's perf-issue and flagged-load
-// count deltas, with the owner's representative fields for first-seen keys.
-type porPerfDelta struct {
-	key   string
-	count int
-	issue PerfIssue
-}
-
-type porMultiDelta struct {
-	key   string
-	count int
-	multi MultiRF
-}
-
 // porDelta is a published subtree record: everything a fingerprint hit must
 // re-apply to stay bit-identical to exploring the subtree. Immutable once
 // published.
 type porDelta struct {
 	scenarios int // subtree scenario count, including its root
 	execs     int // post-failure executions
-	steps     int64
 	maxRF     int
 	maxRel    int // deepest choice stack relative to the subtree root
 	newPoints [3]int
 	replayed  int64 // suffix replays: rawΔ − (K−1)·ownerRootDepth
 	fresh     int64
-	vec       obs.CounterVec // prefix-invariant canonical counter delta
+	acct      account // prefix-invariant: rawΔ − (K−1)·ownerPrefix
 	bugs      []porBug
-	perf      []porPerfDelta
-	multi     []porMultiDelta
 }
 
 // porRecord tracks an open (still-exploring) subtree.
@@ -209,21 +188,14 @@ type porRecord struct {
 	fp        uint64
 	rootDepth int // the subtree's prefix is Checker.porPrefix[:rootDepth]
 
-	openVec      obs.CounterVec
-	prefixVec    obs.CounterVec       // owner prefix contribution, cleared
-	prefixPerf   map[string]PerfIssue // owner prefix perf findings
-	openSteps    int64
-	prefixSteps  int64
-	openReplayed int64
-	openFresh    int64
-	baseScen     int
-	baseExecs    int
-	basePoints   [3]int
-	basePerf     map[string]int
-	baseMulti    map[string]int
-	maxRel       int
-	void         bool
-	bugs         map[string]*porBug
+	open       tally   // the totals at open
+	prefix     account // the owner scenario's prefix: its baseline -> open
+	baseScen   int
+	baseExecs  int
+	basePoints [3]int
+	maxRel     int
+	void       bool
+	bugs       map[string]*porBug
 }
 
 // porFpEligible reports whether post-failure state fingerprinting can run
@@ -235,50 +207,20 @@ func (c *Checker) porFpEligible() bool {
 		c.prog.Recover != nil &&
 		!c.opts.RandomScheduler &&
 		c.snapshot == nil &&
-		len(c.observers) == 0 &&
 		c.wrec == nil &&
 		!c.replaySegment
 }
 
 // porBeginScenario runs at the top of every scenario: it closes records the
-// chooser has backtracked out of and latches the scenario baseline a later
-// crash-point measurement is taken against.
+// chooser has backtracked out of and prunes what the seen-set already covers.
+// runScenario latches the scenario baseline after it, so the deltas a prune
+// re-applies stay out of this scenario's own prefix measurements.
 func (c *Checker) porBeginScenario() {
 	c.porSync()
 	c.porFpActive = c.porFpEligible()
-	if !c.porFpActive {
-		return
+	if c.porFpActive {
+		c.porPruneSweep()
 	}
-	// Sweep before latching the baselines: the deltas a pruned flip injects
-	// must not leak into this scenario's own prefix measurements (nor into
-	// the snapshot engine's, which latches after porBeginScenario returns).
-	c.porPruneSweep()
-	c.porScenBaseSteps = c.totalSteps
-	c.porScenBase = c.col.Counters()
-	if c.porScenPerf == nil {
-		c.porScenPerf = make(map[string]int)
-	}
-	for k, p := range c.perfIssues {
-		c.porScenPerf[k] = p.Count
-	}
-}
-
-// perfSince returns the perf findings the current scenario has made since
-// its start, counted per key: a prefix's share, which a hit or prune
-// re-applies once per skipped scenario, like the prefix steps. It is nil only
-// without FlagPerfIssues, so a memo decoded from a claim, which carries none
-// until porMemoPerf completes it, is told apart.
-func (c *Checker) perfSince() map[string]PerfIssue {
-	if !c.opts.FlagPerfIssues {
-		return nil
-	}
-	d := make(map[string]PerfIssue)
-	for k, p := range c.perfIssues {
-		if n := p.Count - c.porScenPerf[k]; n > 0 {
-			d[k] = PerfIssue{Kind: p.Kind, Loc: p.Loc, Line: p.Line, Count: n}
-		}
-	}
-	return d
 }
 
 // porStateFingerprint canonically fingerprints the current persisted state:
@@ -309,29 +251,21 @@ func (c *Checker) porNoteFailPoint() {
 	if !c.porFpActive {
 		return
 	}
-	m := &failMemo{
-		fp:    c.porStateFingerprint(),
-		steps: c.totalSteps - c.porScenBaseSteps,
-		perf:  c.perfSince(),
-	}
-	if c.col != nil {
-		vec := c.col.Counters().Diff(c.porScenBase)
-		vec.KeepCarried()
-		m.vec = &vec
-	}
+	m := &failMemo{fp: c.porStateFingerprint()}
+	c.measure(&m.acct, &c.base)
 	c.chooser.aux[c.chooser.cursor-1] = m
 }
 
-// porMemoPerf completes a memo decoded from a claim, which carries no perf
-// findings, when the claim's prefix is replayed through its point: the
-// findings since the scenario start are its prefix share. The memo may be
-// shared with other choosers, so the point gets a completed copy.
+// porMemoPerf completes a memo decoded from a claim, which carries no
+// findings, when the claim's prefix is replayed through its point: the point
+// gets the memo porNoteFailPoint would have made there (a new one: the
+// decoded memo may be shared with other choosers).
 func (c *Checker) porMemoPerf() {
 	i := c.chooser.cursor - 1
-	if m := c.chooser.aux[i]; m != nil && m.perf == nil && c.opts.FlagPerfIssues {
-		cp := *m
-		cp.perf = c.perfSince()
-		c.chooser.aux[i] = &cp
+	if m := c.chooser.aux[i]; m != nil && m.acct.found == nil && c.opts.FlagPerfIssues {
+		cp := &failMemo{fp: m.fp}
+		c.measure(&cp.acct, &c.base)
+		c.chooser.aux[i] = cp
 	}
 }
 
@@ -356,7 +290,7 @@ func (c *Checker) porPruneSweep() {
 			continue
 		}
 		m := ch.aux[i]
-		if m == nil || c.opts.FlagPerfIssues && m.perf == nil { // off the wire, its prefix not yet replayed
+		if m == nil || c.opts.FlagPerfIssues && m.acct.found == nil { // off the wire, its prefix not yet replayed
 			continue
 		}
 		d := c.porSeenSet.lookup(m.fp)
@@ -371,7 +305,7 @@ func (c *Checker) porPruneSweep() {
 		if c.porFPHook != nil {
 			c.porFPHook(m.fp, true)
 		}
-		c.porApply(d, int64(d.scenarios), i+1, m.steps, m.vec, m.perf, true)
+		c.porApply(d, int64(d.scenarios), i+1, &m.acct, true)
 	}
 }
 
@@ -468,7 +402,14 @@ func (c *Checker) porCrashCheck() bool {
 		c.porFPHook(fp, d != nil)
 	}
 	if d != nil {
-		c.porApplyHit(d)
+		// The K−1 remaining scenarios are accounted without running, and
+		// this scenario's own recovery is replaced by the owner root's
+		// recorded contribution (K == 1 hits still skip one recovery). This
+		// scenario ran and counted its prefix live, so only the K−1 skipped
+		// siblings re-apply it.
+		var prefix account
+		c.measure(&prefix, &c.base)
+		c.porApply(d, int64(d.scenarios-1), ch.cursor, &prefix, false)
 		return true
 	}
 	c.col.Inc(obs.FingerprintMisses)
@@ -485,34 +426,14 @@ func (c *Checker) porOpenRecord(fp uint64) {
 	c.foldChooserStats()
 	c.porPrefix = append(c.porPrefix, c.chooser.points[len(c.porPrefix):c.chooser.cursor]...)
 	r := &porRecord{
-		fp:          fp,
-		rootDepth:   c.chooser.cursor,
-		openSteps:   c.totalSteps,
-		prefixSteps: c.totalSteps - c.porScenBaseSteps,
-		baseScen:    c.scenarios - 1, // exclude the root scenario: the delta includes it
-		baseExecs:   c.execsPost,
-		basePoints:  c.newPoints,
-		prefixPerf:  c.perfSince(),
+		fp:         fp,
+		rootDepth:  c.chooser.cursor,
+		baseScen:   c.scenarios - 1, // exclude the root scenario: the delta includes it
+		baseExecs:  c.execsPost,
+		basePoints: c.newPoints,
 	}
-	if c.col != nil {
-		r.openVec = c.col.Counters()
-		r.openReplayed = r.openVec[obs.ChoicesReplayed]
-		r.openFresh = r.openVec[obs.ChoicesFresh]
-		r.prefixVec = r.openVec.Diff(c.porScenBase)
-		r.prefixVec.KeepCarried()
-	}
-	if len(c.perfIssues) > 0 {
-		r.basePerf = make(map[string]int, len(c.perfIssues))
-		for k, p := range c.perfIssues {
-			r.basePerf[k] = p.Count
-		}
-	}
-	if len(c.multiRF) > 0 {
-		r.baseMulti = make(map[string]int, len(c.multiRF))
-		for k, m := range c.multiRF {
-			r.baseMulti[k] = m.Count
-		}
-	}
+	c.latch(&r.open)
+	c.measure(&r.prefix, &c.base)
 	c.porOpen = append(c.porOpen, r)
 }
 
@@ -561,7 +482,6 @@ func (c *Checker) porClose(r *porRecord, currentCounted bool) {
 	d := &porDelta{
 		scenarios: scen,
 		execs:     c.execsPost - r.baseExecs,
-		steps:     c.totalSteps - r.openSteps - k1*r.prefixSteps,
 		maxRF:     c.maxRF,
 		maxRel:    r.maxRel,
 	}
@@ -570,31 +490,17 @@ func (c *Checker) porClose(r *porRecord, currentCounted bool) {
 	}
 	if c.col != nil {
 		cur := c.col.Counters()
-		d.replayed = cur[obs.ChoicesReplayed] - r.openReplayed - k1*int64(r.rootDepth)
-		d.fresh = cur[obs.ChoicesFresh] - r.openFresh
-		vec := cur.Diff(r.openVec)
-		vec.KeepCarried()
-		for k := range vec {
-			vec[k] -= k1 * r.prefixVec[k]
-		}
-		d.vec = vec
+		d.replayed = cur[obs.ChoicesReplayed] - r.open.vec[obs.ChoicesReplayed] - k1*int64(r.rootDepth)
+		d.fresh = cur[obs.ChoicesFresh] - r.open.vec[obs.ChoicesFresh]
 	}
+	// The subtree's other K−1 scenarios re-ran the owner's prefix: measuring
+	// from the open reading moved past them leaves the prefix-invariant part.
+	r.open.add(&r.prefix, k1)
+	c.measure(&d.acct, &r.open)
 	for _, pb := range r.bugs {
 		d.bugs = append(d.bugs, *pb)
 	}
 	sortPorBugs(d.bugs)
-	for key, p := range c.perfIssues {
-		if n := p.Count - r.basePerf[key] - int(k1)*r.prefixPerf[key].Count; n > 0 {
-			d.perf = append(d.perf, porPerfDelta{key: key, count: n, issue: *p})
-		}
-	}
-	for key, m := range c.multiRF {
-		if n := m.Count - r.baseMulti[key]; n > 0 {
-			cm := *m
-			cm.Values = append([]string(nil), m.Values...)
-			d.multi = append(d.multi, porMultiDelta{key: key, count: n, multi: cm})
-		}
-	}
 	c.porSeenSet.publish(r.fp, d)
 }
 
@@ -618,36 +524,18 @@ func porBugLess(a, b *porBug) bool {
 	return a.msg < b.msg
 }
 
-// porApplyHit re-applies a recorded subtree delta at an equivalent crash
-// point: the K−1 remaining scenarios are accounted without running, and the
-// hit scenario's own recovery is replaced by the owner root's recorded
-// contribution (K == 1 hits still skip one recovery re-execution). The hit
-// scenario itself already ran (and counted) its prefix live, so only the
-// K−1 skipped siblings multiply the prefix costs.
-func (c *Checker) porApplyHit(d *porDelta) {
-	hitPrefixSteps := c.totalSteps - c.porScenBaseSteps
-	var hitPrefix obs.CounterVec
-	if c.col != nil {
-		hitPrefix = c.col.Counters().Diff(c.porScenBase)
-		hitPrefix.KeepCarried()
-	}
-	c.porApply(d, int64(d.scenarios-1), c.chooser.cursor, hitPrefixSteps, &hitPrefix, c.perfSince(), false)
-}
-
 // porApply accounts a recorded subtree delta without running the subtree:
-// k skipped scenarios, each paying prefixSteps/prefixVec (nil: no counters)
-// to reach the subtree root at choice depth hitDepth, plus the prefix-invariant recovery
-// part recorded in d. Crash-time hits pass k = K−1 (the hit scenario is
-// physical and measured live); sweep prunes pass k = K with the memoized
-// prefix (no scenario of the subtree ever runs). flip marks grafted bug
-// prefixes as taking the failure branch at hitDepth−1, where the live
-// chooser stays on the continue branch.
-func (c *Checker) porApply(d *porDelta, k int64, hitDepth int, prefixSteps int64, prefixVec *obs.CounterVec,
-	prefixPerf map[string]PerfIssue, flip bool) {
+// the prefix-invariant part recorded in d once, plus k skipped scenarios each
+// paying prefix to reach the subtree root at choice depth hitDepth.
+// Crash-time hits pass k = K−1 (the hit scenario is physical and measured
+// live); sweep prunes pass k = K with the memoized prefix (no scenario of the
+// subtree ever runs). flip marks grafted bug prefixes as taking the failure
+// branch at hitDepth−1, where the live chooser stays on the continue branch.
+func (c *Checker) porApply(d *porDelta, k int64, hitDepth int, prefix *account, flip bool) {
 	c.scenarios += int(k)
 	c.execsPost += d.execs
-	stepsApplied := d.steps + k*prefixSteps
-	c.totalSteps += stepsApplied
+	c.reapply(&d.acct, 1)
+	c.reapply(prefix, k)
 	if d.maxRF > c.maxRF {
 		c.maxRF = d.maxRF
 	}
@@ -657,32 +545,7 @@ func (c *Checker) porApply(d *porDelta, k int64, hitDepth int, prefixSteps int64
 	for i := range d.bugs {
 		c.porGraftBug(&d.bugs[i], hitDepth, flip)
 	}
-	for i := range d.perf {
-		cp := d.perf[i].issue
-		cp.Count = d.perf[i].count
-		c.stats.mergePerfIssue(d.perf[i].key, &cp)
-	}
-	for key, p := range prefixPerf {
-		if p.Count *= int(k); p.Count > 0 {
-			c.stats.mergePerfIssue(key, &p)
-		}
-	}
-	for i := range d.multi {
-		md := &d.multi[i]
-		cm := md.multi
-		cm.Count = md.count
-		cm.Values = append([]string(nil), md.multi.Values...)
-		c.stats.mergeMultiRF(md.key, &cm)
-	}
 	if c.col != nil {
-		vec := d.vec
-		if prefixVec != nil {
-			for key := range vec {
-				vec[key] += k * prefixVec[key]
-			}
-		}
-		c.col.AddCounters(vec)
-		c.col.Add(obs.Steps, stepsApplied)
 		c.col.Add(obs.Scenarios, k)
 		c.col.Add(obs.ChoicesReplayed, d.replayed+k*int64(hitDepth))
 		c.col.Add(obs.ChoicesFresh, d.fresh)

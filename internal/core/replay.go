@@ -8,6 +8,11 @@ package core
 // scenario that matters with maximal instrumentation. Replay is the only
 // source of operation traces: exploration records none.
 
+// witnessTraceLen is the trace-ring capacity of Replay: large enough that no
+// bundled workload ever wraps, so the "complete operation trace" promise
+// holds.
+const witnessTraceLen = 1 << 16
+
 // newReplayChecker returns a checker that runs exactly the one scenario the
 // recorded choice vector selects, with a trace ring of the given capacity
 // (none when ring is 0). replaySegment keeps the snapshot stack out

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -81,22 +80,6 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
-func TestFormatWitness(t *testing.T) {
-	res := New(buggyReplayProgram(), Options{}).Run()
-	if !res.Buggy() {
-		t.Fatal("no bug")
-	}
-	w := FormatWitness(buggyReplayProgram(), Options{}, res.Bugs[0])
-	for _, want := range []string{
-		"witness for:", "operation trace", "store", "load",
-		"more than one store", "manifestation:",
-	} {
-		if !strings.Contains(w, want) {
-			t.Errorf("witness missing %q:\n%s", want, w)
-		}
-	}
-}
-
 // A report that went through encoding/json — the job API's path to a Go
 // client — keeps Choices but loses the unexported choice vector. Replaying
 // the empty vector would silently run scenario 0 and present its trace as
@@ -133,9 +116,6 @@ func TestLostReplayVectorDeclines(t *testing.T) {
 	}
 	if w := BuildWitness(prog, Options{}, &lost); w.Reproduced || len(w.Ops) != 0 {
 		t.Errorf("BuildWitness replayed something: reproduced=%v, %d ops", w.Reproduced, len(w.Ops))
-	}
-	if text := FormatWitness(prog, Options{}, &lost); strings.Contains(text, "operation trace") {
-		t.Errorf("FormatWitness rendered a trace:\n%s", text)
 	}
 	nb, m := Minimize(prog, Options{}, &lost)
 	if nb.Choices != b.Choices || m.Trials != 0 || m.MinimizedChoices != b.Choices {

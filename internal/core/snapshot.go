@@ -64,17 +64,16 @@ import (
 //
 // Exactness: results with the stack on must be bit-identical to the
 // full-replay reference (Options.Snapshots < 0), including the canonical
-// observability counters. The guest-visible state is restored exactly; the
-// exploration-level counters a skipped prefix would have accumulated (steps,
-// load-path counters, executions, per-scenario perf-issue and multi-rf
-// manifestations) are captured as deltas against the scenario baseline and
-// re-applied on restore. Counters whose value differs between a replayed and
-// a fresh traversal of the same prefix (ChoicesReplayed) are computed
-// analytically; phase timings are wall-clock and excluded from the canonical
-// comparison anyway. The fast-forward pass touches no counters and no
-// simulator state, so the live suffix accounts for itself. Any divergence
-// between the value log and the replayed operation stream panics with
-// engineError — the same nondeterminism backstop the chooser itself provides.
+// observability counters. The guest-visible state is restored exactly, and an
+// entry's account (account.go) adds back what the skipped prefix added. What
+// the account does not cover is restore-only: ChoicesReplayed is computed
+// analytically (a replayed and a fresh traversal of one prefix differ in it),
+// and a choiceSnap's account spans the captured segment's first segSteps ops,
+// which the fast-forward re-runs and the segment end counts again. The
+// fast-forward pass touches no counters and no simulator state, so the live
+// suffix accounts for itself. Any divergence between the value log and the
+// replayed operation stream panics with engineError — the same
+// nondeterminism backstop the chooser itself provides.
 
 // snapKind distinguishes the three capture sites.
 type snapKind uint8
@@ -146,13 +145,11 @@ type snapEntry struct {
 	preDone bool
 	high    pmem.Addr // allocator high-water mark
 
-	// Exploration-level deltas accumulated by the capture scenario up to
-	// this point (relative to its scenario baseline), re-applied when a
-	// scenario restores this entry instead of re-running the prefix.
-	vec        obs.CounterVec
-	stepsDelta int64
-	perf       map[string]*PerfIssue
-	multi      map[string]*MultiRF
+	// acct is what the capture scenario added up to this point, added back
+	// when a scenario restores this entry instead of re-running the prefix.
+	// Only the capturing checker restores an entry and its stats are never
+	// reset, so its findings' representatives are already in the stats.
+	acct account
 
 	// choiceSnap-only fields (stale pool leftovers otherwise, never read):
 	// the mid-segment scalars and per-thread TSO state the fast-forward
@@ -172,51 +169,34 @@ type snapEntry struct {
 // snapEligible reports whether the snapshot stack can run for this checker
 // at all. RandomScheduler draws from an rng that is re-seeded per scenario
 // and advanced by every scheduling decision — a skipped prefix would leave
-// it in the wrong state — and instrumented (Yat), observed, or
-// replayed runs (Replay, FormatWitness, BuildWitness, Minimize) must see
-// every guest operation from the start of the pre-failure execution.
+// it in the wrong state — and instrumented (Yat) or replayed runs (Replay,
+// BuildWitness, Minimize) must see every guest operation from the start of
+// the pre-failure execution.
 func (c *Checker) snapEligible() bool {
 	return c.opts.Snapshots > 0 &&
 		c.opts.MaxFailures > 0 &&
 		c.prog.Recover != nil &&
 		!c.opts.RandomScheduler &&
 		c.snapshot == nil &&
-		len(c.observers) == 0 &&
 		!c.replaySegment
 }
 
-// beginSnapScenario latches eligibility and records the scenario baseline
-// the capture deltas are measured against. Called at the top of runScenario,
-// before any restore re-applies prefix contributions.
+// beginSnapScenario latches eligibility. Called at the top of runScenario,
+// before the scenario baseline is latched and any restore re-applies a prefix.
 func (c *Checker) beginSnapScenario() {
 	c.segLog = nil // re-armed by pushExecution / restoreSnap
 	c.snapActive = c.snapEligible()
-	if !c.snapActive {
-		return
-	}
-	c.snapBase = c.col.Counters()
-	c.snapBaseSteps = c.totalSteps
-	if c.scenPerf == nil {
-		c.scenPerf = make(map[string]*PerfIssue)
-		c.scenMulti = make(map[string]*MultiRF)
-	} else {
-		clear(c.scenPerf)
-		clear(c.scenMulti)
-	}
 }
 
 // truncateSnaps cuts the stack down to its n shallowest entries, and the
 // shared prefix with it. Pruned entries return to the free list with their
-// backing slices, so a warmed capture/restore cycle — the steady state of
-// sibling exploration — allocates nothing; the maps are released (they are
-// allocated only under FlagPerfIssues/FlagMultiRF, off the alloc-gated hot
-// path). truncateSnaps(0) releases everything: a fresh full run re-captures
-// from scratch, and an engine panic leaves the journaled stack untrustworthy.
+// backing slices and account storage, so a warmed capture/restore cycle — the
+// steady state of sibling exploration — allocates nothing. truncateSnaps(0)
+// releases everything: a fresh full run re-captures from scratch, and an
+// engine panic leaves the journaled stack untrustworthy.
 func (c *Checker) truncateSnaps(n int) {
 	for i := n; i < len(c.snaps); i++ {
-		s := c.snaps[i]
-		s.perf, s.multi = nil, nil
-		c.snapFree = append(c.snapFree, s)
+		c.snapFree = append(c.snapFree, c.snaps[i])
 		c.snaps[i] = nil
 	}
 	c.snaps = c.snaps[:n]
@@ -331,7 +311,7 @@ func (c *Checker) captureSnap(kind snapKind) {
 	s.fpCount = c.fpCount
 	s.preDone = c.preDone
 	s.high = c.alloc.HighWater()
-	s.stepsDelta = c.totalSteps - c.snapBaseSteps
+	c.measure(&s.acct, &c.base)
 	if kind == choiceSnap {
 		s.segSteps = c.steps
 		s.segDirty = c.dirty
@@ -357,25 +337,6 @@ func (c *Checker) captureSnap(kind snapKind) {
 			}
 		}
 	}
-	s.vec = obs.CounterVec{}
-	if c.col != nil {
-		s.vec = c.col.Counters().Diff(c.snapBase)
-		s.vec.KeepCarried()
-	}
-	if len(c.scenPerf) > 0 {
-		s.perf = make(map[string]*PerfIssue, len(c.scenPerf))
-		for k, p := range c.scenPerf {
-			cp := *p
-			s.perf[k] = &cp
-		}
-	}
-	if len(c.scenMulti) > 0 {
-		s.multi = make(map[string]*MultiRF, len(c.scenMulti))
-		for k, m := range c.scenMulti {
-			cm := *m
-			s.multi[k] = &cm
-		}
-	}
 	c.snaps = append(c.snaps, s)
 	if kind == choiceSnap {
 		c.col.Inc(obs.ChoiceSnapCaptures)
@@ -386,7 +347,7 @@ func (c *Checker) captureSnap(kind snapKind) {
 }
 
 // restoreSnap rewinds the checker to a captured state, re-applies the
-// exploration-level deltas the skipped prefix would have accumulated and —
+// entry's account once and —
 // for an entry captured mid-segment (choiceSnap) — re-enters the in-flight
 // recovery segment in fast-forward mode (see the header comment). It reports
 // whether the scenario resumes crashed: an fpSnap takes the failure decision
@@ -413,29 +374,10 @@ func (c *Checker) restoreSnap(s *snapEntry) (crashed bool) {
 		cursor++
 	}
 	c.chooser.cursor = cursor
-	c.totalSteps += s.stepsDelta
 	c.execsPost += s.mark.Depth - 1
 	c.bugEndedSegment = false
-	for k, p := range s.perf {
-		c.applyPerfDelta(k, p)
-	}
-	for k, m := range s.multi {
-		cm := *m
-		c.stats.mergeMultiRF(k, &cm)
-		live := cm
-		c.scenMulti[k] = &live
-	}
+	c.reapply(&s.acct, 1)
 	if c.col != nil {
-		steps := s.stepsDelta
-		if mid {
-			// stepsDelta counts the whole skipped prefix including the
-			// captured segment's first segSteps ops; those re-run in
-			// fast-forward and are re-added by the segment-end accounting,
-			// so the restore contributes the difference.
-			steps -= int64(s.segSteps)
-		}
-		c.col.AddCounters(s.vec)
-		c.col.Add(obs.Steps, steps)
 		c.col.Add(obs.ChoicesReplayed, int64(cursor))
 		// Satisfied by restore, not by re-execution: reported separately as
 		// choices_restored (and folded back for the canonical comparison).
@@ -443,7 +385,11 @@ func (c *Checker) restoreSnap(s *snapEntry) (crashed bool) {
 		restores, restoreNs, timer := obs.SnapshotRestores, obs.SnapshotRestoreNs, obs.TimerSnapshotRestore
 		if mid {
 			restores, restoreNs, timer = obs.ChoiceRestores, obs.ChoiceRestoreNs, obs.TimerChoiceRestore
-			c.col.Add(obs.ReplayStepsSaved, steps)
+			// The account's steps include the captured segment's first
+			// segSteps ops; those re-run in fast-forward and the segment end
+			// counts them, so the restore contributes the difference.
+			c.col.Add(obs.Steps, -int64(s.segSteps))
+			c.col.Add(obs.ReplayStepsSaved, s.acct.steps-int64(s.segSteps))
 		}
 		c.col.Inc(restores)
 		ns := time.Since(t0).Nanoseconds()
@@ -558,55 +504,4 @@ func (c *Checker) noteSegLoad(a pmem.Addr, size int, v uint64) {
 		return
 	}
 	*c.segLog = append(*c.segLog, segEvent{addr: a, val: v, kind: evLoad, size: uint8(size)})
-}
-
-// applyPerfDelta merges one captured perf-issue delta into the live stats
-// and the current scenario's delta, with the canonical count-sum /
-// smallest-line rule every other merge path uses.
-func (c *Checker) applyPerfDelta(key string, p *PerfIssue) {
-	if ex, ok := c.perfIssues[key]; ok {
-		ex.Count += p.Count
-		if p.Line < ex.Line {
-			ex.Line = p.Line
-		}
-	} else {
-		cp := *p
-		c.perfIssues[key] = &cp
-	}
-	live := *p
-	c.scenPerf[key] = &live
-}
-
-// notePerfDelta mirrors recordPerfIssue into the scenario delta while the
-// engine is active, so a snapshot captured later in this scenario can replay
-// the prefix's manifestations.
-func (c *Checker) notePerfDelta(key string, kind PerfIssueKind, loc string, line pmem.Addr) {
-	if p, ok := c.scenPerf[key]; ok {
-		p.Count++
-		if line < p.Line {
-			p.Line = line
-		}
-		return
-	}
-	c.scenPerf[key] = &PerfIssue{Kind: kind, Loc: loc, Line: line, Count: 1}
-}
-
-// noteMultiDelta mirrors flagMultiRF into the scenario delta. vals is nil
-// when the caller short-circuited formatting because the manifestation
-// cannot become the global representative — in that case it cannot become
-// the merged representative either (the global maximum only grows), so the
-// delta only needs the count and candidate maximum.
-func (c *Checker) noteMultiDelta(key string, a pmem.Addr, n int, vals []string) {
-	d, ok := c.scenMulti[key]
-	if !ok {
-		d = &MultiRF{Loc: key, Addr: a, Values: vals}
-		c.scenMulti[key] = d
-	} else if vals != nil && (d.Values == nil && n >= d.Candidates || d.outranks(n, vals, a)) {
-		d.Values = vals
-		d.Addr = a
-	}
-	if n > d.Candidates {
-		d.Candidates = n
-	}
-	d.Count++
 }

@@ -218,38 +218,57 @@ func TestSnapshotSkipsFrozenContinue(t *testing.T) {
 // TestChoiceSnapshotPushPopAllocs is the hot-path allocation gate: once the
 // entry pool, the shared prefix and the chooser's slices are warm, a full
 // choice-snapshot push (captureSnap) plus the stale-prefix pop back into the
-// pool (usableSnapshot) must not allocate.
+// pool (usableSnapshot) must not allocate. With the finding flags on, the
+// stats already hold findings and the scenario adds none: latching the
+// baseline and measuring each entry's account read them and store nothing.
 func TestChoiceSnapshotPushPopAllocs(t *testing.T) {
-	c := snapTestChecker(t, Options{})
-	c.stack.Push() // post-failure execution: Top().ID == 1
-	c.segLogs = append(c.segLogs[:0], nil)
-	pts := []choicePoint{
-		{kind: chooseFail, n: 2, idx: 1},
-		{kind: chooseReadFrom, n: 3, idx: 0},
-		{kind: chooseReadFrom, n: 2, idx: 0},
-	}
-	cycle := func() {
-		c.chooser.points = append(c.chooser.points[:0], pts...)
-		captureAlong(c, choiceSnap, 2)
-		if len(c.snaps) != 1 || len(c.snapPrefix) != 2 {
-			t.Fatalf("capture pushed %d entries over a %d-point prefix, want 1 over 2",
-				len(c.snaps), len(c.snapPrefix))
-		}
-		// Backtrack away from the captured prefix: point 2 is exhausted and
-		// popped, point 1 flips, the entry goes stale, and the scan pools it.
-		c.chooser.points = c.chooser.points[:2]
-		c.chooser.points[1].idx = 1
-		c.chooser.stable = 1
-		if s := c.usableSnapshot(); s != nil {
-			t.Fatalf("stale entry survived as %+v", s)
-		}
-		if len(c.snaps) != 0 || len(c.snapPrefix) != 0 {
-			t.Fatalf("pop left %d entries over a %d-point prefix", len(c.snaps), len(c.snapPrefix))
-		}
-	}
-	cycle() // warm the pool and every reused slice
-	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
-		t.Errorf("warmed choice-snapshot push/pop allocates %.1f times per cycle, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"flags off", Options{}},
+		{"findings flagged", Options{FlagPerfIssues: true, FlagMultiRF: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := snapTestChecker(t, tc.opts)
+			c.recordPerfIssue(PerfRedundantFence, "p.go:3", 0)
+			c.multiRF["p.go:9"] = &MultiRF{Loc: "p.go:9", Addr: 16, Candidates: 2, Count: 1}
+			c.stack.Push() // post-failure execution: Top().ID == 1
+			c.segLogs = append(c.segLogs[:0], nil)
+			pts := []choicePoint{
+				{kind: chooseFail, n: 2, idx: 1},
+				{kind: chooseReadFrom, n: 3, idx: 0},
+				{kind: chooseReadFrom, n: 2, idx: 0},
+			}
+			cycle := func() {
+				c.latch(&c.base)
+				c.chooser.points = append(c.chooser.points[:0], pts...)
+				captureAlong(c, choiceSnap, 2)
+				if len(c.snaps) != 1 || len(c.snapPrefix) != 2 {
+					t.Fatalf("capture pushed %d entries over a %d-point prefix, want 1 over 2",
+						len(c.snaps), len(c.snapPrefix))
+				}
+				if f := c.snaps[0].acct.found; f != nil && len(f.perf)+len(f.multi) > 0 {
+					t.Fatalf("entry holds findings %+v, the scenario made none", *f)
+				}
+				// Backtrack away from the captured prefix: point 2 is
+				// exhausted and popped, point 1 flips, the entry goes stale,
+				// and the scan pools it.
+				c.chooser.points = c.chooser.points[:2]
+				c.chooser.points[1].idx = 1
+				c.chooser.stable = 1
+				if s := c.usableSnapshot(); s != nil {
+					t.Fatalf("stale entry survived as %+v", s)
+				}
+				if len(c.snaps) != 0 || len(c.snapPrefix) != 0 {
+					t.Fatalf("pop left %d entries over a %d-point prefix", len(c.snaps), len(c.snapPrefix))
+				}
+			}
+			cycle() // warm the pool and every reused slice
+			if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+				t.Errorf("warmed choice-snapshot push/pop allocates %.1f times per cycle, want 0", allocs)
+			}
+		})
 	}
 }
 

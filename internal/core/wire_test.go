@@ -42,11 +42,11 @@ func TestWireClaimRoundTripProperty(t *testing.T) {
 				}
 			}
 			if kind == chooseFail && rng.Intn(2) == 0 {
-				m := &failMemo{fp: rng.Uint64(), steps: rng.Int63n(1 << 20)}
+				m := &failMemo{fp: rng.Uint64(), acct: account{steps: rng.Int63n(1 << 20)}}
 				if rng.Intn(2) == 0 {
-					m.vec = new(obs.CounterVec)
-					m.vec[obs.Scenarios] = rng.Int63n(100)
-					m.vec[obs.Steps] = rng.Int63n(10000)
+					m.acct.vec = new(obs.CounterVec)
+					m.acct.vec[obs.Scenarios] = rng.Int63n(100)
+					m.acct.vec[obs.Steps] = rng.Int63n(10000)
 				}
 				memos[i] = m
 				anyMemo = true
@@ -82,7 +82,7 @@ func TestWireClaimSeedClaimRoundTrip(t *testing.T) {
 	}
 	limits := []int{1, 3, 2, 3} // first fail decision POR-clamped
 	memos := make([]*failMemo, len(pts))
-	memos[2] = &failMemo{fp: 0xfeedface, steps: 321}
+	memos[2] = &failMemo{fp: 0xfeedface, acct: account{steps: 321}}
 	e := NewWireEncoder(nil)
 	e.Claims([]WireClaim{{pts, limits, memos}})
 	wire := append([]byte(nil), e.Bytes()...)

@@ -172,8 +172,8 @@ func (e *WireEncoder) claim(w *WireClaim) {
 		e.Bool(m != nil)
 		if m != nil {
 			e.Fixed64(m.fp)
-			e.Varint(m.steps)
-			e.counterVec(m.vec)
+			e.Varint(m.acct.steps)
+			e.counterVec(m.acct.vec)
 		}
 	}
 }
@@ -290,7 +290,7 @@ func (e *WireEncoder) PorEntries(es []WirePorEntry) {
 		d := en.delta
 		e.Int(d.scenarios)
 		e.Int(d.execs)
-		e.Varint(d.steps)
+		e.Varint(d.acct.steps)
 		e.Int(d.maxRF)
 		e.Int(d.maxRel)
 		for _, n := range d.newPoints {
@@ -298,7 +298,7 @@ func (e *WireEncoder) PorEntries(es []WirePorEntry) {
 		}
 		e.Varint(d.replayed)
 		e.Varint(d.fresh)
-		e.counterVec(&d.vec)
+		e.counterVec(d.acct.vec)
 		e.Uvarint(uint64(len(d.bugs)))
 		for j := range d.bugs {
 			b := &d.bugs[j]
@@ -309,15 +309,19 @@ func (e *WireEncoder) PorEntries(es []WirePorEntry) {
 			e.String(b.rel)
 			e.points(b.suffix)
 		}
-		e.Uvarint(uint64(len(d.perf)))
-		for j := range d.perf {
-			e.Int(d.perf[j].count)
-			e.perfIssue(&d.perf[j].issue)
+		var f findings
+		if d.acct.found != nil {
+			f = *d.acct.found
 		}
-		e.Uvarint(uint64(len(d.multi)))
-		for j := range d.multi {
-			e.Int(d.multi[j].count)
-			e.multiRF(&d.multi[j].multi)
+		e.Uvarint(uint64(len(f.perf)))
+		for j := range f.perf {
+			e.Int(f.perf[j].n)
+			e.perfIssue(&f.perf[j].rep)
+		}
+		e.Uvarint(uint64(len(f.multi)))
+		for j := range f.multi {
+			e.Int(f.multi[j].n)
+			e.multiRF(&f.multi[j].rep)
 		}
 	}
 }
@@ -613,7 +617,7 @@ func (d *WireDecoder) claim() WireClaim {
 				if p.kind != chooseFail {
 					d.fail("point %d: memo on non-fail point", i)
 				}
-				memos[i] = &failMemo{fp: d.Fixed64(), steps: d.Varint(), vec: d.optCounterVec()}
+				memos[i] = &failMemo{fp: d.Fixed64(), acct: account{steps: d.Varint(), vec: d.optCounterVec()}}
 				w.memos = memos // set once some point has a memo
 			}
 		}
@@ -759,7 +763,7 @@ func (d *WireDecoder) PorEntries() []WirePorEntry {
 		dl := &porDelta{
 			scenarios: d.Int(),
 			execs:     d.Int(),
-			steps:     d.Varint(),
+			acct:      account{steps: d.Varint()},
 			maxRF:     d.Int(),
 			maxRel:    d.Int(),
 		}
@@ -767,9 +771,7 @@ func (d *WireDecoder) PorEntries() []WirePorEntry {
 			dl.newPoints[j] = d.Int()
 		}
 		dl.replayed, dl.fresh = d.Varint(), d.Varint()
-		if v := d.optCounterVec(); v != nil {
-			dl.vec = *v
-		}
+		dl.acct.vec = d.optCounterVec()
 		for j, nb := 0, d.length(1); j < nb && d.err == nil; j++ {
 			dl.bugs = append(dl.bugs, porBug{
 				typ:    BugType(d.Int()),
@@ -780,15 +782,19 @@ func (d *WireDecoder) PorEntries() []WirePorEntry {
 				suffix: d.points(),
 			})
 		}
+		var f findings
 		for j, np := 0, d.length(1); j < np && d.err == nil; j++ {
-			count := d.Int()
+			n := d.Int()
 			p := d.perfIssue()
-			dl.perf = append(dl.perf, porPerfDelta{key: perfKey(p.Kind, p.Loc), count: count, issue: *p})
+			f.perf = append(f.perf, perfShare{perfKey(p.Kind, p.Loc), n, *p})
 		}
 		for j, nm := 0, d.length(1); j < nm && d.err == nil; j++ {
-			count := d.Int()
+			n := d.Int()
 			m := d.multiRF()
-			dl.multi = append(dl.multi, porMultiDelta{key: m.Loc, count: count, multi: *m})
+			f.multi = append(f.multi, multiShare{m.Loc, n, *m})
+		}
+		if f.perf != nil || f.multi != nil {
+			dl.acct.found = &f
 		}
 		out = append(out, WirePorEntry{fp, dl})
 	}

@@ -47,11 +47,11 @@ func randWireClaims(rng *rand.Rand, batch int) []WireClaim {
 				limits[i] = p.idx + 1 + rng.Intn(p.n-p.idx)
 			}
 			if pts[i].kind == chooseFail && rng.Intn(3) == 0 {
-				m := &failMemo{fp: rng.Uint64(), steps: rng.Int63n(1 << 20)}
+				m := &failMemo{fp: rng.Uint64(), acct: account{steps: rng.Int63n(1 << 20)}}
 				if rng.Intn(2) == 0 {
-					m.vec = new(obs.CounterVec)
-					m.vec[obs.Scenarios] = rng.Int63n(100)
-					m.vec[obs.Steps] = rng.Int63n(10000)
+					m.acct.vec = new(obs.CounterVec)
+					m.acct.vec[obs.Scenarios] = rng.Int63n(100)
+					m.acct.vec[obs.Steps] = rng.Int63n(10000)
 				}
 				memos[i] = m
 				anyMemo = true
@@ -129,7 +129,7 @@ func richWireStats() *WireStats {
 
 func richPorEntries() []WirePorEntry {
 	d := &porDelta{
-		scenarios: 2, execs: 2, steps: 64, maxRF: 2, maxRel: 1,
+		scenarios: 2, execs: 2, maxRF: 2, maxRel: 1,
 		newPoints: [3]int{1, 1, 0}, replayed: 10, fresh: 54,
 		bugs: []porBug{{
 			typ: BugAssertion, msg: "torn pair", exec: 1, count: 1, rel: "fail@2",
@@ -138,21 +138,22 @@ func richPorEntries() []WirePorEntry {
 				{kind: chooseReadFrom, n: 3, idx: 0},
 			},
 		}},
-		perf: []porPerfDelta{{
-			key:   perfKey(PerfRedundantFence, "p.go:3"),
-			count: 2,
-			issue: PerfIssue{Kind: PerfRedundantFence, Loc: "p.go:3", Line: 3, Count: 2},
-		}},
-		multi: []porMultiDelta{{
-			key:   "p.go:9",
-			count: 1,
-			multi: MultiRF{Loc: "p.go:9", Addr: 16, Candidates: 2, Values: []string{"0"}, Count: 1},
+		acct: account{steps: 64, vec: &obs.CounterVec{obs.Scenarios: 2}, found: &findings{
+			perf: []perfShare{{
+				key: perfKey(PerfRedundantFence, "p.go:3"),
+				n:   2,
+				rep: PerfIssue{Kind: PerfRedundantFence, Loc: "p.go:3", Line: 3, Count: 2},
+			}},
+			multi: []multiShare{{
+				key: "p.go:9",
+				n:   1,
+				rep: MultiRF{Loc: "p.go:9", Addr: 16, Candidates: 2, Values: []string{"0"}, Count: 1},
+			}},
 		}},
 	}
-	d.vec[obs.Scenarios] = 2
 	return []WirePorEntry{
 		{0xabcdef12, d},
-		{0x22, &porDelta{scenarios: 1, execs: 1, steps: 8, newPoints: [3]int{0, 1, 0}, fresh: 8}},
+		{0x22, &porDelta{scenarios: 1, execs: 1, acct: account{steps: 8}, newPoints: [3]int{0, 1, 0}, fresh: 8}},
 	}
 }
 
@@ -627,7 +628,7 @@ func goldenClaims() []WireClaim {
 	var vec obs.CounterVec
 	vec[obs.Scenarios] = 3
 	vec[obs.Steps] = 512
-	memos[2] = &failMemo{fp: 0xfeedface, steps: 321, vec: &vec}
+	memos[2] = &failMemo{fp: 0xfeedface, acct: account{steps: 321, vec: &vec}}
 	return []WireClaim{{pts, []int{1, 3, 2, 3}, memos}, {points: pts[:2]}}
 }
 

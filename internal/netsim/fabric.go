@@ -13,10 +13,9 @@ import (
 // Fabric is the distributed-exploration analog of this package's recorded
 // client traces: a deterministic in-process HTTP transport. Worker peers
 // talk to an http.Handler (the dist coordinator) through per-peer clients
-// whose faults — transient failures, dropped replies, partitions, and
-// permanent kills — are injected by the test instead of arising from a real
-// network, so the whole coordinator/worker path runs reproducibly inside
-// go test.
+// whose faults — transient failures, dropped replies and permanent kills —
+// are injected by the test instead of arising from a real network, so the
+// whole coordinator/worker path runs reproducibly inside go test.
 //
 // Every request is served synchronously on the caller's goroutine via an
 // httptest recorder; there are no real sockets, timers, or buffers, so the
@@ -43,8 +42,6 @@ type peerState struct {
 	// dropNext lets the next n requests reach the handler but drops the
 	// responses (exercises retry idempotency on the receiver).
 	dropNext int
-	// partitioned fails every request until healed.
-	partitioned bool
 	// latency is the injected one-way hop delay: the fabric clock advances
 	// by latency before the handler runs (request hop) and again after it
 	// returns (reply hop), so a successful round trip costs exactly
@@ -122,20 +119,6 @@ func (f *Fabric) SetLatency(peer string, d time.Duration) {
 	f.peer(peer).latency = d
 }
 
-// Partition isolates (or heals) a peer.
-func (f *Fabric) Partition(peer string, isolated bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.peer(peer).partitioned = isolated
-}
-
-// Requests reports how many requests the peer has attempted.
-func (f *Fabric) Requests(peer string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.peer(peer).requests
-}
-
 // Bytes reports the peer's wire-byte totals: request-body bytes sent toward
 // the handler and response-body bytes delivered back. Both counts are exact
 // and deterministic — the fabric measures the serialized bodies on each hop,
@@ -183,9 +166,6 @@ func (c *FabricClient) Do(req *http.Request) (*http.Response, error) {
 	case p.dead:
 		f.mu.Unlock()
 		return nil, fmt.Errorf("netsim: peer %s is dead", c.peer)
-	case p.partitioned:
-		f.mu.Unlock()
-		return nil, fmt.Errorf("netsim: peer %s is partitioned", c.peer)
 	case p.failNext > 0:
 		p.failNext--
 		f.mu.Unlock()

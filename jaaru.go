@@ -167,13 +167,6 @@ func Replay(prog Program, opts Options, b *BugReport) []TraceOp {
 	return core.Replay(prog, opts, b)
 }
 
-// FormatWitness renders a human-readable witness for a bug: the scenario's
-// decisions, the flagged multi-candidate loads, and the full replayed
-// operation trace.
-func FormatWitness(prog Program, opts Options, b *BugReport) string {
-	return core.FormatWitness(prog, opts, b)
-}
-
 // Witness is the structured bug-forensics record: the scenario's recorded
 // decisions, the TSO-annotated operation trace, per-cache-line persistence
 // timelines, and the read-from resolution (with constraint-refinement steps)
