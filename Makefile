@@ -32,8 +32,9 @@ test:
 # internal/benchlist runs in one pass: the conformance matrix (every program
 # under the replay oracle, POR off, Workers=4, range donation and a netsim
 # fleet of two, healthy and with a worker killed mid-lease, POR on and off)
-# and the Workers=2 donation-cost gate. Its serial golden and trace pins run
-# one exploration at a time, so they have nothing to race and are skipped.
+# and the Workers=2 donation-cost gate. Its serial goldens (conformance and
+# forensics) and trace pins run one exploration at a time, so they have
+# nothing to race and are skipped.
 # The metrics registry (internal/obs) and the exposition over it
 # (internal/telemetry) race too: snapshots and scrapes read shards and
 # driver signals while workers and the driver write them.
@@ -41,7 +42,7 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/tso/ ./internal/pmem/
 	$(GO) test -race ./internal/obs/ ./internal/telemetry/
 	$(GO) test -race ./internal/dist/ ./internal/netsim/
-	$(GO) test -race -skip 'TestConformanceGolden|TestTraceIsReplayTail|TestBytePathRefinements' ./internal/benchlist/
+	$(GO) test -race -skip 'TestConformanceGolden|TestForensicsGolden|TestTraceIsReplayTail|TestBytePathRefinements' ./internal/benchlist/
 
 # Allocation-regression gates: the testing.AllocsPerRun pins that keep the
 # paged-layout hot path (guest ops under the default eviction policy — Store8,
@@ -56,9 +57,11 @@ race:
 # bound on the snapshot stack (a capture is a journal mark and a few scalars;
 # an entry that copies per-scenario state fails it); and linear growth of the
 # bytes POR subtree records allocate (a record that copies its prefix is
-# quadratic).
+# quadratic); and the bytes one minimizer trial allocates, at most 16 KiB on
+# three seeded bugs (trials share one recycled pool and stack; a trial that
+# builds its own allocates 44-98 KB).
 allocs:
-	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations|TestSnapshotBytesPerCapture|TestChoiceSnapshotPushPopAllocs|TestPORRecordMemoryLinear' -count=1 ./internal/core/
+	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations|TestSnapshotBytesPerCapture|TestChoiceSnapshotPushPopAllocs|TestPORRecordMemoryLinear|TestMinimizeTrialBytes' -count=1 ./internal/core/
 	$(GO) test -run TestStackOpsAllocFree -count=1 ./internal/pmem/
 
 verify: vet build test race allocs

@@ -102,6 +102,10 @@ type Checker struct {
 	// rfScratch is reused across resolveByte calls to avoid allocating a
 	// candidate slice per pre-failure load byte.
 	rfScratch []pmem.Candidate
+	// opLoc memoizes the guest location of the load or RMW operation whose
+	// bytes resolveLoad's slow path is resolving (loadLoc); "" until a byte
+	// first asks for it. Only the multi-rf flag and the witness recorder ask.
+	opLoc string
 
 	// pmpool recycles scenario storage (executions, pages, arenas) across
 	// the millions of resetScenario calls a run performs; thScratch is the
@@ -746,6 +750,7 @@ func (c *Checker) resolveLoad(t *thread, a pmem.Addr, size int) uint64 {
 		if c.col != nil {
 			t0 = time.Now()
 		}
+		c.opLoc = ""
 		for i := 0; i < size; i++ {
 			v |= uint64(c.resolveByte(t, a+pmem.Addr(i), i == 0)) << (8 * uint(i))
 		}
@@ -833,8 +838,18 @@ func (c *Checker) resolveByte(t *thread, a pmem.Addr, first bool) byte {
 	return chosen.Val
 }
 
+// loadLoc returns the guest location of the operation being resolved. Every
+// byte of one load or RMW shares it, so the stack is unwound and symbolized
+// at most once per operation, by the first byte that asks.
+func (c *Checker) loadLoc() string {
+	if c.opLoc == "" {
+		c.opLoc = guestLocation()
+	}
+	return c.opLoc
+}
+
 func (c *Checker) flagMultiRF(a pmem.Addr, cands []pmem.Candidate) {
-	loc := guestLocation()
+	loc := c.loadLoc()
 	key := loc
 	m, ok := c.multiRF[key]
 	if ok && len(cands) < m.Candidates {

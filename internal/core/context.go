@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 
 	"jaaru/internal/pmem"
 	"jaaru/internal/tso"
@@ -546,11 +547,46 @@ func (c *Context) Fnv64(a Addr, size uint64) uint64 {
 // ---- Source locations -----------------------------------------------------------
 
 // guestLocation returns the innermost non-checker frame of the caller,
-// formatted as "file.go:123".
+// formatted as "file.go:123". Symbolizing is most of its cost, so the result
+// is cached under the exact PC slice runtime.Callers captured (locCache).
 func guestLocation() string {
-	var pcs [16]uintptr
+	var pcs [locDepth]uintptr
 	n := runtime.Callers(2, pcs[:])
-	frames := runtime.CallersFrames(pcs[:n])
+	locCache.Lock()
+	loc, ok := locCache.m[pcs]
+	locCache.Unlock()
+	if ok {
+		return loc
+	}
+	loc = symbolize(pcs[:n])
+	locCache.Lock()
+	if len(locCache.m) < locCacheCap {
+		locCache.m[pcs] = loc
+	}
+	locCache.Unlock()
+	return loc
+}
+
+// locDepth is how many frames guestLocation captures; locCacheCap bounds
+// locCache, past which misses are symbolized every time.
+const (
+	locDepth    = 16
+	locCacheCap = 1 << 12
+)
+
+// locCache maps a captured PC slice, zero-padded to locDepth (no frame has
+// PC 0), to its symbolized location. The same PCs always symbolize to the
+// same string, so a hit returns exactly what symbolize would. It is shared by
+// every checker, parallel workers included.
+var locCache = struct {
+	sync.Mutex
+	m map[[locDepth]uintptr]string
+}{m: make(map[[locDepth]uintptr]string)}
+
+// symbolize walks pcs to the first frame outside the checker (test files
+// count as guest code).
+func symbolize(pcs []uintptr) string {
+	frames := runtime.CallersFrames(pcs)
 	for {
 		f, more := frames.Next()
 		if f.File == "" {

@@ -204,7 +204,7 @@ func (r *witnessRecorder) beginLoad(t *thread, a pmem.Addr) *forensics.LoadResol
 		Exec:   top.ID,
 		Thread: t.id,
 		Addr:   uint64(a),
-		Loc:    guestLocation(),
+		Loc:    r.c.loadLoc(),
 	}
 	settled := false
 	var settledExec int

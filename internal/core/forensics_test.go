@@ -1,7 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
+
+	"jaaru/internal/pmem"
 )
 
 // deepBugProgram manifests only at a later failure point, so its recorded
@@ -139,13 +145,15 @@ func TestMinimizePreservesBugAndNeverGrows(t *testing.T) {
 			}
 			// The minimized prefix still reproduces the same bug key, and is
 			// locally minimal: dropping any single remaining decision loses it.
-			if !minimizeTrial(prog, opts, nb.replay, b.key()) {
+			// Every trial below shares one store, as Minimize's own trials do.
+			store := &trialStore{pool: pmem.NewPool()}
+			if !minimizeTrial(prog, opts, store, nb.replay, b.key()) {
 				t.Fatal("minimized prefix does not reproduce the bug")
 			}
 			for i := range nb.replay {
 				cand := append([]choicePoint(nil), nb.replay[:i]...)
 				cand = append(cand, nb.replay[i+1:]...)
-				if minimizeTrial(prog, opts, cand, b.key()) {
+				if minimizeTrial(prog, opts, store, cand, b.key()) {
 					t.Errorf("decision %d removable: prefix not locally minimal", i)
 				}
 			}
@@ -191,4 +199,138 @@ func TestWitnessWithSnapshotsOnRegression(t *testing.T) {
 	if preFailure == 0 {
 		t.Error("structured witness has no pre-failure operations")
 	}
+}
+
+// here returns its caller's location as guestLocation formats it.
+func here() string {
+	_, file, line, _ := runtime.Caller(1)
+	return fmt.Sprintf("%s:%d", filepath.Base(file), line)
+}
+
+// TestLoadLocationPerOperation pins the per-operation location memo
+// (Checker.loadLoc): a one-byte and an eight-byte multi-candidate load from
+// two source lines keep one MultiRF entry each, counted per byte, and every
+// witness load resolution carries its own operation's location. A memo that
+// survives from one load into the next files the second load under the
+// first one's location.
+func TestLoadLocationPerOperation(t *testing.T) {
+	var locX, locY string
+	prog := Program{
+		Name: "two-load-sites",
+		Run: func(c *Context) {
+			x, y := c.Root(), c.Root().Add(64)
+			c.Store8(y, 1)
+			for i := uint64(0); i < 8; i++ {
+				c.Store8(x.Add(i), uint8(i+1))
+			}
+		},
+		Recover: func(c *Context) {
+			x, y := c.Root(), c.Root().Add(64)
+			vy, ly := c.Load8(y), here()
+			vx, lx := c.Load64(x), here()
+			locX, locY = lx, ly
+			if vy == 1 && vx == 0x0807060504030201 {
+				c.Bug("every byte read its newest store")
+			}
+		},
+	}
+	opts := Options{FlagMultiRF: true}
+	res := New(prog, opts).Run()
+	if !res.Buggy() {
+		t.Fatal("no bug")
+	}
+	got := map[string]int{}
+	for _, m := range res.MultiRF {
+		got[m.Loc] = m.Count
+	}
+	// Count is per flagged byte, summed over every scenario: the counts
+	// flagging each byte with its own location gives.
+	want := map[string]int{locY: 18, locX: 88}
+	if len(got) != 2 || got[locY] != want[locY] || got[locX] != want[locX] {
+		t.Errorf("multi-rf counts by location %v, want %v", got, want)
+	}
+	w := BuildWitness(prog, opts, res.Bugs[0])
+	if !w.Reproduced {
+		t.Fatal("witness does not reproduce the bug")
+	}
+	multi := 0
+	for _, l := range w.Loads {
+		wantLoc := locX
+		if l.Addr == uint64(PoolBase)+64 {
+			wantLoc = locY
+		}
+		if l.Loc != wantLoc {
+			t.Errorf("load of %#x at %s, want %s", l.Addr, l.Loc, wantLoc)
+		}
+		admitted := 0
+		for _, sc := range l.Candidates {
+			if sc.Admitted {
+				admitted++
+			}
+		}
+		if admitted > 1 {
+			multi++
+		}
+	}
+	if len(w.Loads) != 9 || multi != 9 {
+		t.Errorf("witness resolves %d load bytes, %d of them multi-candidate; want 9 and 9", len(w.Loads), multi)
+	}
+}
+
+// TestGuestLocationCacheBounded: a hit returns what symbolizing returns, and
+// a full cache stops inserting while misses still symbolize correctly.
+func TestGuestLocationCacheBounded(t *testing.T) {
+	locCache.Lock()
+	saved := locCache.m
+	locCache.m = make(map[[locDepth]uintptr]string)
+	locCache.Unlock()
+	defer func() {
+		locCache.Lock()
+		locCache.m = saved
+		locCache.Unlock()
+	}()
+
+	for i := 0; i < 2; i++ {
+		if got, want := guestLocation(), here(); got != want {
+			t.Errorf("call %d: guestLocation() = %q, want %q", i, got, want)
+		}
+	}
+	if n := len(locCache.m); n != 1 {
+		t.Errorf("two calls from one stack left %d cache entries, want 1", n)
+	}
+
+	locCache.Lock()
+	for i := 1; len(locCache.m) < locCacheCap; i++ {
+		locCache.m[[locDepth]uintptr{uintptr(i)}] = "filler"
+	}
+	locCache.Unlock()
+	if got, want := guestLocation(), here(); got != want {
+		t.Errorf("full cache: guestLocation() = %q, want %q", got, want)
+	}
+	if n := len(locCache.m); n != locCacheCap {
+		t.Errorf("full cache grew to %d entries, cap %d", n, locCacheCap)
+	}
+}
+
+// TestGuestLocationConcurrent: parallel workers share locCache; every caller
+// gets its own location whichever goroutine filled the entry.
+func TestGuestLocationConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				got, want := guestLocation(), here()
+				if i%2 == 1 {
+					got, want = guestLocation(), here()
+				}
+				if got != want {
+					t.Errorf("guestLocation() = %q, want %q", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -7,12 +7,16 @@ package core
 // subsequence of the prefix that still reproduces the same bug key, giving
 // the developer the shortest decision sequence to reason about.
 
-import "jaaru/internal/forensics"
+import (
+	"jaaru/internal/forensics"
+	"jaaru/internal/pmem"
+)
 
 // minimizeMaxTrials bounds the number of replay trials one Minimize call may
-// spend. Each trial is a full scenario re-execution; 512 is far above what
-// ddmin needs on the bundled workloads (tens of trials) but keeps a
-// pathological guest from running unbounded.
+// spend. Each trial is a full scenario re-execution; 512 is well above what
+// ddmin needs on the bundled workloads (the 25 seeded bugs take 1 266 trials
+// together, pmdk#4 the most at 118) but keeps a pathological guest from
+// running unbounded.
 const minimizeMaxTrials = 512
 
 // Minimize runs greedy delta debugging over b's recorded choice prefix and
@@ -23,6 +27,11 @@ const minimizeMaxTrials = 512
 // the original (ddmin only removes decisions). prog and opts must match the
 // exploration that produced b. A report whose choice vector was lost
 // (BugReport.replayable) comes back unchanged, with zero trials.
+//
+// The trials share recycled scenario storage (trialStore), as consecutive
+// scenarios of an exploration do, and each starts from resetScenario's fresh
+// state. With FlagMultiRF on, each load in a trial computes its guest
+// location at most once (Checker.loadLoc), however many bytes it resolves.
 func Minimize(prog Program, opts Options, b *BugReport) (*BugReport, *forensics.Minimization) {
 	if !b.replayable() {
 		nb := *b
@@ -31,6 +40,7 @@ func Minimize(prog Program, opts Options, b *BugReport) (*BugReport, *forensics.
 	key := b.key()
 	cur := append([]choicePoint(nil), b.replay...)
 	trials := 0
+	store := &trialStore{pool: pmem.NewPool()}
 
 	// Classic ddmin: remove progressively finer chunks; on success restart
 	// coarse, on a full failed sweep double the granularity.
@@ -47,7 +57,7 @@ func Minimize(prog Program, opts Options, b *BugReport) (*BugReport, *forensics.
 			cand = append(cand, cur[:start]...)
 			cand = append(cand, cur[end:]...)
 			trials++
-			if minimizeTrial(prog, opts, cand, key) {
+			if minimizeTrial(prog, opts, store, cand, key) {
 				cur = cand
 				if n > 2 {
 					n--
@@ -80,15 +90,27 @@ func Minimize(prog Program, opts Options, b *BugReport) (*BugReport, *forensics.
 	return &nb, min
 }
 
+// trialStore is the scenario storage the trials of one Minimize call share,
+// as consecutive scenarios of an exploration do: the pool recycles
+// executions, pages and arenas, and stack is the one the last trial ran on.
+// Each trial's resetScenario recycles it into a fresh stack.
+type trialStore struct {
+	pool  *pmem.Pool
+	stack *pmem.Stack
+}
+
 // minimizeTrial reports whether replaying the candidate prefix still
 // manifests a bug with the given key. A nondeterministic-replay panic —
 // the candidate's decisions no longer line up with the choice points the
 // guest presents — counts as not reproducing; any other panic propagates.
-func minimizeTrial(prog Program, opts Options, prefix []choicePoint, key string) bool {
+func minimizeTrial(prog Program, opts Options, store *trialStore, prefix []choicePoint, key string) bool {
 	c := newReplayChecker(prog, opts, prefix, 0)
-	if !c.replayScenario() {
+	c.pmpool, c.stack = store.pool, store.stack
+	ok := c.replayScenario()
+	store.stack = c.stack
+	if !ok {
 		return false
 	}
-	_, ok := c.bugIndex[key]
+	_, ok = c.bugIndex[key]
 	return ok
 }
