@@ -5,7 +5,8 @@
 # the metrics registry and its exposition), and the allocation gates
 # (allocs); the full suite drives every `jaaru` subcommand end to end
 # (cmd/jaaru). scrape-smoke drives the telemetry surface over real TCP, and
-# fuzz-smoke fuzzes the lease-path decoders for a bounded time.
+# fuzz-smoke fuzzes the lease-path decoders and the line fingerprint for a
+# bounded time.
 # Timing lives elsewhere: the benchmark of record is `sh benchmark/run.sh`,
 # and `go run ./cmd/jaaru fig14` prints the paper's Figure 14 table.
 
@@ -49,7 +50,8 @@ race:
 # Store64 as one arena node and as eight over bytes of mixed history, Load64,
 # Clflush, Clflushopt, Sfence, Persist, a store with a forensics probe attached,
 # the post-failure Load64 answered from the pinned summary — scenario
-# reset, journal mark/rewind, AppendWord, pin + Stack.Load) at zero heap
+# reset, journal mark/rewind, AppendWord, pin + Stack.Load, and a
+# Stack.Fingerprint that rehashes every line of a recycled image) at zero heap
 # allocations once warmed; the choice-snapshot push/pop cycle at zero, flags
 # off and with the finding flags on over stats that already hold findings
 # (latching the scenario baseline and measuring an entry's account of skipped
@@ -62,7 +64,7 @@ race:
 # builds its own allocates 44-98 KB).
 allocs:
 	$(GO) test -run 'TestSteadyStateOpAllocations|TestScenarioResetAllocations|TestSnapshotBytesPerCapture|TestChoiceSnapshotPushPopAllocs|TestPORRecordMemoryLinear|TestMinimizeTrialBytes' -count=1 ./internal/core/
-	$(GO) test -run TestStackOpsAllocFree -count=1 ./internal/pmem/
+	$(GO) test -run 'TestStackOpsAllocFree|TestFingerprintAllocFree' -count=1 ./internal/pmem/
 
 verify: vet build test race allocs
 
@@ -75,12 +77,16 @@ scrape-smoke:
 # Decoder fuzz smoke: 10 s of fuzzing each, from the committed corpora, for
 # the lease-path frame decoder (FuzzDecodeWire2) and the claim and stats
 # decoders under it, which are the coordinator's only validation of what a
-# worker sends (FuzzWireClaimValidate, FuzzWireStatsValidate). Not part of
-# verify: its inputs differ run to run. The corpora alone run in `make test`.
+# worker sends (FuzzWireClaimValidate, FuzzWireStatsValidate); then 5 s of the
+# line fingerprint against the byte-wise reference encoding it replaced
+# (FuzzLineFingerprint: equal under one exactly when equal under the other).
+# Not part of verify: its inputs differ run to run. The corpora and seeds
+# alone run in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire2$$' -fuzztime 10s -parallel 2 ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireClaimValidate$$' -fuzztime 10s -parallel 2 ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireStatsValidate$$' -fuzztime 10s -parallel 2 ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzLineFingerprint$$' -fuzztime 5s -parallel 2 ./internal/pmem/
 
 clean:
 	$(GO) clean ./...

@@ -19,8 +19,8 @@ package core
 // forensics costs one branch per hook.
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"jaaru/internal/forensics"
 	"jaaru/internal/pmem"
@@ -51,6 +51,9 @@ type witnessRecorder struct {
 	// openLoad is the resolution currently being assembled in resolveByte, so
 	// the interval tracer can attach refinement steps to it.
 	openLoad *forensics.LoadResolution
+
+	// reason is beginLoad's scratch for building candidate verdicts.
+	reason []byte
 }
 
 type lineKey struct {
@@ -209,51 +212,67 @@ func (r *witnessRecorder) beginLoad(t *thread, a pmem.Addr) *forensics.LoadResol
 	settled := false
 	var settledExec int
 	var settledSeq uint64
+	b := r.reason[:0]
 	for id := top.ID - 1; id >= 0; id-- {
 		e := r.c.stack.At(id)
 		begin, end := r.lineBounds(id, a.Line())
 		e.ForEachStoreNewest(a, func(bs pmem.ByteStore) bool {
 			sc := forensics.StoreCandidate{
 				Exec: id, Seq: uint64(bs.Seq), Val: uint64(bs.Val)}
-			switch {
+			seq := uint64(bs.Seq)
+			switch b = b[:0]; {
 			case settled && settledExec == id:
-				sc.Reason = fmt.Sprintf(
-					"excluded: older than the store guaranteed persisted at σ=%d",
-					settledSeq)
+				b = append(b, "excluded: older than the store guaranteed persisted at σ="...)
+				b = strconv.AppendUint(b, settledSeq, 10)
 			case settled:
-				sc.Reason = fmt.Sprintf(
-					"unreachable: execution %d already guarantees a persisted value",
-					settledExec)
-			case uint64(bs.Seq) >= end:
-				sc.Reason = fmt.Sprintf(
-					"excluded: σ=%d ≥ End=%s — the line's last writeback is proven earlier",
-					uint64(bs.Seq), forensics.FormatSeq(end))
-			case uint64(bs.Seq) <= begin:
+				b = appendUnreachable(b, settledExec)
+			case seq >= end:
+				b = append(b, "excluded: σ="...)
+				b = strconv.AppendUint(b, seq, 10)
+				b = append(b, " ≥ End="...)
+				b = forensics.AppendSeq(b, end)
+				b = append(b, " — the line's last writeback is proven earlier"...)
+			case seq <= begin:
 				sc.Admitted = true
-				sc.Reason = fmt.Sprintf(
-					"admitted: newest store with σ=%d ≤ Begin=%d — value guaranteed persisted",
-					uint64(bs.Seq), begin)
-				settled, settledExec, settledSeq = true, id, uint64(bs.Seq)
+				b = append(b, "admitted: newest store with σ="...)
+				b = strconv.AppendUint(b, seq, 10)
+				b = append(b, " ≤ Begin="...)
+				b = strconv.AppendUint(b, begin, 10)
+				b = append(b, " — value guaranteed persisted"...)
+				settled, settledExec, settledSeq = true, id, seq
 			default:
 				sc.Admitted = true
-				sc.Reason = fmt.Sprintf(
-					"admitted: Begin=%d < σ=%d < End=%s — inside the writeback window",
-					begin, uint64(bs.Seq), forensics.FormatSeq(end))
+				b = append(b, "admitted: Begin="...)
+				b = strconv.AppendUint(b, begin, 10)
+				b = append(b, " < σ="...)
+				b = strconv.AppendUint(b, seq, 10)
+				b = append(b, " < End="...)
+				b = forensics.AppendSeq(b, end)
+				b = append(b, " — inside the writeback window"...)
 			}
+			sc.Reason = string(b)
 			res.Candidates = append(res.Candidates, sc)
 			return true
 		})
 	}
 	initial := forensics.StoreCandidate{Exec: pmem.InitialExec}
 	if settled {
-		initial.Reason = fmt.Sprintf(
-			"unreachable: execution %d already guarantees a persisted value", settledExec)
+		initial.Reason = string(appendUnreachable(b[:0], settledExec))
 	} else {
 		initial.Admitted = true
 		initial.Reason = "admitted: initial pool contents — no execution settles the line"
 	}
+	r.reason = b
 	res.Candidates = append(res.Candidates, initial)
 	return res
+}
+
+// appendUnreachable appends the verdict of a candidate below the execution
+// that settled the byte.
+func appendUnreachable(b []byte, settledExec int) []byte {
+	b = append(b, "unreachable: execution "...)
+	b = strconv.AppendInt(b, int64(settledExec), 10)
+	return append(b, " already guarantees a persisted value"...)
 }
 
 // finishLoad marks the chosen candidate and files the resolution.

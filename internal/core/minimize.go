@@ -30,8 +30,8 @@ const minimizeMaxTrials = 512
 //
 // The trials share recycled scenario storage (trialStore), as consecutive
 // scenarios of an exploration do, and each starts from resetScenario's fresh
-// state. With FlagMultiRF on, each load in a trial computes its guest
-// location at most once (Checker.loadLoc), however many bytes it resolves.
+// state. Trials run without the finding flags (minimizeTrial): they only ask
+// whether the bug key reproduces.
 func Minimize(prog Program, opts Options, b *BugReport) (*BugReport, *forensics.Minimization) {
 	if !b.replayable() {
 		nb := *b
@@ -103,7 +103,10 @@ type trialStore struct {
 // manifests a bug with the given key. A nondeterministic-replay panic —
 // the candidate's decisions no longer line up with the choice points the
 // guest presents — counts as not reproducing; any other panic propagates.
+// Nothing reads a trial's multi-rf or perf findings, so it runs without the
+// finding flags: a multi-candidate load then computes no guest location.
 func minimizeTrial(prog Program, opts Options, store *trialStore, prefix []choicePoint, key string) bool {
+	opts.FlagMultiRF, opts.FlagPerfIssues = false, false
 	c := newReplayChecker(prog, opts, prefix, 0)
 	c.pmpool, c.stack = store.pool, store.stack
 	ok := c.replayScenario()

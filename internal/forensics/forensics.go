@@ -15,7 +15,7 @@
 // JSON, because the canonical bug representative they replay is identical.
 package forensics
 
-import "fmt"
+import "strconv"
 
 // SeqInfinity is the JSON encoding of an unbounded interval end (pmem.SeqInf):
 // the line may have been written back at any later time, or never.
@@ -23,11 +23,14 @@ const SeqInfinity = ^uint64(0)
 
 // FormatSeq renders a sequence number, using ∞ for SeqInfinity — the same
 // notation the pmem intervals print.
-func FormatSeq(s uint64) string {
+func FormatSeq(s uint64) string { return string(AppendSeq(nil, s)) }
+
+// AppendSeq appends FormatSeq(s) to b.
+func AppendSeq(b []byte, s uint64) []byte {
 	if s == SeqInfinity {
-		return "∞"
+		return append(b, "∞"...)
 	}
-	return fmt.Sprintf("%d", s)
+	return strconv.AppendUint(b, s, 10)
 }
 
 // Witness is the structured explanation of one bug manifestation: the

@@ -44,9 +44,14 @@ type Execution struct {
 	// the Yat state-count accounting).
 	EvictedStores int
 
-	// fpSeqs is the per-line relevant-sequence scratch buffer of
-	// lineFingerprint, reused across calls.
-	fpSeqs []Seq
+	// fpSeqs, fpRuns, fpCands and fpWords are lineFingerprint's scratch
+	// (relevant sequences, byte runs, their candidates, the word stream),
+	// reused across calls and pooled executions, so a warmed rehash
+	// allocates nothing.
+	fpSeqs  []Seq
+	fpRuns  []fpRun
+	fpCands []fpCand
+	fpWords []uint32
 
 	pool *Pool
 }
