@@ -1,8 +1,9 @@
 # Developer / CI entry points. `make verify` is the gate every change must
 # pass: vet, full build, the full test suite, a race-detector pass over the
-# packages with shared mutable state (the parallel exploration driver, the
-# TSO simulation and paged store arena it drives, the distributed path, and
-# the metrics registry and its exposition), and the allocation gates
+# packages with shared mutable state (the one exploration driver every run
+# goes through — serial, Workers > 1 and the fleet — the TSO simulation and
+# paged store arena it drives, the distributed path, and the metrics
+# registry and its exposition), and the allocation gates
 # (allocs); the full suite drives every `jaaru` subcommand end to end
 # (cmd/jaaru). scrape-smoke drives the telemetry surface over real TCP, and
 # fuzz-smoke fuzzes the lease-path decoders and the line fingerprint for a
@@ -25,8 +26,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# The partitioned-exploration driver (internal/core: the claim loop and the
-# Frontier that Workers > 1 and the fleet share), the store-buffer machinery
+# The exploration driver (internal/core: the one claim loop and Frontier that
+# a serial run, Workers > 1 and the fleet share, and the guest boundary that
+# reaps a crashed execution's spawned threads), the store-buffer machinery
 # (internal/tso) and the paged arena (internal/pmem) get a race-detector
 # pass, as does the distributed path (internal/dist over the internal/netsim
 # fabric: drain, parked leases, duplicate commits, a worker killed mid-lease).

@@ -26,12 +26,18 @@ const (
 	// BugExplicit is an unconditional Context.Bug report.
 	BugExplicit
 	// BugEngine is an internal checker invariant violation surfaced as a
-	// report instead of a crash — raised when a parallel worker hits a
-	// nondeterministic-replay (or similar engine) panic while exploring a
-	// claimed branch prefix. The report's Choices carry the offending
-	// prefix. Guest programs whose choice shape depends on state outside
+	// report instead of a crash, under every driver — raised when a
+	// nondeterministic-replay (or similar engine) panic ends the exploration
+	// of a claimed branch prefix (the whole tree, for a serial run). The
+	// report's Choices carry the offending prefix, and the Result is
+	// incomplete. Guest programs whose choice shape depends on state outside
 	// the simulated pool (globals, host randomness) trigger this.
 	BugEngine
+	// BugCrash is a Go panic in guest code — a runtime error such as an
+	// index out of range or a nil dereference, or an explicit panic — on any
+	// guest thread: the analog of a process crash. The message holds the
+	// panic value and the guest location of the panicking frame.
+	BugCrash
 )
 
 func (t BugType) String() string {
@@ -46,6 +52,8 @@ func (t BugType) String() string {
 		return "bug"
 	case BugEngine:
 		return "engine error"
+	case BugCrash:
+		return "crash"
 	default:
 		return fmt.Sprintf("BugType(%d)", int(t))
 	}
@@ -104,7 +112,7 @@ func (b *BugReport) Trace(n int) []TraceOp {
 		return nil
 	}
 	c := newReplayChecker(*b.prog, *b.opts, b.replay, n)
-	if !c.replayScenario() {
+	if !c.runScenarioGuarded(b.replay) {
 		return nil
 	}
 	return c.trace.snapshot()
@@ -183,8 +191,23 @@ type guestFault struct {
 type crashSignal struct{}
 
 // engineError is the panic payload for internal invariant violations (e.g.
-// nondeterministic replay). These are never expected and indicate a checker
-// bug, so they propagate to the caller.
+// nondeterministic replay). The guest boundary passes it through, from any
+// guest thread, to runScenarioGuarded, which reports it as a BugEngine;
+// Replay alone lets it propagate to the caller.
 type engineError struct{ msg string }
+
+// caught classifies a value recovered at the guest boundary (runSegment and
+// the Spawn trampoline): nil, an injected crash, a guest fault and an engine
+// error come back as they are; anything else is a guest panic, returned as a
+// BugCrash fault naming the panic value and the guest frame that panicked.
+// It must be called from the deferred function that recovered r, while the
+// panicking frames are still on the stack.
+func caught(r any) any {
+	switch r.(type) {
+	case nil, crashSignal, guestFault, engineError:
+		return r
+	}
+	return guestFault{typ: BugCrash, msg: fmt.Sprintf("panic: %v at %s", r, guestLocation())}
+}
 
 func (e engineError) Error() string { return "jaaru internal error: " + e.msg }

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"jaaru/internal/forensics"
@@ -267,48 +269,38 @@ func (r *Result) Witness(i int) (*forensics.Witness, error) {
 }
 
 // Run explores the program's failure behaviours to completion (or until a
-// configured cap) and returns the aggregated result. With Options.Workers
-// greater than one the choice tree is partitioned across worker goroutines
-// (parallel.go); the serial loop below is the reference semantics the
-// parallel driver must reproduce bit-for-bit.
+// configured cap) and returns the aggregated result. There is one driver:
+// claimants run the claim loop (exploreClaim) against a Frontier whose caps
+// and merge are this checker's (parallel.go). With Options.Workers == 1, or
+// an Instrument hook set, this checker is the only claimant and explores the
+// whole tree on the calling goroutine; otherwise Workers private worker
+// checkers partition the tree and merge into it.
 func (c *Checker) Run() *Result {
 	if c.reg != nil {
 		c.reg.SetGoal(int64(c.opts.MaxScenarios))
 		c.reg.Emit("run_start", "program", c.prog.Name,
 			"workers", c.opts.Workers, "max_scenarios", c.opts.MaxScenarios)
 	}
-	if c.opts.Workers > 1 && c.snapshot == nil {
-		return c.runParallel()
+	f := NewFrontier(&MergeAcc{ck: c, start: time.Now()}, nil)
+	if c.opts.Workers == 1 || c.snapshot != nil {
+		c.reg.SetWorkers(1)
+		f.serve(c, "0")
+		return f.Result()
 	}
-	c.reg.SetWorkers(1)
-	start := time.Now()
-	complete := c.runSerial()
-	return c.buildResult(start, complete)
-}
-
-// runSerial is the single-goroutine depth-first exploration loop. It
-// reports whether the state space was exhausted (no cap cut it short).
-func (c *Checker) runSerial() bool {
-	for {
-		c.scenarios++
-		c.runScenario()
-		if c.opts.StopAtFirstBug && len(c.bugs) > 0 {
-			c.porAbandon()
-			return false
-		}
-		if len(c.bugs) >= c.opts.MaxBugs {
-			c.porAbandon()
-			return false
-		}
-		if c.scenarios >= c.opts.MaxScenarios {
-			c.porAbandon()
-			return false
-		}
-		if !c.chooser.advance() {
-			c.porFlush()
-			return true
-		}
+	c.reg.SetWorkers(c.opts.Workers)
+	for i := range c.opts.Workers {
+		f.workers = append(f.workers, c.newWorker(i+1))
 	}
+	var wg sync.WaitGroup
+	for i, w := range f.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f.serve(w, strconv.Itoa(i))
+		}()
+	}
+	wg.Wait()
+	return f.Result()
 }
 
 // buildResult folds the chooser's choice-point counts into the stats and
@@ -566,26 +558,18 @@ func (c *Checker) runSegment(fn func(*Context)) (crashed bool) {
 	}
 
 	defer func() {
-		// Always tear down child goroutines before leaving the segment.
-		fault, unexpected := c.sched.shutdown()
-		r := recover()
-		switch v := r.(type) {
-		case nil:
-		case crashSignal:
-			crashed = true
+		// The main thread's guest boundary. Child goroutines are always torn
+		// down before leaving the segment; the first fault of any thread is
+		// the segment's outcome: a guest fault or panic is a bug, an engine
+		// error goes on to runScenarioGuarded.
+		r := caught(recover())
+		switch f := c.sched.shutdown(r).(type) {
 		case guestFault:
-			if fault == nil {
-				fault = &v
-			}
+			c.recordBug(f)
+		case engineError:
+			panic(f)
 		default:
-			panic(r) // engineError or a genuine Go bug: propagate
-		}
-		if unexpected != nil {
-			panic(unexpected)
-		}
-		if fault != nil {
-			c.recordBug(*fault)
-			crashed = false
+			_, crashed = r.(crashSignal)
 		}
 	}()
 

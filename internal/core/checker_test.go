@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -795,21 +796,27 @@ func TestBulkByteHelpers(t *testing.T) {
 	}
 }
 
-// A non-guest panic on a child thread must propagate to the caller, not be
-// swallowed as a bug.
+// TestUnexpectedChildPanicPropagates: a panic on a spawned thread reaches the
+// execution's outcome through the scheduler's fault slot. A guest panic is a
+// BugCrash naming the child's frame; an engine error raised on a child still
+// surfaces as a BugEngine, and the run is incomplete.
 func TestUnexpectedChildPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("child panic did not propagate")
-		} else if r != "genuine bug" {
-			t.Fatalf("wrong panic: %v", r)
-		}
-	}()
-	Execute("child-panic", func(c *Context) {
-		h := c.Spawn(func(c *Context) {
-			c.Store64(c.Root(), 1) // take at least one turn
-			panic("genuine bug")
-		})
-		h.Join(c)
-	}, Options{})
+	child := func(v any) *Result {
+		return Execute("child-panic", func(c *Context) {
+			h := c.Spawn(func(c *Context) {
+				c.Store64(c.Root(), 1) // take at least one turn
+				panic(v)
+			})
+			h.Join(c)
+		}, Options{})
+	}
+	res := child("genuine bug")
+	if len(res.Bugs) != 1 || res.Bugs[0].Type != BugCrash ||
+		!strings.HasPrefix(res.Bugs[0].Message, "panic: genuine bug at checker_test.go:") {
+		t.Errorf("guest panic on a child: %v", res.Bugs)
+	}
+	res = child(engineError{"broken invariant"})
+	if len(res.Bugs) != 1 || res.Bugs[0].Type != BugEngine || res.Bugs[0].Message != "broken invariant" || res.Complete {
+		t.Errorf("engine error on a child: %v, complete %v", res.Bugs, res.Complete)
+	}
 }

@@ -455,29 +455,12 @@ func (c *Context) Spawn(fn func(*Context)) *ThreadHandle {
 	ck := c.ck
 	t := ck.sched.spawn(ck.opts.SBCapacity)
 	go func() {
-		defer ck.sched.childExited()
-		defer func() {
-			switch r := recover().(type) {
-			case nil:
-			case crashSignal:
-				ck.sched.mu.Lock()
-				t.done = true
-				ck.sched.mu.Unlock()
-			case guestFault:
-				ck.sched.mu.Lock()
-				t.done = true
-				ck.sched.mu.Unlock()
-				ck.sched.recordFault(r)
-			default:
-				ck.sched.mu.Lock()
-				t.done = true
-				ck.sched.mu.Unlock()
-				ck.sched.recordUnexpected(r)
-			}
-		}()
+		// The thread's guest boundary: a fault or guest panic fails the
+		// execution through the scheduler's fault slot (runSegment reports
+		// it), an engine error travels the same way to runScenarioGuarded.
+		defer func() { ck.sched.exit(t, caught(recover())) }()
 		ck.sched.waitTurn(t)
 		fn(&Context{ck: ck, th: t})
-		ck.sched.finish(t)
 	}()
 	c.yield()
 	return &ThreadHandle{ck: ck, t: t}
@@ -583,8 +566,9 @@ var locCache = struct {
 	m map[[locDepth]uintptr]string
 }{m: make(map[[locDepth]uintptr]string)}
 
-// symbolize walks pcs to the first frame outside the checker (test files
-// count as guest code).
+// symbolize walks pcs to the first frame outside the checker and the Go
+// runtime (test files count as guest code): for a guest panic, the frame that
+// panicked.
 func symbolize(pcs []uintptr) string {
 	frames := runtime.CallersFrames(pcs)
 	for {
@@ -592,7 +576,10 @@ func symbolize(pcs []uintptr) string {
 		if f.File == "" {
 			break
 		}
-		if !strings.Contains(f.File, "internal/core") || strings.HasSuffix(f.File, "_test.go") {
+		// gopanic and the runtime's panic helpers sit between a recovering
+		// defer and the guest frame.
+		checker := strings.Contains(f.File, "internal/core") && !strings.HasSuffix(f.File, "_test.go")
+		if !checker && !strings.HasPrefix(f.Function, "runtime.") {
 			return fmt.Sprintf("%s:%d", shortFile(f.File), f.Line)
 		}
 		if !more {

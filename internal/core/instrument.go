@@ -156,7 +156,9 @@ func RunRecoveryOn(prog Program, opts Options, image map[pmem.Addr]byte, highWat
 	c.stack.Push()
 
 	c.scenarios = 1
-	c.runRecoverySegmentOnly()
+	if c.runSegment(c.prog.Run) {
+		panic(engineError{"failure injected during eager recovery run"})
+	}
 	return &Result{
 		Program:    c.prog.Name,
 		Scenarios:  1,
@@ -164,12 +166,5 @@ func RunRecoveryOn(prog Program, opts Options, image map[pmem.Addr]byte, highWat
 		Steps:      c.totalSteps,
 		Bugs:       c.bugs,
 		Complete:   true,
-	}
-}
-
-func (c *Checker) runRecoverySegmentOnly() {
-	crashed := c.runSegment(c.prog.Run)
-	if crashed {
-		panic(engineError{"failure injected during eager recovery run"})
 	}
 }

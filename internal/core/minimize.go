@@ -102,14 +102,14 @@ type trialStore struct {
 // minimizeTrial reports whether replaying the candidate prefix still
 // manifests a bug with the given key. A nondeterministic-replay panic —
 // the candidate's decisions no longer line up with the choice points the
-// guest presents — counts as not reproducing; any other panic propagates.
+// guest presents — counts as not reproducing.
 // Nothing reads a trial's multi-rf or perf findings, so it runs without the
 // finding flags: a multi-candidate load then computes no guest location.
 func minimizeTrial(prog Program, opts Options, store *trialStore, prefix []choicePoint, key string) bool {
 	opts.FlagMultiRF, opts.FlagPerfIssues = false, false
 	c := newReplayChecker(prog, opts, prefix, 0)
 	c.pmpool, c.stack = store.pool, store.stack
-	ok := c.replayScenario()
+	ok := c.runScenarioGuarded(prefix)
 	store.stack = c.stack
 	if !ok {
 		return false

@@ -97,14 +97,15 @@ type Options struct {
 	// MaxBugs caps distinct recorded bugs (default 64).
 	MaxBugs int
 
-	// Workers is the number of goroutines exploring the choice tree
-	// (default 1: the serial reference semantics). A negative value means
-	// GOMAXPROCS. Workers > 1 partitions the tree across private worker
-	// checkers through a shared Frontier and merges their findings
-	// deterministically: on a full exploration the result (bug set,
-	// scenario/execution/failure-point counts, candidate statistics) is
-	// identical to a serial run. Explorations truncated by MaxScenarios,
-	// MaxBugs, or StopAtFirstBug stop at the same global caps but may
+	// Workers is the number of claimants exploring the choice tree through
+	// one Frontier (default 1: the Checker itself, on the calling
+	// goroutine). A negative value means GOMAXPROCS. Workers > 1
+	// partitions the tree across private worker checkers on their own
+	// goroutines and merges their findings deterministically: on a full
+	// exploration the result (bug set, scenario/execution/failure-point
+	// counts, candidate statistics) is identical to a serial run.
+	// Explorations truncated by MaxScenarios, MaxBugs, or StopAtFirstBug
+	// stop at the same caps, the Frontier's under every driver, but may
 	// select a different (still truncated) subset of scenarios than the
 	// serial order would.
 	Workers int

@@ -1,22 +1,22 @@
 package core
 
 import (
-	"strconv"
 	"sync"
-	"time"
 
 	"jaaru/internal/obs"
 )
 
-// Partitioned exploration: Workers > 1 in process, and a fleet of worker
-// processes behind internal/dist. A branch of the choice tree is fully named
-// by its prefix of recorded decisions, so disjoint prefixes explore anywhere
+// The exploration driver. A branch of the choice tree is fully named by its
+// prefix of recorded decisions, so disjoint prefixes explore anywhere
 // without talking mid-scenario, and a claimed prefix replays exactly the
-// decisions a serial run makes to reach it. Both drivers share the one claim
-// loop (exploreClaim), the one Frontier (claims, hunger, caps, completion)
-// and the one order-insensitive merge (stats.merge, finished by
-// buildResult's canonical sorts), so a full exploration merges to the serial
-// Result either way.
+// decisions a serial run makes to reach it. Every run is a set of claimants
+// of one Frontier (claims, hunger, caps, completion): a serial Run is its
+// own only claimant, Workers > 1 are goroutines in process, and a fleet is
+// worker processes behind internal/dist. All of them share the one claim
+// loop (exploreClaim), the one guard that turns an engine panic into a
+// BugEngine (runScenarioGuarded) and the one order-insensitive merge
+// (stats.merge, finished by buildResult's canonical sorts), so a full
+// exploration merges to the same Result under every driver.
 
 // WireClaim is one claim, in the form chooser.seedClaim installs: a choice
 // vector, the per-point limits of the sibling options that come with it (nil:
@@ -95,10 +95,14 @@ func (c *Checker) exploreClaim(br WireClaim, s claimSink) error {
 	}
 }
 
-// runScenarioGuarded runs one scenario, converting internal engine panics
-// into a reported BugEngine instead of crashing the exploration. Guest
-// faults and crash signals are already handled inside runScenario; anything
-// else (a genuine Go bug) still propagates.
+// runScenarioGuarded runs one scenario, converting an internal engine panic
+// into a reported BugEngine carrying prefix instead of crashing the
+// exploration, and reports whether none was raised. It is the only such
+// guard: every scenario but Replay's runs through it — exploration under
+// every driver, BugReport.Trace, BuildWitness and minimizer trials. The
+// guest boundary (runSegment, the Spawn trampoline) has already turned
+// guest faults, guest panics and injected crashes into outcomes; anything
+// else raised outside it (a genuine checker bug) still propagates.
 func (c *Checker) runScenarioGuarded(prefix []choicePoint) (ok bool) {
 	defer func() {
 		r := recover()
@@ -125,11 +129,11 @@ func (c *Checker) runScenarioGuarded(prefix []choicePoint) (ok bool) {
 
 // ---- Frontier ---------------------------------------------------------------
 
-// Frontier holds one partitioned exploration's open claims and the rules
-// around them. In process, worker goroutines take, donate and report through
-// it directly; internal/dist's coordinator keeps one per job and hands its
-// decoded claims and stats straight through. All methods are safe for
-// concurrent use.
+// Frontier holds one exploration's open claims and the rules around them.
+// In process, its claimants — the running Checker alone, or worker
+// goroutines — take, donate and report through it directly; internal/dist's
+// coordinator keeps one per job and hands its decoded claims and stats
+// straight through. All methods are safe for concurrent use.
 type Frontier struct {
 	mu   sync.Mutex
 	cond *sync.Cond // wakes next: a claim queued, the exploration stopped or over
@@ -265,8 +269,7 @@ func (f *Frontier) stopLocked() {
 }
 
 // countLocked adds n scenarios to the one counter. Reaching MaxScenarios
-// stops the exploration; as in the serial loop, the scenario that reaches it
-// still counts.
+// stops the exploration; the scenario that reaches it still counts.
 func (f *Frontier) countLocked(n int) {
 	f.scenarios += n
 	if f.scenarios >= f.acc.ck.opts.MaxScenarios {
@@ -399,28 +402,13 @@ func (f *Frontier) Progress() (scenarios, execs int64, bugs int, queued int64) {
 	return int64(f.scenarios), int64(f.acc.ck.execsPost), len(f.bugKeys), int64(len(f.queue))
 }
 
-// runParallel is the Workers > 1 driver: worker goroutines, each with a
-// private Checker, take claims from one Frontier until it stops or drains.
-func (c *Checker) runParallel() *Result {
-	c.reg.SetWorkers(c.opts.Workers)
-	f := NewFrontier(&MergeAcc{ck: c, start: time.Now()}, nil)
-	for i := range c.opts.Workers {
-		f.workers = append(f.workers, c.newWorker(i+1))
+// serve runs w's claim loop over the claims f hands out, under the name
+// waiter, until the exploration stops or the tree is exhausted.
+func (f *Frontier) serve(w *Checker, waiter string) {
+	for br, ok := f.next(waiter); ok; br, ok = f.next(waiter) {
+		w.exploreClaim(br, f) // the Frontier's advanced never fails
+		f.Retire(nil)
 	}
-	var wg sync.WaitGroup
-	for i, w := range f.workers {
-		name := strconv.Itoa(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for br, ok := f.next(name); ok; br, ok = f.next(name) {
-				w.exploreClaim(br, f) // the Frontier's advanced never fails
-				f.Retire(nil)
-			}
-		}()
-	}
-	wg.Wait()
-	return f.Result()
 }
 
 // newWorker builds a private Checker sharing this checker's program and

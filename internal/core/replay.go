@@ -34,30 +34,13 @@ func newReplayChecker(prog Program, opts Options, prefix []choicePoint, ring int
 	return c
 }
 
-// replayScenario runs a replay checker's scenario. It reports false when the
-// recorded decisions no longer line up with the choice points the guest
-// presents (a nondeterministic-replay engineError); any other panic
-// propagates.
-func (c *Checker) replayScenario() (ok bool) {
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case engineError:
-			ok = false
-		default:
-			panic(r)
-		}
-	}()
-	c.runScenario()
-	return true
-}
-
 // Replay re-executes the failure scenario that first manifested bug b for
 // prog and returns the complete operation trace of that scenario (all
 // executions, pre-failure and recovery). The program and options must match
 // the original exploration, or the recorded choices will not line up and
-// Replay panics with a nondeterministic-replay error. A report whose choice
-// vector was lost (see BugReport.replayable) yields nil.
+// Replay panics with a nondeterministic-replay error: it alone runs its
+// scenario outside runScenarioGuarded. A report whose choice vector was lost
+// (see BugReport.replayable) yields nil.
 func Replay(prog Program, opts Options, b *BugReport) []TraceOp {
 	if !b.replayable() {
 		return nil

@@ -32,8 +32,9 @@ type scheduler struct {
 	childAlive int        // spawned goroutines still running
 	rng        *rand.Rand // nil = round-robin; else seeded random schedule
 	crashed    bool
-	fault      *guestFault // first guest fault raised on a child thread
-	unexpected any         // non-guest panic from a child (propagated)
+	// fault is the execution's one fault slot: the first guestFault or
+	// engineError any of its threads raised (failLocked).
+	fault any
 
 	// col is the owning checker's observability shard, handed to every
 	// thread's store-buffer state (nil when disabled).
@@ -86,7 +87,6 @@ func (s *scheduler) reset(sbCapacity int, rng *rand.Rand) *thread {
 	s.rng = rng
 	s.crashed = false
 	s.fault = nil
-	s.unexpected = nil
 	return main
 }
 
@@ -208,24 +208,21 @@ func (s *scheduler) spawn(sbCapacity int) *thread {
 	return t
 }
 
-// finish marks t done and hands the turn onward. Called by the trampoline
-// while holding the turn.
-func (s *scheduler) finish(t *thread) {
+// exit ends a spawned thread's goroutine with r, the value its trampoline
+// recovered as caught classified it: with nil the thread finished and hands
+// the turn onward; anything else fails the execution.
+func (s *scheduler) exit(t *thread, r any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t.done = true
+	s.childAlive--
+	if r != nil {
+		s.failLocked(r)
+		return
+	}
 	if next := s.nextRunnable(t.id); next != -1 {
 		s.cur = next
 	}
-	s.cond.Broadcast()
-}
-
-// childExited decrements the live-goroutine count (trampoline teardown,
-// whether by normal finish, crash, or fault).
-func (s *scheduler) childExited() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.childAlive--
 	s.cond.Broadcast()
 }
 
@@ -265,40 +262,29 @@ func (s *scheduler) initiateCrash() {
 	s.cond.Broadcast()
 }
 
-// recordFault stores the first guest fault raised by a child thread and
-// initiates a crash so every other thread unwinds.
-func (s *scheduler) recordFault(f guestFault) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fault == nil {
-		s.fault = &f
+// failLocked keeps r in the fault slot unless it is an injected crash or the
+// slot is taken, and crashes the execution so every other thread unwinds.
+func (s *scheduler) failLocked(r any) {
+	switch r.(type) {
+	case nil, crashSignal:
+	default:
+		if s.fault == nil {
+			s.fault = r
+		}
 	}
 	s.crashed = true
 	s.cond.Broadcast()
 }
 
-// recordUnexpected stores a non-guest panic from a child thread; the engine
-// re-panics it after teardown.
-func (s *scheduler) recordUnexpected(r any) {
+// shutdown ends the execution with r, the main thread's recovered value as
+// caught classified it (nil: it returned), waits until every child goroutine
+// has exited, and returns the fault slot.
+func (s *scheduler) shutdown(r any) any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.unexpected == nil {
-		s.unexpected = r
-	}
-	s.crashed = true
-	s.cond.Broadcast()
-}
-
-// shutdown initiates a crash (if one is not already in progress) and waits
-// until every child goroutine has exited, then returns any fault or
-// unexpected panic recorded by children.
-func (s *scheduler) shutdown() (*guestFault, any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.crashed = true
-	s.cond.Broadcast()
+	s.failLocked(r)
 	for s.childAlive > 0 {
 		s.cond.Wait()
 	}
-	return s.fault, s.unexpected
+	return s.fault
 }

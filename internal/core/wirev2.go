@@ -413,6 +413,15 @@ func (d *WireDecoder) Int() int {
 	return int(v)
 }
 
+// bugType reads a BugType, rejecting a value outside the enum.
+func (d *WireDecoder) bugType() BugType {
+	t := BugType(d.Int())
+	if t < BugAssertion || t > BugCrash {
+		d.fail("bug type %d out of range", int(t))
+	}
+	return t
+}
+
 // Bool reads one byte as a bool.
 func (d *WireDecoder) Bool() bool {
 	return d.Byte() != 0
@@ -715,7 +724,7 @@ func (d *WireDecoder) Stats() *WireStats {
 	}
 	for i, n := 0, d.length(1); i < n && d.err == nil; i++ {
 		ws.mergeBug(&BugReport{
-			Type:      BugType(d.Int()),
+			Type:      d.bugType(),
 			Message:   d.String(),
 			Execution: d.Int(),
 			Scenario:  d.Int(),
@@ -774,7 +783,7 @@ func (d *WireDecoder) PorEntries() []WirePorEntry {
 		dl.acct.vec = d.optCounterVec()
 		for j, nb := 0, d.length(1); j < nb && d.err == nil; j++ {
 			dl.bugs = append(dl.bugs, porBug{
-				typ:    BugType(d.Int()),
+				typ:    d.bugType(),
 				msg:    d.String(),
 				exec:   d.Int(),
 				count:  d.Int(),

@@ -424,6 +424,16 @@ func TestWireV2DecoderRejectsMalformed(t *testing.T) {
 	}
 
 	checkRejects(t, []rejectCase{
+		// Bug types are the enum's values, BugCrash the last.
+		{"stats bug type past the enum", "bug type 6 out of range", statsMsg(func(ws *WireStats) {
+			ws.mergeBug(&BugReport{Type: BugCrash + 1, Message: "x", Count: 1})
+		}), readStats},
+		{"stats bug type negative", "bug type -1 out of range", statsMsg(func(ws *WireStats) {
+			ws.mergeBug(&BugReport{Type: -1, Message: "x", Count: 1})
+		}), readStats},
+		{"por bug type past the enum", "bug type 6 out of range", porMsg(func(d *porDelta) {
+			d.bugs = []porBug{{typ: BugCrash + 1, msg: "x", count: 1}}
+		}), readPor},
 		{"por suffix point", "out of range", porMsg(func(d *porDelta) {
 			d.bugs = []porBug{{msg: "x", count: 1, suffix: onePoint(chooseReadFrom, 2, 3)}}
 		}), readPor},

@@ -50,7 +50,9 @@
 //
 // Bugs are visible manifestations: assertion failures (Context.Assert),
 // illegal memory accesses (wild or null dereferences), infinite loops
-// (step-budget exhaustion), and explicit Context.Bug reports. Enable
+// (step-budget exhaustion), explicit Context.Bug reports, and crashes (a Go
+// panic in guest code on any guest thread, such as an index out of range).
+// Enable
 // Options.FlagMultiRF for the paper's debugging support: every load that
 // could read from more than one pre-failure store is reported with its
 // candidate stores — the signature of a missing flush.
@@ -108,6 +110,7 @@ const (
 	BugInfiniteLoop  = core.BugInfiniteLoop
 	BugExplicit      = core.BugExplicit
 	BugEngine        = core.BugEngine
+	BugCrash         = core.BugCrash
 )
 
 // MultiRF is a load flagged by the debugging support as able to read from
