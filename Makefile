@@ -5,9 +5,11 @@
 # paged store arena it drives, the distributed path, and the metrics
 # registry and its exposition), and the allocation gates
 # (allocs); the full suite drives every `jaaru` subcommand end to end
-# (cmd/jaaru). scrape-smoke drives the telemetry surface over real TCP, and
-# fuzz-smoke fuzzes the lease-path decoders and the line fingerprint for a
-# bounded time.
+# (cmd/jaaru), and compares the checker's post-failure observation sets with
+# the independent Px86 model (internal/px86ref) on the litmus tests and a
+# generated corpus. scrape-smoke drives the telemetry surface over real TCP,
+# and fuzz-smoke fuzzes the lease-path decoders, the line fingerprint and the
+# checker against px86ref for a bounded time.
 # Timing lives elsewhere: the benchmark of record is `sh benchmark/run.sh`,
 # and `go run ./cmd/jaaru fig14` prints the paper's Figure 14 table.
 
@@ -81,7 +83,9 @@ scrape-smoke:
 # decoders under it, which are the coordinator's only validation of what a
 # worker sends (FuzzWireClaimValidate, FuzzWireStatsValidate); then 5 s of the
 # line fingerprint against the byte-wise reference encoding it replaced
-# (FuzzLineFingerprint: equal under one exactly when equal under the other).
+# (FuzzLineFingerprint: equal under one exactly when equal under the other),
+# and 5 s of generated programs whose observation sets the checker and
+# px86ref must agree on (FuzzPx86Ref, one generator seed per input).
 # Not part of verify: its inputs differ run to run. The corpora and seeds
 # alone run in `make test`.
 fuzz-smoke:
@@ -89,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireClaimValidate$$' -fuzztime 10s -parallel 2 ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireStatsValidate$$' -fuzztime 10s -parallel 2 ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzLineFingerprint$$' -fuzztime 5s -parallel 2 ./internal/pmem/
+	$(GO) test -run '^$$' -fuzz '^FuzzPx86Ref$$' -fuzztime 5s -parallel 2 ./internal/litmus/
 
 clean:
 	$(GO) clean ./...

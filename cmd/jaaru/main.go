@@ -5,8 +5,7 @@
 // Figure 14 table for the fixed RECIPE structures at scale N (default 1). A
 // subcommand, given as the first argument and followed by its own flags, runs
 // the rest of the evaluation: bugs (Figures 12, 13 and 15), explain (a bug's
-// forensics witness), fuzz (self-validation against eager enumeration) and
-// top (a live view of a telemetry endpoint).
+// forensics witness) and top (a live view of a telemetry endpoint).
 //
 // Usage:
 //
@@ -16,7 +15,6 @@
 //	jaaru [-metrics] [-trace-out FILE] [-progress DUR] [-listen ADDR] <benchmark>
 //	jaaru bugs [-suite pmdk|recipe|all] [-v]
 //	jaaru explain [-buggy] [-n N] [-bug I] [-minimize] [-json] [-validate] [-from-trace FILE] <benchmark>
-//	jaaru fuzz [-seeds N] [-ops M] [-lines L] [-mixed] [-rmw] [-v]
 //	jaaru top -server URL [-watch DUR] [-timeout DUR]
 //
 // -metrics prints the observability counter block after the summary;
@@ -51,7 +49,6 @@ import (
 var subcommands = map[string]func(args []string){
 	"bugs":    runBugs,
 	"explain": runExplain,
-	"fuzz":    runFuzz,
 	"top":     runTop,
 }
 
@@ -119,7 +116,7 @@ func exit(code int, format string, args ...any) {
 func runCheck(args []string) {
 	fs := flag.NewFlagSet("jaaru", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: jaaru [flags] <benchmark>|fig14, or jaaru bugs|explain|fuzz|top [flags]")
+		fmt.Fprintln(fs.Output(), "usage: jaaru [flags] <benchmark>|fig14, or jaaru bugs|explain|top [flags]")
 		fs.PrintDefaults()
 	}
 	bf := addBenchFlags(fs)

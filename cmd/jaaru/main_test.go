@@ -123,16 +123,6 @@ func TestBugsSubcommand(t *testing.T) {
 	}
 }
 
-// TestFuzzSubcommand: lazy and eager exploration agree on five random
-// programs.
-func TestFuzzSubcommand(t *testing.T) {
-	skipShort(t, "~1 s")
-	out, errOut, code := run(t, "fuzz", "-seeds", "5")
-	if code != 0 || !strings.Contains(out, "\n5/5 programs agree between lazy and eager exploration\n") {
-		t.Errorf("jaaru fuzz -seeds 5: exit %d\n%s\n%s", code, out, errOut)
-	}
-}
-
 // TestTopSubcommandExitStatus: a missing -server is a usage error (2), an
 // unreachable endpoint a failed poll (1).
 func TestTopSubcommandExitStatus(t *testing.T) {

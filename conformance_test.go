@@ -8,7 +8,9 @@ package jaaru_test
 // row's serial run.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -18,8 +20,8 @@ import (
 	"jaaru/internal/core"
 	"jaaru/internal/litmus"
 	"jaaru/internal/pmdk"
+	px "jaaru/internal/px86ref"
 	"jaaru/internal/recipe"
-	"jaaru/internal/yat"
 )
 
 func litmusRows() (rows []conform.Row) {
@@ -58,51 +60,56 @@ func TestParallelEquivalenceCommitstore(t *testing.T) { run(t, commitstore(), co
 
 // walkvProgram mirrors examples/walkv: a checksum-committed WAL key-value
 // store whose recovery validates every record arithmetically and reports the
-// log state it recovered.
+// log state it recovered. Its appends are straight-line, so the run is
+// px86ref ops (walkvRun) and the recovery Go.
 func walkvProgram(obs func(string)) jaaru.Program {
-	const (
-		recSize = 24
-		maxRecs = 8
-		offHead = 0
-		offLog  = 64
-	)
-	appendRecord := func(c *jaaru.Context, k, v uint64) {
+	return goRecovery("walkv", walkvRun(), func(c *jaaru.Context) {
 		root := c.Root()
-		head := c.Load64(root.Add(offHead))
-		rec := root.Add(offLog + head*recSize)
-		c.Store64(rec, k)
-		c.Store64(rec.Add(8), v)
-		sum := c.Fnv64(rec, 16)
-		c.Store64(rec.Add(16), sum)
-		c.Store64(root.Add(offHead), head+1)
-		c.Persist(root.Add(offHead), 8)
-	}
-	return jaaru.Program{
-		Name: "walkv",
-		Run: func(c *jaaru.Context) {
-			appendRecord(c, 1, 100)
-			appendRecord(c, 2, 200)
-			appendRecord(c, 3, 300)
-		},
-		Recover: func(c *jaaru.Context) {
-			root := c.Root()
-			head := c.Load64(root.Add(offHead))
-			c.Assert(head <= maxRecs, "log head %d corrupt", head)
-			state := ""
-			for i := uint64(0); i < head; i++ {
-				rec := root.Add(offLog + i*recSize)
-				sum := c.Load64(rec.Add(16))
-				if c.Fnv64(rec, 16) != sum || sum == 0 {
-					state += "?"
-					continue
-				}
-				k, v := c.Load64(rec), c.Load64(rec.Add(8))
-				c.Assert(v == k*100, "checksum validated a torn record: k=%d v=%d", k, v)
-				state += fmt.Sprintf("[%d=%d]", k, v)
+		head := c.Load64(root.Add(walkvHead))
+		c.Assert(head <= walkvMaxRecs, "log head %d corrupt", head)
+		state := ""
+		for i := uint64(0); i < head; i++ {
+			rec := root.Add(walkvLog + i*walkvRecSize)
+			sum := c.Load64(rec.Add(16))
+			if c.Fnv64(rec, 16) != sum || sum == 0 {
+				state += "?"
+				continue
 			}
-			obs(state)
-		},
+			k, v := c.Load64(rec), c.Load64(rec.Add(8))
+			c.Assert(v == k*100, "checksum validated a torn record: k=%d v=%d", k, v)
+			state += fmt.Sprintf("[%d=%d]", k, v)
+		}
+		obs(state)
+	})
+}
+
+const (
+	walkvRecSize = 24
+	walkvMaxRecs = 8
+	walkvHead    = 0
+	walkvLog     = 64
+)
+
+// walkvRun appends records 1=100, 2=200 and 3=300: key, value and the FNV-1a
+// checksum of the two, then the head, persisted.
+func walkvRun() (run []px.Op) {
+	for head := uint64(0); head < 3; head++ {
+		k, v := head+1, (head+1)*100
+		rec := walkvLog + head*walkvRecSize
+		h := fnv.New64a()
+		h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, k), v))
+		run = append(run, px.St64(rec, k), px.St64(rec+8, v), px.St64(rec+16, h.Sum64()),
+			px.St64(walkvHead, head+1), px.WB(walkvHead), px.SFence())
 	}
+	return run
+}
+
+// goRecovery is a program whose pre-failure run is px86ref ops and whose
+// recovery is Go.
+func goRecovery(name string, run []px.Op, recover func(*jaaru.Context)) jaaru.Program {
+	p := litmus.Program(name, px.Program{Run: run}, nil)
+	p.Recover = recover
+	return p
 }
 
 // walkv's checksum-based recovery explores a wide multi-candidate tree.
@@ -208,68 +215,95 @@ func TestPOREquivalenceSeededBugs(t *testing.T) {
 	run(t, rows, conform.POROff)
 }
 
-// porUpdateObsProgram commits one slot then rewrites it in place, reporting
-// every recovered value: the crash-time state recurs with period two, so a
-// default run exercises the fingerprint sweep while the recovery behaviour
-// set stays small enough for the eager explorer to enumerate exhaustively.
-func porUpdateObsProgram(obs func(string)) jaaru.Program {
-	return jaaru.Program{
-		Name: "por-update-obs",
-		Run: func(c *jaaru.Context) {
-			root := c.Root()
-			data := c.AllocLine(8)
-			c.Store64(data, 7)
-			c.Clflush(data, 8)
-			c.Sfence()
-			c.StorePtr(root, data)
-			c.Clflush(root, 8)
-			c.Sfence()
-			for r := 0; r < 12; r++ {
-				v := uint64(0xA5A5)
-				if r%2 == 1 {
-					v = 0x5A5A
-				}
-				c.Store64(data, v)
-				c.Clflush(data, 8)
-				c.Sfence()
-			}
-		},
-		Recover: func(c *jaaru.Context) {
-			p := c.LoadPtr(c.Root())
-			if p == 0 {
-				obs("empty")
-				return
-			}
-			obs(fmt.Sprintf("v=%#x", c.Load64(p)))
-		},
+// porUpdateRun commits one slot then rewrites it in place: the crash-time
+// state recurs with period two, so a default run exercises the fingerprint
+// sweep.
+func porUpdateRun() []px.Op {
+	data := uint64(64)
+	run := []px.Op{px.St64(data, 7), px.Flush(data), px.SFence(),
+		px.St64(0, uint64(core.PoolBase)+data), px.Flush(0), px.SFence()}
+	for r := 0; r < 12; r++ {
+		v := uint64(0xA5A5)
+		if r%2 == 1 {
+			v = 0x5A5A
+		}
+		run = append(run, px.St64(data, v), px.Flush(data), px.SFence())
+	}
+	return run
+}
+
+// loadThrough reports the committed slot's value, through its pointer.
+func loadThrough(obs func(string)) func(*jaaru.Context) {
+	return func(c *jaaru.Context) {
+		p := c.LoadPtr(c.Root())
+		if p == 0 {
+			obs("empty")
+			return
+		}
+		obs(fmt.Sprintf("v=%#x", c.Load64(p)))
 	}
 }
 
-// TestPORYatCrossCheck: ground truth per the eager (Yat) exploration — a
-// default pruned run reaches exactly the behaviour set the exhaustive
-// per-image enumeration reaches, on a workload where the sweep demonstrably
-// fires and on walkv's wide recovery tree.
-func TestPORYatCrossCheck(t *testing.T) {
+// missingFlushRun publishes a pointer to a word it never flushed.
+func missingFlushRun() []px.Op {
+	return []px.Op{px.St64(64, 42), px.St64(0, uint64(core.PoolBase)+64), px.Flush(0)}
+}
+
+func innerIntact(func(string)) func(*jaaru.Context) {
+	return func(c *jaaru.Context) {
+		if p := c.LoadPtr(c.Root()); p != 0 {
+			c.Assert(c.Load64(p) == 42, "inner value lost")
+		}
+	}
+}
+
+// TestPORPx86RefCrossCheck: programs whose recovery is Go. Recovery runs
+// through core.RunRecoveryOn on every image px86ref.Images says a failure of
+// the pre-failure run can leave; the behaviours and bug keys are exactly
+// those a default, pruned run reaches lazily — on a workload where the sweep
+// fires, on walkv's wide recovery tree, and on a missing flush.
+func TestPORPx86RefCrossCheck(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		build func(func(string)) jaaru.Program
-	}{{"update", porUpdateObsProgram}, {"walkv", walkvProgram}} {
+		name    string
+		run     []px.Op
+		recover func(obs func(string)) func(*jaaru.Context)
+	}{
+		{"update", porUpdateRun(), loadThrough},
+		{"walkv", walkvRun(), func(obs func(string)) func(*jaaru.Context) { return walkvProgram(obs).Recover }},
+		{"missing-flush", missingFlushRun(), innerIntact},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			on, pruned := conform.Explore(tc.build, jaaru.Options{Observe: true})
+			build := func(obs func(string)) jaaru.Program { return goRecovery(tc.name, tc.run, tc.recover(obs)) }
+			on, lazy := conform.Explore(build, jaaru.Options{Observe: true})
 			var o conform.Obs
-			eager, err := yat.Eager(tc.build(o.Add), jaaru.Options{}, 1_000_000)
-			if err != nil {
-				t.Fatal(err)
+			var bugs []string
+			for _, img := range px.Images(tc.run) {
+				image := make(map[jaaru.Addr]byte, len(img))
+				for off, b := range img {
+					image[core.PoolBase.Add(off)] = b
+				}
+				for _, b := range core.RunRecoveryOn(build(o.Add), jaaru.Options{}, image, core.PoolBase+core.RootSize).Bugs {
+					if k := b.Type.String() + ": " + b.Message; !slices.Contains(bugs, k) {
+						bugs = append(bugs, k)
+					}
+				}
 			}
-			if got := o.Set(); !slices.Equal(got, pruned.Observed) {
-				t.Errorf("behaviour sets differ:\n  pruned: %v\n  eager:  %v", pruned.Observed, got)
+			if got := o.Set(); !slices.Equal(got, lazy.Observed) {
+				t.Errorf("behaviour sets differ:\n  lazy:    %v\n  px86ref: %v", lazy.Observed, got)
 			}
-			if on.Buggy() || len(eager.Bugs) > 0 || on.FailurePoints != eager.FailurePoints {
-				t.Errorf("pruned: %d bugs, %d failure points; eager: %d bugs, %d failure points",
-					len(on.Bugs), on.FailurePoints, len(eager.Bugs), eager.FailurePoints)
+			var want []string
+			for _, b := range on.Bugs {
+				want = append(want, b.Type.String()+": "+b.Message)
+			}
+			slices.Sort(bugs)
+			if !slices.Equal(bugs, want) {
+				t.Errorf("bugs differ:\n  lazy:    %q\n  px86ref: %q", want, bugs)
 			}
 			if tc.name == "update" && on.Metrics.ScenariosPruned == 0 {
 				t.Error("sweep never fired: cross-check is vacuous")
+			}
+			if tc.name == "missing-flush" && len(bugs) == 0 {
+				t.Error("the missing flush went unnoticed")
 			}
 		})
 	}

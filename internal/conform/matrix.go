@@ -2,6 +2,7 @@ package conform
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,6 +25,9 @@ type Row struct {
 	Prunes bool
 	// Check, if set, asserts what the row's own reference reports.
 	Check func(t testing.TB, ref *core.Result)
+	// Want, if set, is the observation set the reference reports under the
+	// row's options and every base: an independent model's answer.
+	Want []string
 }
 
 // Base is a named change to a row's options.
@@ -109,6 +113,9 @@ func runBase(t *testing.T, rw Row, b Base, cols []Column, skips map[string]strin
 		if opts.Snapshots >= 0 && ref.Scenarios > 1 && m.SnapshotRestores == 0 || prunes && m.ScenariosPruned+m.RFElisions == 0 {
 			t.Errorf("%s %s: %d scenarios, %d snapshot restores, %d pruned, %d elided: a cell would compare a mechanism that never ran",
 				rw.Name, b.Name, ref.Scenarios, m.SnapshotRestores, m.ScenariosPruned, m.RFElisions)
+		}
+		if rw.Want != nil && !slices.Equal(v.Observed, rw.Want) {
+			t.Errorf("%s %s: observations differ from the model's:\ngot:  %q\nwant: %q", rw.Name, b.Name, v.Observed, rw.Want)
 		}
 		if rw.Check != nil && b.Name == "" {
 			rw.Check(t, ref)

@@ -112,7 +112,7 @@ func (b *BugReport) Trace(n int) []TraceOp {
 		return nil
 	}
 	c := newReplayChecker(*b.prog, *b.opts, b.replay, n)
-	if !c.runScenarioGuarded(b.replay) {
+	if !c.runScenarioGuarded() {
 		return nil
 	}
 	return c.trace.snapshot()

@@ -899,12 +899,13 @@ func (c *Checker) addBug(b *BugReport) {
 	c.mergeBug(b)
 }
 
-// recordEngineBug converts an internal engine panic raised while exploring
-// a claimed branch into a reported bug carrying the offending branch prefix,
-// so one corrupted subtree (typically a nondeterministic guest whose choice
-// shape changed between record and replay) does not crash the whole
-// parallel exploration. The abandoned subtree marks the stats truncated.
-func (c *Checker) recordEngineBug(e engineError, prefix []choicePoint) {
+// recordEngineBug converts an internal engine panic raised while running a
+// scenario into a reported bug carrying that scenario's choice vector (its
+// replay re-runs the scenario that broke), so one corrupted subtree —
+// typically a nondeterministic guest whose choice shape changed between
+// record and replay — does not crash the whole exploration. The abandoned
+// subtree marks the stats truncated.
+func (c *Checker) recordEngineBug(e engineError) {
 	c.truncated = true
 	c.mergeBug(&BugReport{
 		Type:      BugEngine,
@@ -912,7 +913,7 @@ func (c *Checker) recordEngineBug(e engineError, prefix []choicePoint) {
 		Execution: c.stack.Top().ID,
 		Scenario:  c.scenarios - 1,
 		Count:     1,
-		Choices:   describeChoices(prefix),
-		replay:    append([]choicePoint(nil), prefix...),
+		Choices:   c.chooser.describe(),
+		replay:    append([]choicePoint(nil), c.chooser.points...),
 	})
 }

@@ -60,7 +60,8 @@ func TestGuestPanicIsCrash(t *testing.T) {
 // TestEngineErrorParity: a guest whose choice shape alternates between runs
 // (two stores to a word, then one) breaks replay under the full-replay
 // oracle. Every driver reports one BugEngine on an incomplete Result; none
-// panics out of Run.
+// panics out of Run. The serial report names the scenario that broke: its
+// vector, replayed on a run of the same parity, raises the same error.
 func TestEngineErrorParity(t *testing.T) {
 	var keys []string
 	for _, workers := range []int{1, 2} {
@@ -79,6 +80,17 @@ func TestEngineErrorParity(t *testing.T) {
 		if len(res.Bugs) != 1 || res.Bugs[0].Type != BugEngine || res.Complete {
 			t.Fatalf("workers=%d: bugs %v, complete %v; want one engine error and an incomplete run",
 				workers, res.Bugs, res.Complete)
+		}
+		if b := res.Bugs[0]; workers == 1 {
+			runs.Add(1) // the replay below is the next run but one: same parity
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				Replay(prog, Options{Snapshots: -1}, b)
+			}()
+			if e, ok := got.(engineError); b.Choices == "" || !ok || e.msg != b.Message {
+				t.Errorf("serial report %q at %q: replay raised %v", b.Message, b.Choices, got)
+			}
 		}
 		if keys == nil {
 			keys = bugKeys(res)

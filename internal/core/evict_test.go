@@ -81,47 +81,3 @@ func TestEvictExploreSingleThreadCoherence(t *testing.T) {
 		t.Errorf("eviction choices not explored: %d scenarios", res.Scenarios)
 	}
 }
-
-// Eviction choices compose with failure injection: a store still in the
-// buffer at the failure point is lost; an evicted one may persist. The
-// persistency behaviour set must match the eager-policy run (eviction
-// timing must not change WHAT can persist, only when the SB empties).
-func TestEvictExploreMatchesEagerBehaviours(t *testing.T) {
-	build := func(evict EvictionPolicy, obs func(string)) *Result {
-		prog := Program{
-			Name: "evict-vs-eager",
-			Run: func(c *Context) {
-				r := c.Root()
-				c.Store64(r, 1)
-				c.Clflush(r, 8)
-				c.Store64(r.Add(8), 2)
-			},
-			Recover: func(c *Context) {
-				obs(fmt.Sprintf("a=%d b=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(8))))
-			},
-		}
-		return New(prog, Options{Eviction: evict}).Run()
-	}
-	collect := func(evict EvictionPolicy) []string {
-		seen := make(map[string]bool)
-		res := build(evict, func(s string) { seen[s] = true })
-		if res.Buggy() {
-			t.Fatalf("bugs: %v", res.Bugs)
-		}
-		var out []string
-		for k := range seen {
-			out = append(out, k)
-		}
-		sort.Strings(out)
-		return out
-	}
-	eager, explore := collect(EvictEager), collect(EvictExplore)
-	if len(eager) != len(explore) {
-		t.Fatalf("behaviour sets differ:\n eager   %v\n explore %v", eager, explore)
-	}
-	for i := range eager {
-		if eager[i] != explore[i] {
-			t.Fatalf("behaviour sets differ:\n eager   %v\n explore %v", eager, explore)
-		}
-	}
-}

@@ -341,7 +341,7 @@ func BuildWitness(prog Program, opts Options, b *BugReport) *forensics.Witness {
 	c.wrec = newWitnessRecorder(c)
 	c.sched.probe = c.wrec.probe()
 	if b.replayable() {
-		c.runScenarioGuarded(b.replay)
+		c.runScenarioGuarded()
 	}
 	_, reproduced := c.bugIndex[b.key()]
 	w := c.wrec.witness(b, reproduced)

@@ -5,8 +5,7 @@ import (
 )
 
 // Snapshot captures the persistent-memory-relevant state at one failure
-// injection point, for use by eager baselines (the Yat reproduction) and by
-// state-count accounting.
+// injection point, for state-count accounting (the Yat reproduction).
 type Snapshot struct {
 	// FP is the failure point index within the pre-failure execution;
 	// the end-of-run point has index -1.
@@ -68,22 +67,6 @@ func (s *Snapshot) Cuts(line pmem.Addr) []pmem.Seq {
 	return out
 }
 
-// ByteAt returns the persistent value of byte a if the line containing a
-// was last written back at cut: the newest store with σ ≤ cut, or 0 (the
-// initial pool contents).
-func (s *Snapshot) ByteAt(a pmem.Addr, cut pmem.Seq) byte {
-	q := s.Queues[a]
-	var v byte
-	for _, bs := range q {
-		if bs.Seq <= cut {
-			v = bs.Val
-		} else {
-			break
-		}
-	}
-	return v
-}
-
 func sortAddrSlice(s []pmem.Addr) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {
@@ -127,8 +110,8 @@ func (c *Checker) takeSnapshot(fp int) *Snapshot {
 }
 
 // RunRecoveryOn executes prog.Recover exactly once against a concrete
-// post-failure persistent-memory image — the eager exploration strategy of
-// Yat. The image maps byte addresses to their persisted values; highWater
+// post-failure persistent-memory image that an independent model supplies
+// (internal/px86ref's Images). The image maps byte addresses to their persisted values; highWater
 // marks the extent of allocated pool memory at the failure. The returned
 // result carries any bug the recovery hit.
 func RunRecoveryOn(prog Program, opts Options, image map[pmem.Addr]byte, highWater pmem.Addr) *Result {

@@ -109,7 +109,7 @@ func minimizeTrial(prog Program, opts Options, store *trialStore, prefix []choic
 	opts.FlagMultiRF, opts.FlagPerfIssues = false, false
 	c := newReplayChecker(prog, opts, prefix, 0)
 	c.pmpool, c.stack = store.pool, store.stack
-	ok := c.runScenarioGuarded(prefix)
+	ok := c.runScenarioGuarded()
 	store.stack = c.stack
 	if !ok {
 		return false

@@ -64,7 +64,7 @@ func (c *Checker) exploreClaim(br WireClaim, s claimSink) error {
 		}
 		c.scenarios++
 		prevBugs := len(c.bugs)
-		ok := c.runScenarioGuarded(br.points)
+		ok := c.runScenarioGuarded()
 		if more := s.ran(c.bugs[prevBugs:]); !ok {
 			return nil
 		} else if !more {
@@ -96,14 +96,14 @@ func (c *Checker) exploreClaim(br WireClaim, s claimSink) error {
 }
 
 // runScenarioGuarded runs one scenario, converting an internal engine panic
-// into a reported BugEngine carrying prefix instead of crashing the
-// exploration, and reports whether none was raised. It is the only such
+// into a reported BugEngine carrying the scenario's choice vector instead of
+// crashing the exploration, and reports whether none was raised. It is the only such
 // guard: every scenario but Replay's runs through it — exploration under
 // every driver, BugReport.Trace, BuildWitness and minimizer trials. The
 // guest boundary (runSegment, the Spawn trampoline) has already turned
 // guest faults, guest panics and injected crashes into outcomes; anything
 // else raised outside it (a genuine checker bug) still propagates.
-func (c *Checker) runScenarioGuarded(prefix []choicePoint) (ok bool) {
+func (c *Checker) runScenarioGuarded() (ok bool) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -121,7 +121,7 @@ func (c *Checker) runScenarioGuarded(prefix []choicePoint) (ok bool) {
 		c.ffwd = ffwdState{}
 		c.truncateSnaps(0)
 		c.porAbandon()
-		c.recordEngineBug(e, prefix)
+		c.recordEngineBug(e)
 	}()
 	c.runScenario()
 	return true

@@ -3,7 +3,10 @@
 // internal/tso against the reordering constraints of the paper's Table 1
 // (the Px86sim model). Each test lists the exact set of recovery
 // observations that must be explored — no more (soundness of the
-// constraints) and no fewer (exhaustiveness of the exploration).
+// constraints) and no fewer (exhaustiveness of the exploration). The
+// single-threaded tests are px86ref programs, so the independent model
+// answers them too; Program is the one adapter that runs such a program on
+// the checker.
 package litmus
 
 import (
@@ -11,6 +14,7 @@ import (
 	"sort"
 
 	"jaaru/internal/core"
+	px "jaaru/internal/px86ref"
 )
 
 // Test is one litmus program and its expected behaviour set.
@@ -18,6 +22,9 @@ type Test struct {
 	Name string
 	// Doc names the Table 1 cells or §2 prose the test exercises.
 	Doc string
+	// IR is a single-threaded test's program as data; Prog runs it through
+	// Program. Multi-threaded tests have none.
+	IR *px.Program
 	// Prog builds the program; obs receives one observation string per
 	// explored post-failure behaviour (or per pre-failure run for
 	// run-phase tests).
@@ -26,9 +33,6 @@ type Test struct {
 	Want []string
 	// Opts configures the checker (zero value = defaults).
 	Opts core.Options
-	// SkipEager excludes the test from eager cross-checking (run-phase
-	// observations or non-default eviction).
-	SkipEager bool
 }
 
 // Run explores the test's program and returns the sorted set of distinct
@@ -44,270 +48,132 @@ func Run(tst Test) ([]string, *core.Result) {
 	return out, res
 }
 
+// Program runs p on the checker: its Run ops, then its Recover ops after
+// every failure, at their offsets from the root. A recovery that completes
+// reports what its named loads read to obs, formatted as px86ref formats it.
+func Program(name string, p px.Program, obs func(string)) core.Program {
+	return core.Program{
+		Name:    name,
+		Run:     func(c *core.Context) { execute(c, p.Run, nil) },
+		Recover: func(c *core.Context) { execute(c, p.Recover, obs) },
+	}
+}
+
+func execute(c *core.Context, ops []px.Op, obs func(string)) {
+	var names []string
+	var vals []uint64
+	for _, op := range ops {
+		a := c.Root().Add(op.Addr)
+		switch op.Kind {
+		case px.Store:
+			switch op.Size {
+			case 1:
+				c.Store8(a, uint8(op.Val))
+			case 2:
+				c.Store16(a, uint16(op.Val))
+			case 4:
+				c.Store32(a, uint32(op.Val))
+			default:
+				c.Store64(a, op.Val)
+			}
+		case px.Load:
+			if v := c.Load64(a); op.Name != "" {
+				names, vals = append(names, op.Name), append(vals, v)
+			}
+		case px.Clflush:
+			c.Clflush(a, 1)
+		case px.Clflushopt:
+			c.Clflushopt(a, 1)
+		case px.Clwb:
+			c.Clwb(a, 1)
+		case px.Sfence:
+			c.Sfence()
+		case px.Mfence:
+			c.Mfence()
+		case px.CAS:
+			c.CAS64(a, op.Old, op.Val)
+		case px.FetchAdd:
+			c.AtomicAdd64(a, op.Val)
+		}
+	}
+	if obs != nil {
+		obs(px.Observation(names, vals))
+	}
+}
+
+// ir is a single-threaded test: its program as data, run through Program.
+func ir(name, doc string, run, recover []px.Op, want ...string) Test {
+	p := px.Program{Run: run, Recover: recover}
+	return Test{Name: name, Doc: doc, IR: &p, Want: want,
+		Prog: func(obs func(string)) core.Program { return Program(name, p, obs) }}
+}
+
 // Tests returns the litmus suite.
 func Tests() []Test {
+	const x, y = 0, 64 // two words on two lines
+	xy := []px.Op{px.Ld64("x", x), px.Ld64("y", y)}
+	ab := []px.Op{px.Ld64("a", 0), px.Ld64("b", 8)} // two words on one line
 	return []Test{
-		{
-			Name: "clflush-ordered-with-stores",
-			Doc:  "Table 1: Write→clflush ✓ and clflush→Write ✓ — clflush enters the store buffer like a store",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "clflush-ordered",
-					Run: func(c *core.Context) {
-						x, y := c.Root(), c.Root().Add(64)
-						c.Store64(x, 1)
-						c.Clflush(x, 8)
-						c.Store64(y, 1)
-						c.Clflush(y, 8)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("x=%d y=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(64))))
-					},
-				}
-			},
-			// y=1 without x=1 is impossible: the second flush cannot pass
-			// the first store.
-			Want: []string{"x=0 y=0", "x=1 y=0", "x=1 y=1"},
-		},
-		{
-			Name: "clflushopt-reorders-across-other-line-store",
-			Doc:  "Table 1: clflushopt→Write ✗ and Write→clflushopt CL — a later clflush to another line can take effect while the clflushopt writeback is still pending",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "clflushopt-reorder",
-					Run: func(c *core.Context) {
-						x, y := c.Root(), c.Root().Add(64)
-						c.Store64(x, 1)
-						c.Clflushopt(x, 8)
-						c.Store64(y, 1)
-						c.Clflush(y, 8)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("x=%d y=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(64))))
-					},
-				}
-			},
-			// x=0 y=1 IS reachable: clflush(y) persisted y while the
-			// clflushopt(x) writeback waited for a fence that never came.
-			Want: []string{"x=0 y=0", "x=0 y=1", "x=1 y=0", "x=1 y=1"},
-		},
-		{
-			Name: "sfence-orders-clflushopt",
-			Doc:  "Table 1: clflushopt→sfence ✓ and sfence→Write ✓ — after an sfence the writeback precedes later flushes",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "sfence-orders",
-					Run: func(c *core.Context) {
-						x, y := c.Root(), c.Root().Add(64)
-						c.Store64(x, 1)
-						c.Clflushopt(x, 8)
-						c.Sfence()
-						c.Store64(y, 1)
-						c.Clflush(y, 8)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("x=%d y=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(64))))
-					},
-				}
-			},
-			// x=0 y=1 is now forbidden.
-			Want: []string{"x=0 y=0", "x=1 y=0", "x=1 y=1"},
-		},
-		{
-			Name: "mfence-orders-clflushopt",
-			Doc:  "Table 1: clflushopt→mfence ✓",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "mfence-orders",
-					Run: func(c *core.Context) {
-						x, y := c.Root(), c.Root().Add(64)
-						c.Store64(x, 1)
-						c.Clflushopt(x, 8)
-						c.Mfence()
-						c.Store64(y, 1)
-						c.Clflush(y, 8)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("x=%d y=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(64))))
-					},
-				}
-			},
-			Want: []string{"x=0 y=0", "x=1 y=0", "x=1 y=1"},
-		},
-		{
-			Name: "rmw-orders-clflushopt",
-			Doc:  "Table 1: clflushopt→RMW ✓ — locked RMW has fence semantics (§4)",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "rmw-orders",
-					Run: func(c *core.Context) {
-						x, y := c.Root(), c.Root().Add(64)
-						c.Store64(x, 1)
-						c.Clflushopt(x, 8)
-						c.AtomicAdd64(c.Root().Add(128), 1)
-						c.Store64(y, 1)
-						c.Clflush(y, 8)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("x=%d y=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(64))))
-					},
-				}
-			},
-			Want: []string{"x=0 y=0", "x=1 y=0", "x=1 y=1"},
-		},
-		{
-			Name: "clflushopt-covers-same-line-stores",
-			Doc:  "Table 1: Write→clflushopt CL — a clflushopt is ordered after earlier stores to its own line",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "clflushopt-same-line",
-					Run: func(c *core.Context) {
-						a, b := c.Root(), c.Root().Add(8) // same line
-						c.Store64(a, 1)
-						c.Store64(b, 1)
-						c.Clflushopt(a, 8)
-						c.Sfence()
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("a=%d b=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(8))))
-					},
-				}
-			},
-			// Once the fence passes, both same-line stores are persistent.
-			// Before it, the cut respects store order: b=1 without a=1 is
-			// impossible.
-			Want: []string{"a=0 b=0", "a=1 b=0", "a=1 b=1"},
-		},
-		{
-			Name: "clwb-identical-to-clflushopt",
-			Doc:  "§2: clwb is semantically identical to clflushopt",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "clwb",
-					Run: func(c *core.Context) {
-						x, y := c.Root(), c.Root().Add(64)
-						c.Store64(x, 1)
-						c.Clwb(x, 8)
-						c.Store64(y, 1)
-						c.Clflush(y, 8)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("x=%d y=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(64))))
-					},
-				}
-			},
-			Want: []string{"x=0 y=0", "x=0 y=1", "x=1 y=0", "x=1 y=1"},
-		},
-		{
-			Name: "persist-idiom",
-			Doc:  "clwb+sfence (Persist) makes a range durable before the next store",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "persist",
-					Run: func(c *core.Context) {
-						x, y := c.Root(), c.Root().Add(64)
-						c.Store64(x, 1)
-						c.Persist(x, 8)
-						c.Store64(y, 1)
-						c.Persist(y, 8)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("x=%d y=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(64))))
-					},
-				}
-			},
-			Want: []string{"x=0 y=0", "x=1 y=0", "x=1 y=1"},
-		},
-		{
-			Name: "same-line-store-order",
-			Doc:  "stores to one line persist in store order (the Figure 2 shape)",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "same-line-order",
-					Run: func(c *core.Context) {
-						a, b := c.Root(), c.Root().Add(8)
-						c.Store64(a, 1)
-						c.Store64(b, 2)
-						c.Store64(a, 3)
-						c.Clflush(a, 8)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("a=%d b=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(8))))
-					},
-				}
-			},
-			// Cuts of (a=1, b=2, a=3): (0,0) (1,0) (1,2) (3,2).
-			Want: []string{"a=0 b=0", "a=1 b=0", "a=1 b=2", "a=3 b=2"},
-		},
-		{
-			Name: "cross-line-independence",
-			Doc:  "lines persist independently: without flushes, every combination of two lines' contents is reachable",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "cross-line",
-					Run: func(c *core.Context) {
-						c.Store64(c.Root(), 1)
-						c.Store64(c.Root().Add(64), 1)
-						// A store on a third line makes the end-of-run
-						// failure point eligible without constraining the
-						// first two lines.
-						c.Store64(c.Root().Add(128), 1)
-						c.Clflush(c.Root().Add(128), 8)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("a=%d b=%d", c.Load64(c.Root()), c.Load64(c.Root().Add(64))))
-					},
-				}
-			},
-			Want: []string{"a=0 b=0", "a=0 b=1", "a=1 b=0", "a=1 b=1"},
-		},
-		{
-			Name: "cas-as-commit-store",
-			Doc:  "a locked CAS serves as a commit store: its fence semantics order the prior clflushopt writeback",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "cas-commit",
-					Run: func(c *core.Context) {
-						data := c.Root().Add(64)
-						c.Store64(data, 7)
-						c.Clflushopt(data, 8)
-						// The CAS both fences the writeback and publishes.
-						c.CAS64(c.Root(), 0, 1)
-						c.Clflush(c.Root(), 8)
-					},
-					Recover: func(c *core.Context) {
-						committed := c.Load64(c.Root())
-						data := c.Load64(c.Root().Add(64))
-						obs(fmt.Sprintf("committed=%d data=%d", committed, data))
-					},
-				}
-			},
-			// committed=1 with data=0 is impossible: the RMW drained the
-			// flush buffer before its own store took effect.
-			Want: []string{"committed=0 data=0", "committed=0 data=7", "committed=1 data=7"},
-		},
-		{
-			Name: "overwrite-before-flush",
-			Doc:  "only the flushed-or-later values survive: an overwritten, never-flushed value is unreachable",
-			Prog: func(obs func(string)) core.Program {
-				return core.Program{
-					Name: "overwrite",
-					Run: func(c *core.Context) {
-						x := c.Root()
-						c.Store64(x, 1) // overwritten before any flush
-						c.Store64(x, 2)
-						c.Clflush(x, 8)
-						c.Store64(x, 3)
-					},
-					Recover: func(c *core.Context) {
-						obs(fmt.Sprintf("x=%d", c.Load64(c.Root())))
-					},
-				}
-			},
-			// x=1 appears only for the failure point before the clflush;
-			// after it, the writeback covers x=2 and x=1 is gone forever.
-			Want: []string{"x=0", "x=1", "x=2", "x=3"},
-		},
+		// y=1 without x=1 is impossible: the second flush cannot pass the
+		// first store.
+		ir("clflush-ordered-with-stores",
+			"Table 1: Write→clflush ✓ and clflush→Write ✓ — clflush enters the store buffer like a store",
+			[]px.Op{px.St64(x, 1), px.Flush(x), px.St64(y, 1), px.Flush(y)}, xy,
+			"x=0 y=0", "x=1 y=0", "x=1 y=1"),
+		// x=0 y=1 IS reachable: clflush(y) persisted y while the clflushopt(x)
+		// writeback waited for a fence that never came.
+		ir("clflushopt-reorders-across-other-line-store",
+			"Table 1: clflushopt→Write ✗ and Write→clflushopt CL — a later clflush to another line can take effect while the clflushopt writeback is still pending",
+			[]px.Op{px.St64(x, 1), px.FlushOpt(x), px.St64(y, 1), px.Flush(y)}, xy,
+			"x=0 y=0", "x=0 y=1", "x=1 y=0", "x=1 y=1"),
+		// x=0 y=1 is now forbidden.
+		ir("sfence-orders-clflushopt",
+			"Table 1: clflushopt→sfence ✓ and sfence→Write ✓ — after an sfence the writeback precedes later flushes",
+			[]px.Op{px.St64(x, 1), px.FlushOpt(x), px.SFence(), px.St64(y, 1), px.Flush(y)}, xy,
+			"x=0 y=0", "x=1 y=0", "x=1 y=1"),
+		ir("mfence-orders-clflushopt", "Table 1: clflushopt→mfence ✓",
+			[]px.Op{px.St64(x, 1), px.FlushOpt(x), px.MFence(), px.St64(y, 1), px.Flush(y)}, xy,
+			"x=0 y=0", "x=1 y=0", "x=1 y=1"),
+		ir("rmw-orders-clflushopt", "Table 1: clflushopt→RMW ✓ — locked RMW has fence semantics (§4)",
+			[]px.Op{px.St64(x, 1), px.FlushOpt(x), px.Add(128, 1), px.St64(y, 1), px.Flush(y)}, xy,
+			"x=0 y=0", "x=1 y=0", "x=1 y=1"),
+		// Once the fence passes, both same-line stores are persistent. Before
+		// it, the cut respects store order: b=1 without a=1 is impossible.
+		ir("clflushopt-covers-same-line-stores",
+			"Table 1: Write→clflushopt CL — a clflushopt is ordered after earlier stores to its own line",
+			[]px.Op{px.St64(0, 1), px.St64(8, 1), px.FlushOpt(0), px.SFence()}, ab,
+			"a=0 b=0", "a=1 b=0", "a=1 b=1"),
+		ir("clwb-identical-to-clflushopt", "§2: clwb is semantically identical to clflushopt",
+			[]px.Op{px.St64(x, 1), px.WB(x), px.St64(y, 1), px.Flush(y)}, xy,
+			"x=0 y=0", "x=0 y=1", "x=1 y=0", "x=1 y=1"),
+		ir("persist-idiom", "clwb+sfence (Persist) makes a range durable before the next store",
+			[]px.Op{px.St64(x, 1), px.WB(x), px.SFence(), px.St64(y, 1), px.WB(y), px.SFence()}, xy,
+			"x=0 y=0", "x=1 y=0", "x=1 y=1"),
+		// Cuts of (a=1, b=2, a=3): (0,0) (1,0) (1,2) (3,2).
+		ir("same-line-store-order", "stores to one line persist in store order (the Figure 2 shape)",
+			[]px.Op{px.St64(0, 1), px.St64(8, 2), px.St64(0, 3), px.Flush(0)}, ab,
+			"a=0 b=0", "a=1 b=0", "a=1 b=2", "a=3 b=2"),
+		// A store on a third line makes the end-of-run failure point eligible
+		// without constraining the first two lines.
+		ir("cross-line-independence",
+			"lines persist independently: without flushes, every combination of two lines' contents is reachable",
+			[]px.Op{px.St64(x, 1), px.St64(y, 1), px.St64(128, 1), px.Flush(128)},
+			[]px.Op{px.Ld64("a", x), px.Ld64("b", y)},
+			"a=0 b=0", "a=0 b=1", "a=1 b=0", "a=1 b=1"),
+		// committed=1 with data=0 is impossible: the RMW drained the flush
+		// buffer before its own store took effect.
+		ir("cas-as-commit-store",
+			"a locked CAS serves as a commit store: its fence semantics order the prior clflushopt writeback",
+			[]px.Op{px.St64(y, 7), px.FlushOpt(y), px.Cas(x, 0, 1), px.Flush(x)},
+			[]px.Op{px.Ld64("committed", x), px.Ld64("data", y)},
+			"committed=0 data=0", "committed=0 data=7", "committed=1 data=7"),
+		// x=1 appears only for the failure point before the clflush; after
+		// it, the writeback covers x=2 and x=1 is gone forever.
+		ir("overwrite-before-flush",
+			"only the flushed-or-later values survive: an overwritten, never-flushed value is unreachable",
+			[]px.Op{px.St64(x, 1), px.St64(x, 2), px.Flush(x), px.St64(x, 3)},
+			[]px.Op{px.Ld64("x", x)},
+			"x=0", "x=1", "x=2", "x=3"),
 		{
 			Name: "store-buffering",
 			Doc:  "Table 1: Write→Read ✗ — the classic SB litmus test under delayed eviction",
@@ -332,9 +198,8 @@ func Tests() []Test {
 					},
 				}
 			},
-			Want:      []string{"r1=0 r2=0"},
-			Opts:      core.Options{Eviction: core.EvictAtFences},
-			SkipEager: true,
+			Want: []string{"r1=0 r2=0"},
+			Opts: core.Options{Eviction: core.EvictAtFences},
 		},
 		{
 			Name: "store-buffer-bypass",
@@ -349,9 +214,8 @@ func Tests() []Test {
 					},
 				}
 			},
-			Want:      []string{"r=7"},
-			Opts:      core.Options{Eviction: core.EvictAtFences},
-			SkipEager: true,
+			Want: []string{"r=7"},
+			Opts: core.Options{Eviction: core.EvictAtFences},
 		},
 		{
 			Name: "mfence-makes-stores-visible",
@@ -376,9 +240,8 @@ func Tests() []Test {
 					},
 				}
 			},
-			Want:      []string{"x=1"},
-			Opts:      core.Options{Eviction: core.EvictAtFences},
-			SkipEager: true,
+			Want: []string{"x=1"},
+			Opts: core.Options{Eviction: core.EvictAtFences},
 		},
 	}
 }

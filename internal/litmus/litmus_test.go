@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"jaaru/internal/core"
-	"jaaru/internal/yat"
 )
 
 func TestLitmusSuite(t *testing.T) {
@@ -26,39 +25,6 @@ func TestLitmusSuite(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s\n got  %v\n want %v", tst.Doc, got, want)
-				}
-			}
-		})
-	}
-}
-
-// Every single-threaded litmus test's behaviour set must also match the
-// eager (Yat) exploration exactly.
-func TestLitmusAgainstEager(t *testing.T) {
-	for _, tst := range Tests() {
-		if tst.SkipEager {
-			continue
-		}
-		t.Run(tst.Name, func(t *testing.T) {
-			seen := make(map[string]bool)
-			_, err := yat.Eager(tst.Prog(func(s string) { seen[s] = true }),
-				tst.Opts, 1_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]string, 0, len(seen))
-			for k := range seen {
-				got = append(got, k)
-			}
-			sort.Strings(got)
-			want := append([]string(nil), tst.Want...)
-			sort.Strings(want)
-			if len(got) != len(want) {
-				t.Fatalf("eager mismatch\n got  %v\n want %v", got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("eager mismatch\n got  %v\n want %v", got, want)
 				}
 			}
 		})

@@ -7,11 +7,9 @@
 // Like the paper (Yat is not publicly available), the state counts of
 // Figure 14 are computed analytically: at each failure point the number of
 // legal states is the product over dirty cache lines of (stores since the
-// line's last flush + 1), and the total is the sum over failure points.
-// Unlike the paper, this package also implements a real bounded eager
-// explorer used as ground truth: on programs small enough to enumerate, the
-// set of post-failure behaviours Jaaru discovers lazily must equal the set
-// the eager explorer materializes.
+// line's last flush + 1), and the total is the sum over failure points. The
+// post-failure behaviours themselves are checked against internal/px86ref,
+// which enumerates them from the Px86 rules without reading engine state.
 package yat
 
 import (
@@ -20,7 +18,6 @@ import (
 	"math/big"
 
 	"jaaru/internal/core"
-	"jaaru/internal/pmem"
 )
 
 // CountResult is the analytic Yat cost of exhaustively checking a program.
@@ -83,126 +80,4 @@ func CountStates(prog core.Program, opts core.Options) *CountResult {
 	})
 	ck.Run()
 	return res
-}
-
-// EagerResult summarizes a real eager exploration.
-type EagerResult struct {
-	// FailurePoints is the number of failure points enumerated.
-	FailurePoints int
-	// Images is the number of concrete post-failure memory images explored
-	// (each with one recovery execution) — Yat's execution count.
-	Images int
-	// Bugs are the distinct bugs found across all recovery executions.
-	Bugs []*core.BugReport
-}
-
-// ErrTooManyStates reports that the eager state space exceeds the caller's
-// budget — the scalability wall the paper describes.
-type ErrTooManyStates struct {
-	FailurePoint int
-	States       *big.Int
-	Budget       int
-}
-
-func (e *ErrTooManyStates) Error() string {
-	return fmt.Sprintf("yat: failure point %d has %s states, budget %d",
-		e.FailurePoint, Sci(e.States), e.Budget)
-}
-
-// Eager exhaustively enumerates every legal post-failure memory image at
-// every failure point of prog and runs prog.Recover on each — the Yat
-// strategy. maxImages bounds the total number of recovery executions; the
-// enumeration fails with ErrTooManyStates beyond it.
-//
-// Only single-failure scenarios are enumerated (the recovery itself is run
-// without further failure injection), so results are comparable to Jaaru
-// runs with MaxFailures == 1.
-func Eager(prog core.Program, opts core.Options, maxImages int) (*EagerResult, error) {
-	var snaps []*core.Snapshot
-	countOpts := opts
-	countOpts.MaxScenarios = 1
-	ck := core.New(prog, countOpts)
-	ck.Instrument(func(s *core.Snapshot) { snaps = append(snaps, s) })
-	pre := ck.Run()
-	if pre.Buggy() {
-		// The pre-failure execution itself is buggy; eager exploration of
-		// post-failure states is meaningless.
-		return nil, fmt.Errorf("yat: pre-failure execution buggy: %v", pre.Bugs[0])
-	}
-
-	res := &EagerResult{FailurePoints: len(snaps)}
-	bugKeys := make(map[string]bool)
-	for _, s := range snaps {
-		if err := enumerate(prog, opts, s, maxImages, res, bugKeys); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-func enumerate(prog core.Program, opts core.Options, s *core.Snapshot,
-	maxImages int, res *EagerResult, bugKeys map[string]bool) error {
-
-	dirty := s.DirtyLines()
-	cuts := make([][]pmem.Seq, len(dirty))
-	total := big.NewInt(1)
-	for i, line := range dirty {
-		cuts[i] = s.Cuts(line)
-		total.Mul(total, big.NewInt(int64(len(cuts[i]))))
-	}
-	if !total.IsInt64() || res.Images+int(total.Int64()) > maxImages {
-		return &ErrTooManyStates{FailurePoint: s.FP, States: total, Budget: maxImages}
-	}
-
-	// Clean-line (and settled) bytes are fixed across all images.
-	baseImage := make(map[pmem.Addr]byte)
-	dirtySet := make(map[pmem.Addr]bool, len(dirty))
-	for _, l := range dirty {
-		dirtySet[l] = true
-	}
-	for a := range s.Queues {
-		if !dirtySet[a.Line()] {
-			baseImage[a] = s.ByteAt(a, pmem.SeqInf)
-		}
-	}
-
-	// Odometer over per-line cut choices.
-	idx := make([]int, len(dirty))
-	for {
-		image := make(map[pmem.Addr]byte, len(s.Queues))
-		for a, v := range baseImage {
-			image[a] = v
-		}
-		for i, line := range dirty {
-			cut := cuts[i][idx[i]]
-			for off := pmem.Addr(0); off < pmem.CacheLineSize; off++ {
-				a := line + off
-				if _, ok := s.Queues[a]; ok {
-					image[a] = s.ByteAt(a, cut)
-				}
-			}
-		}
-		res.Images++
-		r := core.RunRecoveryOn(prog, opts, image, s.HighWater)
-		for _, b := range r.Bugs {
-			k := fmt.Sprintf("%d|%s", b.Type, b.Message)
-			if !bugKeys[k] {
-				bugKeys[k] = true
-				res.Bugs = append(res.Bugs, b)
-			}
-		}
-
-		// Advance the odometer.
-		i := 0
-		for ; i < len(idx); i++ {
-			idx[i]++
-			if idx[i] < len(cuts[i]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i == len(idx) {
-			return nil
-		}
-	}
 }

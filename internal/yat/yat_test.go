@@ -3,8 +3,6 @@ package yat
 import (
 	"fmt"
 	"math/big"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"jaaru/internal/core"
@@ -90,140 +88,6 @@ func TestCountStatesArray(t *testing.T) {
 	}
 	if res.FailurePoints == 0 {
 		t.Error("no failure points counted")
-	}
-}
-
-func TestEagerBudget(t *testing.T) {
-	_, err := Eager(arrayProgram(128), core.Options{}, 10000)
-	if err == nil {
-		t.Fatal("eager exploration of 9^16 states fit in a 10k budget")
-	}
-	if _, ok := err.(*ErrTooManyStates); !ok {
-		t.Fatalf("unexpected error type: %v", err)
-	}
-}
-
-// ---- Jaaru ≡ Yat equivalence ------------------------------------------------
-
-// randomProgram builds a deterministic pseudo-random straight-line PM
-// program over a few addresses spanning two cache lines, and a recovery
-// that observes every address. Jaaru's lazily explored observation set must
-// equal the eager explorer's.
-func randomProgram(seed int64, obs func(string)) core.Program {
-	const (
-		nAddrs = 5
-		nOps   = 14
-	)
-	return core.Program{
-		Name: fmt.Sprintf("rand-%d", seed),
-		Run: func(c *core.Context) {
-			rng := rand.New(rand.NewSource(seed))
-			base := c.Root()
-			addr := func(i int) core.Addr {
-				// Two lines: addresses 0,8,16 on line 0; 64,72 on line 1.
-				offs := []uint64{0, 8, 16, 64, 72}
-				return base.Add(offs[i%nAddrs])
-			}
-			val := uint64(1)
-			for i := 0; i < nOps; i++ {
-				switch rng.Intn(6) {
-				case 0, 1, 2:
-					c.Store64(addr(rng.Intn(nAddrs)), val)
-					val++
-				case 3:
-					c.Clflush(addr(rng.Intn(nAddrs)), 8)
-				case 4:
-					c.Clflushopt(addr(rng.Intn(nAddrs)), 8)
-				case 5:
-					c.Sfence()
-				}
-			}
-		},
-		Recover: func(c *core.Context) {
-			base := c.Root()
-			s := ""
-			for _, off := range []uint64{0, 8, 16, 64, 72} {
-				s += fmt.Sprintf("%d,", c.Load64(base.Add(off)))
-			}
-			obs(s)
-		},
-	}
-}
-
-func collectSet(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func TestJaaruMatchesYatRandomPrograms(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		lazy := make(map[string]bool)
-		jr := core.New(randomProgram(seed, func(s string) { lazy[s] = true }),
-			core.Options{}).Run()
-		if jr.Buggy() {
-			t.Fatalf("seed %d: unexpected bugs %v", seed, jr.Bugs)
-		}
-
-		eager := make(map[string]bool)
-		er, err := Eager(randomProgram(seed, func(s string) { eager[s] = true }),
-			core.Options{}, 2_000_000)
-		if err != nil {
-			t.Fatalf("seed %d: eager: %v", seed, err)
-		}
-
-		l, e := collectSet(lazy), collectSet(eager)
-		if len(l) != len(e) {
-			t.Fatalf("seed %d: lazy %d states %v\n eager %d states %v",
-				seed, len(l), l, len(e), e)
-		}
-		for i := range l {
-			if l[i] != e[i] {
-				t.Fatalf("seed %d: state mismatch\n lazy  %v\n eager %v", seed, l, e)
-			}
-		}
-		if jr.Executions > er.Images+1 {
-			t.Errorf("seed %d: Jaaru used %d executions, eager used %d images",
-				seed, jr.Executions, er.Images)
-		}
-	}
-}
-
-// Both checkers must agree on bug detection for a program with a missing
-// flush.
-func TestJaaruMatchesYatBugFinding(t *testing.T) {
-	mk := func() core.Program {
-		return core.Program{
-			Name: "buggy",
-			Run: func(c *core.Context) {
-				inner := c.AllocLine(8)
-				c.Store64(inner, 42)
-				// BUG: inner is never flushed.
-				c.StorePtr(c.Root(), inner)
-				c.Clflush(c.Root(), 8)
-			},
-			Recover: func(c *core.Context) {
-				p := c.LoadPtr(c.Root())
-				if p == 0 {
-					return
-				}
-				c.Assert(c.Load64(p) == 42, "inner value lost")
-			},
-		}
-	}
-	jr := core.New(mk(), core.Options{}).Run()
-	er, err := Eager(mk(), core.Options{}, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !jr.Buggy() {
-		t.Error("Jaaru missed the missing-flush bug")
-	}
-	if len(er.Bugs) == 0 {
-		t.Error("eager explorer missed the missing-flush bug")
 	}
 }
 
